@@ -4,8 +4,8 @@ The solver surface grew keyword-by-keyword across iterations
 (``optimize(..., rng=, restarts=, jobs=, max_evaluations=, ...)``).
 This module is the deliberate redesign: one frozen
 :class:`SearchConfig` carries every knob that shapes *how* a search
-runs (seed, restarts, jobs, FW implementation, incremental engine,
-trace settings), and every search entry point -- :func:`repro.optimize`,
+runs (seed, restarts, jobs, FW implementation, trace settings), and
+every search entry point -- :func:`repro.optimize`,
 :func:`repro.solve_row_problem`, :func:`place_express_links`, across
 all search spaces -- returns one frozen result type:
 
@@ -167,9 +167,10 @@ class SearchConfig:
         serially, so ``chains`` is -- like ``jobs`` -- a pure
         wall-clock knob, and the two compose: groups are still fanned
         out across ``jobs`` processes.  ``chains > 1`` implies at
-        least that many restarts (see :attr:`effective_restarts`) and
-        is incompatible with ``incremental`` (the O(n^2) engine prices
-        moves one chain at a time by construction).
+        least that many restarts (see :attr:`effective_restarts`).
+        A lockstep group prices every move with a full Floyd-Warshall
+        pass, while a serial chain prices memo misses with the O(n^2)
+        incremental engine, so groups are usually the slower choice.
     impl:
         Floyd-Warshall implementation: ``"vectorized"`` (NumPy,
         default), the pure-Python ``"reference"`` oracle, or the
@@ -178,16 +179,9 @@ class SearchConfig:
         through the ``REPRO_IMPL`` environment default; all tiers are
         bit-identical by the cross-impl parity gates, so ``impl`` is a
         pure wall-clock knob and -- like ``jobs``/``chains`` -- is
-        excluded from ledger run identities.
-    incremental:
-        Price SA candidates with the O(n^2) dynamic APSP engine
-        (:mod:`repro.routing.incremental`) instead of a full O(n^3)
-        re-solve per move.  Placements are byte-identical to the full
-        path for the same seed under the default integral hop costs.
-    resync_every:
-        Incremental-mode drift self-check period, in accepted moves
-        (0 disables): re-solve with full FW, verify bit-identity, emit
-        ``sa.resync`` and repair on mismatch.
+        excluded from ledger run identities.  How each SA move is
+        priced is not a knob: :func:`repro.core.annealing.anneal` picks
+        the O(n^2) incremental engine whenever it is bit-exact.
     max_evaluations:
         Optional cap on unique objective evaluations per chain.
     trace_out / metrics_every / profile:
@@ -206,8 +200,8 @@ class SearchConfig:
         searches arbitrary same-row chords under the pooled per-cut
         budget ``n * C`` (see :mod:`repro.core.search_space`).  The
         mesh-level spaces run through the generic SA kernels, so they
-        support ``chains`` but not the row-only ``incremental`` engine
-        or the multi-process ``restarts``/``jobs`` fan-out.
+        support ``chains`` but not the multi-process
+        ``restarts``/``jobs`` fan-out.
     objectives:
         Pareto objective axes for :func:`repro.pareto_front` (subset of
         :data:`OBJECTIVES`, order defines the value-vector layout).
@@ -223,8 +217,6 @@ class SearchConfig:
     jobs: int = 1
     chains: int = 1
     impl: Optional[str] = None
-    incremental: bool = False
-    resync_every: int = 1_000
     max_evaluations: Optional[int] = None
     trace_out: Optional[str] = None
     metrics_every: int = 0
@@ -244,22 +236,11 @@ class SearchConfig:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.chains < 1:
             raise ConfigurationError(f"chains must be >= 1, got {self.chains}")
-        if self.chains > 1 and self.incremental:
-            raise ConfigurationError(
-                "chains > 1 is incompatible with incremental=True: the "
-                "lockstep population path prices all chains with one "
-                "batched Floyd-Warshall call, while the incremental "
-                "engine prices moves one chain at a time"
-            )
         # Centralized tier resolution: validates the name, applies the
         # REPRO_IMPL environment default when impl is None, and
         # degrades an env-requested but unavailable "native" to
         # "vectorized" (an explicit "native" raises instead).
         object.__setattr__(self, "impl", resolve_impl(self.impl))
-        if self.resync_every < 0:
-            raise ConfigurationError(
-                f"resync_every must be >= 0, got {self.resync_every}"
-            )
         if self.metrics_every < 0:
             raise ConfigurationError(
                 f"metrics_every must be >= 0, got {self.metrics_every}"
@@ -295,18 +276,12 @@ class SearchConfig:
                     "pareto front search is row-space only: the mesh "
                     "axes price replicated-row designs"
                 )
-        if self.space != "row":
-            if self.incremental:
-                raise ConfigurationError(
-                    "incremental=True is row-space only: the O(n^2) "
-                    "dynamic APSP engine prices single-row link changes"
-                )
-            if self.restarts > 1 or self.jobs > 1:
-                raise ConfigurationError(
-                    "multi-process restarts/jobs are row-space only; "
-                    "use chains=K for population search in the "
-                    f"{self.space!r} space"
-                )
+        if self.space != "row" and (self.restarts > 1 or self.jobs > 1):
+            raise ConfigurationError(
+                "multi-process restarts/jobs are row-space only; "
+                "use chains=K for population search in the "
+                f"{self.space!r} space"
+            )
 
     @property
     def parallel(self) -> bool:
@@ -334,8 +309,6 @@ class SearchConfig:
             jobs=getattr(args, "jobs", defaults.jobs),
             chains=getattr(args, "chains", defaults.chains),
             impl=getattr(args, "impl", defaults.impl),
-            incremental=getattr(args, "incremental", defaults.incremental),
-            resync_every=getattr(args, "resync_every", defaults.resync_every),
             max_evaluations=getattr(
                 args, "max_evaluations", defaults.max_evaluations
             ),

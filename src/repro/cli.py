@@ -34,7 +34,7 @@ are bit-identical for every ``--jobs`` / ``--chains`` value at a
 fixed seed.  ``--space hetero|grid2d`` searches the mesh-level spaces
 (per-row placements / pooled-budget 2D chords) instead of the paper's
 replicated row; these support ``--chains`` but not the row-only
-``--restarts`` / ``--jobs`` / ``--incremental`` knobs.
+``--restarts`` / ``--jobs`` knobs.
 
 Observability flags (``optimize`` / ``solve`` / ``simulate``):
 ``--trace-out PATH`` streams structured events as JSON Lines,
@@ -124,17 +124,7 @@ def _add_run_flags(
             help="placement search space: the paper's replicated row, "
             "heterogeneous per-row placements, or pooled-budget 2D "
             "chords (hetero/grid2d support --chains but not "
-            "--restarts/--jobs/--incremental)",
-        )
-        g.add_argument(
-            "--incremental", action="store_true",
-            help="price SA moves with the O(n^2) incremental APSP engine "
-            "(placements identical to the full path for the same seed)",
-        )
-        g.add_argument(
-            "--resync-every", type=int, default=1_000, metavar="N",
-            help="incremental mode: full-FW drift self-check every N "
-            "accepted moves (0 disables)",
+            "--restarts/--jobs)",
         )
     if sim:
         g.add_argument(
@@ -379,8 +369,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 jobs=cfg.jobs,
                 chains=cfg.chains,
                 impl=cfg.impl,
-                incremental=cfg.incremental,
-                resync_every=cfg.resync_every,
                 obs=obs,
             )
         else:

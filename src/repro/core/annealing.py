@@ -13,25 +13,39 @@ The engine follows the paper's setup exactly (Table 1):
 The objective is pluggable (any callable ``RowPlacement -> float``); the
 paper's is the mean row head latency evaluated by directional
 Floyd-Warshall, and Section 5.6.4 swaps in a traffic-weighted variant.
+
+How :func:`anneal` prices a move is chosen from its inputs, not
+configured.  When the state reports link diffs (``flip_diff``) and the
+objective hands out a bit-exact O(n^2) evaluator
+(:meth:`~repro.core.latency.RowObjective.incremental_evaluator`), the
+run walks the decoded link set itself and prices memo misses with the
+dynamic APSP engine of :mod:`repro.routing.incremental`
+(:class:`_EngineWalk`).  Otherwise -- mesh-space states, arbitrary
+callables, the pure-Python oracle tier -- every candidate is decoded
+and priced by the objective (:class:`_DecodeWalk`).  Both walks visit
+the same states with the same energies and counters, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.topology.row import RowPlacement
+from repro.topology.row import Link, RowPlacement
 from repro.util.errors import ConfigurationError
 from repro.util.rngtools import ensure_rng
 
 Objective = Callable[[RowPlacement], float]
+
+#: Accepted moves between two full Floyd-Warshall self-checks of the
+#: engine walk (see :meth:`_EngineWalk.drifted`).
+SELF_CHECK_EVERY = 1_000
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,8 @@ class MemoizedObjective:
     objectives once a cache is shared across restarts).  The byte key
     maps 1:1 to placement values, so hit/miss patterns -- and therefore
     search trajectories -- are identical to placement-keyed caching.
+    Any other 1:1 key gives the same pattern: the engine walk keys by
+    a link-set bitmask through :meth:`lookup_key` / :meth:`store_key`.
 
     The cache is bounded: once it holds ``max_size`` entries it is
     cleared wholesale, so long multi-restart sweeps cannot grow memory
@@ -138,8 +154,12 @@ class MemoizedObjective:
         price them with one kernel call, and still produce exactly the
         counter sequence of scalar ``__call__`` usage.
         """
+        return self.lookup_key(placement.canonical_bytes())
+
+    def lookup_key(self, key):
+        """:meth:`lookup` by a precomputed key (1:1 with placements)."""
         self.calls += 1
-        hit = self._cache.get(placement.canonical_bytes())
+        hit = self._cache.get(key)
         if hit is not None:
             self.hits += 1
             return hit
@@ -149,12 +169,20 @@ class MemoizedObjective:
     def store(self, placement: RowPlacement, value: float) -> float:
         """Insert a freshly computed energy (the second half of a miss),
         with the same bounded clear-wholesale semantics as ``__call__``."""
+        return self.store_key(placement.canonical_bytes(), value)
+
+    def store_key(self, key, value: float) -> float:
+        """:meth:`store` by a precomputed key."""
         if len(self._cache) >= self.max_size:
             self._cache.clear()
             self.overflows += 1
-        self._cache[placement.canonical_bytes()] = value
+        self._cache[key] = value
         self.evaluations += 1
         return value
+
+    def clear(self) -> None:
+        """Forget every cached energy (counters are kept)."""
+        self._cache.clear()
 
     def __call__(self, placement: RowPlacement) -> float:
         value = self.lookup(placement)
@@ -249,56 +277,140 @@ class MemoizedObjective:
         return len(self._cache)
 
 
-class _IncrementalMemo:
-    """Accounting twin of :class:`MemoizedObjective` for the engine path.
+class _DecodeWalk:
+    """Decode every candidate and price it through a placement memo.
 
-    In incremental mode every candidate is priced by the APSP engine --
-    never served from a cache -- but the annealer's evaluation budget,
-    trace points, stage events and memo metrics are all defined by
-    MemoizedObjective's counters.  This class replays that bookkeeping
-    exactly (same bounded clear-wholesale cache semantics), keyed by
-    the engine's link set, which maps 1:1 to ``canonical_bytes`` at
-    fixed ``n`` -- so both modes agree on every counter at every move
-    and the search trajectories stay comparable move for move.
+    The paper's walk: each memo miss is one objective call -- for
+    :class:`~repro.core.latency.RowObjective` a full Floyd-Warshall
+    pass.  It works for any state with the move protocol and any
+    objective.
     """
 
-    def __init__(self, max_size: int = MemoizedObjective.DEFAULT_MAX_SIZE):
-        self._seen: set = set()
-        self.max_size = max_size
-        self.evaluations = 0
-        self.calls = 0
-        self.hits = 0
-        self.misses = 0
-        self.overflows = 0
+    def __init__(self, state, objective: Objective,
+                 placement: RowPlacement) -> None:
+        self.state = state
+        self.memo = MemoizedObjective(objective)
+        self.placement = placement
 
-    def account(self, key: frozenset) -> None:
-        self.calls += 1
-        if key in self._seen:
-            self.hits += 1
-            return
-        self.misses += 1
-        if len(self._seen) >= self.max_size:
-            self._seen.clear()
-            self.overflows += 1
-        self._seen.add(key)
-        self.evaluations += 1
+    def price(self) -> float:
+        """Energy of ``placement`` (the initial state)."""
+        return self.memo(self.placement)
+
+    def propose(self, site) -> float:
+        self.state.flip(*site)
+        self.placement = self.state.decode()
+        return self.memo(self.placement)
+
+    def reject(self, site) -> None:
+        self.state.flip(*site)
+
+    def drifted(self) -> bool:
+        return False
+
+    def report(self, metrics) -> None:
+        pass
+
+
+class _EngineWalk:
+    """Walk the decoded link set and price memo misses in O(n^2).
+
+    ``counts`` is the multiset of links over all layers (layers may
+    duplicate a link; the placement holds a link while its count is
+    positive), kept current from each move's ``flip_diff`` -- so no
+    candidate is ever decoded.  ``key`` is the placement's link set as
+    a bitmask (bit ``a * n + b`` for link ``(a, b)``), toggled whenever
+    a count crosses zero: a small memo key that maps 1:1 to
+    ``canonical_bytes`` at fixed ``n``, so hits, misses and evaluations
+    match :class:`_DecodeWalk` move for move.
+
+    The engine is synced lazily.  It stays at the link set it last
+    priced, and a memo miss moves it to the candidate's link set with
+    one ``apply_link_changes`` call, so a rejected move costs nothing
+    to undo and a repeated state costs a dictionary probe.
+    """
+
+    def __init__(self, state: ConnectionMatrix, evaluator) -> None:
+        self.state = state
+        self.evaluator = evaluator
+        self.engine = evaluator.engine
+        self.memo = MemoizedObjective(evaluator.objective)
+        self.counts: Dict[Link, int] = {}
+        self.key = 0
+        self._diff: Tuple = ((), ())
+        for layer in range(state.bits.shape[1]):
+            self._shift(state.layer_links(layer), ())
+        self.incremental = self.selfchecks = self.resyncs = 0
 
     @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.calls if self.calls else 0.0
+    def placement(self) -> RowPlacement:
+        return RowPlacement.from_normalized(self.state.n, frozenset(self.counts))
 
-    def __len__(self) -> int:
-        return len(self._seen)
+    def price(self) -> float:
+        """Energy of the current link set: memo hit, or sync and price."""
+        value = self.memo.lookup_key(self.key)
+        if value is not MemoizedObjective.MISS:
+            return value
+        engine, links = self.engine, self.counts.keys()
+        changes = [(a, b, False) for a, b in engine.links - links]
+        changes.extend((a, b, True) for a, b in links - engine.links)
+        if changes:
+            engine.apply_link_changes(changes)
+            self.incremental += 1
+        return self.memo.store_key(self.key, self.evaluator.energy())
+
+    def _shift(self, added, removed) -> None:
+        counts, n = self.counts, self.state.n
+        for link in removed:
+            left = counts[link] - 1
+            if left:
+                counts[link] = left
+            else:
+                del counts[link]
+                self.key ^= 1 << (link[0] * n + link[1])
+        for link in added:
+            held = counts.get(link, 0)
+            counts[link] = held + 1
+            if not held:
+                self.key ^= 1 << (link[0] * n + link[1])
+
+    def propose(self, site) -> float:
+        self._diff = self.state.flip_diff(*site)
+        self.state.flip(*site)
+        self._shift(*self._diff)
+        return self.price()
+
+    def reject(self, site) -> None:
+        self.state.flip(*site)
+        added, removed = self._diff
+        self._shift(removed, added)
+
+    def drifted(self) -> bool:
+        """Compare the engine with a full solve; on a mismatch rebuild
+        it and forget every energy it priced (the caller re-prices)."""
+        self.selfchecks += 1
+        if self.engine.self_check():
+            return False
+        self.resyncs += 1
+        self.engine.resync()
+        self.memo.clear()
+        return True
+
+    def report(self, metrics) -> None:
+        metrics.counter("sa.eval.incremental").inc(self.incremental)
+        metrics.counter("sa.eval.full").inc(1 + self.selfchecks + self.resyncs)
+        metrics.counter("sa.selfcheck").inc(self.selfchecks)
+        metrics.counter("sa.resync").inc(self.resyncs)
 
 
-def _layer_link_counts(state: ConnectionMatrix) -> Counter:
-    """Multiset of links over all layers (layers may duplicate a link;
-    the decoded placement changes only when a count crosses 0 <-> 1)."""
-    counts: Counter = Counter()
-    for layer in range(state.bits.shape[1]):
-        for link in state.layer_links(layer):
-            counts[link] += 1
-    return counts
+def _walk(state, objective: Objective):
+    """The engine walk where it is bit-exact, else the decode walk."""
+    placement = state.decode()
+    factory = getattr(objective, "incremental_evaluator", None)
+    if factory is not None and hasattr(state, "flip_diff"):
+        evaluator = factory(placement)
+        if evaluator is not None:
+            return _EngineWalk(state, evaluator)
+    return _DecodeWalk(state, objective, placement)
 
 
 def anneal(
@@ -310,8 +422,6 @@ def anneal(
     trace_every: int = 1,
     obs: Optional[Instrumentation] = None,
     progress_every: int = 0,
-    incremental: bool = False,
-    resync_every: int = 1_000,
 ) -> AnnealingResult:
     """Run simulated annealing from ``initial`` and return the best state.
 
@@ -325,10 +435,18 @@ def anneal(
         ``flip(*site)`` (its own inverse) / ``num_connection_points``
         plus ``n`` and ``link_limit`` attributes -- which is how the
         hetero and grid2d kernels in :mod:`repro.core.search_space`
-        ride this engine unchanged.  The incremental path additionally
-        needs ``flip_diff`` and stays row-space-only.
+        ride this engine unchanged.
     objective:
-        Energy function on decoded placements; lower is better.
+        Energy function on decoded placements; lower is better.  With
+        a :class:`~repro.core.latency.RowObjective` that offers an
+        incremental evaluator (integral hop costs, any tier but the
+        pure-Python oracle) and a state with ``flip_diff``, memo misses
+        are priced by the O(n^2) engine instead of a full
+        Floyd-Warshall pass.  The run is the same bit for bit either
+        way; the engine walk re-checks itself against a full solve
+        every :data:`SELF_CHECK_EVERY` accepted moves and, on a
+        mismatch, emits ``sa.resync``, rebuilds, and re-prices the
+        current and best states from scratch.
     params:
         Schedule parameters; defaults to the paper's Table 1.
     max_evaluations:
@@ -347,53 +465,17 @@ def anneal(
     progress_every:
         With ``obs`` attached, additionally emit a ``sa.progress``
         event every this many moves (0 disables).
-    incremental:
-        Price candidates with the O(n^2) dynamic APSP engine
-        (:mod:`repro.routing.incremental`) instead of a full
-        Floyd-Warshall pass per move.  Requires an objective exposing
-        ``incremental_evaluator`` (:class:`~repro.core.latency
-        .RowObjective` does).  Under exactly-representable hop costs
-        (the integral defaults) the trajectory -- accept/reject
-        decisions, RNG stream, counters, trace -- is identical to the
-        full path, so results are byte-for-byte the same.
-    resync_every:
-        In incremental mode, every this many accepted moves re-solve
-        with full Floyd-Warshall and verify the engine state is
-        bit-identical (distances and next-hops); on mismatch emit an
-        ``sa.resync`` event and repair from the full solve instead of
-        corrupting the run.  0 disables the self-check.
     """
     params = params or AnnealingParams()
     gen = ensure_rng(rng)
     obs = ensure_obs(obs)
     state = initial.copy()
 
-    if incremental:
-        if not hasattr(objective, "incremental_evaluator"):
-            raise ConfigurationError(
-                "incremental annealing needs an objective with an "
-                "incremental_evaluator() (e.g. RowObjective); got "
-                f"{type(objective).__name__}"
-            )
-        start = time.perf_counter()
-        initial_placement = state.decode()
-        evaluator = objective.incremental_evaluator(initial_placement)
-        engine = evaluator.engine
-        link_counts = _layer_link_counts(state)
-        memo = _IncrementalMemo()
-        current_energy = evaluator.energy()
-        memo.account(frozenset(engine.links))
-        best_placement = initial_placement
-        incremental_evals = 0
-        full_evals = 1  # the engine's initial build
-        selfchecks = resyncs = 0
-        accepted_since_check = 0
-    else:
-        evaluator = engine = link_counts = None
-        memo = MemoizedObjective(objective)
-        start = time.perf_counter()
-        current_energy = memo(state.decode())
-        best_placement = state.decode()
+    start = time.perf_counter()
+    walk = _walk(state, objective)
+    memo = walk.memo
+    current_energy = walk.price()
+    best_placement = walk.placement
     initial_energy = current_energy
     best_energy = current_energy
     trace: List[Tuple[int, float]] = [(memo.evaluations, best_energy)]
@@ -460,33 +542,7 @@ def anneal(
             stage = new_stage
             stage_moves = stage_accepted = stage_uphill = 0
         site = state.random_move(gen)
-        if engine is None:
-            state.flip(*site)
-            candidate = state.decode()
-            energy = memo(candidate)
-        else:
-            added_l, removed_l = state.flip_diff(*site)
-            state.flip(*site)
-            changes = []
-            for link in removed_l:
-                link_counts[link] -= 1
-                if link_counts[link] == 0:
-                    changes.append((link[0], link[1], False))
-            for link in added_l:
-                link_counts[link] += 1
-                if link_counts[link] == 1:
-                    changes.append((link[0], link[1], True))
-            if changes:
-                engine.checkpoint()
-                engine.apply_link_changes(changes)
-                energy = evaluator.energy()
-                incremental_evals += 1
-            else:
-                # Layers changed but the decoded placement did not
-                # (duplicate links across layers): same state, same
-                # energy -- exactly what the full path's memo returns.
-                energy = current_energy
-            memo.account(frozenset(engine.links))
+        energy = walk.propose(site)
         delta = energy - current_energy
         stage_moves += 1
         moves_done += 1
@@ -499,43 +555,25 @@ def anneal(
                 stage_uphill += 1
             if energy < best_energy:
                 best_energy = energy
-                if engine is None:
-                    best_placement = candidate
-                else:
-                    best_placement = RowPlacement(
-                        state.n, frozenset(engine.links)
-                    )
+                best_placement = walk.placement
                 if obs.enabled:
                     obs.emit("sa.best", move=move, energy=best_energy,
                              evaluations=memo.evaluations)
-            if engine is not None:
-                if changes:
-                    engine.commit()
-                accepted_since_check += 1
-                if resync_every and accepted_since_check >= resync_every:
-                    accepted_since_check = 0
-                    selfchecks += 1
-                    full_evals += 1
-                    if not engine.self_check():
-                        resyncs += 1
-                        full_evals += 1
-                        engine.resync()
-                        repaired = evaluator.energy()
-                        if obs.enabled:
-                            obs.emit("sa.resync", move=move,
-                                     energy_before=current_energy,
-                                     energy_after=repaired,
-                                     evaluations=memo.evaluations)
-                        current_energy = repaired
+            if accepted % SELF_CHECK_EVERY == 0 and walk.drifted():
+                # Energies priced since the last check are suspect:
+                # re-price the current and best states from scratch.
+                repaired = objective(walk.placement)
+                best_energy = objective(best_placement)
+                if obs.enabled:
+                    obs.emit("sa.resync", move=move,
+                             energy_before=current_energy,
+                             energy_after=repaired,
+                             evaluations=memo.evaluations)
+                current_energy = repaired
+                if repaired < best_energy:
+                    best_energy, best_placement = repaired, walk.placement
         else:
-            if engine is not None:
-                if changes:
-                    engine.rollback()
-                for link in added_l:
-                    link_counts[link] -= 1
-                for link in removed_l:
-                    link_counts[link] += 1
-            state.flip(*site)  # undo
+            walk.reject(site)
         if move % trace_every == 0:
             trace.append((memo.evaluations, best_energy))
         if progress_every and obs.enabled and move % progress_every == 0:
@@ -564,11 +602,7 @@ def anneal(
         m.gauge("sa.best_energy").set(best_energy)
         # Wall-derived rate: excluded from the deterministic summary.
         m.meter("sa.move_rate").add(moves_done, time.perf_counter() - start)
-        if engine is not None:
-            m.counter("sa.eval.incremental").inc(incremental_evals)
-            m.counter("sa.eval.full").inc(full_evals)
-            m.counter("sa.selfcheck").inc(selfchecks)
-            m.counter("sa.resync").inc(resyncs)
+        walk.report(m)
     return AnnealingResult(
         best_placement=best_placement,
         best_energy=best_energy,
@@ -676,13 +710,14 @@ def anneal_population(
     reproduces ``K`` serial restarts exactly.  ``params``,
     ``max_evaluations`` (a per-chain cap) and ``trace_every`` mean what
     they mean on :func:`anneal`; chains that exhaust their budget drop
-    out of the lockstep individually.  The incremental engine is not
-    supported here -- its per-move pricing is already O(n^2) and
-    gains nothing from batching.
+    out of the lockstep individually.  Every chain decodes and fully
+    prices its candidates, as :func:`anneal`'s decode walk does; the
+    O(n^2) engine walk has no batched form.
 
     With ``obs`` attached, the per-chain ``sa.*`` events carry a
     ``chain`` field; metrics are folded per chain in index order, so
-    totals equal the serial runs' merged totals.
+    totals equal the serial runs' merged totals (minus the engine
+    walk's ``sa.eval.*`` / ``sa.selfcheck`` / ``sa.resync`` counters).
     """
     params = params or AnnealingParams()
     obs = ensure_obs(obs)

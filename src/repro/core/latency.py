@@ -312,7 +312,9 @@ class RowObjective:
         with self.obs.span("latency.floyd_warshall"):
             return self._evaluate_many(placements, folded)
 
-    def _mirror_fold_safe(self) -> bool:
+    def _integral_costs(self) -> bool:
+        """True when every hop cost is an integer: distances are then
+        exact, so no summation order can shift a bit of them."""
         c = self.cost
         return (
             float(c.router_delay).is_integer()
@@ -328,7 +330,7 @@ class RowObjective:
             w = None
         if folded:
             return batched_mean_distances(placements, self.cost, w, impl=self.impl)
-        fold = w is None and self._mirror_fold_safe()
+        fold = w is None and self._integral_costs()
         keys = [
             p.mirror_fold_bytes() if fold else p.canonical_bytes()
             for p in placements
@@ -364,15 +366,20 @@ class RowObjective:
 
     def incremental_evaluator(
         self, placement: RowPlacement
-    ) -> "IncrementalRowEvaluator":
-        """An engine-backed evaluator seeded at ``placement``.
+    ) -> Optional["IncrementalRowEvaluator"]:
+        """An engine-backed evaluator seeded at ``placement``, or ``None``.
 
-        The returned evaluator prices single-link changes in O(n^2)
-        (see :mod:`repro.routing.incremental`) and produces energies
-        equal to ``self(placement)``; under exactly-representable hop
-        costs (the integral defaults) they are bitwise-identical, which
-        is what the annealer's drift self-check asserts.
+        The evaluator prices link changes in O(n^2) (see
+        :mod:`repro.routing.incremental`).  It is offered only where its
+        energies equal ``self(...)`` bit for bit: integral hop costs
+        (the defaults), under which the engine's re-associated sums
+        are exact, and any tier but the pure-Python ``"reference"``
+        oracle, whose energies must all come from the oracle itself.
+        :func:`~repro.core.annealing.anneal` takes the engine walk
+        exactly when this returns an evaluator.
         """
+        if self.impl == "reference" or not self._integral_costs():
+            return None
         return IncrementalRowEvaluator(self, placement)
 
 
@@ -380,7 +387,7 @@ class IncrementalRowEvaluator:
     """Incremental counterpart of :class:`RowObjective`.
 
     Wraps an :class:`~repro.routing.incremental.IncrementalApspEngine`
-    (exposed as ``.engine`` for checkpoint/apply/rollback) and mirrors
+    (exposed as ``.engine`` for ``apply_link_changes``) and mirrors
     the objective's energy formula -- including the weighted variant
     and its zero-traffic fallback -- term for term, so the two paths
     agree bit-for-bit whenever the engine's distances match the full

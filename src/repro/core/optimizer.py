@@ -179,9 +179,7 @@ def solve_row_problem(
             base_seed=config.seed,
             max_evaluations=config.max_evaluations,
             restarts=config.effective_restarts, jobs=config.jobs,
-            chains=config.chains,
-            incremental=config.incremental,
-            resync_every=config.resync_every, obs=obs,
+            chains=config.chains, obs=obs,
         )
         if warm_start is not None:
             kwargs = {} if cost is None else {"cost": cost}
@@ -196,8 +194,6 @@ def solve_row_problem(
         params=params, rng=config.seed,
         max_evaluations=config.max_evaluations, obs=obs,
         progress_every=config.metrics_every, impl=config.impl,
-        incremental=config.incremental,
-        resync_every=config.resync_every,
     )
     if warm_start is not None:
         pricing = objective if objective is not None else RowObjective(impl=config.impl)
@@ -249,8 +245,6 @@ def _solve_row(
     obs: Optional[Instrumentation] = None,
     progress_every: int = 0,
     impl: str = "vectorized",
-    incremental: bool = False,
-    resync_every: int = 1_000,
 ) -> RowSolution:
     """Single-chain ``P~(n, C)`` solve (internal: no shim, ``rng`` may
     be a shared generator)."""
@@ -296,8 +290,6 @@ def _solve_row(
             max_evaluations=max_evaluations,
             obs=obs,
             progress_every=progress_every,
-            incremental=incremental,
-            resync_every=resync_every,
         )
     placement, energy = sa.best_placement, sa.best_energy
     if seed is not None and seed.energy < energy:
@@ -496,8 +488,6 @@ def optimize(
             jobs=config.jobs,
             chains=config.chains,
             impl=config.impl,
-            incremental=config.incremental,
-            resync_every=config.resync_every,
             obs=obs,
         )
         if warm_start is not None:
@@ -538,8 +528,6 @@ def optimize(
                 rng=gen,
                 max_evaluations=config.max_evaluations,
                 obs=obs,
-                incremental=config.incremental,
-                resync_every=config.resync_every,
             )
         result.solutions[limit] = solution
         result.points[limit] = design_point(

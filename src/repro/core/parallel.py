@@ -83,8 +83,6 @@ class SearchTask:
     base_seed: int
     max_evaluations: Optional[int]
     capture_events: bool
-    incremental: bool = False
-    resync_every: int = 1_000
 
 
 @dataclass
@@ -146,8 +144,6 @@ def _run_single(task: SearchTask, restart: int) -> TaskResult:
         rng=derived_rng(task.base_seed, task.link_limit, restart),
         max_evaluations=task.max_evaluations,
         obs=obs,
-        incremental=task.incremental,
-        resync_every=task.resync_every,
     )
     return TaskResult(
         link_limit=task.link_limit,
@@ -247,13 +243,12 @@ def _run_task(task: SearchTask) -> List[TaskResult]:
     """Execute one task (module-level so it pickles for pool workers).
 
     Returns one :class:`TaskResult` per restart in the group, in
-    restart order.  Groups of one, exact solves (no SA to interleave)
-    and incremental-engine runs (per-move O(n^2) pricing, nothing to
-    batch) take the serial per-restart path; everything else runs the
-    lockstep population path -- the results are byte-identical, only
-    the kernel-launch count differs.
+    restart order.  Groups of one and exact solves (no SA to
+    interleave) take the serial per-restart path; everything else runs
+    the lockstep population path -- the results are byte-identical,
+    only the pricing differs.
     """
-    if len(task.restarts) == 1 or task.method == "exact" or task.incremental:
+    if len(task.restarts) == 1 or task.method == "exact":
         return [_run_single(task, restart) for restart in task.restarts]
     return _run_population(task)
 
@@ -298,7 +293,7 @@ def best_of(results: Sequence[TaskResult]) -> TaskResult:
     return min(results, key=lambda r: (r.solution.energy, r.restart))
 
 
-def _check_grid(restarts: int, jobs: int, chains: int, incremental: bool) -> int:
+def _check_grid(restarts: int, jobs: int, chains: int) -> int:
     """Validate the execution grid; returns the effective restart count.
 
     ``chains=K`` alone means "run K lockstep chains", so the restart
@@ -311,11 +306,6 @@ def _check_grid(restarts: int, jobs: int, chains: int, incremental: bool) -> int
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if chains < 1:
         raise ConfigurationError(f"chains must be >= 1, got {chains}")
-    if chains > 1 and incremental:
-        raise ConfigurationError(
-            "chains > 1 is incompatible with the incremental engine "
-            "(per-move O(n^2) pricing has nothing to batch)"
-        )
     return max(restarts, chains)
 
 
@@ -368,8 +358,6 @@ def _build_tasks(
     base_seed: int,
     max_evaluations: Optional[int],
     capture_events: bool,
-    incremental: bool = False,
-    resync_every: int = 1_000,
     chains: int = 1,
 ) -> List[SearchTask]:
     return [
@@ -385,8 +373,6 @@ def _build_tasks(
             base_seed=base_seed,
             max_evaluations=max_evaluations,
             capture_events=capture_events,
-            incremental=incremental,
-            resync_every=resync_every,
         )
         for limit in limits
         for group in _chain_groups(restarts, chains)
@@ -406,8 +392,6 @@ def parallel_row_search(
     restarts: int = 1,
     jobs: int = 1,
     chains: int = 1,
-    incremental: bool = False,
-    resync_every: int = 1_000,
     obs: Optional[Instrumentation] = None,
 ) -> Tuple[RowSolution, Tuple[float, ...]]:
     """Multi-restart solve of one ``P~(n, C)`` instance.
@@ -420,15 +404,14 @@ def parallel_row_search(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains, incremental)
+    restarts = _check_grid(restarts, jobs, chains)
     obs = ensure_obs(obs)
     seed = _require_base_seed(base_seed)
     limit = validated_link_limit(n, link_limit, obs)
     tasks = _build_tasks(
         n, [limit], restarts, method, params or AnnealingParams(),
         cost or HopCostModel(), weights, impl, seed, max_evaluations,
-        capture_events=obs.enabled, incremental=incremental,
-        resync_every=resync_every, chains=chains,
+        capture_events=obs.enabled, chains=chains,
     )
     if obs.enabled:
         obs.emit("parallel.start", n=n, link_limit=limit, method=method,
@@ -463,8 +446,6 @@ def parallel_sweep(
     chains: int = 1,
     weights=None,
     impl: str = "vectorized",
-    incremental: bool = False,
-    resync_every: int = 1_000,
     obs: Optional[Instrumentation] = None,
 ) -> SweepResult:
     """Full ``C`` sweep with ``restarts`` SA chains per limit.
@@ -481,7 +462,7 @@ def parallel_sweep(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains, incremental)
+    restarts = _check_grid(restarts, jobs, chains)
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
@@ -496,8 +477,7 @@ def parallel_sweep(
     searched = [c for c in limits if c > 1]
     tasks = _build_tasks(
         n, searched, restarts, method, params, cost, weights, impl, seed,
-        max_evaluations, capture_events=obs.enabled,
-        incremental=incremental, resync_every=resync_every, chains=chains,
+        max_evaluations, capture_events=obs.enabled, chains=chains,
     )
     if obs.enabled:
         obs.emit("parallel.start", n=n, method=method, restarts=restarts,

@@ -840,9 +840,8 @@ def solve_space(
     > 1`` runs a lockstep :func:`~repro.core.annealing
     .anneal_population` with one derived RNG stream per chain
     (``derived_rng(seed, C, chain)``); the best chain wins, ties to the
-    lowest index.  Multi-process ``restarts``/``jobs`` and the
-    incremental engine stay row-space-only (``SearchConfig`` enforces
-    this).
+    lowest index.  Multi-process ``restarts``/``jobs`` stay
+    row-space-only (``SearchConfig`` enforces this).
     """
     _check_space(space)
     if method not in METHODS:

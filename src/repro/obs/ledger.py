@@ -35,6 +35,7 @@ import json
 import os
 import platform
 import subprocess
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Dict, List, Optional
@@ -73,6 +74,31 @@ def config_identity(config: Any) -> Dict:
         return {}
     data = asdict(config) if is_dataclass(config) else dict(config)
     return {k: v for k, v in data.items() if k not in NON_IDENTITY_FIELDS}
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Publish ``text`` at ``path`` so readers see the old or new file whole.
+
+    Every writer gets its own temp file next to ``path`` (``mkstemp``),
+    so concurrent writers of one key never share -- or move away --
+    each other's temp file; the data is fsynced before ``os.replace``
+    publishes it, so a crash never leaves an empty or torn entry.
+    Shared by the run ledger and the design store.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def compute_run_id(
@@ -273,14 +299,11 @@ class RunLedger:
             metrics_summary=metrics_summary or {},
             metrics=metrics or {},
         )
-        path = self.manifest_path(run_id)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, indent=2, sort_keys=True,
-                      default=str)
-            fh.write("\n")
-        os.replace(tmp, path)  # atomic: readers never see a torn manifest
+        write_atomic(
+            self.manifest_path(run_id),
+            json.dumps(record.to_dict(), indent=2, sort_keys=True,
+                       default=str) + "\n",
+        )
         return record
 
     # -- read ----------------------------------------------------------

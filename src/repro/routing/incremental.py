@@ -1,11 +1,12 @@
-"""Dynamic directional APSP for row graphs: O(n^2) per express-link flip.
+"""Dynamic directional APSP for row graphs: O(n^2) per express-link edit.
 
 The SA inner loop flips one connection bit per move, but the full
 objective re-prices the candidate with a from-scratch directional
-Floyd-Warshall pass -- O(n^3) work for a single-edge change.  This
+Floyd-Warshall pass -- O(n^3) work for a small link change.  This
 module maintains the two directional distance matrices *incrementally*:
-adding or removing one express link costs one O(n^2) block rewrite, and
-a rejected move is undone from a checkpoint without any recompute.
+each group of added or removed express links sharing a right endpoint
+costs one O(n^2) block rewrite.  The annealer's engine walk
+(:mod:`repro.core.annealing`) prices every memo miss this way.
 
 Why a single-edge change is an O(n^2) rewrite
 ---------------------------------------------
@@ -27,10 +28,17 @@ crossing set -- and, by symmetry, for the right-to-left direction with
 identical indices once that matrix is stored transposed.  One numpy
 broadcast evaluates the min for the whole affected block.
 
-A connection-matrix bit flip maps to at most three link changes with at
-most two distinct right endpoints; processing right endpoints in
-increasing order keeps every input of each block rewrite current (any
-cell an earlier group wrote stale is inside the later group's block).
+A change set may hold any number of links at any number of right
+endpoints (the annealer hands over the whole difference between the
+link set the engine last priced and the candidate's).  It is applied
+one right endpoint at a time: the links of group ``b`` enter or leave
+the link set, then the block of cut ``b`` is rewritten.  Each such step
+is exact on its own -- every link it changes ends at ``b``, so none
+lies inside ``[i, u]`` for ``u < b`` or inside ``[v, j]`` for
+``v >= b``, and both sides of the identity are current -- so the state
+after the last group equals a from-scratch solve of the final link
+set, in whatever order the groups run.  A connection-matrix bit flip
+alone is at most three changes at two right endpoints.
 
 Checkpoint / rollback
 ---------------------
@@ -38,8 +46,9 @@ Checkpoint / rollback
 ``checkpoint()`` arms an undo slot; the next ``apply_link_changes``
 snapshots the (small) block it is about to overwrite.  ``rollback()``
 restores the block and the link set; ``commit()`` discards the slot.
-Only one change set can be pending at a time -- exactly the SA
-propose/accept/reject shape.
+Only one change set can be pending at a time.  The annealer does not
+need it: its engine walk never undoes a priced state, it only moves on
+to the next miss.
 
 Drift self-check
 ----------------
@@ -50,8 +59,9 @@ the full solver is guaranteed only when hop-cost sums are exact (e.g.
 the integral default :class:`HopCostModel`).  ``self_check()`` compares
 the maintained state -- distances *and* reconstructed next-hops --
 against a from-scratch solve, and ``resync()`` repairs by rebuilding.
-The annealer runs this periodically and emits an ``sa.resync`` event on
-mismatch rather than corrupting the run.
+The annealer runs it every ``SELF_CHECK_EVERY`` accepted moves and, on
+a mismatch, emits an ``sa.resync`` event, rebuilds, and re-prices its
+current and best states rather than corrupting the run.
 """
 
 from __future__ import annotations
@@ -205,9 +215,10 @@ class IncrementalApspEngine:
     def apply_link_changes(self, changes: Sequence[LinkChange]) -> None:
         """Apply link additions/removals and update both distance layers.
 
-        ``changes`` may arrive in any order; groups sharing a right
-        endpoint are processed in increasing-``b`` order (required for
-        correctness when a flip edits links at two boundaries).
+        ``changes`` may hold any number of links and arrive in any
+        order; links sharing a right endpoint are applied together, as
+        one exact block rewrite per endpoint (see the module
+        docstring).
         """
         if self._armed and self._undo is not None:
             raise ConfigurationError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.api import PlacementResult
-from repro.obs.ledger import canonical_json, compute_run_id
+from repro.obs.ledger import canonical_json, compute_run_id, write_atomic
 from repro.util.errors import ConfigurationError
 
 #: Default store root, a sibling of the run-ledger root.
@@ -70,8 +70,10 @@ class StoreEntry:
 class DesignStore:
     """Reads and writes cached :class:`~repro.api.PlacementResult` entries.
 
-    Writes are atomic (temp file + ``os.replace``), so a concurrent
-    reader never sees a torn entry; identical keys overwrite
+    Writes are atomic (:func:`~repro.obs.ledger.write_atomic`: a
+    private fsynced temp file + ``os.replace``), so a concurrent reader
+    never sees a torn entry and concurrent writers of one key never
+    collide; identical keys overwrite
     idempotently, which is safe because the key already pins the full
     result-shaping identity.
     """
@@ -158,13 +160,9 @@ class DesignStore:
             warm_from=warm_from,
             wall_time_s=result.wall_time_s,
         )
-        path = self.entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(entry.to_dict()))
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_atomic(
+            self.entry_path(key), canonical_json(entry.to_dict()) + "\n"
+        )
         return entry
 
     # -- near-miss lookup ----------------------------------------------

@@ -469,8 +469,6 @@ class TestSearchConfigSpace:
 
     def test_row_only_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            SearchConfig(space="hetero", incremental=True)
-        with pytest.raises(ConfigurationError):
             SearchConfig(space="hetero", restarts=2)
         with pytest.raises(ConfigurationError):
             SearchConfig(space="grid2d", jobs=2)

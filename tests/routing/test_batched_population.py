@@ -315,12 +315,6 @@ def test_sweep_chains_parity():
     assert (a.chains, b.chains) == (1, 2)
 
 
-def test_chains_incompatible_with_incremental_engine():
-    with pytest.raises(ConfigurationError):
-        parallel_row_search(
-            8, 3, params=SMOKE, base_seed=1, chains=2, incremental=True
-        )
-
 
 # ----------------------------------------------------------------------
 # C validated once at the boundary

@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.routing.incremental import (
@@ -20,9 +22,16 @@ from repro.routing.incremental import (
     placement_link_changes,
 )
 from repro.routing.impls import available_impls
-from repro.routing.shortest_path import HopCostModel, directional_paths
+from repro.routing.shortest_path import (
+    HopCostModel,
+    directional_paths,
+    floyd_warshall_batch,
+    weight_stack,
+)
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
+
+from tests.conftest import row_placements
 
 SIZES = (4, 6, 8, 16)
 LIMITS = (2, 3, 4, 5)
@@ -270,3 +279,41 @@ class TestPlacementLinkChanges:
         )
         assert engine.placement == dst
         assert_matches_full(engine)
+
+
+@st.composite
+def link_set_pairs(draw, max_n: int = 14):
+    """Two arbitrary link sets on the same row, far apart in general:
+    their difference holds several links at several right endpoints."""
+    n = draw(st.integers(3, max_n))
+    src = draw(row_placements(min_n=n, max_n=n, max_links=2 * n))
+    dst = draw(row_placements(min_n=n, max_n=n, max_links=2 * n))
+    return src, dst
+
+
+class TestMultiLinkChangeSets:
+    """One ``apply_link_changes`` call carrying a whole link-set diff --
+    the annealer's lazy sync from the last priced state to a memo miss.
+    """
+
+    @pytest.mark.parametrize("engine_impl", ENGINE_IMPLS)
+    @settings(max_examples=60, deadline=None)
+    @given(pair=link_set_pairs(), cost_scale=st.integers(1, 3))
+    def test_diff_matches_from_scratch_solve(self, engine_impl, pair,
+                                             cost_scale):
+        src, dst = pair
+        cost = HopCostModel(router_delay=cost_scale)
+        engine = IncrementalApspEngine(src, cost, impl=engine_impl)
+        engine.apply_link_changes(
+            placement_link_changes(src.express_links, dst.express_links)
+        )
+        assert engine.placement == dst
+        dist, nh = floyd_warshall_batch(weight_stack(dst, cost))
+        upper = np.triu(np.ones((dst.n, dst.n), dtype=bool), k=1)
+        ref = np.where(upper, dist[0], dist[1])
+        np.fill_diagonal(ref, 0.0)
+        ref_nh = np.where(upper, nh[0], nh[1])
+        np.fill_diagonal(ref_nh, np.arange(dst.n))
+        assert np.array_equal(engine.distances(), ref)
+        assert np.array_equal(engine.next_hops(), ref_nh)
+        assert engine.self_check()

@@ -155,8 +155,8 @@ class TestIncrementalEngine:
             assert fast.placement == base.placement
 
 
-def _sweep(n, impl, link_limits=None, **kwargs):
-    cfg = SearchConfig(seed=2019, restarts=2, impl=impl, **kwargs)
+def _sweep(n, impl, link_limits=None):
+    cfg = SearchConfig(seed=2019, restarts=2, impl=impl)
     return optimize(
         n, params=SMALL, config=cfg, link_limits=link_limits
     ).sweep
@@ -178,10 +178,19 @@ class TestTrajectoryIdentity:
             )
 
     def test_incremental_search_native_bit_identical(self):
-        base = _sweep(8, "vectorized", incremental=True)
-        fast = _sweep(8, "native", incremental=True)
+        """The native engine walk (the default under ``impl="native"``)
+        against the oracle tier's FW walk: whole trajectories."""
+        base = _sweep(8, "reference")
+        fast = _sweep(8, "native")
         assert base.best == fast.best
         assert base.restart_energies == fast.restart_energies
+        for c, sol in base.solutions.items():
+            other = fast.solutions[c]
+            assert other.evaluations == sol.evaluations
+            if sol.annealing is not None:
+                assert other.annealing.trace == sol.annealing.trace
+                assert (other.annealing.accepted_moves
+                        == sol.annealing.accepted_moves)
 
     def test_objective_scalar_and_batched_agree(self):
         rng = np.random.default_rng(31)

@@ -7,6 +7,7 @@ coroutines directly -- the HTTP framing has its own suite.
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -138,6 +139,36 @@ class TestPlace:
         assert body["cache"] == "miss"
         assert body["warm_from"] is None
 
+    def test_entry_with_retired_config_fields_never_breaks_a_miss(self, app):
+        """A store written before ``incremental``/``resync_every`` were
+        retired: its entries' configs no longer parse.  Their keys
+        digest the old fields, so no request hits them, and the
+        neighbor scan skips them -- a fresh miss is served as usual."""
+        cfg = SearchConfig(seed=2019)
+        params = optimize_params(6, "dc_sa", "smoke", cfg.space)
+        old_config = dict(cfg.to_json(), incremental=False,
+                          resync_every=1_000)
+        old_key = app.store.key_for("optimize", params, old_config, 2019)
+        new_key = app.store.key_for("optimize", params, cfg, 2019)
+        assert old_key != new_key
+        # Rewrite a freshly served entry into the old layout.
+        status, fresh, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200 and fresh["key"] == new_key
+        entry = json.loads(open(app.store.entry_path(new_key)).read())
+        entry["key"] = old_key
+        entry["config"] = entry["result"]["config"] = old_config
+        os.makedirs(os.path.dirname(app.store.entry_path(old_key)))
+        with open(app.store.entry_path(old_key), "w") as fh:
+            json.dump(entry, fh)
+        os.remove(app.store.entry_path(new_key))
+
+        status, body, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        assert body["cache"] == "miss"
+        assert body["key"] == new_key
+        assert body["warm_from"] is None
+        assert body["result_digest"] == fresh["result_digest"]
+
     def test_deadline_504_but_compute_continues(self, app):
         async def scenario():
             status, body, _ = await _request(
@@ -187,6 +218,8 @@ class TestPlace:
         ({"n": 6, "link_limits": [0]}, "link_limits"),
         ({"n": 6, "deadline_s": -1}, "deadline_s"),
         ({"n": 6, "config": {"seeed": 1}}, "unknown SearchConfig field"),
+        ({"n": 6, "config": {"incremental": True}},
+         "unknown SearchConfig field"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(

@@ -36,16 +36,12 @@ positive = st.floats(min_value=0.0, max_value=1e6,
 def search_configs(draw):
     space = draw(st.sampled_from(("row", "hetero", "grid2d")))
     row = space == "row"
-    incremental = draw(st.booleans()) if row else False
-    chains = draw(st.integers(1, 4)) if not incremental else 1
     return SearchConfig(
         seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
         restarts=draw(st.integers(1, 4)) if row else 1,
         jobs=draw(st.integers(1, 4)) if row else 1,
-        chains=chains,
+        chains=draw(st.integers(1, 4)),
         impl=draw(st.sampled_from(("vectorized", "reference"))),
-        incremental=incremental,
-        resync_every=draw(st.integers(0, 1000)),
         max_evaluations=draw(st.one_of(st.none(), st.integers(1, 10**6))),
         trace_out=draw(st.one_of(st.none(), st.just("trace.jsonl"))),
         metrics_every=draw(st.integers(0, 100)),
@@ -110,8 +106,10 @@ class TestSearchConfigRoundTrip:
         assert SearchConfig.from_json(_through_text(cfg.to_json())) == cfg
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown SearchConfig"):
-            SearchConfig.from_json({"seed": 1, "sead": 2})
+        # A typo, and the retired pricing knobs old clients may send.
+        for field in ("sead", "incremental", "resync_every"):
+            with pytest.raises(ConfigurationError, match="unknown SearchConfig"):
+                SearchConfig.from_json({"seed": 1, field: 2})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigurationError, match="must be an object"):

@@ -1,14 +1,21 @@
 """Content-addressed design store: identity, round-trip, neighbors."""
 
 import json
+import multiprocessing as mp
 import os
+import queue
 
 import pytest
 
-from repro.api import SearchConfig
+from repro.api import PlacementResult, SearchConfig
 from repro.core.optimizer import optimize
 from repro.harness.designs import EFFORTS
-from repro.obs.ledger import compute_run_id, optimize_params, sweep_digest
+from repro.obs.ledger import (
+    RunLedger,
+    compute_run_id,
+    optimize_params,
+    sweep_digest,
+)
 from repro.serve.store import DesignStore
 
 SMOKE = EFFORTS["smoke"]
@@ -143,3 +150,79 @@ class TestNearest:
             fh.write('{"not": "a store entry"}')
         hit = store.nearest(6, "row")
         assert hit is not None and hit.key == entry.key
+
+
+def _hammer_one_key(writer, root, entry, rounds, barrier, out):
+    """Worker: publish one key ``rounds`` times, report every failure.
+
+    Runs in a spawned process, so it takes only picklable values and
+    rebuilds the result from its JSON form.
+    """
+    result = PlacementResult.from_json(entry["result"])
+    args = (entry["kind"], entry["params"], entry["config"], entry["seed"])
+    barrier.wait(timeout=60)
+    for _ in range(rounds):
+        try:
+            if writer == "store":
+                DesignStore(root).put(*args, result, entry["result_digest"])
+            else:
+                RunLedger(root).record(
+                    *args, results=entry["result"],
+                    result_digest=entry["result_digest"],
+                )
+        except Exception as exc:  # reported to the parent, not swallowed
+            out.put(repr(exc))
+    out.put(None)
+
+
+class TestConcurrentWriters:
+    """Writers of one key in separate processes must never collide:
+    each publishes through a private temp file, and readers always see
+    a whole entry."""
+
+    WORKERS = 4
+    ROUNDS = 150
+
+    @pytest.mark.parametrize("writer", ["store", "ledger"])
+    def test_one_key_many_processes(self, tmp_path, writer):
+        params, cfg, result = _solve()
+        root = str(tmp_path / writer)
+        entry = DesignStore(root).put(
+            "optimize", params, cfg, cfg.seed, result,
+            sweep_digest(result.sweep),
+        ).to_dict()
+        ctx = mp.get_context("spawn")
+        barrier = ctx.Barrier(self.WORKERS)
+        out = ctx.Queue()
+        procs = [
+            ctx.Process(target=_hammer_one_key,
+                        args=(writer, root, entry, self.ROUNDS, barrier, out))
+            for _ in range(self.WORKERS)
+        ]
+        for proc in procs:
+            proc.start()
+        errors, done = [], 0
+        try:
+            while done < self.WORKERS:
+                item = out.get(timeout=120)
+                if item is None:
+                    done += 1
+                else:
+                    errors.append(item)
+        except queue.Empty:
+            pass
+        for proc in procs:
+            proc.join(timeout=30)
+            if proc.is_alive():
+                proc.kill()
+        assert done == self.WORKERS, "a writer did not finish"
+        assert not errors, f"{len(errors)} failed writes, e.g. {errors[0]}"
+        if writer == "store":
+            loaded = DesignStore(root).get(entry["key"])
+            assert loaded.result == result
+        else:
+            (run_id,) = os.listdir(root)
+            manifest = RunLedger(root).load(run_id)
+            assert manifest["result_digest"] == entry["result_digest"]
+        for dirpath, _, names in os.walk(root):
+            assert not [f for f in names if f.endswith(".tmp")], dirpath

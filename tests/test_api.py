@@ -26,7 +26,6 @@ class TestSearchConfig:
         assert cfg.seed is None
         assert cfg.restarts == 1 and cfg.jobs == 1
         assert cfg.impl == "vectorized"
-        assert not cfg.incremental
         assert not cfg.parallel
 
     def test_frozen(self):
@@ -39,9 +38,7 @@ class TestSearchConfig:
             {"restarts": 0},
             {"jobs": -1},
             {"chains": 0},
-            {"chains": 2, "incremental": True},
             {"impl": "cuda"},
-            {"resync_every": -1},
             {"metrics_every": -5},
         ],
     )
@@ -63,11 +60,11 @@ class TestSearchConfig:
 
     def test_with_updates_round_trip(self):
         cfg = SearchConfig(seed=7, restarts=3)
-        upd = cfg.with_updates(jobs=2, incremental=True)
+        upd = cfg.with_updates(jobs=2, chains=2)
         assert upd.seed == 7 and upd.restarts == 3
-        assert upd.jobs == 2 and upd.incremental
+        assert upd.jobs == 2 and upd.chains == 2
         assert cfg.jobs == 1  # original untouched
-        assert upd.with_updates(jobs=1, incremental=False) == cfg
+        assert upd.with_updates(jobs=1, chains=1) == cfg
 
     def test_with_updates_revalidates(self):
         with pytest.raises(ConfigurationError):
@@ -80,16 +77,13 @@ class TestSearchConfig:
         ns.jobs = 2
         ns.chains = 2
         ns.impl = "reference"
-        ns.incremental = False
-        ns.resync_every = 50
         ns.trace_out = "t.jsonl"
         ns.metrics_every = 100
         ns.profile = True
         cfg = SearchConfig.from_cli(ns)
         assert cfg == SearchConfig(
             seed=2019, restarts=4, jobs=2, chains=2, impl="reference",
-            incremental=False, resync_every=50, trace_out="t.jsonl",
-            metrics_every=100, profile=True,
+            trace_out="t.jsonl", metrics_every=100, profile=True,
         )
 
     def test_from_cli_missing_flags_default(self):
@@ -171,12 +165,22 @@ class TestPlaceExpressLinks:
         assert res.sweep is not None and other.sweep is not None
 
     def test_incremental_config_same_design(self):
-        base = place_express_links(6, config=SearchConfig(seed=5), params=SMOKE)
-        inc = place_express_links(
-            6, config=SearchConfig(seed=5, incremental=True), params=SMOKE
+        """The default engine walk against the oracle tier's FW walk."""
+        base = place_express_links(
+            6, config=SearchConfig(seed=5, impl="reference"), params=SMOKE
         )
+        inc = place_express_links(6, config=SearchConfig(seed=5), params=SMOKE)
         assert base.placement == inc.placement
         assert base.energy == inc.energy
+        assert base.evaluations == inc.evaluations
+        for c, sol in base.sweep.solutions.items():
+            other = inc.sweep.solutions[c]
+            assert other.placement == sol.placement
+            assert other.energy == sol.energy
+            if sol.annealing is not None:
+                assert other.annealing.trace == sol.annealing.trace
+                assert (other.annealing.accepted_moves
+                        == sol.annealing.accepted_moves)
 
 
 class TestEvaluatePlacement:
