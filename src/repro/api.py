@@ -21,9 +21,8 @@ with float-hex energies and canonical placement bytes, so the HTTP
 serving layer (:mod:`repro.serve`), the run ledger
 (:mod:`repro.obs.ledger`) and the design store all share one schema.
 
-The pre-redesign keywords (``rng=``, ``restarts=``, ...) are gone: they
-now raise :class:`TypeError` with a migration hint naming the
-:class:`SearchConfig` field to use instead (see ``docs/api.md``).
+The pre-redesign keywords (``rng=``, ``restarts=``, ...) are gone;
+Python rejects them as unknown keywords.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.routing.impls import IMPLEMENTATIONS, resolve_impl  # noqa: F401
 from repro.topology.row import RowPlacement
@@ -47,7 +48,6 @@ __all__ = [
     "place_express_links",
     "evaluate_placement",
     "eval_result_from_row",
-    "reject_legacy_kwargs",
     # Simulation campaigns (lazily re-exported from repro.sim.campaign).
     "SimJob",
     "TrafficSpec",
@@ -151,26 +151,14 @@ class SearchConfig:
     Attributes
     ----------
     seed:
-        Integer base seed, or ``None`` for fresh entropy.  Parallel
-        searches (``restarts``/``jobs`` > 1) derive one independent
-        stream per ``(C, restart)`` task from it.
+        Integer base seed, or ``None`` for fresh entropy.  Every search
+        derives one independent stream per ``(C, restart)`` task from
+        it (:func:`repro.util.rngtools.derived_rng`).
     restarts:
-        Independent SA chains per ``C``; the best chain wins.
+        Independent SA chains per ``C``; the best chain wins (ties go
+        to the lowest restart index).
     jobs:
         Worker processes; results are bit-identical for every value.
-    chains:
-        Lockstep group size for the SA restarts: each group of up to
-        ``chains`` restarts runs inside one process as a population,
-        pricing every move of all live chains with a single batched
-        Floyd-Warshall call (:func:`repro.core.annealing.anneal_population`).
-        Trajectories are byte-identical to the same restarts run
-        serially, so ``chains`` is -- like ``jobs`` -- a pure
-        wall-clock knob, and the two compose: groups are still fanned
-        out across ``jobs`` processes.  ``chains > 1`` implies at
-        least that many restarts (see :attr:`effective_restarts`).
-        A lockstep group prices every move with a full Floyd-Warshall
-        pass, while a serial chain prices memo misses with the O(n^2)
-        incremental engine, so groups are usually the slower choice.
     impl:
         Floyd-Warshall implementation: ``"vectorized"`` (NumPy,
         default), the pure-Python ``"reference"`` oracle, or the
@@ -178,12 +166,13 @@ class SearchConfig:
         backends, ``pip install repro[native]``).  ``None`` resolves
         through the ``REPRO_IMPL`` environment default; all tiers are
         bit-identical by the cross-impl parity gates, so ``impl`` is a
-        pure wall-clock knob and -- like ``jobs``/``chains`` -- is
-        excluded from ledger run identities.  How each SA move is
-        priced is not a knob: :func:`repro.core.annealing.anneal` picks
-        the O(n^2) incremental engine whenever it is bit-exact.
+        pure wall-clock knob and -- like ``jobs`` -- is excluded from
+        ledger run identities.  How each SA move is priced is not a
+        knob: :func:`repro.core.annealing.anneal` picks the O(n^2)
+        incremental engine whenever it is bit-exact.
     max_evaluations:
-        Optional cap on unique objective evaluations per chain.
+        Optional cap (``>= 1``) on unique objective evaluations per
+        chain.
     trace_out / metrics_every / profile:
         Observability: JSONL event trace path, periodic progress event
         interval, and span-profile printing (CLI flags of the same
@@ -198,10 +187,9 @@ class SearchConfig:
         replicated-row reduction; ``"hetero"`` searches one placement
         per mesh row (each under the row budget ``C``); ``"grid2d"``
         searches arbitrary same-row chords under the pooled per-cut
-        budget ``n * C`` (see :mod:`repro.core.search_space`).  The
-        mesh-level spaces run through the generic SA kernels, so they
-        support ``chains`` but not the multi-process
-        ``restarts``/``jobs`` fan-out.
+        budget ``n * C`` (see :mod:`repro.core.search_space`).  Every
+        space runs through the same search runner, so ``restarts`` and
+        ``jobs`` apply to all of them.
     objectives:
         Pareto objective axes for :func:`repro.pareto_front` (subset of
         :data:`OBJECTIVES`, order defines the value-vector layout).
@@ -215,7 +203,6 @@ class SearchConfig:
     seed: Optional[int] = None
     restarts: int = 1
     jobs: int = 1
-    chains: int = 1
     impl: Optional[str] = None
     max_evaluations: Optional[int] = None
     trace_out: Optional[str] = None
@@ -230,12 +217,19 @@ class SearchConfig:
         # JSON round-trips deliver lists; normalize before validating
         # so equality with a freshly-built config holds.
         object.__setattr__(self, "objectives", tuple(self.objectives))
+        self._require_int("seed", "an integer or None", optional=True)
+        for name in ("restarts", "jobs", "metrics_every"):
+            self._require_int(name, "an integer")
+        self._require_int("max_evaluations", "an integer >= 1 or None",
+                          optional=True)
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chains < 1:
-            raise ConfigurationError(f"chains must be >= 1, got {self.chains}")
+        if self.max_evaluations is not None and self.max_evaluations < 1:
+            raise ConfigurationError(
+                f"max_evaluations must be >= 1 or None, got {self.max_evaluations}"
+            )
         # Centralized tier resolution: validates the name, applies the
         # REPRO_IMPL environment default when impl is None, and
         # degrades an env-requested but unavailable "native" to
@@ -276,28 +270,20 @@ class SearchConfig:
                     "pareto front search is row-space only: the mesh "
                     "axes price replicated-row designs"
                 )
-        if self.space != "row" and (self.restarts > 1 or self.jobs > 1):
+
+    def _require_int(self, name: str, expected: str,
+                      optional: bool = False) -> None:
+        """Reject a non-integer field, naming it; NumPy integers are
+        stored as plain ints so they serialize like Python ones."""
+        value = getattr(self, name)
+        if optional and value is None:
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigurationError(
-                "multi-process restarts/jobs are row-space only; "
-                "use chains=K for population search in the "
-                f"{self.space!r} space"
+                f"{name} must be {expected}, got {value!r} "
+                f"({type(value).__name__})"
             )
-
-    @property
-    def parallel(self) -> bool:
-        """True when the multi-restart engine should run the search."""
-        return self.restarts > 1 or self.jobs > 1 or self.chains > 1
-
-    @property
-    def effective_restarts(self) -> int:
-        """The restart count the engine actually runs.
-
-        ``chains=K`` alone means "run K lockstep chains", so the
-        restart count is raised to at least ``chains``; an explicit
-        larger ``restarts`` is split into consecutive groups of
-        ``chains``.
-        """
-        return max(self.restarts, self.chains)
+        object.__setattr__(self, name, int(value))
 
     @classmethod
     def from_cli(cls, args: Any) -> "SearchConfig":
@@ -307,7 +293,6 @@ class SearchConfig:
             seed=getattr(args, "seed", defaults.seed),
             restarts=getattr(args, "restarts", defaults.restarts),
             jobs=getattr(args, "jobs", defaults.jobs),
-            chains=getattr(args, "chains", defaults.chains),
             impl=getattr(args, "impl", defaults.impl),
             max_evaluations=getattr(
                 args, "max_evaluations", defaults.max_evaluations
@@ -359,50 +344,6 @@ class SearchConfig:
 
 
 # ----------------------------------------------------------------------
-# Legacy-keyword rejection
-# ----------------------------------------------------------------------
-
-#: Legacy search keyword -> the SearchConfig field that replaced it.
-#: The deprecation shim (``resolve_search_args`` /
-#: ``warn_legacy_kwargs``) warned for 5 PRs; the keywords now
-#: hard-error with this mapping in the message.
-LEGACY_KWARG_MIGRATIONS = {
-    "rng": "seed",
-    "restarts": "restarts",
-    "jobs": "jobs",
-    "chains": "chains",
-    "max_evaluations": "max_evaluations",
-    "progress_every": "metrics_every",
-}
-
-
-def reject_legacy_kwargs(func_name: str, legacy: Dict[str, Any]) -> None:
-    """Raise ``TypeError`` for retired search keywords, naming the fix.
-
-    Unknown keywords keep plain ``TypeError`` semantics (typos look
-    like typos); retired ones get a migration hint naming the
-    :class:`SearchConfig` field to use instead.  No-op on an empty
-    dict, so entry points can simply forward their ``**kwargs``.
-    """
-    if not legacy:
-        return
-    unknown = sorted(k for k in legacy if k not in LEGACY_KWARG_MIGRATIONS)
-    if unknown:
-        raise TypeError(
-            f"{func_name}() got unexpected keyword argument(s) {unknown}"
-        )
-    hints = ", ".join(
-        f"{k}= -> SearchConfig({LEGACY_KWARG_MIGRATIONS[k]}=...)"
-        for k in sorted(legacy)
-    )
-    raise TypeError(
-        f"{func_name}() no longer accepts the legacy search keyword(s) "
-        f"{sorted(legacy)}; pass config=repro.SearchConfig(...) instead "
-        f"({hints}; see docs/api.md)"
-    )
-
-
-# ----------------------------------------------------------------------
 # Result objects
 # ----------------------------------------------------------------------
 
@@ -444,7 +385,8 @@ class PlacementResult:
     ``head_latency``, ``serialization_latency``, ``total_latency``,
     ``latency_curve``) are filled by the sweeping entry points and
     ``None``/empty for single-``C`` solves, where no flit width has
-    been chosen.
+    been chosen.  ``restart_energies`` maps every searched ``C`` to
+    its chains' final energies, in restart order.
 
     ``sweep`` keeps the raw engine object
     (:class:`~repro.core.optimizer.SweepResult` or
@@ -494,7 +436,6 @@ class PlacementResult:
             express = best.placement.express_chords()
             head = best.head_latency
             serialization = best.serialization
-        restart = getattr(sweep, "restart_energies", None) or {}
         return cls(
             n=sweep.n,
             method=sweep.method,
@@ -511,13 +452,16 @@ class PlacementResult:
             serialization_latency=serialization,
             total_latency=best.total_latency,
             latency_curve=sweep.latency_curve(),
-            restart_energies=tuple(sorted(restart.items())),
+            restart_energies=tuple(sorted(sweep.restart_energies.items())),
             sweep=sweep,
         )
 
     @classmethod
     def from_solution(
-        cls, solution: Any, config: SearchConfig
+        cls,
+        solution: Any,
+        config: SearchConfig,
+        restart_energies: Tuple[Tuple[int, Tuple[float, ...]], ...] = (),
     ) -> "PlacementResult":
         """Wrap a single ``P~(n, C)`` solve as the public type."""
         space = getattr(solution, "space", "row")
@@ -537,6 +481,7 @@ class PlacementResult:
             evaluations=solution.evaluations,
             wall_time_s=solution.wall_time_s,
             config=config,
+            restart_energies=restart_energies,
             solution=solution,
         )
 
@@ -727,8 +672,6 @@ def evaluate_placement(
     in.  ``impl=None`` resolves through
     :func:`repro.routing.impls.resolve_impl` (``REPRO_IMPL`` honored).
     """
-    import numpy as np
-
     from repro.core.latency import mean_row_head_latency
 
     impl = resolve_impl(impl)

@@ -25,16 +25,13 @@ Gives downstream users the paper's flow without writing Python:
 * ``bench-report`` -- compare two ``benchmarks/results`` directories
   and fail on perf regressions.
 
-Parallel search flags (``optimize`` / ``solve``): ``--restarts N`` runs
-``N`` independent SA chains per ``C`` from derived seeds and keeps the
-best; ``--jobs K`` fans the chains out over ``K`` worker processes;
-``--chains K`` packs consecutive restarts into lockstep population
-groups priced by one batched Floyd-Warshall call per move.  Results
-are bit-identical for every ``--jobs`` / ``--chains`` value at a
-fixed seed.  ``--space hetero|grid2d`` searches the mesh-level spaces
-(per-row placements / pooled-budget 2D chords) instead of the paper's
-replicated row; these support ``--chains`` but not the row-only
-``--restarts`` / ``--jobs`` knobs.
+Search flags (``optimize`` / ``solve``): ``--restarts N`` runs ``N``
+independent SA chains per ``C`` from derived seeds and keeps the best;
+``--jobs K`` fans the chains out over ``K`` worker processes.  Output
+is byte-identical for every ``--jobs`` value at a fixed seed.
+``--space hetero|grid2d`` searches the mesh-level spaces (per-row
+placements / pooled-budget 2D chords) instead of the paper's
+replicated row, with the same ``--restarts`` / ``--jobs`` knobs.
 
 Observability flags (``optimize`` / ``solve`` / ``simulate``):
 ``--trace-out PATH`` streams structured events as JSON Lines,
@@ -106,12 +103,6 @@ def _add_run_flags(
             help="independent SA chains per C (derived seeds; best chain wins)",
         )
         g.add_argument(
-            "--chains", type=int, default=1, metavar="K",
-            help="lockstep population size: pack consecutive restarts into "
-            "groups of K priced by one batched objective call per move "
-            "(results identical to --restarts; composes with --jobs)",
-        )
-        g.add_argument(
             "--impl", choices=IMPLEMENTATIONS, default=None,
             help="Floyd-Warshall implementation: vectorized (NumPy, the "
             "default), reference (pure-Python oracle), or native "
@@ -122,9 +113,7 @@ def _add_run_flags(
         g.add_argument(
             "--space", choices=SEARCH_SPACES, default="row",
             help="placement search space: the paper's replicated row, "
-            "heterogeneous per-row placements, or pooled-budget 2D "
-            "chords (hetero/grid2d support --chains but not "
-            "--restarts/--jobs)",
+            "heterogeneous per-row placements, or pooled-budget 2D chords",
         )
     if sim:
         g.add_argument(
@@ -260,7 +249,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     with _obs_session(args) as obs:
         cfg = SearchConfig.from_cli(args)
         mesh_space = cfg.space != "row"
-        parallel = cfg.parallel and not mesh_space
         if args.save and mesh_space:
             print("error: --save stores row sweeps only (use --space row)",
                   file=sys.stderr)
@@ -319,10 +307,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             print(f"chords: {list(best.placement.express_chords())}")
         else:
             print(f"row placement: {sorted(best.placement.express_links)}")
-        if parallel:
-            spread = sweep.restart_energies.get(best.link_limit, ())
-            print(f"search: {sweep.restarts} restart(s) x {len(sweep.points)} limits "
-                  f"on {sweep.jobs} job(s); best-C restart energies: "
+        if cfg.restarts > 1:
+            spread = sweep.restart_energies[best.link_limit]
+            print(f"search: {cfg.restarts} restart(s) x {len(sweep.points)} "
+                  f"limits; best-C restart energies: "
                   f"{[round(e, 4) for e in spread]}")
         _record_run(
             ledger, obs, run_id, "optimize", ledger_params, cfg, cfg.seed,
@@ -356,31 +344,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             if obs is not None:
                 obs.set_context(run_id=run_id)
         start = time.perf_counter()
-        if cfg.parallel and not mesh_space:
-            from repro.core.parallel import parallel_row_search
-
-            sol, energies = parallel_row_search(
-                args.n,
-                args.c,
-                method=args.method,
-                params=EFFORTS[args.effort],
-                base_seed=cfg.seed,
-                restarts=cfg.effective_restarts,
-                jobs=cfg.jobs,
-                chains=cfg.chains,
-                impl=cfg.impl,
-                obs=obs,
-            )
-        else:
-            sol = solve_row_problem(
-                args.n,
-                args.c,
-                method=args.method,
-                params=EFFORTS[args.effort],
-                obs=obs,
-                config=cfg,
-            )
-            energies = None
+        sol = solve_row_problem(
+            args.n,
+            args.c,
+            method=args.method,
+            params=EFFORTS[args.effort],
+            obs=obs,
+            config=cfg,
+        )
         wall = time.perf_counter() - start
         tag = f"{args.method}, space={cfg.space}" if mesh_space else args.method
         print(f"P~({args.n},{args.c}) [{tag}]")
@@ -393,9 +364,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             print(f"  express links: {sorted(sol.placement.express_links)}")
         print(f"  evaluations: {sol.evaluations}, wall time: {sol.wall_time_s:.2f}s")
-        if energies is not None:
-            print(f"  restarts: {[round(e, 4) for e in energies]} "
-                  f"({cfg.effective_restarts} chains on {args.jobs} job(s))")
+        if cfg.restarts > 1:
+            energies = sol.restart_energies[0][1]
+            print(f"  restarts: {[round(e, 4) for e in energies]}")
         _record_run(
             ledger, obs, run_id, "solve", ledger_params, cfg, cfg.seed, wall,
             results={

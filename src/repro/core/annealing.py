@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.obs.instrument import Instrumentation, ensure_obs
 from repro.topology.row import Link, RowPlacement
-from repro.util.errors import ConfigurationError
 from repro.util.rngtools import ensure_rng
 
 Objective = Callable[[RowPlacement], float]
@@ -140,24 +139,17 @@ class MemoizedObjective:
         self.misses = 0
         self.overflows = 0
 
-    #: Sentinel returned by :meth:`lookup` on a cache miss (``None`` is
-    #: reserved for in-batch placeholders inside :meth:`evaluate_many`).
+    #: Sentinel returned by :meth:`lookup_key` on a cache miss (``None``
+    #: is reserved for in-batch placeholders inside :meth:`evaluate_many`).
     MISS = object()
 
-    def lookup(self, placement: RowPlacement):
-        """Probe the cache, accounting one call plus a hit or a miss.
+    def lookup_key(self, key):
+        """Probe the cache by a key 1:1 with placements, accounting one
+        call plus a hit or a miss.
 
         Returns the cached energy, or :data:`MISS` -- the caller must
-        then compute the energy and hand it to :meth:`store`.  The
-        split exists so batch engines (``evaluate_many``,
-        ``anneal_population``) can collect misses across a population,
-        price them with one kernel call, and still produce exactly the
-        counter sequence of scalar ``__call__`` usage.
+        then compute the energy and hand it to :meth:`store_key`.
         """
-        return self.lookup_key(placement.canonical_bytes())
-
-    def lookup_key(self, key):
-        """:meth:`lookup` by a precomputed key (1:1 with placements)."""
         self.calls += 1
         hit = self._cache.get(key)
         if hit is not None:
@@ -166,13 +158,9 @@ class MemoizedObjective:
         self.misses += 1
         return self.MISS
 
-    def store(self, placement: RowPlacement, value: float) -> float:
-        """Insert a freshly computed energy (the second half of a miss),
-        with the same bounded clear-wholesale semantics as ``__call__``."""
-        return self.store_key(placement.canonical_bytes(), value)
-
     def store_key(self, key, value: float) -> float:
-        """:meth:`store` by a precomputed key."""
+        """Insert a freshly computed energy (the second half of a miss);
+        once ``max_size`` entries are held the cache is cleared first."""
         if len(self._cache) >= self.max_size:
             self._cache.clear()
             self.overflows += 1
@@ -185,10 +173,11 @@ class MemoizedObjective:
         self._cache.clear()
 
     def __call__(self, placement: RowPlacement) -> float:
-        value = self.lookup(placement)
+        key = placement.canonical_bytes()
+        value = self.lookup_key(key)
         if value is not self.MISS:
             return value
-        return self.store(placement, self._objective(placement))
+        return self.store_key(key, self._objective(placement))
 
     def evaluate_many(
         self,
@@ -613,261 +602,3 @@ def anneal(
         wall_time_s=time.perf_counter() - start,
         trace=trace,
     )
-
-
-class _Chain:
-    """Mutable per-chain state of a lockstep :func:`anneal_population` run.
-
-    Holds exactly what one serial :func:`anneal` call keeps in local
-    variables, so the population loop can interleave K chains while
-    each one still walks its private trajectory: matrix state, RNG,
-    memo, energies, stage accounting and trace.
-    """
-
-    def __init__(self, index: int, state: ConnectionMatrix, gen,
-                 memo: MemoizedObjective) -> None:
-        self.index = index
-        self.state = state
-        self.gen = gen
-        self.memo = memo
-        self.current_energy = 0.0
-        self.initial_energy = 0.0
-        self.best_energy = 0.0
-        self.best_placement: Optional[RowPlacement] = None
-        self.trace: List[Tuple[int, float]] = []
-        self.accepted = 0
-        self.uphill = 0
-        self.moves_done = 0
-        self.stage = 0
-        self.stage_moves = 0
-        self.stage_accepted = 0
-        self.stage_uphill = 0
-        self.last_move = 0
-        self.done = False
-        # Per-move scratch between the propose and the accept half-steps.
-        self.candidate: Optional[RowPlacement] = None
-        self.site: Tuple[int, ...] = (0, 0)
-        self.pending_energy = 0.0
-
-
-def _price_chain_candidates(
-    entries: Sequence[Tuple[_Chain, RowPlacement]],
-    objective: Objective,
-) -> None:
-    """Price one candidate per chain, batching all memo misses together.
-
-    Each chain's private memo does its own hit/miss accounting (exactly
-    as its serial run would), and the misses from every chain are
-    priced with a single ``objective.evaluate_many`` call -- the one
-    batched Floyd-Warshall stack per move that makes lockstep chains
-    pay for one kernel launch instead of K.  Results land in each
-    chain's ``pending_energy``.
-    """
-    missed: List[Tuple[_Chain, RowPlacement]] = []
-    for chain, placement in entries:
-        value = chain.memo.lookup(placement)
-        if value is chain.memo.MISS:
-            missed.append((chain, placement))
-        else:
-            chain.pending_energy = value
-    if not missed:
-        return
-    batched = getattr(objective, "evaluate_many", None)
-    if batched is None:
-        values = [float(objective(p)) for _, p in missed]
-    else:
-        values = [float(v) for v in batched([p for _, p in missed])]
-    for (chain, placement), value in zip(missed, values):
-        chain.memo.store(placement, value)
-        chain.pending_energy = value
-
-
-def anneal_population(
-    initials: Sequence[ConnectionMatrix],
-    objective: Objective,
-    params: AnnealingParams | None = None,
-    rngs: Optional[Sequence] = None,
-    max_evaluations: Optional[int] = None,
-    trace_every: int = 1,
-    obs: Optional[Instrumentation] = None,
-) -> List[AnnealingResult]:
-    """Run ``K = len(initials)`` SA chains in lockstep, batching energies.
-
-    Trajectory-equivalent to ``K`` serial :func:`anneal` calls: chain
-    ``k`` started from ``initials[k]`` with ``rngs[k]`` produces the
-    byte-identical :class:`AnnealingResult` (placement, energies,
-    counters, trace) it would produce alone, because each chain keeps
-    its own RNG stream, memo and accept/reject bookkeeping -- the only
-    thing shared is the kernel launch: every move, the candidates of
-    all live chains that miss their memo are priced by one
-    ``objective.evaluate_many`` batch (one ``(2B, n, n)``
-    Floyd-Warshall stack) instead of one stack per chain.
-
-    ``rngs`` supplies one seed/generator per chain (``None`` entries --
-    or ``rngs=None`` altogether -- draw fresh entropy, as serial
-    ``anneal(rng=None)`` would).  The multi-restart engine passes
-    ``derived_rng(base_seed, C, restart)`` streams so ``chains=K``
-    reproduces ``K`` serial restarts exactly.  ``params``,
-    ``max_evaluations`` (a per-chain cap) and ``trace_every`` mean what
-    they mean on :func:`anneal`; chains that exhaust their budget drop
-    out of the lockstep individually.  Every chain decodes and fully
-    prices its candidates, as :func:`anneal`'s decode walk does; the
-    O(n^2) engine walk has no batched form.
-
-    With ``obs`` attached, the per-chain ``sa.*`` events carry a
-    ``chain`` field; metrics are folded per chain in index order, so
-    totals equal the serial runs' merged totals (minus the engine
-    walk's ``sa.eval.*`` / ``sa.selfcheck`` / ``sa.resync`` counters).
-    """
-    params = params or AnnealingParams()
-    obs = ensure_obs(obs)
-    initials = list(initials)
-    if not initials:
-        return []
-    if rngs is None:
-        rngs = [None] * len(initials)
-    rngs = list(rngs)
-    if len(rngs) != len(initials):
-        raise ConfigurationError(
-            f"anneal_population got {len(initials)} initial states but "
-            f"{len(rngs)} RNG streams"
-        )
-    start = time.perf_counter()
-    chains = [
-        _Chain(k, initial.copy(), ensure_rng(rng), MemoizedObjective(objective))
-        for k, (initial, rng) in enumerate(zip(initials, rngs))
-    ]
-
-    # Initial energies: one batch across all chains.
-    _price_chain_candidates(
-        [(c, c.state.decode()) for c in chains], objective
-    )
-    for c in chains:
-        c.current_energy = c.initial_energy = c.best_energy = c.pending_energy
-        c.best_placement = c.state.decode()
-        c.trace.append((c.memo.evaluations, c.best_energy))
-        if obs.enabled:
-            obs.emit(
-                "sa.start",
-                move=0,
-                chain=c.index,
-                n=c.state.n,
-                link_limit=c.state.link_limit,
-                initial_energy=c.initial_energy,
-                total_moves=params.total_moves,
-                initial_temperature=params.initial_temperature,
-                moves_per_cooldown=params.moves_per_cooldown,
-            )
-        if c.state.num_connection_points == 0:
-            # C = 1 or n = 2: the mesh row is the only state.
-            c.done = True
-            if obs.enabled:
-                obs.emit("sa.end", move=0, chain=c.index,
-                         best_energy=c.best_energy,
-                         evaluations=c.memo.evaluations, accepted=0, uphill=0)
-
-    def _emit_stage(c: _Chain, last_move: int) -> None:
-        obs.emit(
-            "sa.stage",
-            move=last_move,
-            chain=c.index,
-            stage=c.stage,
-            temperature=params.temperature(c.stage * params.moves_per_cooldown),
-            moves=c.stage_moves,
-            accepted=c.stage_accepted,
-            uphill=c.stage_uphill,
-            best_energy=c.best_energy,
-            current_energy=c.current_energy,
-            memo_hit_ratio=c.memo.hit_ratio,
-            evaluations=c.memo.evaluations,
-        )
-
-    for move in range(params.total_moves):
-        live: List[_Chain] = []
-        for c in chains:
-            if c.done:
-                continue
-            if (max_evaluations is not None
-                    and c.memo.evaluations >= max_evaluations):
-                # Serial anneal breaks at the top of this move; its final
-                # events carry this move index, so record it before
-                # retiring the chain.
-                c.last_move = move
-                c.done = True
-                continue
-            live.append(c)
-        if not live:
-            break
-        for c in live:
-            c.last_move = move
-            new_stage = move // params.moves_per_cooldown
-            if new_stage != c.stage:
-                if obs.enabled:
-                    _emit_stage(c, move - 1)
-                c.stage = new_stage
-                c.stage_moves = c.stage_accepted = c.stage_uphill = 0
-            c.site = c.state.random_move(c.gen)
-            c.state.flip(*c.site)
-            c.candidate = c.state.decode()
-        _price_chain_candidates([(c, c.candidate) for c in live], objective)
-        temperature = params.temperature(move)
-        for c in live:
-            energy = c.pending_energy
-            delta = energy - c.current_energy
-            c.stage_moves += 1
-            c.moves_done += 1
-            if delta <= 0 or c.gen.random() < math.exp(-delta / temperature):
-                c.current_energy = energy
-                c.accepted += 1
-                c.stage_accepted += 1
-                if delta > 0:
-                    c.uphill += 1
-                    c.stage_uphill += 1
-                if energy < c.best_energy:
-                    c.best_energy = energy
-                    c.best_placement = c.candidate
-                    if obs.enabled:
-                        obs.emit("sa.best", move=move, chain=c.index,
-                                 energy=c.best_energy,
-                                 evaluations=c.memo.evaluations)
-            else:
-                c.state.flip(*c.site)  # undo
-            if move % trace_every == 0:
-                c.trace.append((c.memo.evaluations, c.best_energy))
-
-    wall = time.perf_counter() - start
-    results: List[AnnealingResult] = []
-    for c in chains:
-        finished_loop = c.state.num_connection_points > 0
-        if finished_loop:
-            c.trace.append((c.memo.evaluations, c.best_energy))
-            if obs.enabled:
-                if c.stage_moves:
-                    _emit_stage(c, c.last_move)
-                obs.emit("sa.end", move=c.last_move, chain=c.index,
-                         best_energy=c.best_energy,
-                         evaluations=c.memo.evaluations, accepted=c.accepted,
-                         uphill=c.uphill, memo_hit_ratio=c.memo.hit_ratio,
-                         wall_time_s=wall)
-        if not obs.is_null:
-            m = obs.metrics
-            m.counter("sa.moves").inc(c.moves_done)
-            m.counter("sa.accepted").inc(c.accepted)
-            m.counter("sa.uphill").inc(c.uphill)
-            m.counter("sa.evaluations").inc(c.memo.evaluations)
-            m.counter("sa.memo_hits").inc(c.memo.hits)
-            m.counter("sa.memo_misses").inc(c.memo.misses)
-            m.gauge("sa.memo_hit_ratio").set(c.memo.hit_ratio)
-            m.gauge("sa.best_energy").set(c.best_energy)
-            m.meter("sa.move_rate").add(c.moves_done, wall)
-        results.append(AnnealingResult(
-            best_placement=c.best_placement,
-            best_energy=c.best_energy,
-            initial_energy=c.initial_energy,
-            evaluations=c.memo.evaluations,
-            accepted_moves=c.accepted,
-            uphill_accepted=c.uphill,
-            wall_time_s=wall,
-            trace=c.trace,
-        ))
-    return results

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.api import PlacementResult, SearchConfig, reject_legacy_kwargs
+from repro.api import PlacementResult, SearchConfig
 from repro.core.annealing import (
     AnnealingParams,
     AnnealingResult,
@@ -86,19 +86,14 @@ class DesignPoint:
 class SweepResult:
     """Outcome of the full ``C`` sweep for one network size.
 
-    ``restarts`` / ``jobs`` / ``chains`` record how the sweep was
-    executed (all 1 for the legacy sequential path); ``restart_energies``
-    maps each ``C`` to the per-restart final energies, in restart
-    order, when the multi-restart engine ran.
+    ``restart_energies`` maps each ``C`` to the final energies of its
+    SA chains, in restart order.
     """
 
     n: int
     method: str
     points: Dict[int, DesignPoint] = field(default_factory=dict)
     solutions: Dict[int, RowSolution] = field(default_factory=dict)
-    restarts: int = 1
-    jobs: int = 1
-    chains: int = 1
     restart_energies: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
 
     @property
@@ -120,16 +115,19 @@ def solve_row_problem(
     obs: Optional[Instrumentation] = None,
     config: Optional[SearchConfig] = None,
     warm_start: Optional[RowPlacement] = None,
-    **legacy,
 ) -> PlacementResult:
     """Solve ``P~(n, C)`` and return a :class:`~repro.api.PlacementResult`.
 
     Execution knobs arrive in ``config`` (a
-    :class:`~repro.api.SearchConfig`); with ``restarts``/``jobs`` > 1
-    the solve routes to the multi-restart engine and returns its
-    winning chain; with ``config.space`` set to a mesh space it routes
-    to :func:`~repro.core.search_space.solve_space`.  The raw engine
-    object stays reachable as ``result.solution``.
+    :class:`~repro.api.SearchConfig`).  The solve runs through the
+    search runner (:mod:`repro.core.parallel`): ``config.restarts``
+    independent chains from the derived streams
+    ``derived_rng(seed, C, restart)``, the best kept, on up to
+    ``config.jobs`` processes -- the result is the same for every
+    ``jobs`` value.  ``config.space`` picks the search space; in the
+    mesh spaces ``objective``, if given, must be a
+    :class:`~repro.core.search_space.MeshObjective`.  The winning
+    engine object stays reachable as ``result.solution``.
 
     ``warm_start`` (row space only) is the design cache's neighbor
     seam: the placement is clipped to the requested limit
@@ -138,67 +136,33 @@ def solve_row_problem(
     better.  The cold trajectory is untouched, so a warm-started solve
     is never worse than the cold one at the same seed and budget.
 
-    ``obs`` flows into the D&C seeder, the annealer and (when no
-    explicit ``objective`` is given) the Floyd-Warshall evaluator, so a
-    single :class:`~repro.obs.Instrumentation` observes the whole
-    solve.
+    ``obs`` flows into the D&C seeder, the annealer and the
+    Floyd-Warshall evaluator of every task, so a single
+    :class:`~repro.obs.Instrumentation` observes the whole solve.
     """
-    reject_legacy_kwargs("solve_row_problem", legacy)
+    from repro.core.parallel import solve_limit
+
     config = config or SearchConfig()
     if config.space != "row":
-        from repro.core.search_space import solve_space
+        from repro.core.search_space import mesh_objective
 
         if warm_start is not None:
             raise ConfigurationError(
                 "warm_start is row-space only; mesh-space solves take "
                 "no neighbor candidate"
             )
-        # objective, if given, must be a MeshObjective in these spaces;
-        # None builds one from the config like the row path does.
-        return PlacementResult.from_solution(solve_space(
-            n, link_limit, config.space, method=method,
-            objective=objective, params=params, obs=obs, config=config,
-        ), config)
-    if config.parallel:
-        from repro.core.parallel import parallel_row_search
-
-        # Workers rebuild the objective from picklable parts; arbitrary
-        # callables cannot cross the pool boundary.
-        cost = weights = None
-        impl = config.impl
-        if isinstance(objective, RowObjective):
-            cost, weights, impl = objective.cost, objective.weights, objective.impl
-        elif objective is not None:
-            raise ConfigurationError(
-                "parallel solve_row_problem supports RowObjective (or None); "
-                f"got {type(objective).__name__}"
-            )
-        solution, _ = parallel_row_search(
-            n, link_limit, method=method, params=params,
-            cost=cost, weights=weights, impl=impl,
-            base_seed=config.seed,
-            max_evaluations=config.max_evaluations,
-            restarts=config.effective_restarts, jobs=config.jobs,
-            chains=config.chains, obs=obs,
-        )
-        if warm_start is not None:
-            kwargs = {} if cost is None else {"cost": cost}
-            if weights is not None:
-                kwargs["weights"] = weights
-            solution = inject_warm_candidate(
-                solution, warm_start, RowObjective(impl=impl, **kwargs)
-            )
-        return PlacementResult.from_solution(solution, config)
-    solution = _solve_row(
-        n, link_limit, method=method, objective=objective,
-        params=params, rng=config.seed,
-        max_evaluations=config.max_evaluations, obs=obs,
-        progress_every=config.metrics_every, impl=config.impl,
+        objective = mesh_objective(objective, config.impl)
+    elif objective is None:
+        objective = RowObjective(impl=config.impl)
+    solution, energies = solve_limit(
+        n, link_limit, space=config.space, method=method,
+        objective=objective, params=params, config=config, obs=obs,
     )
     if warm_start is not None:
-        pricing = objective if objective is not None else RowObjective(impl=config.impl)
-        solution = inject_warm_candidate(solution, warm_start, pricing)
-    return PlacementResult.from_solution(solution, config)
+        solution = inject_warm_candidate(solution, warm_start, objective)
+    return PlacementResult.from_solution(
+        solution, config, restart_energies=((solution.link_limit, energies),)
+    )
 
 
 def inject_warm_candidate(
@@ -238,21 +202,21 @@ def _solve_row(
     link_limit: int,
     *,
     method: str = "dc_sa",
-    objective: Objective | None = None,
+    objective: Objective,
     params: AnnealingParams | None = None,
     rng=None,
     max_evaluations: Optional[int] = None,
     obs: Optional[Instrumentation] = None,
     progress_every: int = 0,
-    impl: str = "vectorized",
 ) -> RowSolution:
-    """Single-chain ``P~(n, C)`` solve (internal: no shim, ``rng`` may
-    be a shared generator)."""
+    """Single-chain ``P~(n, C)`` solve: one task of the search runner.
+
+    ``rng`` may be a shared generator: application-aware slices and
+    rectangular sweeps draw several chains from one stream.
+    """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
     obs = ensure_obs(obs)
-    if objective is None:
-        objective = RowObjective(impl=impl, obs=None if obs.is_null else obs)
     params = params or AnnealingParams()
     gen = ensure_rng(rng)
     limit = effective_link_limit(n, link_limit)
@@ -422,7 +386,6 @@ def optimize(
     obs: Optional[Instrumentation] = None,
     config: Optional[SearchConfig] = None,
     warm_start: Optional[RowPlacement] = None,
-    **legacy,
 ) -> PlacementResult:
     """Full optimization: sweep ``C``, solve each ``P~(n, C)``, cost them.
 
@@ -433,26 +396,20 @@ def optimize(
     every per-``C`` solve through one instrumentation context.
 
     Execution knobs arrive in ``config`` (a
-    :class:`~repro.api.SearchConfig`).  With ``restarts``/``jobs`` > 1
-    the sweep routes to the multi-restart engine
-    (:mod:`repro.core.parallel`): independent SA chains per ``C`` with
-    per-``(C, restart)`` derived seeds, best chain kept, results
-    bit-identical across all ``jobs`` values for a fixed seed.
-    Otherwise the sequential path runs: one chain per ``C``, all fed
-    from a single shared stream seeded by ``config.seed``.  With
-    ``config.space`` set to a mesh space the sweep routes to
+    :class:`~repro.api.SearchConfig`).  The ``(C, restart)`` grid runs
+    through the search runner (:mod:`repro.core.parallel`):
+    ``config.restarts`` independent SA chains per ``C`` with
+    per-``(C, restart)`` derived seeds, best chain kept, on up to
+    ``config.jobs`` processes -- bit-identical results for every
+    ``jobs`` value at a fixed seed.  With ``config.space`` set to a
+    mesh space the sweep routes to
     :func:`~repro.core.search_space.optimize_space`.
 
     ``warm_start`` (row space only) injects a cached neighbor design as
     a post-solve candidate at every ``C``
     (:func:`inject_warm_candidate`): trajectories are untouched, so the
     result is never worse than the cold sweep at the same seed.
-
-    The pre-redesign keywords (``rng``, ``restarts``, ``jobs``, ...)
-    now raise :class:`TypeError` with migration hints; see
-    ``docs/api.md``.
     """
-    reject_legacy_kwargs("optimize", legacy)
     config = config or SearchConfig()
     start = time.perf_counter()
     if config.space != "row":
@@ -471,73 +428,28 @@ def optimize(
         return PlacementResult.from_sweep(
             sweep, config, time.perf_counter() - start
         )
-    if config.parallel:
-        from repro.core.parallel import parallel_sweep
+    from repro.core.parallel import sweep_limits
 
-        sweep = parallel_sweep(
-            n,
-            method=method,
-            bandwidth=bandwidth,
-            mix=mix,
-            cost=cost,
-            params=params,
-            base_seed=config.seed,
-            link_limits=link_limits,
-            max_evaluations=config.max_evaluations,
-            restarts=config.effective_restarts,
-            jobs=config.jobs,
-            chains=config.chains,
-            impl=config.impl,
-            obs=obs,
-        )
-        if warm_start is not None:
-            _inject_warm_into_sweep(sweep, warm_start, config.impl,
-                                    bandwidth, mix, cost)
-        return PlacementResult.from_sweep(
-            sweep, config, time.perf_counter() - start
-        )
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
-    gen = ensure_rng(config.seed)
-    obs = ensure_obs(obs)
-    limits = link_limits or bandwidth.valid_link_limits(n)
-    objective = RowObjective(
-        cost=cost, impl=config.impl, obs=None if obs.is_null else obs
+    solved = sweep_limits(
+        n, link_limits or bandwidth.valid_link_limits(n), space="row",
+        method=method, objective=RowObjective(cost=cost, impl=config.impl),
+        params=params, config=config, obs=obs,
     )
-
-    result = SweepResult(n=n, method=method)
-    for limit in limits:
-        if limit == 1:
-            solution = RowSolution(
-                n=n,
-                link_limit=1,
-                placement=RowPlacement.mesh(n),
-                energy=objective(RowPlacement.mesh(n)),
-                method=method,
-                evaluations=1,
-                wall_time_s=0.0,
-            )
-        else:
-            solution = _solve_row(
-                n,
-                limit,
-                method=method,
-                objective=objective,
-                params=params,
-                rng=gen,
-                max_evaluations=config.max_evaluations,
-                obs=obs,
-            )
-        result.solutions[limit] = solution
-        result.points[limit] = design_point(
+    sweep = SweepResult(n=n, method=method)
+    for limit, (solution, energies) in solved.items():
+        sweep.solutions[limit] = solution
+        sweep.restart_energies[limit] = energies
+        sweep.points[limit] = design_point(
             solution.placement, limit, bandwidth, mix, cost
         )
     if warm_start is not None:
-        _inject_warm_into_sweep(result, warm_start, config.impl,
+        _inject_warm_into_sweep(sweep, warm_start, config.impl,
                                 bandwidth, mix, cost)
     return PlacementResult.from_sweep(
-        result, config, time.perf_counter() - start
+        sweep, config, time.perf_counter() - start
     )
 
 

@@ -79,7 +79,7 @@ from repro.sim.config import SimConfig
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
-from repro.util.rngtools import derived_rng, ensure_rng, fresh_entropy
+from repro.util.rngtools import derived_rng, fresh_entropy
 
 __all__ = [
     "ParetoFront",
@@ -615,7 +615,6 @@ def _run_front_task(task: _FrontTask) -> _TaskOutcome:
         params=task.params,
         rng=rng,
         max_evaluations=task.max_evaluations,
-        impl=spec.impl,
     )
     values = pricer.price_many([solution.placement])[0]
     return _TaskOutcome(
@@ -905,10 +904,10 @@ def pareto_front(
         )
 
     if len(chosen) == 1:
-        # Degenerate single-axis front: the scalar solve itself.  The
-        # rng stream matches solve_row_problem's exactly, which is the
-        # bitwise endpoint-agreement contract both drivers share.
-        rng = ensure_rng(config.seed)
+        # Degenerate single-axis front: the scalar solve itself, on the
+        # stream of solve_row_problem's restart 0 -- the bitwise
+        # endpoint-agreement contract both drivers share.
+        rng = derived_rng(base_seed, effective_link_limit(n, link_limit), 0)
         if chosen[0] == "latency":
             solution = _solve_row(
                 n,
@@ -918,7 +917,6 @@ def pareto_front(
                 params=params,
                 rng=rng,
                 max_evaluations=config.max_evaluations,
-                impl=config.impl,
             )
         else:
             solution = _solve_row(
@@ -929,7 +927,6 @@ def pareto_front(
                 params=params,
                 rng=rng,
                 max_evaluations=config.max_evaluations,
-                impl=config.impl,
             )
         pricer.price_many([solution.placement], config.jobs)
     else:

@@ -13,8 +13,9 @@ generalizes the whole search stack to two mesh-level spaces built on
 It provides the mesh objective (:class:`MeshObjective`), SA move
 kernels implementing the same state protocol as
 :class:`~repro.core.connection_matrix.ConnectionMatrix` (so
-:func:`~repro.core.annealing.anneal` and ``anneal_population`` run
-unchanged), exhaustive searches at small ``n``, and the
+:func:`~repro.core.annealing.anneal` runs unchanged), exhaustive
+searches at small ``n``, the single-chain solve the search runner
+(:mod:`repro.core.parallel`) executes per task, and the
 :func:`solve_space` / :func:`optimize_space` entry points the CLI's
 ``--space`` flag routes to.
 
@@ -42,12 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api import SEARCH_SPACES, SearchConfig
-from repro.core.annealing import (
-    AnnealingParams,
-    AnnealingResult,
-    anneal,
-    anneal_population,
-)
+from repro.core.annealing import AnnealingParams, AnnealingResult, anneal
 from repro.core.branch_bound import effective_link_limit, exhaustive_matrix_search
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.divide_conquer import initial_solution
@@ -57,7 +53,6 @@ from repro.core.latency import (
     RowObjective,
     row_head_latency_matrix,
 )
-from repro.core.optimizer import METHODS
 from repro.obs.instrument import Instrumentation, ensure_obs
 from repro.routing.impls import check_impl
 from repro.routing.shortest_path import (
@@ -68,7 +63,7 @@ from repro.routing.shortest_path import (
 from repro.topology.grid import Grid2DPlacement, HeteroPlacement, MeshRowsPlacement
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
-from repro.util.rngtools import derived_rng, ensure_rng, fresh_entropy
+from repro.util.rngtools import ensure_rng
 
 #: The mesh-level spaces this module searches (``"row"`` is the
 #: classic path in :mod:`repro.core.optimizer`).
@@ -347,9 +342,9 @@ class HeteroMatrix:
     and every valid placement is reachable.  Implements the same state
     protocol as ``ConnectionMatrix`` (``copy`` / ``decode`` / ``flip``
     / ``random_move`` / ``num_connection_points`` / ``n`` /
-    ``link_limit``), so :func:`~repro.core.annealing.anneal` and
-    ``anneal_population`` drive it unchanged; a move flips one bit of
-    one row and consumes exactly one RNG draw, like the row kernel.
+    ``link_limit``), so :func:`~repro.core.annealing.anneal` drives it
+    unchanged; a move flips one bit of one row and consumes exactly
+    one RNG draw, like the row kernel.
     """
 
     def __init__(self, n: int, link_limit: int, bits: np.ndarray) -> None:
@@ -820,6 +815,19 @@ class SpaceSolution:
     exact: Optional[SpaceExactResult] = None
 
 
+def mesh_objective(objective, impl: str) -> MeshObjective:
+    """The objective of a mesh-space search: ``objective`` itself, or a
+    fresh :class:`MeshObjective` for ``None``."""
+    if objective is None:
+        return MeshObjective(impl=impl)
+    if not isinstance(objective, MeshObjective):
+        raise ConfigurationError(
+            f"mesh-space solves need a MeshObjective (or None); got "
+            f"{type(objective).__name__}"
+        )
+    return objective
+
+
 def solve_space(
     n: int,
     link_limit: int,
@@ -832,34 +840,49 @@ def solve_space(
 ) -> SpaceSolution:
     """Solve ``P~(n, C)`` in a mesh-level space.
 
-    The mesh twin of :func:`repro.core.optimizer.solve_row_problem`:
+    The mesh twin of :func:`repro.core.optimizer.solve_row_problem`,
+    run by the same search runner: ``config.restarts`` chains of
+    :func:`solve_space_chain` from the derived streams
+    ``derived_rng(seed, C, restart)`` on up to ``config.jobs``
+    processes, the best kept (ties to the lowest restart).
+    """
+    from repro.core.parallel import solve_limit
+
+    _check_space(space)
+    config = config or SearchConfig()
+    solution, _ = solve_limit(
+        n, link_limit, space=space, method=method,
+        objective=mesh_objective(objective, config.impl), params=params,
+        config=config, obs=obs,
+    )
+    return solution
+
+
+def solve_space_chain(
+    n: int,
+    link_limit: int,
+    space: str,
+    *,
+    method: str = "dc_sa",
+    objective: MeshObjective,
+    params: AnnealingParams | None = None,
+    rng=None,
+    max_evaluations: Optional[int] = None,
+    obs: Optional[Instrumentation] = None,
+    progress_every: int = 0,
+) -> SpaceSolution:
+    """One chain of a mesh-space solve: one task of the search runner.
+
     ``"exact"`` runs the per-space exhaustive search, ``"dc_sa"`` seeds
     simulated annealing with the replicated D&C row solution (the same
     warm start the row space gets, embedded in the larger space) and
-    ``"only_sa"`` starts from a random feasible state.  ``config.chains
-    > 1`` runs a lockstep :func:`~repro.core.annealing
-    .anneal_population` with one derived RNG stream per chain
-    (``derived_rng(seed, C, chain)``); the best chain wins, ties to the
-    lowest index.  Multi-process ``restarts``/``jobs`` stay
-    row-space-only (``SearchConfig`` enforces this).
+    ``"only_sa"`` starts from a random feasible state drawn from
+    ``rng``.
     """
     _check_space(space)
-    if method not in METHODS:
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        )
-    config = config or SearchConfig()
     obs = ensure_obs(obs)
-    if objective is None:
-        objective = MeshObjective(
-            impl=config.impl, obs=None if obs.is_null else obs
-        )
-    elif not isinstance(objective, MeshObjective):
-        raise ConfigurationError(
-            f"mesh-space solves need a MeshObjective (or None); got "
-            f"{type(objective).__name__}"
-        )
     params = params or AnnealingParams()
+    gen = ensure_rng(rng)
     limit = effective_link_limit(n, link_limit)
     start = time.perf_counter()
     if obs.enabled:
@@ -880,7 +903,6 @@ def solve_space(
     seed_placement = None
     seed_energy: Optional[float] = None
     seed_evaluations = 0
-    state0 = None
     if method == "dc_sa":
         if objective.per_row_weights:
             rows: List[RowPlacement] = []
@@ -895,43 +917,22 @@ def solve_space(
             seed_evaluations = s.evaluations
         seed_energy = objective(seed_placement)
         state0 = _state_from_placement(space, seed_placement, limit)
-
-    chains = config.chains
-    if chains > 1:
-        base_seed = fresh_entropy() if config.seed is None else config.seed
-        rngs = [derived_rng(base_seed, limit, k) for k in range(chains)]
-        if state0 is not None:
-            initials = [state0 for _ in range(chains)]
-        else:
-            initials = [
-                _random_state(space, n, limit, gen) for gen in rngs
-            ]
-        with obs.span("solve.anneal"):
-            results = anneal_population(
-                initials, objective, params=params, rngs=rngs,
-                max_evaluations=config.max_evaluations, obs=obs,
-            )
-        best = min(range(chains), key=lambda k: (results[k].best_energy, k))
-        sa = results[best]
-        sa_evaluations = sum(r.evaluations for r in results)
     else:
-        gen = ensure_rng(config.seed)
-        if state0 is None:
-            state0 = _random_state(space, n, limit, gen)
-        with obs.span("solve.anneal"):
-            sa = anneal(
-                state0, objective, params=params, rng=gen,
-                max_evaluations=config.max_evaluations, obs=obs,
-                progress_every=config.metrics_every,
-            )
-        sa_evaluations = sa.evaluations
+        state0 = _random_state(space, n, limit, gen)
+
+    with obs.span("solve.anneal"):
+        sa = anneal(
+            state0, objective, params=params, rng=gen,
+            max_evaluations=max_evaluations, obs=obs,
+            progress_every=progress_every,
+        )
     placement, energy = sa.best_placement, sa.best_energy
     if seed_energy is not None and seed_energy < energy:
         placement, energy = seed_placement, seed_energy
     return SpaceSolution(
         n=n, link_limit=link_limit, space=space, placement=placement,
         energy=energy, method=method,
-        evaluations=sa_evaluations + seed_evaluations,
+        evaluations=sa.evaluations + seed_evaluations,
         wall_time_s=time.perf_counter() - start, annealing=sa,
     )
 
@@ -991,8 +992,9 @@ class SpaceSweepResult:
     """Outcome of the full ``C`` sweep in one mesh-level space.
 
     Duck-typed like :class:`~repro.core.optimizer.SweepResult` (``best``
-    / ``latency_curve`` / ``points`` / ``solutions``), so reporting and
-    ledger digests work on either.
+    / ``latency_curve`` / ``points`` / ``solutions`` /
+    ``restart_energies``), so reporting and ledger digests work on
+    either.
     """
 
     n: int
@@ -1000,7 +1002,7 @@ class SpaceSweepResult:
     method: str
     points: Dict[int, SpaceDesignPoint] = field(default_factory=dict)
     solutions: Dict[int, SpaceSolution] = field(default_factory=dict)
-    chains: int = 1
+    restart_energies: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
 
     @property
     def best(self) -> SpaceDesignPoint:
@@ -1025,36 +1027,27 @@ def optimize_space(
     """Full optimization in a mesh-level space: sweep ``C``, cost designs.
 
     The mesh twin of :func:`repro.core.optimizer.optimize`, which
-    routes here when ``config.space`` is ``"hetero"`` or ``"grid2d"``.
+    routes here when ``config.space`` is ``"hetero"`` or ``"grid2d"``;
+    the ``(C, restart)`` grid runs through the same search runner.
     ``C = 1`` short-circuits to the plain mesh, exactly as the row
     sweep does.
     """
+    from repro.core.parallel import sweep_limits
+
     _check_space(space)
     config = config or SearchConfig()
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
-    obs = ensure_obs(obs)
-    limits = link_limits or bandwidth.valid_link_limits(n)
-    objective = MeshObjective(
-        cost=cost, impl=config.impl, obs=None if obs.is_null else obs
+    solved = sweep_limits(
+        n, link_limits or bandwidth.valid_link_limits(n), space=space,
+        method=method, objective=MeshObjective(cost=cost, impl=config.impl),
+        params=params, config=config, obs=obs,
     )
-    result = SpaceSweepResult(n=n, space=space, method=method,
-                              chains=config.chains)
-    for limit in limits:
-        if limit == 1:
-            placement = _space_class(space).mesh(n)
-            solution = SpaceSolution(
-                n=n, link_limit=1, space=space, placement=placement,
-                energy=objective(placement), method=method,
-                evaluations=1, wall_time_s=0.0,
-            )
-        else:
-            solution = solve_space(
-                n, limit, space, method=method, objective=objective,
-                params=params, obs=obs, config=config,
-            )
+    result = SpaceSweepResult(n=n, space=space, method=method)
+    for limit, (solution, energies) in solved.items():
         result.solutions[limit] = solution
+        result.restart_energies[limit] = energies
         result.points[limit] = space_design_point(
             solution.placement, limit, bandwidth, mix, cost
         )

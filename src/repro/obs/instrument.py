@@ -80,14 +80,27 @@ class Instrumentation:
         ``--jobs K``.  Worker-side stamps (the ``task`` coordinates,
         ``span_id`` links) ride inside the payloads untouched, which is
         what keeps span parent/child relationships attributable after
-        the merge.
+        the merge.  Without a ``worker`` the events join this bus's own
+        stream, so their span ids are shifted into a range reserved
+        from this recorder and cannot collide with its other spans.
         """
         if not self.enabled:
             return
+        events = list(events)
+        offset = 0
+        if worker is None:
+            ids = [ev["payload"]["span_id"] for ev in events
+                   if ev["kind"] == "span" and "span_id" in ev.get("payload", ())]
+            if ids:
+                offset = self.spans.reserve_ids(max(ids) + 1)
         for ev in events:
             payload = dict(ev.get("payload", ()))
             if worker is not None:
                 payload.setdefault("worker", worker)
+            elif ev["kind"] == "span":
+                for key in ("span_id", "parent_span_id"):
+                    if key in payload:
+                        payload[key] += offset
             self.bus.emit(
                 ev["kind"], move=ev.get("move"), cycle=ev.get("cycle"), **payload
             )

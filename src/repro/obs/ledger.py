@@ -14,7 +14,7 @@ parameters, the result-shaping execution knobs and the seed -- so it is
 computable **before** the run (it stamps the trace context via
 ``obs.set_context(run_id=...)``) and identical runs overwrite the same
 manifest (idempotent, cache-friendly).  Wall-clock knobs (``jobs``,
-``chains``) and observability knobs (``trace_out``, ``profile``,
+``impl``) and observability knobs (``trace_out``, ``profile``,
 ``metrics_every``, ``ledger``) are excluded from the identity because
 the engines guarantee they cannot change results.
 
@@ -52,8 +52,7 @@ LEDGER_ROOT = os.path.join(".repro", "runs")
 #: parity gates -- the same search yields the same run_id whether it
 #: was priced by the NumPy, reference, or native kernels.
 NON_IDENTITY_FIELDS = frozenset({
-    "jobs", "chains", "trace_out", "metrics_every", "profile", "ledger",
-    "impl",
+    "jobs", "trace_out", "metrics_every", "profile", "ledger", "impl",
 })
 
 

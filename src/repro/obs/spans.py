@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 @dataclass
@@ -109,6 +109,29 @@ class SpanRecorder:
 
     def span(self, name: str) -> Span:
         return Span(self, name)
+
+    def merge(self, stats: Iterable[SpanStats]) -> None:
+        """Fold aggregates recorded by another recorder into this one.
+
+        The search runner records each task's spans in the task's own
+        recorder (on a pool worker or inline) and merges them here, so
+        a profile lists the same spans and call counts at every
+        ``jobs`` value.
+        """
+        for other in stats:
+            mine = self.stats.get(other.name)
+            if mine is None:
+                mine = self.stats[other.name] = SpanStats(other.name)
+            mine.calls += other.calls
+            mine.total_s += other.total_s
+            mine.self_s += other.self_s
+            mine.max_s = max(mine.max_s, other.max_s)
+
+    def reserve_ids(self, count: int) -> int:
+        """Claim ``count`` span ids; returns the first one."""
+        first = self._next_id
+        self._next_id += count
+        return first
 
     def top(self, k: Optional[int] = None) -> List[SpanStats]:
         """Span aggregates sorted by cumulative time, descending."""

@@ -18,7 +18,7 @@ usable on the current machine, and how a request resolves:
     with the system C compiler.  Bit-identical to ``"vectorized"`` by
     the cross-impl parity suites -- distances, next-hop tables, and SA
     trajectories -- so the tier is a pure wall-clock knob, excluded
-    from ledger run identities like ``--jobs``/``--chains``.
+    from ledger run identities like ``--jobs``.
 
 Resolution semantics (:func:`resolve_impl`):
 

@@ -40,15 +40,9 @@ after the last group equals a from-scratch solve of the final link
 set, in whatever order the groups run.  A connection-matrix bit flip
 alone is at most three changes at two right endpoints.
 
-Checkpoint / rollback
----------------------
-
-``checkpoint()`` arms an undo slot; the next ``apply_link_changes``
-snapshots the (small) block it is about to overwrite.  ``rollback()``
-restores the block and the link set; ``commit()`` discards the slot.
-Only one change set can be pending at a time.  The annealer does not
-need it: its engine walk never undoes a priced state, it only moves on
-to the next miss.
+A change set is undone by applying its inverse (every add becomes a
+remove and vice versa); the annealer never needs even that, since its
+engine walk only moves on to the next memo miss.
 
 Drift self-check
 ----------------
@@ -122,8 +116,6 @@ class IncrementalApspEngine:
         self.links = set(placement.express_links)
         self._hop = [self.cost.hop_cost(k) for k in range(max(self.n, 2))]
         self._upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
-        self._armed = False
-        self._undo = None
         self._rebuild()
 
     # -- construction / repair ------------------------------------------
@@ -138,7 +130,6 @@ class IncrementalApspEngine:
         self._D = np.where(self._upper, stack[0], stack[1])
         np.fill_diagonal(self._D, 0.0)
         self._dirty = []  # (rows, b) boxes where _D lags _S
-        self._d_touched = False
 
     @property
     def placement(self) -> RowPlacement:
@@ -200,17 +191,8 @@ class IncrementalApspEngine:
                 self._D[:rows, b:] = self._S[0, :rows, b:]
                 self._D[b:, :rows] = self._S[1, :rows, b:].T
             self._dirty = []
-            self._d_touched = True
 
     # -- edit API --------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Arm the undo slot: the next change set becomes revertible."""
-        if self._undo is not None:
-            raise ConfigurationError(
-                "a change set is already pending; commit() or rollback() first"
-            )
-        self._armed = True
 
     def apply_link_changes(self, changes: Sequence[LinkChange]) -> None:
         """Apply link additions/removals and update both distance layers.
@@ -220,22 +202,12 @@ class IncrementalApspEngine:
         one exact block rewrite per endpoint (see the module
         docstring).
         """
-        if self._armed and self._undo is not None:
-            raise ConfigurationError(
-                "a change set is already pending; commit() or rollback() first"
-            )
         links = self.links
         for a, b, is_add in changes:
             if is_add == ((a, b) in links):
                 verb = "add existing" if is_add else "remove absent"
                 raise ConfigurationError(f"cannot {verb} link ({a}, {b})")
         self._sync()
-        self._d_touched = False
-        if self._armed:
-            # Snapshot each group's block just before overwriting it;
-            # rollback replays the blocks in reverse so overlapping
-            # groups unwind to the original state.
-            self._undo = ([], tuple(changes))
         if len(changes) > 1:
             changes = sorted(changes, key=lambda c: c[1])
         i = 0
@@ -252,12 +224,7 @@ class IncrementalApspEngine:
                 if a > amax:
                     amax = a
                 i += 1
-            rows = amax + 1
-            if self._undo is not None:
-                self._undo[0].append(
-                    (rows, b, self._S[:, :rows, b:].copy())
-                )
-            self._dirty.append((rows, b))
+            self._dirty.append((amax + 1, b))
             self._update_boundary(amax, b)
 
     def add_link(self, a: int, b: int) -> None:
@@ -265,32 +232,6 @@ class IncrementalApspEngine:
 
     def remove_link(self, a: int, b: int) -> None:
         self.apply_link_changes([(a, b, False)])
-
-    def rollback(self) -> None:
-        """Restore the state from before the pending change set."""
-        if self._undo is None:
-            raise ConfigurationError("no pending change set to roll back")
-        blocks, changes = self._undo
-        touched = self._d_touched
-        for rows, b, block in reversed(blocks):
-            self._S[:, :rows, b:] = block
-            if touched:
-                self._D[:rows, b:] = block[0]
-                self._D[b:, :rows] = block[1].T
-        self._dirty = []
-        self._d_touched = False
-        for a, b, is_add in changes:
-            if is_add:
-                self.links.discard((a, b))
-            else:
-                self.links.add((a, b))
-        self._undo = None
-        self._armed = False
-
-    def commit(self) -> None:
-        """Accept the pending change set and drop its undo snapshot."""
-        self._undo = None
-        self._armed = False
 
     # -- read API --------------------------------------------------------
 
@@ -363,11 +304,6 @@ class IncrementalApspEngine:
     def self_check(self) -> bool:
         """True iff state is bit-identical to a from-scratch solve
         (both directional layers, the combined matrix, and next-hops)."""
-        if self._undo is not None:
-            raise ConfigurationError(
-                "self_check() with a pending change set; "
-                "commit() or rollback() first"
-            )
         dist, nh = floyd_warshall_batch(weight_stack(self.placement, self.cost))
         if not np.array_equal(self._S[0], dist[0]):
             return False
@@ -383,8 +319,6 @@ class IncrementalApspEngine:
 
     def resync(self) -> None:
         """Rebuild all state from scratch (drift repair)."""
-        self._armed = False
-        self._undo = None
         self._rebuild()
 
 

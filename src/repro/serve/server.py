@@ -254,7 +254,13 @@ class ServeApp:
         spec = self._place_spec(body)
         cfg: SearchConfig = spec["config"]
         key = self.store.key_for("optimize", spec["params"], cfg, cfg.seed)
-        cached = self.store.get(key)
+        try:
+            cached = self.store.get(key)
+        except ConfigurationError:
+            # An entry this version cannot read is a miss: the
+            # recompute below overwrites it atomically.
+            self.metrics.counter("serve.cache.corrupt").inc()
+            cached = None
         if cached is not None:
             self.metrics.counter("serve.cache.hit").inc()
             return self._place_response(cached, "hit")

@@ -94,13 +94,22 @@ class DesignStore:
 
     # -- read ----------------------------------------------------------
     def get(self, key: str) -> Optional[StoreEntry]:
-        """Load one entry, or ``None`` on a cache miss."""
+        """Load one entry, or ``None`` on a cache miss.
+
+        An entry that exists but does not parse -- truncated, edited,
+        or written in a layout this version no longer reads -- raises
+        :class:`~repro.util.errors.ConfigurationError` naming the key.
+        """
         path = self.entry_path(key)
         if not os.path.isfile(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return self._entry_from_payload(payload)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return self._entry_from_payload(json.load(fh))
+        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"unreadable design-store entry {key}: {exc}"
+            ) from None
 
     def _entry_from_payload(self, payload: Dict) -> StoreEntry:
         return StoreEntry(

@@ -19,7 +19,6 @@ from repro.core.annealing import AnnealingParams, anneal
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective
 from repro.core.optimizer import optimize, solve_row_problem
-from repro.core.parallel import parallel_sweep
 from repro.obs import Instrumentation, MemorySink
 from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.shortest_path import HopCostModel
@@ -220,10 +219,11 @@ class TestEndToEnd:
         assert incr.evaluations == base.evaluations
 
     def test_parallel_restarts_parity(self):
-        base = parallel_sweep(
-            6, params=SMOKE, base_seed=47, restarts=2, jobs=2, impl="reference"
-        )
-        incr = parallel_sweep(6, params=SMOKE, base_seed=47, restarts=2, jobs=2)
+        cfg = SearchConfig(seed=47, restarts=2, jobs=2)
+        base = optimize(
+            6, params=SMOKE, config=cfg.with_updates(impl="reference")
+        ).sweep
+        incr = optimize(6, params=SMOKE, config=cfg).sweep
         for c, sol in base.solutions.items():
             assert incr.solutions[c].placement == sol.placement
         assert base.restart_energies == incr.restart_energies

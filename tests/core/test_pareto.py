@@ -207,9 +207,12 @@ class TestFrontSearch:
 
     @pytest.mark.parametrize("driver", ["epsilon", "nsga2"])
     def test_single_objective_matches_scalar_solve_bitwise(self, driver):
-        front = pareto_front(8, 2, objectives=("latency",), driver=driver,
+        # P(8, 3) at this budget ends in different designs under the
+        # seed's own stream and the derived (C, restart 0) stream, so
+        # agreement here pins the shared stream, not convergence.
+        front = pareto_front(8, 3, objectives=("latency",), driver=driver,
                              params=SMOKE, config=CFG)
-        scalar = solve_row_problem(8, 2, method="dc_sa", params=SMOKE,
+        scalar = solve_row_problem(8, 3, method="dc_sa", params=SMOKE,
                                    config=CFG)
         assert len(front.points) == 1
         point = front.points[0]

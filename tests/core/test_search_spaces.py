@@ -9,13 +9,15 @@ must never leave the feasible set, fold symmetries involutively, and
 key their memo entries injectively across spaces.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SearchConfig, place_express_links
-from repro.core.annealing import MemoizedObjective, anneal, anneal_population
+from repro.core.annealing import MemoizedObjective, anneal
 from repro.core.branch_bound import exhaustive_matrix_search
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective, row_head_latency_matrix
@@ -36,7 +38,6 @@ from repro.core.search_space import (
 from repro.topology.grid import Grid2DPlacement, HeteroPlacement
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
-from repro.util.rngtools import derived_rng
 
 PARITY_CASES = [(n, c) for n in (4, 6, 8) for c in (2, 3, 4)]
 
@@ -309,30 +310,6 @@ class TestAnnealingIntegration:
         sa.best_placement.validate(c)
         assert sa.best_energy == MeshObjective()(sa.best_placement)
 
-    @pytest.mark.parametrize("cls", [HeteroMatrix, Grid2DChords])
-    def test_population_matches_serial(self, cls):
-        # anneal_population on mesh states is trajectory-equivalent to
-        # serial anneal runs -- the same guarantee the row space pins.
-        n, c = 5, 2
-        objective = MeshObjective()
-        initials = [
-            cls.random(n, c, derived_rng(11, 0, k)) for k in range(3)
-        ]
-        pop = anneal_population(
-            initials, objective,
-            rngs=[derived_rng(11, 1, k) for k in range(3)],
-            max_evaluations=60,
-        )
-        for k, r in enumerate(pop):
-            serial = anneal(
-                initials[k], objective,
-                rng=derived_rng(11, 1, k), max_evaluations=60,
-            )
-            assert r.best_energy == serial.best_energy
-            assert r.best_placement == serial.best_placement
-            assert r.evaluations == serial.evaluations
-            assert r.trace == serial.trace
-
 
 class TestExhaustiveSearches:
     def test_hetero_equals_row_bitwise_shared_weights(self):
@@ -411,10 +388,29 @@ class TestSolveAndOptimize:
             HeteroPlacement.replicate(seed_solution.placement)
         )
 
-    def test_chains_supported(self):
-        cfg = SearchConfig(seed=4, chains=2, max_evaluations=80)
-        s = solve_space(5, 2, "grid2d", method="only_sa", config=cfg)
-        s.placement.validate(2)
+    @pytest.mark.parametrize("space", ["hetero", "grid2d"])
+    def test_jobs_never_change_mesh_results(self, space):
+        # Mesh spaces run on the same (C, restart) runner as the row:
+        # restarts/jobs apply, and jobs is a pure wall-clock knob.
+        def run(entry, *args, restarts, jobs):
+            cfg = SearchConfig(seed=4, restarts=restarts, jobs=jobs,
+                               space=space, max_evaluations=80)
+            data = entry(*args, config=cfg).to_json()
+            del data["wall_time_s"], data["config"]["jobs"]
+            return json.dumps(data, sort_keys=True)
+
+        for restarts in (1, 3):
+            for entry, args in ((optimize, (5,)), (solve_row_problem, (5, 2))):
+                assert (run(entry, *args, restarts=restarts, jobs=1)
+                        == run(entry, *args, restarts=restarts, jobs=2))
+        solve = [
+            solve_space(5, 2, space, method="only_sa", config=SearchConfig(
+                seed=4, restarts=3, jobs=jobs, max_evaluations=80))
+            for jobs in (1, 2)
+        ]
+        assert solve[0].placement == solve[1].placement
+        assert solve[0].energy == solve[1].energy
+        solve[0].placement.validate(2)
 
     def test_optimize_routes_by_config_space(self):
         cfg = SearchConfig(seed=1, max_evaluations=60, space="hetero")
@@ -466,13 +462,6 @@ class TestSearchConfigSpace:
     def test_unknown_space_rejected(self):
         with pytest.raises(ConfigurationError):
             SearchConfig(space="torus")
-
-    def test_row_only_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SearchConfig(space="hetero", restarts=2)
-        with pytest.raises(ConfigurationError):
-            SearchConfig(space="grid2d", jobs=2)
-        SearchConfig(space="grid2d", chains=3)  # chains are fine
 
     def test_place_express_links_supports_mesh_spaces(self):
         # The facade used to reject non-row spaces; the unified result

@@ -319,6 +319,24 @@ class TestParallelDeterminism:
         assert "SA stages:" in report
 
 
+    def test_cli_profile_lists_same_spans_at_every_jobs(self, capsys):
+        # Worker tasks ship their span aggregates home, so --profile
+        # names the same spans with the same call counts at any --jobs.
+        def profile(jobs):
+            assert main([
+                "optimize", "--n", "6", "--effort", "smoke",
+                "--jobs", str(jobs), "--profile",
+            ]) == 0
+            out = capsys.readouterr().out
+            table = out.split("profile (by cumulative time):")[1]
+            rows = table.split("metrics:")[0].strip().splitlines()[1:]
+            return sorted((row.split()[0], int(row.split()[1])) for row in rows)
+
+        serial = profile(1)
+        assert {"parallel.sweep", "solve.anneal"} <= {name for name, _ in serial}
+        assert profile(2) == serial
+
+
 class TestTraceReportCli:
     def test_round_trip_solve(self, tmp_path, capsys):
         trace = str(tmp_path / "run.jsonl")
@@ -456,6 +474,24 @@ class TestTraceReportWorkerViews:
         elapsed = [float(line.split()[-3].rstrip("s"))
                    for line in lines[1:]]
         assert elapsed == sorted(elapsed, reverse=True)
+
+    def test_serial_trace_span_ids_stay_unique(self, tmp_path, capsys):
+        # Inline tasks record into private recorders and replay
+        # unstamped; their span ids move into ranges reserved from the
+        # parent recorder, so one "main" span tree stays unambiguous.
+        trace = str(tmp_path / "serial.jsonl")
+        assert main([
+            "optimize", "--n", "6", "--effort", "smoke", "--restarts", "2",
+            "--trace-out", trace,
+        ]) == 0
+        capsys.readouterr()
+        from repro.obs import load_events
+
+        spans = [e["payload"] for e in load_events(trace) if e["kind"] == "span"]
+        assert all("worker" not in s for s in spans)
+        ids = [s["span_id"] for s in spans]
+        assert len(ids) == len(set(ids)) > 1
+        assert {s["parent_span_id"] for s in spans if "parent_span_id" in s} <= set(ids)
 
     def test_single_worker_trace_degrades_to_one_row(self, tmp_path, capsys):
         trace = str(tmp_path / "solo.jsonl")

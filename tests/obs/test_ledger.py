@@ -14,6 +14,8 @@ from repro.obs.ledger import (
     config_identity,
     diff_manifests,
     digest_parts,
+    optimize_params,
+    solve_params,
 )
 from repro.util.errors import ConfigurationError
 
@@ -32,26 +34,39 @@ class TestRunId:
         assert compute_run_id("optimize", {"n": 6}, SearchConfig(seed=1), 1) != base
 
     def test_wall_clock_and_obs_knobs_excluded(self):
-        # jobs/chains and observability settings cannot change results,
-        # so they must not change the identity either.
+        # jobs and observability settings cannot change results, so
+        # they must not change the identity either.
         base = SearchConfig(seed=1)
         for variant in (
             SearchConfig(seed=1, jobs=8),
-            SearchConfig(seed=1, chains=4, restarts=4),
+            SearchConfig(seed=1, metrics_every=10),
             SearchConfig(seed=1, trace_out="t.jsonl", profile=True),
             SearchConfig(seed=1, ledger=".repro/runs"),
         ):
-            if variant.restarts == base.restarts:
-                assert (
-                    compute_run_id("solve", {"n": 6}, variant, 1)
-                    == compute_run_id("solve", {"n": 6}, base, 1)
-                )
+            assert (
+                compute_run_id("solve", {"n": 6}, variant, 1)
+                == compute_run_id("solve", {"n": 6}, base, 1)
+            )
         assert "jobs" not in config_identity(base)
         assert "restarts" in config_identity(base)
 
+    @pytest.mark.parametrize("kind,params,config,run_id", [
+        ("optimize", optimize_params(6, "dc_sa", "smoke"),
+         SearchConfig(seed=2019), "3ac2202c44bda8a0"),
+        ("solve", solve_params(6, 3, "dc_sa", "smoke"),
+         SearchConfig(seed=2019, restarts=2), "2fb8acffca4a8e9f"),
+        ("optimize", optimize_params(6, "dc_sa", "smoke", "grid2d"),
+         SearchConfig(seed=2019, space="grid2d"), "bab5e1cda5bcd5b9"),
+    ], ids=["optimize", "solve-restarts", "optimize-grid2d"])
+    def test_pinned_run_ids(self, kind, params, config, run_id):
+        # Ledger entries and design-store keys written by earlier
+        # versions stay addressable: retiring an execution knob must
+        # not move an identity.
+        assert compute_run_id(kind, params, config, config.seed) == run_id
+
     def test_impl_excluded_from_identity(self):
         # The kernel tiers are bit-identical by the cross-impl parity
-        # gates, so ``impl`` is a wall-clock knob like jobs/chains: the
+        # gates, so ``impl`` is a wall-clock knob like jobs: the
         # same search priced by any tier owns the same run_id.
         base = compute_run_id("optimize", {"n": 8}, SearchConfig(seed=3), 3)
         fields = dataclasses.asdict(SearchConfig(seed=3))

@@ -1,17 +1,16 @@
 """Population-batched evaluation == scalar evaluation, bit for bit.
 
 The batched kernels (`weight_stack_population`, `batched_mean_distances`,
-``RowObjective.evaluate_many``, :func:`anneal_population`) exist purely
-for throughput: one ``(2B, n, n)`` Floyd-Warshall stack instead of ``B``
-``(2, n, n)`` passes.  Min-plus relaxation is elementwise per slice and
+``RowObjective.evaluate_many``) exist purely for throughput -- the exact
+searches and the serving layer's ``/evaluate`` batcher price whole
+populations with them: one ``(2B, n, n)`` Floyd-Warshall stack instead
+of ``B`` ``(2, n, n)`` passes.  Min-plus relaxation is elementwise per slice and
 the final reduction runs over each slice's contiguous row, so the
 contract is *bit-identical* results -- strict ``==`` on floats, byte
 equality on placements -- which is what every test here demands.
 
 Hypothesis drives the population shapes (including ``B = 1`` and
-duplicate members) and non-integral hop costs; fixed-seed tests pin the
-lockstep-SA and chains-vs-restarts equivalences end to end.  The
-kernel-level checks are cross-impl gates: they run once per tier
+duplicate members) and non-integral hop costs.  The kernel-level checks are cross-impl gates: they run once per tier
 available on this machine (``native`` joins when a compiled backend
 loads), always comparing against the default path's bits.
 """
@@ -21,12 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.annealing import (
-    AnnealingParams,
-    MemoizedObjective,
-    anneal,
-    anneal_population,
-)
+from repro.api import SearchConfig
+from repro.core.annealing import AnnealingParams, MemoizedObjective
 from repro.core.branch_bound import validated_link_limit
 from repro.core.connection_matrix import (
     ConnectionMatrix,
@@ -34,7 +29,7 @@ from repro.core.connection_matrix import (
     iter_unique_placements,
 )
 from repro.core.latency import RowObjective
-from repro.core.parallel import parallel_row_search, parallel_sweep
+from repro.core.optimizer import solve_row_problem
 from repro.obs import MemorySink
 from repro.obs.instrument import Instrumentation
 from repro.routing.impls import available_impls
@@ -47,7 +42,6 @@ from repro.routing.shortest_path import (
 )
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
-from repro.util.rngtools import derived_rng, ensure_rng
 
 #: Integral and deliberately non-integral hop costs: the fold/dedup
 #: fast paths gate on integrality, so both branches must agree.
@@ -219,104 +213,6 @@ def test_iter_unique_placements_block_size_invariant():
 
 
 # ----------------------------------------------------------------------
-# Lockstep SA == K serial chains
-# ----------------------------------------------------------------------
-
-def _serial_and_population(n, limit, K, base_seed):
-    objective = RowObjective()
-    initials = [
-        ConnectionMatrix.random(n, limit, ensure_rng(derived_rng(base_seed, limit, k)))
-        for k in range(K)
-    ]
-    serial = [
-        anneal(
-            initials[k].copy(),
-            MemoizedObjective(objective),
-            params=SMOKE,
-            rng=ensure_rng(derived_rng(base_seed, limit, 1000 + k)),
-        )
-        for k in range(K)
-    ]
-    population = anneal_population(
-        initials,
-        objective,
-        params=SMOKE,
-        rngs=[ensure_rng(derived_rng(base_seed, limit, 1000 + k)) for k in range(K)],
-    )
-    return serial, population
-
-
-@pytest.mark.parametrize("K", [1, 3, 4])
-def test_anneal_population_reproduces_serial_chains(K):
-    serial, population = _serial_and_population(8, 3, K, base_seed=2019)
-    assert len(population) == K
-    for s, p in zip(serial, population):
-        assert p.best_placement.canonical_bytes() == s.best_placement.canonical_bytes()
-        assert p.best_energy == s.best_energy
-        assert p.initial_energy == s.initial_energy
-        assert p.evaluations == s.evaluations
-        assert p.accepted_moves == s.accepted_moves
-        assert p.uphill_accepted == s.uphill_accepted
-        assert p.trace == s.trace
-
-
-def test_anneal_population_rejects_rng_length_mismatch():
-    objective = RowObjective()
-    initials = [ConnectionMatrix.random(6, 3, ensure_rng(k)) for k in range(3)]
-    with pytest.raises(ConfigurationError):
-        anneal_population(initials, objective, params=SMOKE, rngs=[ensure_rng(0)])
-
-
-def test_anneal_population_does_not_mutate_initials():
-    initials = [ConnectionMatrix.random(6, 3, ensure_rng(k)) for k in range(2)]
-    frozen = [m.copy() for m in initials]
-    anneal_population(
-        initials, RowObjective(), params=SMOKE,
-        rngs=[ensure_rng(k) for k in range(2)],
-    )
-    assert initials == frozen
-
-
-# ----------------------------------------------------------------------
-# chains=K across the engine stack
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("method", ["dc_sa", "only_sa"])
-def test_chains_equal_serial_restarts(method):
-    base_sol, base_energies = parallel_row_search(
-        8, 3, method=method, params=SMOKE, base_seed=2019, restarts=4
-    )
-    for chains, jobs in ((2, 1), (4, 1), (3, 2)):
-        sol, energies = parallel_row_search(
-            8, 3, method=method, params=SMOKE, base_seed=2019,
-            restarts=4, chains=chains, jobs=jobs,
-        )
-        assert energies == base_energies
-        assert sol.placement == base_sol.placement
-        assert sol.energy == base_sol.energy
-        assert sol.evaluations == base_sol.evaluations
-
-
-def test_chains_alone_implies_restarts():
-    _, base = parallel_row_search(8, 3, params=SMOKE, base_seed=7, restarts=3)
-    _, got = parallel_row_search(8, 3, params=SMOKE, base_seed=7, chains=3)
-    assert got == base
-
-
-def test_sweep_chains_parity():
-    a = parallel_sweep(6, params=SMOKE, base_seed=47, restarts=4)
-    b = parallel_sweep(6, params=SMOKE, base_seed=47, restarts=4, chains=2)
-    assert a.restart_energies == b.restart_energies
-    for limit, sol in a.solutions.items():
-        other = b.solutions[limit]
-        assert other.placement == sol.placement
-        assert other.energy == sol.energy
-        assert other.evaluations == sol.evaluations
-    assert (a.chains, b.chains) == (1, 2)
-
-
-
-# ----------------------------------------------------------------------
 # C validated once at the boundary
 # ----------------------------------------------------------------------
 
@@ -341,5 +237,6 @@ class TestValidatedLinkLimit:
         assert clamps[0].payload["effective_link_limit"] == 16
 
     def test_engine_solves_clamped_instance(self):
-        sol, _ = parallel_row_search(6, 99, params=SMOKE, base_seed=1)
+        sol = solve_row_problem(6, 99, params=SMOKE,
+                                config=SearchConfig(seed=1))
         assert sol.link_limit == validated_link_limit(6, 99)

@@ -1,8 +1,8 @@
 """Cross-impl parity suite for the dynamic directional-APSP engine.
 
 The contract is strong: after any sequence of link flips (including
-rejected + rolled-back ones) the engine's distances *and* next hops are
-bit-identical to a from-scratch :func:`directional_paths` solve, under
+rejected ones, undone by their inverse change set) the engine's
+distances *and* next hops are bit-identical to a from-scratch :func:`directional_paths` solve, under
 the vectorized, pure-Python reference, and (when a backend loads)
 compiled native implementations.  The engine-impl axis below runs the
 kernel-distinct tiers through the same walks, so the native
@@ -103,61 +103,6 @@ class TestSingleEdits:
         assert_matches_full(engine)
 
 
-class TestCheckpointRollback:
-    def test_rollback_restores_exact_state(self):
-        rng = np.random.default_rng(11)
-        m = ConnectionMatrix.random(8, 3, rng=rng)
-        engine = IncrementalApspEngine(m.decode())
-        snapshot = engine.distances().copy()
-        links = set(engine.links)
-        engine.checkpoint()
-        engine.apply_link_changes([(0, 4, True)])
-        engine.rollback()
-        assert engine.links == links
-        np.testing.assert_array_equal(engine.distances(), snapshot)
-        assert_matches_full(engine)
-
-    def test_commit_keeps_state(self):
-        engine = IncrementalApspEngine(RowPlacement.mesh(8))
-        engine.checkpoint()
-        engine.apply_link_changes([(2, 6, True)])
-        engine.commit()
-        assert (2, 6) in engine.links
-        assert_matches_full(engine)
-
-    def test_rollback_without_checkpoint_rejected(self):
-        engine = IncrementalApspEngine(RowPlacement.mesh(6))
-        with pytest.raises(ConfigurationError):
-            engine.rollback()
-
-    def test_double_pending_change_set_rejected(self):
-        engine = IncrementalApspEngine(RowPlacement.mesh(6))
-        engine.checkpoint()
-        engine.apply_link_changes([(0, 2, True)])
-        with pytest.raises(ConfigurationError):
-            engine.checkpoint()
-        with pytest.raises(ConfigurationError):
-            engine.apply_link_changes([(0, 3, True)])
-        engine.rollback()
-        assert_matches_full(engine)
-
-    def test_self_check_with_pending_changes_rejected(self):
-        engine = IncrementalApspEngine(RowPlacement.mesh(6))
-        engine.checkpoint()
-        engine.apply_link_changes([(0, 2, True)])
-        with pytest.raises(ConfigurationError):
-            engine.self_check()
-        engine.commit()
-        assert engine.self_check()
-
-    def test_empty_change_set_is_a_noop(self):
-        engine = IncrementalApspEngine(RowPlacement.mesh(6))
-        engine.checkpoint()
-        engine.apply_link_changes([])
-        engine.rollback()
-        assert_matches_full(engine)
-
-
 def placement_changes(counts, added, removed):
     """Fold a layer-local diff into the multiset of links over layers,
     emitting engine changes only when a link's count crosses 0 <-> 1
@@ -175,7 +120,7 @@ def placement_changes(counts, added, removed):
 
 
 class TestRandomWalks:
-    """SA-shaped walks: propose a bit flip, accept or roll back."""
+    """SA-shaped walks: propose a bit flip, accept it or undo it."""
 
     @staticmethod
     def link_counts(m):
@@ -199,14 +144,13 @@ class TestRandomWalks:
             added, removed = m.flip_diff(row, layer)
             m.flip(row, layer)
             changes = placement_changes(counts, added, removed)
-            engine.checkpoint()
             engine.apply_link_changes(changes)
-            if rng.random() < 0.4:  # reject
-                engine.rollback()
+            if rng.random() < 0.4:  # reject: apply the inverse change set
+                engine.apply_link_changes(
+                    [(a, b, not is_add) for a, b, is_add in changes]
+                )
                 m.flip(row, layer)
                 counts = self.link_counts(m)
-            else:
-                engine.commit()
             assert engine.links == set(m.decode().express_links)
             if step % 10 == 0:
                 assert_matches_full(engine)
@@ -228,9 +172,7 @@ class TestRandomWalks:
             row, layer = m.random_move(rng)
             added, removed = m.flip_diff(row, layer)
             m.flip(row, layer)
-            engine.checkpoint()
             engine.apply_link_changes(placement_changes(counts, added, removed))
-            engine.commit()
         assert_matches_full(engine, cost=cost)
 
 

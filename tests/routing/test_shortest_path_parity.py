@@ -10,11 +10,15 @@ next-hop tables over randomized rows -- all implementations relax
 ``k`` in the same order and break ties with the same strict ``<``, so
 exact equality is the contract, not an approximation.
 
-The second half proves the parallel engine is an execution detail: for
-a fixed seed, ``optimize(..., config=SearchConfig(restarts=R, jobs=K))``
-returns bit-wise the same design for every ``K``, including the inline
-``K=1`` path.
+The second half proves the search runner's worker count is an
+execution detail: for a fixed seed, ``optimize`` and
+``solve_row_problem`` with ``SearchConfig(restarts=R, jobs=K)`` return
+byte-identical results for every ``K``, including the inline ``K=1``
+path.
 """
+
+import json
+
 
 import numpy as np
 import pytest
@@ -22,8 +26,8 @@ import pytest
 from repro.core.annealing import AnnealingParams
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective
-from repro.core.optimizer import optimize
-from repro.core.parallel import parallel_row_search
+from repro.api import SearchConfig
+from repro.core.optimizer import optimize, solve_row_problem
 from repro.routing.shortest_path import (
     HopCostModel,
     LEFT_TO_RIGHT,
@@ -39,6 +43,7 @@ from repro.routing.shortest_path import (
 )
 from repro.routing.impls import available_impls
 from repro.topology.row import RowPlacement
+from repro.util.errors import ConfigurationError
 
 #: Every tier usable here ("native" joins when a backend loads); the
 #: fast tiers are gated against the oracle below.
@@ -152,10 +157,15 @@ def test_objective_identical_under_every_impl(impl):
 
 
 def _parallel_sweep(n, seed, restarts, jobs, **kwargs):
-    from repro.api import SearchConfig
-
     cfg = SearchConfig(seed=seed, restarts=restarts, jobs=jobs)
     return optimize(n, params=SMALL, config=cfg, **kwargs).sweep
+
+
+def _result_bytes(result):
+    """A result's JSON minus the fields that may differ across jobs."""
+    data = result.to_json()
+    del data["wall_time_s"], data["config"]["jobs"]
+    return json.dumps(data, sort_keys=True)
 
 
 class TestParallelEngineParity:
@@ -174,23 +184,26 @@ class TestParallelEngineParity:
             assert serial.solutions[c].evaluations == fanned.solutions[c].evaluations
         assert serial.restart_energies == fanned.restart_energies
 
+    @pytest.mark.parametrize("restarts", [1, 2])
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_every_jobs_value_agrees(self, jobs):
-        base = _parallel_sweep(6, seed=7, restarts=2, jobs=1)
-        other = _parallel_sweep(6, seed=7, restarts=2, jobs=jobs)
-        assert base.best == other.best
-        assert base.restart_energies == other.restart_energies
+    def test_every_jobs_value_agrees(self, jobs, restarts):
+        def run(entry, *args, jobs):
+            cfg = SearchConfig(seed=7, restarts=restarts, jobs=jobs)
+            return _result_bytes(entry(*args, params=SMALL, config=cfg))
+
+        assert run(optimize, 6, jobs=1) == run(optimize, 6, jobs=jobs)
+        assert (run(solve_row_problem, 8, 3, jobs=1)
+                == run(solve_row_problem, 8, 3, jobs=jobs))
 
     def test_row_search_parallel_bit_identical(self):
-        a, ea = parallel_row_search(
-            8, 4, params=SMALL, base_seed=11, restarts=4, jobs=1
-        )
-        b, eb = parallel_row_search(
-            8, 4, params=SMALL, base_seed=11, restarts=4, jobs=3
+        a, b = (
+            solve_row_problem(8, 4, params=SMALL,
+                              config=SearchConfig(seed=11, restarts=4, jobs=jobs))
+            for jobs in (1, 3)
         )
         assert a.placement == b.placement
         assert a.energy == b.energy
-        assert ea == eb
+        assert a.restart_energies == b.restart_energies
 
     def test_restart_seeds_are_independent_of_grid(self):
         # Dropping a C from the sweep must not shift other chains' seeds.
@@ -202,20 +215,29 @@ class TestParallelEngineParity:
             assert full.solutions[c].placement == partial.solutions[c].placement
             assert full.restart_energies[c] == partial.restart_energies[c]
 
+    def test_unpicklable_objective_runs_inline_only(self):
+        # The objective travels with each task: inline any callable
+        # works; a pool needs one that pickles, checked before any
+        # worker starts.
+        objective = RowObjective()
+        local = lambda placement: objective(placement)  # noqa: E731
+        cfg = SearchConfig(seed=3, restarts=2)
+        inline = solve_row_problem(6, 2, objective=local, params=SMALL,
+                                   config=cfg)
+        default = solve_row_problem(6, 2, params=SMALL, config=cfg)
+        assert inline.placement == default.placement
+        assert inline.restart_energies == default.restart_energies
+        with pytest.raises(ConfigurationError, match="picklable"):
+            solve_row_problem(6, 2, objective=local, params=SMALL,
+                              config=cfg.with_updates(jobs=2))
+
     def test_reduction_tie_break_prefers_lowest_restart(self):
         # exact method: every restart returns the same optimum, so the
         # (energy, restart) tie-break must pick restart 0.
-        sol, energies = parallel_row_search(
-            6, 2, method="exact", base_seed=1, restarts=3, jobs=2
+        sol = solve_row_problem(
+            6, 2, method="exact",
+            config=SearchConfig(seed=1, restarts=3, jobs=2),
         )
+        (_, energies), = sol.restart_energies
         assert len(set(energies)) == 1
         assert sol.energy == energies[0]
-
-    def test_generator_rng_rejected_in_parallel_mode(self):
-        from repro.util.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            parallel_row_search(
-                6, 2, params=SMALL, base_seed=np.random.default_rng(3),
-                restarts=2, jobs=2,
-            )

@@ -9,14 +9,17 @@ import asyncio
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.api import SearchConfig, evaluate_placement
+from repro.core.optimizer import optimize
 from repro.harness.designs import EFFORTS
 from repro.obs.ledger import RunLedger, optimize_params
 from repro.serve.server import JSON, TEXT, ServeApp
 from repro.serve.store import DesignStore
 from repro.topology.row import RowPlacement
+from repro.util.errors import ConfigurationError
 
 
 @pytest.fixture
@@ -76,6 +79,28 @@ class TestPlace:
         assert body["key"] == app.store.key_for(
             "optimize", params, cfg, cfg.seed
         )
+
+    def test_jobs_request_files_the_default_answer(self, app):
+        # jobs is not part of the store key, so a jobs=2 request files
+        # its design under the default request's key: it must be the
+        # design the in-process default search returns.
+        async def scenario():
+            first = await _request(app, "POST", "/place", dict(
+                PLACE, config={"seed": 7, "jobs": 2}, warm=False))
+            second = await _request(app, "POST", "/place", dict(
+                PLACE, config={"seed": 7}))
+            return first, second
+
+        (s1, b1, _), (s2, b2, _) = asyncio.run(scenario())
+        assert (s1, s2) == (200, 200)
+        assert (b1["cache"], b2["cache"]) == ("miss", "hit")
+        direct = optimize(
+            6, params=EFFORTS["smoke"], config=SearchConfig(seed=7)
+        ).to_json()
+        served = dict(b2["result"])
+        for data in (direct, served):
+            del data["wall_time_s"], data["config"]["jobs"]
+        assert served == direct
 
     def test_single_flight_computes_once(self, app):
         async def scenario():
@@ -168,6 +193,53 @@ class TestPlace:
         assert body["key"] == new_key
         assert body["warm_from"] is None
         assert body["result_digest"] == fresh["result_digest"]
+
+    def test_unreadable_entry_is_recomputed_as_a_miss(self, app):
+        """An entry written before ``chains`` was retired keeps its key
+        (``chains`` was never part of the identity) but no longer
+        parses: it is a counted miss, and the recompute replaces it."""
+        status, fresh, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        key = fresh["key"]
+        path = app.store.entry_path(key)
+        entry = json.loads(open(path).read())
+        entry["config"]["chains"] = entry["result"]["config"]["chains"] = 1
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        with pytest.raises(ConfigurationError, match="chains"):
+            app.store.get(key)
+
+        status, body, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        assert body["cache"] == "miss"
+        assert body["key"] == key
+        assert body["result_digest"] == fresh["result_digest"]
+        assert app.store.get(key).result_digest == fresh["result_digest"]
+        assert _counters(app)["serve.cache.corrupt"] == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", "abc"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("restarts", "2"),
+        ("jobs", None),
+        ("max_evaluations", "10"),
+        ("max_evaluations", 0),
+        # A shared generator cannot be split across (C, restart) tasks;
+        # it is rejected where the config is built (it has no JSON form).
+        pytest.param("seed", np.random.default_rng(3), id="seed-Generator"),
+    ])
+    def test_mistyped_config_field_400(self, app, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            SearchConfig(**{field: value})
+        if isinstance(value, np.random.Generator):
+            return
+        status, parsed, _ = asyncio.run(
+            _request(app, "POST", "/place", dict(PLACE, config={field: value}))
+        )
+        assert status == 400
+        assert parsed["error"].startswith(f"{field} must be")
+        assert _counters(app)["serve.errors.bad_request"] == 1
 
     def test_deadline_504_but_compute_continues(self, app):
         async def scenario():

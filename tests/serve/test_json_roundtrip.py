@@ -34,20 +34,17 @@ positive = st.floats(min_value=0.0, max_value=1e6,
 
 @st.composite
 def search_configs(draw):
-    space = draw(st.sampled_from(("row", "hetero", "grid2d")))
-    row = space == "row"
     return SearchConfig(
         seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
-        restarts=draw(st.integers(1, 4)) if row else 1,
-        jobs=draw(st.integers(1, 4)) if row else 1,
-        chains=draw(st.integers(1, 4)),
+        restarts=draw(st.integers(1, 4)),
+        jobs=draw(st.integers(1, 4)),
         impl=draw(st.sampled_from(("vectorized", "reference"))),
         max_evaluations=draw(st.one_of(st.none(), st.integers(1, 10**6))),
         trace_out=draw(st.one_of(st.none(), st.just("trace.jsonl"))),
         metrics_every=draw(st.integers(0, 100)),
         profile=draw(st.booleans()),
         ledger=draw(st.one_of(st.none(), st.just(".repro/runs"))),
-        space=space,
+        space=draw(st.sampled_from(("row", "hetero", "grid2d"))),
     )
 
 
@@ -106,8 +103,8 @@ class TestSearchConfigRoundTrip:
         assert SearchConfig.from_json(_through_text(cfg.to_json())) == cfg
 
     def test_unknown_field_rejected(self):
-        # A typo, and the retired pricing knobs old clients may send.
-        for field in ("sead", "incremental", "resync_every"):
+        # A typo, and the retired knobs old clients may send.
+        for field in ("sead", "incremental", "resync_every", "chains"):
             with pytest.raises(ConfigurationError, match="unknown SearchConfig"):
                 SearchConfig.from_json({"seed": 1, field: 2})
 

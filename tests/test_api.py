@@ -1,4 +1,4 @@
-"""The public facade: SearchConfig, results, legacy-kwarg rejection."""
+"""The public facade: SearchConfig, results, retired keywords."""
 
 import dataclasses
 
@@ -26,7 +26,6 @@ class TestSearchConfig:
         assert cfg.seed is None
         assert cfg.restarts == 1 and cfg.jobs == 1
         assert cfg.impl == "vectorized"
-        assert not cfg.parallel
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -37,7 +36,7 @@ class TestSearchConfig:
         [
             {"restarts": 0},
             {"jobs": -1},
-            {"chains": 0},
+            {"max_evaluations": 0},
             {"impl": "cuda"},
             {"metrics_every": -5},
         ],
@@ -46,25 +45,13 @@ class TestSearchConfig:
         with pytest.raises(ConfigurationError):
             SearchConfig(**kwargs)
 
-    def test_parallel_property(self):
-        assert SearchConfig(restarts=2).parallel
-        assert SearchConfig(jobs=2).parallel
-        assert SearchConfig(chains=2).parallel
-        assert not SearchConfig(restarts=1, jobs=1, chains=1).parallel
-
-    def test_effective_restarts(self):
-        assert SearchConfig().effective_restarts == 1
-        assert SearchConfig(restarts=4).effective_restarts == 4
-        assert SearchConfig(chains=4).effective_restarts == 4
-        assert SearchConfig(restarts=6, chains=4).effective_restarts == 6
-
     def test_with_updates_round_trip(self):
         cfg = SearchConfig(seed=7, restarts=3)
-        upd = cfg.with_updates(jobs=2, chains=2)
+        upd = cfg.with_updates(jobs=2, max_evaluations=50)
         assert upd.seed == 7 and upd.restarts == 3
-        assert upd.jobs == 2 and upd.chains == 2
+        assert upd.jobs == 2 and upd.max_evaluations == 50
         assert cfg.jobs == 1  # original untouched
-        assert upd.with_updates(jobs=1, chains=1) == cfg
+        assert upd.with_updates(jobs=1, max_evaluations=None) == cfg
 
     def test_with_updates_revalidates(self):
         with pytest.raises(ConfigurationError):
@@ -75,14 +62,13 @@ class TestSearchConfig:
         ns.seed = 2019
         ns.restarts = 4
         ns.jobs = 2
-        ns.chains = 2
         ns.impl = "reference"
         ns.trace_out = "t.jsonl"
         ns.metrics_every = 100
         ns.profile = True
         cfg = SearchConfig.from_cli(ns)
         assert cfg == SearchConfig(
-            seed=2019, restarts=4, jobs=2, chains=2, impl="reference",
+            seed=2019, restarts=4, jobs=2, impl="reference",
             trace_out="t.jsonl", metrics_every=100, profile=True,
         )
 
@@ -107,32 +93,14 @@ class TestSearchConfig:
 
 
 class TestLegacyKwargsRejected:
-    """The deprecation shim is gone: retired keywords hard-error with a
-    migration hint naming the :class:`SearchConfig` field."""
+    """The pre-redesign search keywords are gone: Python's own
+    ``TypeError`` rejects them like any other unknown keyword."""
 
-    def test_rng_errors_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"rng= -> SearchConfig\(seed=\.\.\.\)"):
+    def test_rng_keyword_is_a_plain_type_error(self):
+        with pytest.raises(TypeError, match="rng"):
+            optimize(6, params=SMOKE, rng=1)
+        with pytest.raises(TypeError, match="rng"):
             solve_row_problem(6, 2, params=SMOKE, rng=1)
-
-    def test_hint_points_at_docs(self):
-        with pytest.raises(TypeError, match="docs/api.md"):
-            optimize(6, params=SMOKE, rng=11)
-
-    def test_every_retired_keyword_names_its_field(self):
-        from repro.api import LEGACY_KWARG_MIGRATIONS
-
-        for legacy, field in LEGACY_KWARG_MIGRATIONS.items():
-            with pytest.raises(
-                TypeError,
-                match=rf"{legacy}= -> SearchConfig\({field}=\.\.\.\)",
-            ):
-                optimize(6, params=SMOKE, **{legacy: 1})
-
-    def test_multiple_retired_keywords_listed_together(self):
-        with pytest.raises(TypeError) as exc:
-            optimize(6, params=SMOKE, rng=1, restarts=3)
-        msg = str(exc.value)
-        assert "'rng'" in msg and "'restarts'" in msg
 
     def test_unknown_keyword_still_a_plain_type_error(self):
         with pytest.raises(TypeError, match="seeed") as exc:
