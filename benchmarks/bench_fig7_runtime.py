@@ -129,7 +129,7 @@ class FullFloydWarshall:
         return self._objective.evaluate_many(placements, folded=folded)
 
 
-def _timed_sweep(n, params, objective):
+def _timed_walk_sweep(n, params, objective):
     """Solve every searched C of the sweep; one chain per C."""
     limits = [c for c in BandwidthConfig().valid_link_limits(n) if c > 1]
     start = time.perf_counter()
@@ -155,8 +155,8 @@ def test_fig7_incremental_sweep_speedup(capsys):
     params = EFFORTS["quick" if paper else "smoke"]
 
     objective = RowObjective()
-    full, t_full = _timed_sweep(n, params, FullFloydWarshall(objective))
-    incr, t_incr = _timed_sweep(n, params, objective)
+    full, t_full = _timed_walk_sweep(n, params, FullFloydWarshall(objective))
+    incr, t_incr = _timed_walk_sweep(n, params, objective)
 
     for c, sol in full.items():
         other = incr[c]

@@ -6,10 +6,29 @@ sweep to saturation.  Times one low-load simulation window.
 
 import pytest
 
+from repro import SimConfig, SimJob, TrafficSpec, run_campaign
 from repro.harness.designs import mesh_design
-from repro.harness.synthetic import _run_once, fig8
+from repro.harness.synthetic import fig8
 
 from benchmarks.conftest import SEED, publish, sa_effort
+
+
+def low_load_window():
+    """One-job campaign: 8x8 mesh, UR at 1 packet/cycle, 200 + 500 cycles."""
+    design = mesh_design(8)
+    job = SimJob(
+        design=design,
+        traffic=TrafficSpec(kind="synthetic", pattern="uniform_random", rate=1.0),
+        config=SimConfig(
+            flit_bits=design.point.flit_bits,
+            warmup_cycles=200,
+            measure_cycles=500,
+            max_cycles=200 + 500 + 6_000,
+            seed=SEED,
+        ),
+        seed=SEED,
+    )
+    return run_campaign([job])
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +64,4 @@ def test_fig8_synthetic_traffic(benchmark, result, capsys):
     assert dc_thr > hfb_thr
     assert dc_thr >= 0.55 * mesh_thr
 
-    benchmark.pedantic(
-        lambda: _run_once(
-            mesh_design(8), "uniform_random", 8, 1.0, SEED, warmup=200, measure=500
-        ),
-        rounds=2,
-        iterations=1,
-    )
+    benchmark.pedantic(low_load_window, rounds=2, iterations=1)

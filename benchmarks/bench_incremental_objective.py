@@ -153,7 +153,7 @@ def test_population_batched_pricing(capsys):
     """Batched ``evaluate_many`` vs a scalar pricing loop on one
     recorded population: byte-identical energies, and the measured
     throughput gain of replacing B kernel launches with one
-    ``(2B, n, n)`` stack."""
+    ``(B, n, n)`` row stack."""
     objective_scalar = RowObjective()
     objective_batched = RowObjective()
     rng = np.random.default_rng(SEED)

@@ -1,21 +1,22 @@
 """Native vs vectorized kernel tiers: the compiled-hot-path claim.
 
-The ``impl="native"`` tier replaces the batched NumPy Floyd-Warshall
-relaxation (which materializes an ``(B, n, n)`` broadcast temporary
-per ``k``) with compiled triple loops, and the incremental engine's
-crossing-block rewrite with a single fused C/numba pass.  This bench
+The ``impl="native"`` tier replaces the NumPy row Floyd-Warshall
+relaxation (which materializes a ``(B, k, n - k - 1)`` broadcast
+temporary per pivot ``k``) and the next-hop pass with compiled loops,
+and the incremental engine's crossing-block rewrite with a single fused
+C pass.  This bench
 times the two tiers over identical inputs on a grid of problem scales
 and asserts the headline: **>= 3x on at least one n >= 32 leg**, with
 byte-identical outputs on every leg, so the speed is free.
 
 Timing discipline mirrors ``bench_incremental_objective``: tiers
 alternate in paired best-of rounds to cancel machine drift, and the
-native backend is warmed up (JIT / one-time C build) *before* any
+native library is warmed up (one-time C build and load) *before* any
 timed region, so compile time is excluded by construction -- the same
 contract the runtime seam keeps via per-worker ``native.warmup()``.
 
-Skipped wholesale when no native backend (numba or a C toolchain)
-is available.
+Skipped wholesale when the native tier is unavailable (no C
+toolchain).
 """
 
 import time
@@ -33,7 +34,8 @@ from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
     floyd_warshall_batch,
-    floyd_warshall_distances_batch,
+    row_distances_batch,
+    weight_stack,
     weight_stack_population,
 )
 
@@ -41,10 +43,10 @@ from benchmarks.conftest import SEED, publish, sa_effort
 
 pytestmark = pytest.mark.skipif(
     "native" not in available_impls(),
-    reason="no native backend (numba or C toolchain) available",
+    reason="native tier unavailable (no C toolchain)",
 )
 
-#: (n, B) legs for the Floyd-Warshall stacks; the paper-effort grid
+#: (n, B) legs for the row Floyd-Warshall stacks; the paper-effort grid
 #: covers the claim's n >= 32 scales, quick keeps CI cheap.
 PAPER_GRID = [(16, 64), (16, 256), (32, 64), (32, 256), (64, 64), (64, 256)]
 QUICK_GRID = [(16, 64), (32, 64)]
@@ -63,7 +65,7 @@ def rounds():
 
 
 def random_stack(n, b, seed):
-    """A population-shaped ``(2B, n, n)`` directional weight stack."""
+    """A population-shaped ``(B, n, n)`` left-to-right weight stack."""
     rng = np.random.default_rng(seed)
     pop = [
         ConnectionMatrix.random(n, 4, rng).decode() for _ in range(b)
@@ -87,7 +89,7 @@ def paired_best(run_native, run_vectorized):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_backend():
-    # JIT / one-time C build happens here, outside every timed region.
+    # The one-time C build happens here, outside every timed region.
     native.warmup()
 
 
@@ -95,17 +97,19 @@ def warm_backend():
 def fw_legs():
     legs = []
     for n, b in grid():
-        stack, _ = random_stack(n, b, SEED + n + b)
+        stack, pop = random_stack(n, b, SEED + n + b)
         nat_s, vec_s, d_nat, d_vec = paired_best(
-            lambda: floyd_warshall_distances_batch(stack, impl="native"),
-            lambda: floyd_warshall_distances_batch(stack, impl="vectorized"),
+            lambda: row_distances_batch(stack, impl="native"),
+            lambda: row_distances_batch(stack, impl="vectorized"),
         )
         assert np.array_equal(d_nat, d_vec), f"distance mismatch n={n} B={b}"
-        legs.append(("fw_dist", n, b, nat_s, vec_s))
+        legs.append(("row_dist", n, b, nat_s, vec_s))
 
+        # Next hops still take both directional passes (one placement).
+        pair = weight_stack(pop[0], HopCostModel())
         nat_s, vec_s, p_nat, p_vec = paired_best(
-            lambda: floyd_warshall_batch(stack[:2], impl="native"),
-            lambda: floyd_warshall_batch(stack[:2], impl="vectorized"),
+            lambda: floyd_warshall_batch(pair, impl="native"),
+            lambda: floyd_warshall_batch(pair, impl="vectorized"),
         )
         assert np.array_equal(p_nat[0], p_vec[0])
         assert np.array_equal(p_nat[1], p_vec[1]), f"next-hop mismatch n={n}"
@@ -215,6 +219,6 @@ def test_outputs_identical_on_every_grid_point(capsys):
     for n, b in grid():
         stack, _ = random_stack(n, min(b, 32), SEED - n)
         assert np.array_equal(
-            floyd_warshall_distances_batch(stack, impl="native"),
-            floyd_warshall_distances_batch(stack, impl="vectorized"),
+            row_distances_batch(stack, impl="native"),
+            row_distances_batch(stack, impl="vectorized"),
         )

@@ -162,12 +162,12 @@ class SearchConfig:
     impl:
         Floyd-Warshall implementation: ``"vectorized"`` (NumPy,
         default), the pure-Python ``"reference"`` oracle, or the
-        compiled ``"native"`` tier (optional numba / C-extension
-        backends, ``pip install repro[native]``).  ``None`` resolves
-        through the ``REPRO_IMPL`` environment default; all tiers are
-        bit-identical by the cross-impl parity gates, so ``impl`` is a
-        pure wall-clock knob and -- like ``jobs`` -- is excluded from
-        ledger run identities.  How each SA move is priced is not a
+        compiled ``"native"`` tier (an on-demand C extension; needs a C
+        compiler).  ``None`` resolves through the ``REPRO_IMPL``
+        environment default; all tiers are bit-identical by the
+        cross-impl parity gates, so ``impl`` is a pure wall-clock knob
+        and -- like ``jobs`` -- is excluded from ledger run
+        identities.  How each SA move is priced is not a
         knob: :func:`repro.core.annealing.anneal` picks the O(n^2)
         incremental engine whenever it is bit-exact.
     max_evaluations:

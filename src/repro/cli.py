@@ -106,7 +106,7 @@ def _add_run_flags(
             "--impl", choices=IMPLEMENTATIONS, default=None,
             help="Floyd-Warshall implementation: vectorized (NumPy, the "
             "default), reference (pure-Python oracle), or native "
-            "(compiled tier; pip install repro[native]).  All tiers are "
+            "(compiled tier; needs a C compiler).  All tiers are "
             "bit-identical.  Unset, the REPRO_IMPL environment default "
             "applies",
         )
@@ -887,12 +887,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"python      {platform.python_version()}  ({sys.executable})")
     print(f"platform    {platform.platform()}")
     print(f"numpy       {np.__version__}")
-    try:
-        import numba
-
-        print(f"numba       {numba.__version__}")
-    except ImportError:
-        print("numba       not installed (pip install repro[native])")
     import warnings
 
     with warnings.catch_warnings():
@@ -1089,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "doctor",
-        help="report python/numpy/numba versions, kernel tiers, cpu count",
+        help="report python/numpy versions, kernel tiers, cpu count",
     )
     p.set_defaults(func=_cmd_doctor)
 

@@ -81,8 +81,8 @@ def validated_link_limit(n: int, link_limit: int, obs=None) -> int:
 
 
 #: Placements priced per batched kernel call by the exact searches.
-#: 128 keeps each (2B, n, n) relaxation temporary cache-resident, which
-#: measured faster than larger chunks at the Figure 12 sizes.
+#: With the triangular row kernel (one (B, k, n - k - 1) temporary per
+#: pivot k), batch sizes 64-512 measured within noise of each other.
 DEFAULT_BATCH_SIZE = 128
 
 

@@ -284,7 +284,8 @@ def grid2d_weight_stack(
     each row's block with exactly the per-row kernel's operations --
     off-row intermediates only ever contribute ``inf``, and
     ``min(x, inf)`` returns ``x`` unchanged -- making each block
-    bitwise equal to the ``(2, n, n)`` row solve.
+    bitwise equal to the row's two directional passes (and so to the
+    row kernel's one triangular pass and its transpose).
     """
     cost = cost or HopCostModel()
     n = design.n

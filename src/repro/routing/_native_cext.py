@@ -1,27 +1,32 @@
-"""C-extension fallback backend for the native kernel tier.
+"""C-extension backend of the native kernel tier.
 
-Used by :mod:`repro.routing.native` when numba is not installed: a
-~60-line C translation of the three hot kernels, compiled on first use
-with the system C compiler into a content-addressed cache directory
-(``.repro/native/`` by default, override with ``REPRO_NATIVE_CACHE``)
-and loaded through :mod:`ctypes`.  No third-party build dependency: the
-shared object is plain C (no ``Python.h``), so only ``cc``/``gcc``/
-``clang`` is needed, and only once per machine -- the cache key is a
-hash of the C source, so edits recompile automatically.
+Used by :mod:`repro.routing.native`: a ~60-line C translation of the
+three hot kernels, compiled on first use with the system C compiler
+into a content-addressed cache directory (``.repro/native/`` by
+default, override with ``REPRO_NATIVE_CACHE``) and loaded through
+:mod:`ctypes`.  No third-party build dependency: the shared object is
+plain C (no ``Python.h``), so only ``cc``/``gcc``/``clang`` is needed,
+and only once per machine -- the cache key hashes the C source together
+with the compile flags, so an edit to either recompiles.  A cached file
+that fails to load (truncated, foreign, torn by a crash) is rebuilt
+once and published over the bad one; only a failed rebuild makes the
+tier unavailable.
 
 Bit-identity contract
 ---------------------
 
-The kernels assume the domain the weight-stack builders guarantee:
+The kernels assume the domain the weight builders guarantee:
 nonnegative weights, zero diagonals, ``inf`` for missing edges, never
 NaN.  On that domain the in-place relaxation of iteration ``k`` cannot
 change row ``k`` or column ``k`` (``d[k][k] == 0`` and improvements are
 strict), so every candidate ``d[i][k] + d[k][j]`` reads exactly the
 values the out-of-place NumPy form reads, the IEEE additions are the
 same, ties resolve the same way, and the results are bitwise equal --
-the property the cross-impl parity suites pin.  The build deliberately
-avoids ``-ffast-math`` and forces ``-ffp-contract=off`` so the compiler
-cannot re-associate or fuse those additions.
+the property the cross-impl parity suites pin.  The row kernel visits
+the same ``i < k < j`` block as its NumPy twin, in the same pivot
+order.  The build deliberately avoids ``-ffast-math`` and forces
+``-ffp-contract=off`` so the compiler cannot re-associate or fuse those
+additions.
 """
 
 from __future__ import annotations
@@ -43,21 +48,23 @@ C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-/* Batched min-plus Floyd-Warshall, distances only, in place.
- * d is a C-contiguous (B, n, n) float64 stack.  Row k and column k are
- * invariant within iteration k (zero diagonal, strict improvement), so
- * the in-place form is bitwise equal to the out-of-place NumPy form.
+/* Left-to-right row Floyd-Warshall, distances only, in place.
+ * d is a C-contiguous (B, n, n) stack of left-to-right row graphs
+ * (zero diagonal, inf below it), so pivot k can only improve cells
+ * i < k < j: the loops visit exactly that block.  Row k and column k
+ * are invariant within iteration k, so the in-place form is bitwise
+ * equal to the out-of-place NumPy form.
  */
-void repro_fw_dist_batch(double *d, int64_t B, int64_t n) {
+void repro_row_dist_batch(double *d, int64_t B, int64_t n) {
     for (int64_t s = 0; s < B; s++) {
         double *m = d + s * n * n;
-        for (int64_t k = 0; k < n; k++) {
+        for (int64_t k = 1; k < n - 1; k++) {
             const double *rowk = m + k * n;
-            for (int64_t i = 0; i < n; i++) {
+            for (int64_t i = 0; i < k; i++) {
                 double dik = m[i * n + k];
                 if (isinf(dik)) continue;  /* inf never improves */
                 double *rowi = m + i * n;
-                for (int64_t j = 0; j < n; j++) {
+                for (int64_t j = k + 1; j < n; j++) {
                     double via = dik + rowk[j];
                     rowi[j] = via < rowi[j] ? via : rowi[j];
                 }
@@ -66,7 +73,8 @@ void repro_fw_dist_batch(double *d, int64_t B, int64_t n) {
     }
 }
 
-/* As above, with next-hop emission: strict-< improvement routes i->j
+/* Batched min-plus Floyd-Warshall over arbitrary (B, n, n) stacks, in
+ * place, with next-hop emission: strict-< improvement routes i->j
  * through i's first hop toward k; ties keep the incumbent.  nh[i][k]
  * can only change at j == k, which needs dik + 0 < dik -- impossible --
  * so the pre-loop read matches NumPy's iteration-start snapshot.
@@ -96,9 +104,9 @@ void repro_fw_batch(double *d, int64_t *nh, int64_t B, int64_t n) {
 }
 
 /* Crossing-block rewrite of the incremental APSP engine: re-min the
- * block rows < `rows`, cols >= b of both directional layers over the K
+ * block rows < `rows`, cols >= b of the left-to-right layer over the K
  * crossing edges (us[e], vs[e]) with hop cost cs[e].  S is the
- * C-contiguous (2, n, n) layer stack.  Association order
+ * C-contiguous (n, n) layer.  Association order
  * (S[i][u] + c) + S[v][j], minimum accumulated in edge order -- the
  * bitwise contract shared with both NumPy paths.  Reads touch columns
  * us[e] < b and rows vs[e] >= b > rows-1 only, so writing the block in
@@ -107,22 +115,24 @@ void repro_fw_batch(double *d, int64_t *nh, int64_t B, int64_t n) {
 void repro_inc_update(double *S, int64_t n, int64_t rows, int64_t b,
                       const int64_t *us, const int64_t *vs,
                       const double *cs, int64_t K) {
-    for (int64_t layer = 0; layer < 2; layer++) {
-        double *L = S + layer * n * n;
-        for (int64_t i = 0; i < rows; i++) {
-            double *rowi = L + i * n;
-            for (int64_t j = b; j < n; j++) {
-                double acc = (rowi[us[0]] + cs[0]) + L[vs[0] * n + j];
-                for (int64_t e = 1; e < K; e++) {
-                    double t = (rowi[us[e]] + cs[e]) + L[vs[e] * n + j];
-                    if (t < acc) acc = t;
-                }
-                rowi[j] = acc;
+    for (int64_t i = 0; i < rows; i++) {
+        double *rowi = S + i * n;
+        for (int64_t j = b; j < n; j++) {
+            double acc = (rowi[us[0]] + cs[0]) + S[vs[0] * n + j];
+            for (int64_t e = 1; e < K; e++) {
+                double t = (rowi[us[e]] + cs[e]) + S[vs[e] * n + j];
+                if (t < acc) acc = t;
             }
+            rowi[j] = acc;
         }
     }
 }
 """
+
+#: Compile and link flags.  Part of the cache key, so a flag change
+#: rebuilds.  Bit-identity hardening: no re-association, no FMA fusing.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
+LDLIBS = ("-lm",)
 
 _lock = threading.Lock()
 _kernels = None
@@ -147,7 +157,8 @@ def _cache_dir() -> str:
 
 
 def _so_name() -> str:
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:12]
+    key = "\0".join((C_SOURCE, *CFLAGS, *LDLIBS))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
     return f"repro_native_{digest}.so"
 
 
@@ -179,12 +190,7 @@ def _compile(so_path: str) -> None:
         with open(src, "w") as fh:
             fh.write(C_SOURCE)
         out = os.path.join(build, _so_name())
-        cmd = [
-            cc, "-O3", "-fPIC", "-shared",
-            # Bit-identity hardening: no re-association, no FMA fusing.
-            "-fno-fast-math", "-ffp-contract=off",
-            src, "-o", out, "-lm",
-        ]
+        cmd = [cc, *CFLAGS, src, "-o", out, *LDLIBS]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(
@@ -201,8 +207,8 @@ class _Kernels:
     def __init__(self, lib: ctypes.CDLL) -> None:
         i64 = ctypes.c_int64
         ptr = ctypes.c_void_p
-        lib.repro_fw_dist_batch.argtypes = [ptr, i64, i64]
-        lib.repro_fw_dist_batch.restype = None
+        lib.repro_row_dist_batch.argtypes = [ptr, i64, i64]
+        lib.repro_row_dist_batch.restype = None
         lib.repro_fw_batch.argtypes = [ptr, ptr, i64, i64]
         lib.repro_fw_batch.restype = None
         lib.repro_inc_update.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, i64]
@@ -217,9 +223,9 @@ class _Kernels:
                 f"arrays, got {arr.dtype} with flags {arr.flags}"
             )
 
-    def fw_dist_batch(self, d: np.ndarray) -> None:
+    def row_dist_batch(self, d: np.ndarray) -> None:
         self._require(d, np.float64)
-        self._lib.repro_fw_dist_batch(d.ctypes.data, d.shape[0], d.shape[1])
+        self._lib.repro_row_dist_batch(d.ctypes.data, d.shape[0], d.shape[1])
 
     def fw_batch(self, d: np.ndarray, nh: np.ndarray) -> None:
         self._require(d, np.float64)
@@ -234,18 +240,30 @@ class _Kernels:
         self._require(vs, np.int64)
         self._require(cs, np.float64)
         self._lib.repro_inc_update(
-            S.ctypes.data, S.shape[1], rows, b,
+            S.ctypes.data, S.shape[0], rows, b,
             us.ctypes.data, vs.ctypes.data, cs.ctypes.data, us.shape[0],
         )
 
 
 def load() -> _Kernels:
-    """The kernel namespace, compiling into the cache on first use."""
+    """The kernel namespace, compiling into the cache on first use.
+
+    A cached file that does not load is rebuilt once, through the same
+    temp-dir + ``os.replace`` publish, and the rebuilt file is loaded;
+    only a failing rebuild (or a second failing load) propagates.
+    """
     global _kernels
     with _lock:
         if _kernels is None:
-            so_path = _so_path()
-            if not os.path.exists(so_path):
+            so_path = os.path.abspath(_so_path())
+            lib = None
+            if os.path.exists(so_path):
+                try:
+                    lib = ctypes.CDLL(so_path)
+                except OSError:
+                    pass  # truncated or foreign file: rebuild it below
+            if lib is None:
                 _compile(so_path)
-            _kernels = _Kernels(ctypes.CDLL(os.path.abspath(so_path)))
+                lib = ctypes.CDLL(so_path)
+            _kernels = _Kernels(lib)
         return _kernels

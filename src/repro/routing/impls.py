@@ -12,10 +12,9 @@ usable on the current machine, and how a request resolves:
     The pure-Python oracle in :mod:`repro.routing.shortest_path_ref`
     (always available; exists for verification, not speed).
 ``"native"``
-    Compiled kernels (:mod:`repro.routing.native`): numba
-    ``@njit(cache=True)`` when numba is installed (``pip install
-    repro[native]``), otherwise a small C extension built on demand
-    with the system C compiler.  Bit-identical to ``"vectorized"`` by
+    Compiled kernels (:mod:`repro.routing.native`): a small C extension
+    built on demand with the system C compiler (the tier needs one, or
+    an already-built cache).  Bit-identical to ``"vectorized"`` by
     the cross-impl parity suites -- distances, next-hop tables, and SA
     trajectories -- so the tier is a pure wall-clock knob, excluded
     from ledger run identities like ``--jobs``.
@@ -25,8 +24,9 @@ Resolution semantics (:func:`resolve_impl`):
 * An unknown name raises :class:`UnknownImplementationError` (a
   ``ConfigurationError`` *and* a ``ValueError``) naming the known
   tiers and whether native is installed.
-* An explicit ``"native"`` request on a machine without a working
-  backend raises :class:`ConfigurationError` with the install hint.
+* An explicit ``"native"`` request on a machine where the tier cannot
+  load raises :class:`ConfigurationError` with the install hint (make
+  a C compiler available).
 * ``impl=None`` resolves from the :data:`IMPL_ENV_VAR` environment
   default (``REPRO_IMPL``) and falls back to ``"vectorized"`` with a
   warning when the environment asks for an unavailable ``"native"`` --
@@ -36,7 +36,6 @@ Resolution semantics (:func:`resolve_impl`):
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import warnings
 from typing import Optional, Tuple
@@ -52,17 +51,18 @@ DEFAULT_IMPL = "vectorized"
 #: Environment variable consulted when ``impl=None`` is resolved.
 IMPL_ENV_VAR = "REPRO_IMPL"
 
+#: What a machine needs for the native tier.
+NATIVE_INSTALL_HINT = "make a C compiler available (cc, gcc, clang or $CC)"
+
 
 def native_installed() -> bool:
-    """Cheap static probe: could a native backend plausibly load?
+    """Cheap static probe: could the native tier plausibly load?
 
-    True when numba is importable, or when the C-extension fallback has
-    a toolchain (or an already-built cache) to work with.  Never
-    imports numba and never compiles anything -- this is safe to call
-    on error paths; :func:`native_available` gives the real answer.
+    True when the C extension has a toolchain (or an already-built
+    cache) to work with.  Never compiles or loads anything -- this is
+    safe to call on error paths; :func:`native_available` gives the
+    real answer.
     """
-    if importlib.util.find_spec("numba") is not None:
-        return True
     from repro.routing import _native_cext
 
     return _native_cext.plausible()
@@ -73,13 +73,6 @@ def native_available() -> bool:
     from repro.routing import native
 
     return native.available()
-
-
-def native_backend() -> Optional[str]:
-    """Name of the loaded native backend (``"numba"``/``"cext"``) or None."""
-    from repro.routing import native
-
-    return native.backend_name()
 
 
 def available_impls(probe: bool = True) -> Tuple[str, ...]:
@@ -105,7 +98,7 @@ def check_impl(impl: str) -> None:
         native_note = (
             "native tier installed"
             if native_installed()
-            else "native tier not installed: pip install repro[native]"
+            else f"native tier not installed: {NATIVE_INSTALL_HINT}"
         )
         raise UnknownImplementationError(
             f"unknown impl {impl!r}; expected one of {IMPLEMENTATIONS} "
@@ -126,7 +119,7 @@ def resolve_impl(impl: Optional[str] = None) -> str:
     if impl == "native" and not native_available():
         from repro.routing import native
 
-        reason = native.unavailable_reason() or "no backend could load"
+        reason = native.unavailable_reason() or "the kernels could not load"
         if from_env:
             warnings.warn(
                 f"{IMPL_ENV_VAR}=native requested but the native tier is "
@@ -137,8 +130,7 @@ def resolve_impl(impl: Optional[str] = None) -> str:
             )
             return DEFAULT_IMPL
         raise ConfigurationError(
-            f"impl='native' requested but no native backend could load "
-            f"({reason}); install numba (pip install repro[native]) or "
-            f"make a C compiler available, or use impl='vectorized'"
+            f"impl='native' requested but the native tier could not load "
+            f"({reason}); {NATIVE_INSTALL_HINT}, or use impl='vectorized'"
         )
     return impl

@@ -1,11 +1,13 @@
 """Dynamic directional APSP for row graphs: O(n^2) per express-link edit.
 
 The SA inner loop flips one connection bit per move, but the full
-objective re-prices the candidate with a from-scratch directional
+objective re-prices the candidate with a from-scratch row
 Floyd-Warshall pass -- O(n^3) work for a small link change.  This
-module maintains the two directional distance matrices *incrementally*:
-each group of added or removed express links sharing a right endpoint
-costs one O(n^2) block rewrite.  The annealer's engine walk
+module maintains the left-to-right distance matrix *incrementally*
+(the right-to-left distances are its transpose, bit for bit -- see
+:mod:`repro.routing.shortest_path`): each group of added or removed
+express links sharing a right endpoint costs one O(n^2) block
+rewrite.  The annealer's engine walk
 (:mod:`repro.core.annealing`) prices every memo miss this way.
 
 Why a single-edge change is an O(n^2) rewrite
@@ -24,9 +26,9 @@ those pairs the distance decomposes over the crossing edges::
 where ``D(i, u)`` (``u < b``) and ``D(v, j)`` (``v >= b``) are existing
 distances on the unchanged sides of the cut.  The same identity holds
 for additions *and* removals -- the min is re-taken over the new
-crossing set -- and, by symmetry, for the right-to-left direction with
-identical indices once that matrix is stored transposed.  One numpy
-broadcast evaluates the min for the whole affected block.
+crossing set.  One numpy broadcast evaluates the min for the whole
+affected block; the right-to-left direction needs no update of its
+own, since it is read as the transpose of the same layer.
 
 A change set may hold any number of links at any number of right
 endpoints (the annealer hands over the whole difference between the
@@ -66,9 +68,12 @@ import numpy as np
 
 from repro.routing.impls import check_impl
 from repro.routing.shortest_path import (
+    LEFT_TO_RIGHT,
     HopCostModel,
+    combine_directions,
     floyd_warshall_batch,
-    floyd_warshall_distances_batch,
+    row_distances_batch,
+    weight_matrix,
     weight_stack,
 )
 from repro.topology.row import RowPlacement
@@ -83,9 +88,9 @@ class IncrementalApspEngine:
 
     State layout (all float64, shape ``(n, n)``):
 
-    * ``_S[0][i, j]`` -- left-to-right distance ``i -> j`` (``i <= j``),
-    * ``_S[1][j, i]`` -- right-to-left distance ``i -> j`` (``i >= j``),
-      stored transposed so both directions update with the same indices,
+    * ``_S[i, j]`` -- left-to-right distance ``i -> j`` (``i <= j``);
+      by the transpose identity it is also the right-to-left distance
+      ``j -> i``, so this one layer holds both directions,
     * ``_D`` -- the combined matrix :func:`directional_distances`
       returns (upper = l2r, lower = r2l, diagonal zero), synced lazily
       from ``_S`` because only :meth:`distances` needs it.
@@ -121,14 +126,9 @@ class IncrementalApspEngine:
     # -- construction / repair ------------------------------------------
 
     def _rebuild(self) -> None:
-        stack = floyd_warshall_distances_batch(
-            weight_stack(self.placement, self.cost), impl=self._kernel_impl
-        )
-        self._S = np.empty((2, self.n, self.n))
-        self._S[0] = stack[0]
-        self._S[1] = stack[1].T
-        self._D = np.where(self._upper, stack[0], stack[1])
-        np.fill_diagonal(self._D, 0.0)
+        w = weight_matrix(self.placement, self.cost, LEFT_TO_RIGHT)
+        self._S = row_distances_batch(w[None], impl=self._kernel_impl)[0]
+        self._D = combine_directions(self._S)
         self._dirty = []  # (rows, b) boxes where _D lags _S
 
     @property
@@ -140,7 +140,7 @@ class IncrementalApspEngine:
 
     def _update_boundary(self, amax: int, b: int) -> None:
         """Re-min the block ``rows <= amax``, ``cols >= b`` over the
-        edges crossing the (b-1 | b) cut, in both directions at once."""
+        edges crossing the (b-1 | b) cut."""
         S = self._S
         hop = self._hop
         us = [b - 1]
@@ -169,33 +169,34 @@ class IncrementalApspEngine:
             # stay bitwise-equal to the batched form.
             acc = None
             for u, v, c in zip(us, vs, cs):
-                t = (S[:, :rows, u, None] + c) + S[:, v, None, b:]
+                t = (S[:rows, u, None] + c) + S[v, None, b:]
                 if acc is None:
                     acc = t
                 else:
                     np.minimum(acc, t, out=acc)
-            S[:, :rows, b:] = acc
+            S[:rows, b:] = acc
         else:
-            A = S[:, :rows, us]  # (2, rows, K) gather -> safe to add in place
+            A = S[:rows, us]  # (rows, K) gather -> safe to add in place
             A += np.array(cs)
-            T = A[:, :, :, None] + S[:, vs, b:][:, None, :, :]
-            np.min(T, axis=2, out=S[:, :rows, b:])
+            T = A[:, :, None] + S[vs, b:][None, :, :]
+            np.min(T, axis=1, out=S[:rows, b:])
 
     def _sync(self) -> None:
         # Every box satisfies rows <= b (link left endpoints sit left of
-        # the boundary), so each lies strictly in its layer's own
-        # triangle and plain slice copies never leak an inf sentinel
-        # from the other layer's dead half.
+        # the boundary), so each lies strictly in the upper triangle and
+        # plain slice copies never leak an inf sentinel from the
+        # layer's dead lower half.
         if self._dirty:
             for rows, b in self._dirty:
-                self._D[:rows, b:] = self._S[0, :rows, b:]
-                self._D[b:, :rows] = self._S[1, :rows, b:].T
+                block = self._S[:rows, b:]
+                self._D[:rows, b:] = block
+                self._D[b:, :rows] = block.T
             self._dirty = []
 
     # -- edit API --------------------------------------------------------
 
     def apply_link_changes(self, changes: Sequence[LinkChange]) -> None:
-        """Apply link additions/removals and update both distance layers.
+        """Apply link additions/removals and update the distance layer.
 
         ``changes`` may hold any number of links and arrive in any
         order; links sharing a right endpoint are applied together, as
@@ -262,37 +263,28 @@ class IncrementalApspEngine:
         self-check reports as a mismatch).
         """
         n = self.n
-        w = weight_stack(self.placement, self.cost)
-        self._sync()
-        Dl = self._S[0]
-        Tr = self._S[1]  # Tr[j, i] = r2l distance i -> j
+        w = weight_matrix(self.placement, self.cost, LEFT_TO_RIGHT)
+        S = self._S
         nh = np.full((n, n), -1, dtype=np.int64)
         np.fill_diagonal(nh, np.arange(n))
-        # Left-to-right (upper triangle), columns ascending so nh[:j, k]
-        # is final when chained through.
+        # Column j of the layer is both the l2r distances i -> j and the
+        # r2l distances j -> i (i < j), and the r2l weights out of j are
+        # the l2r weights into j, so one pivot scan serves both tables.
+        # Columns ascend so nh[:j, k] is final when chained through.
         for j in range(1, n):
-            col = Dl[:j, j]
-            direct = w[0, :j, j] == col
+            col = S[:j, j]
+            direct = w[:j, j] == col
             # cand[i, k] = D(i, k) + w(k, j): pivot k's relaxation value.
-            cand = Dl[:j, :j] + w[0, :j, j][None, :]
+            cand = S[:j, :j] + w[:j, j][None, :]
             eq = (cand == col[:, None]) & self._upper[:j, :j]
             kstar = np.argmax(eq, axis=1)
             rows_ = np.arange(j)
-            chain = nh[rows_, kstar]
             hit = eq[rows_, kstar]
-            nh[:j, j] = np.where(direct, j, np.where(hit, chain, -1))
-        # Right-to-left (lower triangle).  At pivot k the source-side
-        # distance is still the raw edge w(i, k), so the winning pivot
-        # *is* the next hop -- no chaining needed.
-        for i in range(1, n):
-            tgt = Tr[:i, i]
-            direct = w[1, i, :i] == tgt
-            cand = Tr[:i, :i] + w[1, i, :i][None, :]
-            eq = (cand == tgt[:, None]) & self._upper[:i, :i]
-            kstar = np.argmax(eq, axis=1)
-            rows_ = np.arange(i)
-            hit = eq[rows_, kstar]
-            nh[i, :i] = np.where(direct, rows_, np.where(hit, kstar, -1))
+            nh[:j, j] = np.where(direct, j, np.where(hit, nh[rows_, kstar], -1))
+            # Right-to-left j -> i: at pivot k the source-side distance
+            # is still the raw edge w(j, k), so the winning pivot *is*
+            # the next hop -- no chaining needed.
+            nh[j, :j] = np.where(direct, rows_, np.where(hit, kstar, -1))
         return nh
 
     def paths(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,12 +294,10 @@ class IncrementalApspEngine:
     # -- drift self-check ------------------------------------------------
 
     def self_check(self) -> bool:
-        """True iff state is bit-identical to a from-scratch solve
-        (both directional layers, the combined matrix, and next-hops)."""
+        """True iff state is bit-identical to a from-scratch two-pass
+        solve (the layer, the combined matrix, and next-hops)."""
         dist, nh = floyd_warshall_batch(weight_stack(self.placement, self.cost))
-        if not np.array_equal(self._S[0], dist[0]):
-            return False
-        if not np.array_equal(self._S[1], dist[1].T):
+        if not np.array_equal(self._S, dist[0]):
             return False
         ref = np.where(self._upper, dist[0], dist[1])
         np.fill_diagonal(ref, 0.0)

@@ -1,47 +1,38 @@
-"""The ``impl="native"`` kernel tier: backend selection and dispatch.
+"""The ``impl="native"`` kernel tier: loading and dispatch.
 
 This module is the only place that knows *how* the native tier is
-provided.  Two interchangeable backends implement a three-kernel
-contract, tried in order on first use:
-
-``"numba"``
-    :mod:`repro.routing._native_numba` -- ``@njit(cache=True)``
-    translations, available when numba is installed
-    (``pip install repro[native]``).
-``"cext"``
-    :mod:`repro.routing._native_cext` -- the same kernels as plain C,
-    compiled once with the system compiler into ``.repro/native/`` and
-    loaded via ctypes.  Keeps the tier usable on machines where numba
-    has no wheels.
-
-``REPRO_NATIVE_BACKEND`` pins one backend explicitly (values
-``"numba"``/``"cext"``); anything importing this module stays cheap --
-neither backend is touched until :func:`load` runs, so ``import repro``
-never pays numba's import cost (a test pins that).
+provided: :mod:`repro.routing._native_cext`, three kernels in plain C,
+compiled once with the system C compiler into ``.repro/native/`` and
+loaded via ctypes.  Anything importing this module stays cheap --
+nothing is compiled or loaded until :func:`load` runs, so ``import
+repro`` never touches the toolchain (a test pins that).
 
 The kernel contract (all in place, C-contiguous float64/int64):
 
-* ``fw_dist_batch(d)`` -- batched min-plus Floyd-Warshall over a
-  ``(B, n, n)`` stack, distances only,
-* ``fw_batch(d, nh)`` -- same, emitting next-hop tables,
+* ``row_dist_batch(d)`` -- the left-to-right row Floyd-Warshall over a
+  ``(B, n, n)`` stack, distances only, relaxing the ``i < k < j``
+  block of each pivot,
+* ``fw_batch(d, nh)`` -- batched min-plus Floyd-Warshall over any
+  ``(B, n, n)`` stack, emitting next-hop tables,
 * ``inc_update(S, rows, b, us, vs, cs)`` -- the crossing-block rewrite
-  of :class:`repro.routing.incremental.IncrementalApspEngine`.
+  of :class:`repro.routing.incremental.IncrementalApspEngine` on its
+  one ``(n, n)`` layer.
 
 All three are bit-identical to their NumPy counterparts on the domain
-the weight-stack builders produce (nonnegative weights, zero diagonal,
+the weight builders produce (nonnegative weights, zero diagonal,
 ``inf`` sentinels, no NaN); see :mod:`repro.routing._native_cext` for
 the invariance argument and the cross-impl parity suites for the pin.
 
-:func:`warmup` front-loads backend load + JIT compilation (once per
-process; the parallel engine's workers call it before their solve
-spans open) and reports the cost through the ``kernel.compile`` obs
-event and the ``kernel.compile_seconds`` gauge, so profiled runs never
-attribute compile time to ``latency.floyd_warshall``.
+:func:`warmup` front-loads the load (and, on a cold cache, the C build)
+once per process -- the parallel engine's workers call it before their
+solve spans open -- and reports the cost through the
+``kernel.compile`` obs event and the ``kernel.compile_seconds`` gauge,
+so profiled runs never attribute build time to
+``latency.floyd_warshall``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
@@ -49,58 +40,37 @@ import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-#: Backend preference order; first to load wins.
-BACKENDS = ("numba", "cext")
-
-#: Environment variable pinning one backend explicitly.
-BACKEND_ENV_VAR = "REPRO_NATIVE_BACKEND"
+#: The one backend; :func:`backend_name` reports it once loaded.
+BACKEND = "cext"
 
 _state = {
     "kernels": None,
-    "backend": None,
     "error": None,
     "warm": False,
     "warmup_seconds": None,
 }
 
 
-def _load_backend():
-    forced = os.environ.get(BACKEND_ENV_VAR)
-    if forced is not None and forced not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown {BACKEND_ENV_VAR}={forced!r}; expected one of {BACKENDS}"
-        )
-    failures = []
-    for name in BACKENDS if forced is None else (forced,):
-        try:
-            if name == "numba":
-                from repro.routing import _native_numba as mod
-            else:
-                from repro.routing import _native_cext as mod
-            return name, mod.load()
-        except Exception as exc:  # noqa: BLE001 -- report every backend
-            failures.append(f"{name}: {exc}")
-    raise RuntimeError("; ".join(failures))
-
-
 def load():
     """The loaded kernel namespace, loading (and compiling) on first use.
 
-    Raises :class:`ConfigurationError` when no backend works; the
-    outcome (either way) is cached for the life of the process.
+    Raises :class:`ConfigurationError` when the kernels cannot be built
+    or loaded; the outcome (either way) is cached for the life of the
+    process.
     """
     if _state["kernels"] is not None:
         return _state["kernels"]
     if _state["error"] is not None:
         raise ConfigurationError(f"native tier unavailable: {_state['error']}")
     try:
-        backend, kernels = _load_backend()
-    except ConfigurationError:
-        raise
+        from repro.routing import _native_cext
+
+        kernels = _native_cext.load()
     except Exception as exc:  # noqa: BLE001
-        _state["error"] = str(exc)
-        raise ConfigurationError(f"native tier unavailable: {exc}") from exc
-    _state["backend"] = backend
+        _state["error"] = f"{BACKEND}: {exc}"
+        raise ConfigurationError(
+            f"native tier unavailable: {_state['error']}"
+        ) from exc
     _state["kernels"] = kernels
     return kernels
 
@@ -115,8 +85,8 @@ def available() -> bool:
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"``/``"cext"`` once loaded, else None."""
-    return _state["backend"]
+    """:data:`BACKEND` once loaded, else None."""
+    return BACKEND if _state["kernels"] is not None else None
 
 
 def unavailable_reason() -> Optional[str]:
@@ -125,11 +95,11 @@ def unavailable_reason() -> Optional[str]:
 
 
 def warmup(obs=None) -> str:
-    """Load the backend and trigger JIT compilation, outside any span.
+    """Load (building if needed) and exercise the kernels, outside any span.
 
-    Idempotent per process: the first call pays backend load plus a
-    tiny-input run of all three kernels (which is what makes numba
-    compile them); later calls return immediately.  With an
+    Idempotent per process: the first call pays the load -- and the C
+    build on a cold cache -- plus a tiny-input run of all three
+    kernels; later calls return immediately.  With an
     :class:`~repro.obs.Instrumentation` attached, the first call emits
     a ``kernel.compile`` event and sets the ``kernel.compile_seconds``
     gauge so profiles and traces account for the cost explicitly
@@ -137,15 +107,15 @@ def warmup(obs=None) -> str:
     backend name.
     """
     if _state["warm"]:
-        return _state["backend"]
+        return BACKEND
     start = time.perf_counter()
     kernels = load()
-    d = np.array([[[0.0, 1.0], [np.inf, 0.0]]])
-    kernels.fw_dist_batch(d)
+    d = np.array([[[0.0, 1.0, 3.0], [np.inf, 0.0, 1.0], [np.inf, np.inf, 0.0]]])
+    kernels.row_dist_batch(d)
     d2 = np.array([[[0.0, 1.0], [np.inf, 0.0]]])
     nh = np.array([[[0, 1], [-1, 1]]], dtype=np.int64)
     kernels.fw_batch(d2, nh)
-    S = np.zeros((2, 2, 2))
+    S = np.zeros((2, 2))
     kernels.inc_update(
         S, 1, 1,
         np.array([0], dtype=np.int64),
@@ -159,11 +129,11 @@ def warmup(obs=None) -> str:
         if obs.enabled:
             obs.emit(
                 "kernel.compile",
-                backend=_state["backend"],
+                backend=BACKEND,
                 seconds=round(seconds, 6),
             )
         obs.metrics.gauge("kernel.compile_seconds").set(seconds)
-    return _state["backend"]
+    return BACKEND
 
 
 def warmup_seconds() -> Optional[float]:
@@ -173,9 +143,9 @@ def warmup_seconds() -> Optional[float]:
 
 # -- dispatch surface used by the kernel call sites ---------------------
 
-def fw_distances_batch_inplace(dist: np.ndarray) -> None:
-    """In-place batched FW distances (``(B, n, n)`` float64 C-order)."""
-    load().fw_dist_batch(dist)
+def row_distances_batch_inplace(dist: np.ndarray) -> None:
+    """In-place left-to-right row FW (``(B, n, n)`` float64 C-order)."""
+    load().row_dist_batch(dist)
 
 
 def fw_batch_inplace(dist: np.ndarray, next_hop: np.ndarray) -> None:
@@ -184,5 +154,5 @@ def fw_batch_inplace(dist: np.ndarray, next_hop: np.ndarray) -> None:
 
 
 def inc_update_boundary(S, rows, b, us, vs, cs) -> None:
-    """Crossing-block rewrite on the incremental engine's layer stack."""
+    """Crossing-block rewrite on the incremental engine's ``(n, n)`` layer."""
     load().inc_update(S, rows, b, us, vs, cs)

@@ -7,20 +7,37 @@ routing deadlock-free (every hop moves monotonically toward the
 destination in the current dimension), and it is what the simulated
 annealing evaluates on every candidate placement, so it must be fast.
 
-The min-plus Floyd-Warshall here is vectorized with NumPy and
-*batched*: both directional passes are stacked into one ``(2, n, n)``
-tensor, so the ``k`` loop runs once (``n`` iterations) and each
-relaxation is a single batched broadcast that still emits next-hop
-tables.  For the paper's row sizes (``n <= 16``) an objective
-evaluation runs in microseconds.
+Distances need only one of the two passes, and only a triangle of it:
 
-A pure-Python triple-loop implementation is retained in
-:mod:`repro.routing.shortest_path_ref` as the reference; the parity
-suite (``tests/routing/test_shortest_path_parity.py``) proves the
-vectorized kernels bit-identical to it -- distances *and* next hops --
-and the public entry points take
-``impl="vectorized" | "reference" | "native"`` so any caller can be
-flipped onto the oracle or onto the compiled tier
+* *Transpose.*  Every link is bidirectional with one hop cost, so the
+  right-to-left weight matrix is the left-to-right one transposed.
+  Floyd-Warshall on ``W^T`` forms ``d[k][j] + d[i][k]`` where the pass
+  on ``W`` forms ``d[i][k] + d[k][j]``; IEEE-754 addition commutes, so
+  ``FW(W^T) == FW(W)^T`` bit for bit and the right-to-left distances
+  are read off the left-to-right result.
+* *Triangle.*  The left-to-right graph has no leftward edge and a zero
+  diagonal, so at pivot ``k`` only cells ``i < k < j`` can see a
+  candidate other than ``inf`` or their own value.
+  :func:`row_distances_batch` relaxes exactly that block
+  (``dist[:, :k, k+1:]``) and leaves every value where the full pass
+  would.
+
+Both identities hold for any nonnegative hop costs, integral or not.
+The row pricing paths -- :func:`batched_mean_distances` (exact search,
+the D&C combine step, the serve batcher), :func:`directional_distances`
+and the incremental engine -- all run that one kernel over
+left-to-right ``(B, n, n)`` stacks.  Next-hop tables are not a
+transpose (the transpose of a left-to-right *first* hop is a
+right-to-left *last* hop), so :func:`directional_paths` still relaxes
+both passes in full with :func:`floyd_warshall_batch`.
+
+A pure-Python triple-loop implementation of the paper's two passes is
+retained in :mod:`repro.routing.shortest_path_ref` as the
+specification; the parity suite
+(``tests/routing/test_shortest_path_parity.py``) proves the kernels
+here bit-identical to it -- distances *and* next hops -- and the public
+entry points take ``impl="vectorized" | "reference" | "native"`` so
+any caller can be flipped onto the oracle or onto the compiled tier
 (:mod:`repro.routing.native`; optional, bit-identical, and selected
 centrally through :func:`repro.routing.impls.resolve_impl`).
 """
@@ -94,9 +111,9 @@ def weight_matrix(
 def weight_stack(placement: RowPlacement, cost: HopCostModel) -> np.ndarray:
     """Both directional weight matrices stacked as ``(2, n, n)``.
 
-    Index 0 is the left-to-right pass, index 1 right-to-left; feeding
-    the stack to the batched kernels relaxes both passes in one ``k``
-    loop.
+    Index 0 is the left-to-right pass, index 1 right-to-left (its
+    transpose); :func:`floyd_warshall_batch` relaxes both passes in one
+    ``k`` loop when next hops are needed.
     """
     n = placement.n
     w = np.full((2, n, n), INF)
@@ -113,14 +130,11 @@ def weight_stack_population(
     placements: Sequence[RowPlacement],
     cost: HopCostModel,
 ) -> np.ndarray:
-    """Directional weight stacks for a whole population: ``(2B, n, n)``.
+    """Left-to-right weight matrices for a whole population: ``(B, n, n)``.
 
-    Slices ``2b`` and ``2b + 1`` are placement ``b``'s left-to-right
-    and right-to-left matrices, laid out exactly as
-    :func:`weight_stack` lays out its ``(2, n, n)`` pair -- so running
-    the batched Floyd-Warshall on the population stack relaxes every
-    slice with elementwise operations and is bit-identical, per slice,
-    to ``B`` separate two-slice passes.  All placements must share one
+    Slice ``b`` is placement ``b``'s left-to-right matrix, equal to
+    ``weight_stack(placements[b], cost)[0]`` -- the input
+    :func:`row_distances_batch` relaxes.  All placements must share one
     row size ``n``.
     """
     placements = list(placements)
@@ -132,7 +146,7 @@ def weight_stack_population(
             raise ValueError(
                 f"population mixes row sizes: expected n={n}, got n={p.n}"
             )
-    w = np.full((2 * len(placements), n, n), INF)
+    w = np.full((len(placements), n, n), INF)
     idx = np.arange(n)
     w[:, idx, idx] = 0.0
     # hop_cost(length) is precomputed per length so every slice sees the
@@ -141,23 +155,66 @@ def weight_stack_population(
         [0.0] + [cost.hop_cost(length) for length in range(1, n)]
     )
     # The n - 1 local links are common to every placement: write them
-    # across all slices in two vectorized strokes.
+    # across all slices in one vectorized stroke.
     if n > 1:
-        unit = cost_by_len[1]
-        w[0::2, idx[:-1], idx[1:]] = unit  # left-to-right
-        w[1::2, idx[1:], idx[:-1]] = unit  # right-to-left
+        w[:, idx[:-1], idx[1:]] = cost_by_len[1]
     # Only express links differ per placement (i < j by construction).
     flat = [
-        (2 * b, i, j)
+        (b, i, j)
         for b, placement in enumerate(placements)
         for i, j in placement.express_links
     ]
     if flat:
         s, r, c = np.asarray(flat, dtype=np.intp).T
-        v = cost_by_len[c - r]
-        w[s, r, c] = v  # left-to-right
-        w[s + 1, c, r] = v  # right-to-left
+        w[s, r, c] = cost_by_len[c - r]
     return w
+
+
+def row_distances_batch(w: np.ndarray, impl: str = "vectorized") -> np.ndarray:
+    """Left-to-right row Floyd-Warshall, distances only, triangle block.
+
+    ``w`` is a ``(B, n, n)`` stack of left-to-right row graphs: zero
+    diagonal, nonnegative weights above it, ``inf`` below it (what
+    :func:`weight_stack_population` builds).  Pivot ``k`` relaxes only
+    ``dist[:, :k, k+1:]``, the one block it can change (see the module
+    docstring), so the result is bitwise the full
+    :func:`floyd_warshall_distances_batch` pass on the same stack.
+    ``impl="native"`` runs the compiled in-place loop over the same
+    block (:mod:`repro.routing.native`).
+    """
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {w.shape}")
+    _check_impl(impl)
+    if impl == "native":
+        from repro.routing import native
+
+        dist = np.array(w, dtype=np.float64, order="C")
+        native.row_distances_batch_inplace(dist)
+        return dist
+    dist = w.copy()
+    for k in range(1, w.shape[1] - 1):
+        block = dist[:, :k, k + 1:]
+        np.minimum(
+            block, dist[:, :k, k, None] + dist[:, None, k, k + 1:], out=block
+        )
+    return dist
+
+
+def combine_directions(dist: np.ndarray) -> np.ndarray:
+    """Directional distances from left-to-right ones (any ``(..., n, n)``).
+
+    The upper triangle is read as is, the lower triangle from the
+    transpose (the right-to-left pass, by the transpose identity), and
+    the diagonal is zero.  The result is a fresh C-contiguous array, so
+    reducing each ``(n, n)`` slice sums in the same order as the scalar
+    path's matrix.
+    """
+    n = dist.shape[-1]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    out = np.where(upper, dist, dist.swapaxes(-1, -2))
+    idx = np.arange(n)
+    out[..., idx, idx] = 0.0
+    return out
 
 
 def batched_mean_distances(
@@ -169,18 +226,18 @@ def batched_mean_distances(
     """Mean directional head latency of each placement, in one FW pass.
 
     The population version of ``mean_row_head_latency``: one
-    ``(2B, n, n)`` min-plus Floyd-Warshall prices all ``B`` placements,
-    then each mean is reduced per slice-pair with the exact operation
-    order of the scalar path -- results are bit-identical to ``B``
-    scalar evaluations.  ``weights`` (an ``n x n`` nonnegative matrix,
-    validated as in the scalar path) switches to the traffic-weighted
-    mean.  ``impl`` selects the Floyd-Warshall kernel: ``"native"``
-    swaps in the compiled pass (stack building and the pinned-order
-    mean reduction stay in NumPy -- they are O(B n^2) against the
-    pass's O(B n^3), and the reduction's pairwise-summation order is
-    part of the bit-identity contract); ``"reference"`` prices the
-    population one placement at a time through the pure-Python oracle.
-    Returns shape ``(B,)``.
+    ``(B, n, n)`` left-to-right :func:`row_distances_batch` prices all
+    ``B`` placements, then each mean is reduced per slice with the
+    exact operation order of the scalar path -- results are
+    bit-identical to ``B`` scalar evaluations.  ``weights`` (an
+    ``n x n`` nonnegative matrix, validated as in the scalar path)
+    switches to the traffic-weighted mean.  ``impl`` selects the row
+    kernel: ``"native"`` swaps in the compiled pass (stack building and
+    the pinned-order mean reduction stay in NumPy -- they are
+    O(B n^2) against the pass's O(B n^3), and the reduction's
+    pairwise-summation order is part of the bit-identity contract);
+    ``"reference"`` prices the population one placement at a time
+    through the pure-Python oracle.  Returns shape ``(B,)``.
     """
     from repro.util.errors import ConfigurationError
 
@@ -206,16 +263,9 @@ def batched_mean_distances(
             else:
                 out.append((dist * w).sum() / total)
         return np.asarray(out, dtype=float)
-    stack = floyd_warshall_distances_batch(
-        weight_stack_population(placements, cost), impl=impl
+    combined = combine_directions(
+        row_distances_batch(weight_stack_population(placements, cost), impl=impl)
     )
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    # Combine the directional pairs for all placements at once; each
-    # combined[b] is then a C-contiguous (n, n) slice whose reduction
-    # order matches the scalar path's freshly-allocated matrix exactly.
-    combined = np.where(upper[None, :, :], stack[0::2], stack[1::2])
-    idx = np.arange(n)
-    combined[:, idx, idx] = 0.0
     # Reducing each C-contiguous slice over its flattened innermost
     # axis applies numpy's pairwise summation per row -- the identical
     # operation order to `.mean()` / `.sum()` on the scalar path's
@@ -268,26 +318,16 @@ def floyd_warshall_batch(
     return dist, next_hop
 
 
-def floyd_warshall_distances_batch(
-    w: np.ndarray, impl: str = "vectorized"
-) -> np.ndarray:
-    """Distance-only batched Floyd-Warshall (the annealing hot path).
+def floyd_warshall_distances_batch(w: np.ndarray) -> np.ndarray:
+    """Distance-only batched Floyd-Warshall over arbitrary stacks.
 
-    One ``k`` loop covers every slice of the ``(B, n, n)`` stack; used
-    with :func:`weight_stack` it halves the Python-loop overhead of an
-    objective evaluation versus two single-matrix passes.
-    ``impl="native"`` dispatches to the compiled in-place pass (see
-    :func:`floyd_warshall_batch` for the tier semantics).
+    One ``k`` loop covers every slice of the ``(B, n, n)`` stack and
+    every cell of it.  The generic NumPy kernel: grid2d pricing uses
+    it, and the tests use it as the full-pass comparator for
+    :func:`row_distances_batch`.
     """
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {w.shape}")
-    _check_impl(impl)
-    if impl == "native":
-        from repro.routing import native
-
-        dist = np.array(w, dtype=np.float64, order="C")
-        native.fw_distances_batch_inplace(dist)
-        return dist
     dist = w.copy()
     for k in range(w.shape[1]):
         np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :], out=dist)
@@ -364,12 +404,8 @@ def directional_distances(
         from repro.routing import shortest_path_ref as ref
 
         return np.asarray(ref.directional_distances_py(placement, cost))
-    n = placement.n
-    stack = floyd_warshall_distances_batch(weight_stack(placement, cost), impl=impl)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    dist = np.where(upper, stack[0], stack[1])
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    w = weight_matrix(placement, cost, LEFT_TO_RIGHT)
+    return combine_directions(row_distances_batch(w[None], impl=impl)[0])
 
 
 def directional_paths(

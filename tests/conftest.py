@@ -42,6 +42,28 @@ def limited_row_placements(draw, min_n: int = 3, max_n: int = 10, max_limit: int
     return placement, limit
 
 
+@st.composite
+def row_weight_stacks(draw, max_b: int = 3, min_n: int = 2, max_n: int = 12):
+    """Left-to-right ``(B, n, n)`` weight stacks: the row kernel's domain.
+
+    Zero diagonal and ``inf`` below it; above it, deliberately
+    non-integral weights of which a drawn fraction (up to almost all) is
+    ``inf`` -- arbitrary forward graphs over the row order, not only
+    the ones placements produce.
+    """
+    b = draw(st.integers(1, max_b))
+    n = draw(st.integers(min_n, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inf_frac = draw(st.floats(0.0, 0.95))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.25, 9.75, size=(b, n, n))
+    w[rng.random((b, n, n)) < inf_frac] = np.inf
+    w[:, np.tri(n, k=-1, dtype=bool)] = np.inf
+    idx = np.arange(n)
+    w[:, idx, idx] = 0.0
+    return w
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ class TestDriftRepair:
                 # no block rewrite ever repairs it; lowering it far
                 # below any real distance makes every energy the engine
                 # prices from here on a new best.
-                self._S[0, 0, 1] -= 100.0
+                self._S[0, 1] -= 100.0
                 self._D[0, 1] -= 100.0
 
         monkeypatch.setattr(

@@ -3,9 +3,10 @@
 The batched kernels (`weight_stack_population`, `batched_mean_distances`,
 ``RowObjective.evaluate_many``) exist purely for throughput -- the exact
 searches and the serving layer's ``/evaluate`` batcher price whole
-populations with them: one ``(2B, n, n)`` Floyd-Warshall stack instead
-of ``B`` ``(2, n, n)`` passes.  Min-plus relaxation is elementwise per slice and
-the final reduction runs over each slice's contiguous row, so the
+populations with them: one ``(B, n, n)`` left-to-right row stack
+instead of ``B`` single-placement passes.  Min-plus relaxation is
+elementwise per slice and the final reduction runs over each slice's
+contiguous row, so the
 contract is *bit-identical* results -- strict ``==`` on floats, byte
 equality on placements -- which is what every test here demands.
 
@@ -37,6 +38,7 @@ from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
     floyd_warshall_distances_batch,
+    row_distances_batch,
     weight_stack,
     weight_stack_population,
 )
@@ -81,10 +83,13 @@ def test_weight_stack_population_matches_scalar_stacks(pop):
     _, batch = pop
     for cost in COSTS:
         stacked = weight_stack_population(batch, cost)
-        assert stacked.shape == (2 * len(batch), batch[0].n, batch[0].n)
+        assert stacked.shape == (len(batch), batch[0].n, batch[0].n)
         for b, placement in enumerate(batch):
             single = weight_stack(placement, cost)
-            assert np.array_equal(stacked[2 * b:2 * b + 2], single)
+            assert np.array_equal(stacked[b], single[0])
+            # The right-to-left matrix is the left-to-right one
+            # transposed: the weight-level half of the transpose identity.
+            assert np.array_equal(single[1], single[0].T)
 
 
 @pytest.mark.parametrize("impl", AVAILABLE_IMPLS)
@@ -116,19 +121,21 @@ def test_batched_mean_distances_weighted_parity(pop, seed):
 
 @pytest.mark.parametrize("impl", FAST_IMPLS)
 def test_batched_distances_equal_per_placement_passes(impl):
-    # The (2B, n, n) stack relaxes each slice independently, so it must
-    # equal B separate (2, n, n) runs exactly -- under every fast tier,
-    # and bit-identical to the default tier's bits.
+    # The (B, n, n) row stack relaxes each slice independently, so slice
+    # b must equal placement b's full left-to-right pass exactly, and
+    # its transpose the full right-to-left pass -- under every fast
+    # tier, bit-identical to the default tier's two full passes.
     batch = [
         ConnectionMatrix.random(8, 3, np.random.default_rng(k)).decode()
         for k in range(6)
     ]
-    stacked = floyd_warshall_distances_batch(
+    stacked = row_distances_batch(
         weight_stack_population(batch, COSTS[1]), impl=impl
     )
     for b, placement in enumerate(batch):
         single = floyd_warshall_distances_batch(weight_stack(placement, COSTS[1]))
-        assert np.array_equal(stacked[2 * b:2 * b + 2], single)
+        assert np.array_equal(stacked[b], single[0])
+        assert np.array_equal(stacked[b].T, single[1])
 
 
 # ----------------------------------------------------------------------

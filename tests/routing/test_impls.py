@@ -18,6 +18,7 @@ from repro.routing.impls import (
     DEFAULT_IMPL,
     IMPL_ENV_VAR,
     IMPLEMENTATIONS,
+    NATIVE_INSTALL_HINT,
     available_impls,
     check_impl,
     resolve_impl,
@@ -42,7 +43,7 @@ class TestRegistry:
         has_native = "native" in available_impls()
         assert has_native == native.available()
         if has_native:
-            assert native.backend_name() in native.BACKENDS
+            assert native.backend_name() == native.BACKEND
         else:
             assert native.unavailable_reason()
 
@@ -101,7 +102,8 @@ class TestResolveImpl:
             resolve_impl("native")
         msg = str(exc.value)
         assert "no backend (test)" in msg
-        assert "repro[native]" in msg
+        assert NATIVE_INSTALL_HINT in msg
+        assert "C compiler" in msg
 
     def test_env_native_falls_back_with_warning(self, monkeypatch):
         monkeypatch.setenv(IMPL_ENV_VAR, "native")

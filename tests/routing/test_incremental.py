@@ -197,7 +197,7 @@ class TestFlipDiff:
 class TestResync:
     def test_resync_repairs_corrupted_state(self):
         engine = IncrementalApspEngine(RowPlacement(8, frozenset({(1, 5)})))
-        engine._S[0, 0, 7] += 1.0  # simulate drift
+        engine._S[0, 7] += 1.0  # simulate drift in the one layer
         assert not engine.self_check()
         engine.resync()
         assert engine.self_check()

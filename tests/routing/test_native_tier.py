@@ -13,12 +13,20 @@ invariants the in-place compiled relaxation relies on for row-k /
 column-k stability within iteration ``k``, so the strategies below
 always enforce them.
 
-The whole module is skipped when no native backend (numba or the
-C-extension fallback) can load on this machine; the graceful-fallback
-behaviour for that case is covered by ``test_impls.py``.
+The distance kernel is the left-to-right row kernel, so its stacks
+are drawn from the row domain (``inf`` below the diagonal) and checked
+against the full NumPy pass as well as the NumPy row kernel; the
+next-hop kernel stays generic and is attacked with arbitrary stacks.
+
+The whole module is skipped when the C extension cannot load on this
+machine; the graceful-fallback behaviour for that case is covered by
+``test_impls.py``.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +38,7 @@ from repro.core.annealing import AnnealingParams
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective
 from repro.core.optimizer import optimize
-from repro.routing import native
+from repro.routing import _native_cext, native
 from repro.routing.impls import available_impls
 from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.shortest_path import (
@@ -38,12 +46,14 @@ from repro.routing.shortest_path import (
     batched_mean_distances,
     floyd_warshall_batch,
     floyd_warshall_distances_batch,
+    row_distances_batch,
     weight_stack_population,
 )
+from tests.conftest import row_weight_stacks
 
 pytestmark = pytest.mark.skipif(
     "native" not in available_impls(),
-    reason="no native backend (numba or C toolchain) available",
+    reason="native tier unavailable (no C toolchain)",
 )
 
 SMALL = AnnealingParams(total_moves=300, moves_per_cooldown=100)
@@ -51,7 +61,7 @@ SMALL = AnnealingParams(total_moves=300, moves_per_cooldown=100)
 
 @st.composite
 def weight_stacks(draw, max_pairs: int = 3, max_n: int = 12):
-    """Adversarial ``(2B, n, n)`` stacks satisfying the kernel domain.
+    """Adversarial arbitrary ``(B, n, n)`` stacks in the kernel domain.
 
     Entries are deliberately non-integral, a drawn fraction of them is
     ``inf`` (up to almost-disconnected), and the diagonal is zero --
@@ -70,13 +80,14 @@ def weight_stacks(draw, max_pairs: int = 3, max_n: int = 12):
 
 
 class TestAdversarialStacks:
-    @given(w=weight_stacks())
+    @given(w=row_weight_stacks())
     @settings(max_examples=40, deadline=None)
     def test_distances_bit_identical(self, w):
-        expect = floyd_warshall_distances_batch(w, impl="vectorized")
-        got = floyd_warshall_distances_batch(w, impl="native")
+        expect = row_distances_batch(w, impl="vectorized")
+        got = row_distances_batch(w, impl="native")
         assert got.dtype == expect.dtype == np.float64
         assert np.array_equal(got, expect)
+        assert np.array_equal(got, floyd_warshall_distances_batch(w))
 
     @given(w=weight_stacks())
     @settings(max_examples=40, deadline=None)
@@ -87,24 +98,31 @@ class TestAdversarialStacks:
         assert nh_got.dtype == nh_expect.dtype == np.int64
         assert np.array_equal(nh_got, nh_expect)
 
-    @given(w=weight_stacks(max_pairs=1, max_n=8))
+    @given(
+        w=weight_stacks(max_pairs=1, max_n=8),
+        rows=row_weight_stacks(max_b=2, max_n=8),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_input_stack_is_never_mutated(self, w):
+    def test_input_stack_is_never_mutated(self, w, rows):
         before = w.copy()
         floyd_warshall_batch(w, impl="native")
-        floyd_warshall_distances_batch(w, impl="native")
         assert np.array_equal(w, before)
+        before = rows.copy()
+        row_distances_batch(rows, impl="native")
+        assert np.array_equal(rows, before)
 
     def test_fortran_ordered_input_is_handled(self):
         # The ctypes backend requires C-contiguous float64; the seam
         # must copy, not reinterpret, exotic layouts.
         rng = np.random.default_rng(3)
         w = np.asfortranarray(rng.uniform(0.5, 4.5, size=(2, 6, 6)))
+        w[:, np.tri(6, k=-1, dtype=bool)] = np.inf
         idx = np.arange(6)
         w[:, idx, idx] = 0.0
+        assert not w.flags.c_contiguous
         assert np.array_equal(
-            floyd_warshall_distances_batch(w, impl="native"),
-            floyd_warshall_distances_batch(w, impl="vectorized"),
+            row_distances_batch(w, impl="native"),
+            row_distances_batch(w, impl="vectorized"),
         )
 
 
@@ -129,11 +147,10 @@ class TestPopulationPricing:
         rng = np.random.default_rng(5)
         pop = [ConnectionMatrix.random(6, 3, rng).decode() for _ in range(4)]
         stack = weight_stack_population(pop, self.COST)
-        assert stack.shape == (8, 6, 6)
-        assert np.array_equal(
-            floyd_warshall_distances_batch(stack, impl="native"),
-            floyd_warshall_distances_batch(stack, impl="vectorized"),
-        )
+        assert stack.shape == (4, 6, 6)
+        got = row_distances_batch(stack, impl="native")
+        assert np.array_equal(got, row_distances_batch(stack, impl="vectorized"))
+        assert np.array_equal(got, floyd_warshall_distances_batch(stack))
 
 
 class TestIncrementalEngine:
@@ -209,7 +226,44 @@ class TestWarmup:
         native.warmup()
         native.warmup()  # second call must be a no-op
         assert native.available()
-        assert native.backend_name() in native.BACKENDS
+        assert native.backend_name() == native.BACKEND == "cext"
+
+
+class TestBuildCache:
+    """The ``.repro/native/`` cache never serves a bad or stale build."""
+
+    def test_cache_key_covers_compile_flags(self, monkeypatch):
+        name = _native_cext._so_name()
+        monkeypatch.setattr(_native_cext, "CFLAGS", _native_cext.CFLAGS + ("-g",))
+        assert _native_cext._so_name() != name
+
+    def test_corrupt_cached_library_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_native_cext.CACHE_ENV_VAR, str(tmp_path))
+        so_path = _native_cext._so_path()
+        garbage = b"truncated shared object\n" * 64
+        with open(so_path, "wb") as fh:
+            fh.write(garbage)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import numpy as np\n"
+             "from repro.core.connection_matrix import ConnectionMatrix\n"
+             "from repro.routing import native\n"
+             "from repro.routing.shortest_path import (\n"
+             "    HopCostModel, row_distances_batch, weight_stack_population)\n"
+             "native.load()\n"
+             "rng = np.random.default_rng(9)\n"
+             "pop = [ConnectionMatrix.random(8, 3, rng).decode() for _ in range(4)]\n"
+             "w = weight_stack_population(pop, HopCostModel(2.7, 0.3, 0.1))\n"
+             "got = row_distances_batch(w, impl='native')\n"
+             "assert np.array_equal(got, row_distances_batch(w, impl='vectorized'))\n"
+             "print('ok', native.backend_name())\n"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok cext"
+        # The garbage was replaced by the build the subprocess loaded.
+        with open(so_path, "rb") as fh:
+            assert fh.read() != garbage
 
 
 @pytest.mark.slow

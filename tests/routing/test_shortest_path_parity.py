@@ -10,6 +10,13 @@ next-hop tables over randomized rows -- all implementations relax
 ``k`` in the same order and break ties with the same strict ``<``, so
 exact equality is the contract, not an approximation.
 
+Distances are priced with one triangular left-to-right pass
+(:func:`repro.routing.shortest_path.row_distances_batch`) while the
+oracle keeps the paper's two full passes, so every distance case here
+also checks the transpose identity (right-to-left == left-to-right
+transposed) and the triangle restriction; two tests pin those
+identities directly, on the oracle itself and on the row kernel.
+
 The second half proves the search runner's worker count is an
 execution detail: for a fixed seed, ``optimize`` and
 ``solve_row_problem`` with ``SearchConfig(restarts=R, jobs=K)`` return
@@ -22,6 +29,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.annealing import AnnealingParams
 from repro.core.connection_matrix import ConnectionMatrix
@@ -38,12 +47,15 @@ from repro.routing.shortest_path import (
     floyd_warshall_batch,
     floyd_warshall_distances,
     floyd_warshall_distances_batch,
+    row_distances_batch,
     weight_matrix,
     weight_stack,
 )
+from repro.routing import shortest_path_ref as ref
 from repro.routing.impls import available_impls
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
+from tests.conftest import row_placements, row_weight_stacks
 
 #: Every tier usable here ("native" joins when a backend loads); the
 #: fast tiers are gated against the oracle below.
@@ -104,9 +116,9 @@ def test_batched_kernels_match_single_matrix_kernels(n, impl):
         assert np.array_equal(stack[0], w_lr)
         assert np.array_equal(stack[1], w_rl)
 
-        d_batch = floyd_warshall_distances_batch(stack, impl=impl)
-        assert np.array_equal(d_batch[0], floyd_warshall_distances(w_lr))
-        assert np.array_equal(d_batch[1], floyd_warshall_distances(w_rl))
+        d_row = row_distances_batch(stack[:1], impl=impl)
+        assert np.array_equal(d_row[0], floyd_warshall_distances(w_lr))
+        assert np.array_equal(d_row[0].T, floyd_warshall_distances(w_rl))
 
         d_full, nh_full = floyd_warshall_batch(stack, impl=impl)
         d0, nh0 = floyd_warshall(w_lr)
@@ -121,6 +133,63 @@ def test_batch_kernels_reject_non_stack_input():
         floyd_warshall_batch(w)
     with pytest.raises(ValueError):
         floyd_warshall_distances_batch(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        row_distances_batch(w)
+
+
+#: Hop costs drawn from the reals (almost never integral), so sums
+#: round and any difference in operand order or in the set of
+#: candidates would show in the bits.
+hop_costs = st.builds(
+    HopCostModel,
+    router_delay=st.floats(0.0, 8.0),
+    unit_link_delay=st.floats(0.0, 4.0),
+    contention_delay=st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(placement=row_placements(min_n=3, max_n=14, max_links=14), cost=hop_costs)
+@example(
+    placement=RowPlacement(5, frozenset({(0, 2), (1, 4)})),
+    cost=HopCostModel(router_delay=2.1, unit_link_delay=0.7, contention_delay=0.3),
+)
+def test_oracle_right_to_left_is_left_to_right_transposed(placement, cost):
+    # The transpose identity on the specification itself: the paper's
+    # right-to-left pass equals its left-to-right pass transposed.
+    d_lr = ref.floyd_warshall_distances_py(
+        ref.weight_matrix_py(placement, cost, "l2r")
+    )
+    d_rl = ref.floyd_warshall_distances_py(
+        ref.weight_matrix_py(placement, cost, "r2l")
+    )
+    assert np.array_equal(np.asarray(d_rl), np.asarray(d_lr).T)
+
+
+@pytest.mark.parametrize("impl", AVAILABLE_IMPLS)
+@settings(max_examples=60, deadline=None)
+@given(w=row_weight_stacks())
+def test_row_kernel_equals_full_pass(w, impl):
+    # The triangle restriction: relaxing only i < k < j leaves every
+    # cell where the full pass leaves it, on any left-to-right stack.
+    got = row_distances_batch(w, impl=impl)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, floyd_warshall_distances_batch(w))
+
+
+@pytest.mark.parametrize("impl", AVAILABLE_IMPLS)
+@pytest.mark.parametrize("n", (2, 3))
+def test_row_kernel_tiny_rows(n, impl):
+    # n = 2 has no pivot with i < k < j; n = 3 has exactly one cell.
+    w = np.full((1, n, n), np.inf)
+    w[0, np.arange(n), np.arange(n)] = 0.0
+    w[0, np.arange(n - 1), np.arange(1, n)] = 0.37
+    if n == 3:
+        w[0, 0, 2] = 0.75  # above 0.37 + 0.37: the pivot must win
+    got = row_distances_batch(w, impl=impl)
+    assert np.array_equal(got, floyd_warshall_distances_batch(w))
+    if n == 3:
+        assert got[0, 0, 2] == 0.37 + 0.37
 
 
 def test_unknown_impl_rejected():

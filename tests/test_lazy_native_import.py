@@ -1,102 +1,44 @@
-"""``import repro`` must never pull in the optional native stack.
+"""``import repro`` must never build or load the native kernel library.
 
-numba is an *optional* extra (``pip install repro[native]``): importing
-the package, building configs, and running the default vectorized tier
-must all work on a machine where numba is missing -- or worse, present
-but broken.  Each test runs a fresh interpreter so this module's own
-imports cannot mask an eager import sneaking into the package.
+The native tier is a C extension compiled on first use
+(:mod:`repro.routing._native_cext`).  Importing the package, building
+configs and running the default vectorized tier must not pay for --
+or depend on -- that build, so a machine without a C compiler loses
+only the tier.  The test runs a fresh interpreter, with an empty build
+cache, so this module's own imports cannot mask an eager import
+sneaking into the package.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
-import pytest
 
-
-def _run(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120,
-    )
-
-
-def test_import_repro_does_not_import_numba():
-    proc = _run(
-        "import sys\n"
-        "import repro\n"
-        "import repro.api\n"
-        "import repro.cli\n"
-        "import repro.routing.shortest_path\n"
-        "import repro.routing.impls\n"
-        "bad = [m for m in sys.modules if m.split('.')[0] == 'numba']\n"
-        "assert not bad, f'numba imported eagerly: {bad}'\n"
-        "print('clean')\n"
+def test_import_repro_does_not_load_native(tmp_path):
+    cache = tmp_path / "native-cache"
+    env = dict(os.environ, REPRO_NATIVE_CACHE=str(cache))
+    env.pop("REPRO_IMPL", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import repro\n"
+         "import repro.api\n"
+         "import repro.cli\n"
+         "import repro.routing.shortest_path\n"
+         "import repro.routing.impls\n"
+         "from repro.api import SearchConfig, evaluate_placement\n"
+         "from repro.topology.row import RowPlacement\n"
+         "assert SearchConfig().impl == 'vectorized'\n"
+         "p = RowPlacement(6, frozenset({(0, 2), (3, 5)}))\n"
+         "assert evaluate_placement(p, link_limit=4).total_latency > 0\n"
+         "bad = [m for m in sys.modules if m.endswith('_native_cext')]\n"
+         "assert not bad, f'native library imported eagerly: {bad}'\n"
+         "print('clean')\n"],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "clean" in proc.stdout
-
-
-def test_repro_works_with_numba_import_blocked():
-    # Poisoning sys.modules makes ``import numba`` raise ImportError
-    # immediately -- the package must still import, resolve the default
-    # tier, and price a placement.
-    proc = _run(
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "from repro.api import SearchConfig, evaluate_placement\n"
-        "from repro.routing.impls import resolve_impl\n"
-        "from repro.topology.row import RowPlacement\n"
-        "assert SearchConfig().impl == 'vectorized'\n"
-        "assert resolve_impl(None) == 'vectorized'\n"
-        "p = RowPlacement(6, frozenset({(0, 2), (3, 5)}))\n"
-        "result = evaluate_placement(p, link_limit=4)\n"
-        "assert result.total_latency > 0\n"
-        "print('ok', result.total_latency)\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ok ")
-
-
-def test_explicit_native_with_numba_blocked_uses_cext_or_errors():
-    # With numba poisoned the facade must either fall through to the
-    # C-extension backend or raise the documented ConfigurationError --
-    # never crash with a bare ImportError.
-    proc = _run(
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "from repro.routing import native\n"
-        "from repro.util.errors import ConfigurationError\n"
-        "try:\n"
-        "    native.load()\n"
-        "except ConfigurationError as exc:\n"
-        "    print('unavailable:', exc)\n"
-        "else:\n"
-        "    assert native.backend_name() == 'cext', native.backend_name()\n"
-        "    print('backend:', native.backend_name())\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(("backend:", "unavailable:"))
-
-
-@pytest.mark.slow
-def test_numba_absence_leaves_results_identical():
-    # The tier is a wall-clock knob: blocking numba (forcing either the
-    # cext backend or the vectorized fallback) must not change a single
-    # bit of a solve.
-    code = (
-        "import sys\n"
-        "{poison}"
-        "from repro.api import SearchConfig, place_express_links\n"
-        "from repro.core.annealing import AnnealingParams\n"
-        "r = place_express_links(8, method='only_sa', config=SearchConfig(seed=11),\n"
-        "                        params=AnnealingParams(total_moves=300,\n"
-        "                                               moves_per_cooldown=100))\n"
-        "print(r.express_links, float(r.total_latency).hex())\n"
-    )
-    with_numba = _run(code.format(poison=""))
-    without = _run(code.format(poison="sys.modules['numba'] = None\n"))
-    assert with_numba.returncode == 0, with_numba.stderr
-    assert without.returncode == 0, without.stderr
-    assert with_numba.stdout == without.stdout
+    # Nothing was compiled: the build cache was never even created.
+    assert not cache.exists()
