@@ -2,9 +2,10 @@
 
 Two runtime extensions beyond the paper are measured here:
 
-* the active-set cycle engine vs the poll-everything reference engine
-  on the same run (byte-identical ``LatencySummary`` required; the
-  speedup gate is algorithmic, so it holds on any core count), and
+* the simulator's active-set step engine vs the poll-everything test
+  oracle (``tests/sim/oracle.py``) on the same run (byte-identical
+  ``RunResult`` required; the speedup gate is algorithmic, so it holds
+  on any core count), and
 * the parallel campaign layer (``run_campaign(grid, jobs=K)``) vs the
   serial loop (identical results required always; wall-clock speedup
   asserted only where the host has the cores to show one).
@@ -27,15 +28,16 @@ from repro.traffic.injection import SyntheticTraffic, TraceTraffic
 from repro.traffic.patterns import make_pattern
 
 from benchmarks.conftest import SEED, publish, sa_effort
+from tests.sim.oracle import PollEverythingSimulator
 
 ROUNDS = 5 if sa_effort() == "paper" else 2
 
 
-def _timed_run(topo, cfg, traffic_factory, engine):
+def _timed_run(topo, cfg, traffic_factory, simulator):
     best = float("inf")
     result = None
     for _ in range(ROUNDS):
-        sim = Simulator(topo, cfg, traffic_factory(), engine=engine)
+        sim = simulator(topo, cfg, traffic_factory())
         start = time.perf_counter()
         result = sim.run()
         best = min(best, time.perf_counter() - start)
@@ -43,8 +45,8 @@ def _timed_run(topo, cfg, traffic_factory, engine):
 
 
 def test_active_engine_speedup(capsys):
-    """Active-set vs reference engine, n=8 uniform random at low load:
-    identical summaries, >= 2x serial speedup (measured ~4x)."""
+    """Active-set engine vs poll-everything oracle, n=8 uniform random
+    at low load: identical results, >= 2x serial speedup."""
     topo = MeshTopology.mesh(8)
     cfg = SimConfig(
         warmup_cycles=300, measure_cycles=1_000, max_cycles=8_000, seed=SEED
@@ -55,8 +57,8 @@ def test_active_engine_speedup(capsys):
             make_pattern("uniform_random", 8), 0.005, rng=SEED
         )
 
-    active, t_active = _timed_run(topo, cfg, traffic, "active")
-    reference, t_reference = _timed_run(topo, cfg, traffic, "reference")
+    active, t_active = _timed_run(topo, cfg, traffic, Simulator)
+    reference, t_reference = _timed_run(topo, cfg, traffic, PollEverythingSimulator)
 
     # The load-bearing claim first: same run, byte for byte.
     a, r = asdict(active), asdict(reference)
@@ -71,10 +73,10 @@ def test_active_engine_speedup(capsys):
     )
     events = [(t, 0, 63, 256) for t in (0, 2_000, 5_500)]
     skip_run, t_skip = _timed_run(
-        topo, trace_cfg, lambda: TraceTraffic(events), "active"
+        topo, trace_cfg, lambda: TraceTraffic(events), Simulator
     )
     _, t_noskip = _timed_run(
-        topo, trace_cfg, lambda: TraceTraffic(events), "reference"
+        topo, trace_cfg, lambda: TraceTraffic(events), PollEverythingSimulator
     )
 
     speedup = t_reference / t_active if t_active > 0 else float("inf")
@@ -84,9 +86,9 @@ def test_active_engine_speedup(capsys):
         "sim_engine_speedup",
         "\n".join(
             [
-                "active-set engine vs reference (n=8, uniform random, "
-                "0.005 packets/node/cycle)",
-                f"  reference engine: {t_reference * 1e3:8.1f} ms",
+                "active-set engine vs poll-everything oracle (n=8, "
+                "uniform random, 0.005 packets/node/cycle)",
+                f"  oracle:           {t_reference * 1e3:8.1f} ms",
                 f"  active engine:    {t_active * 1e3:8.1f} ms",
                 f"  speedup:          {speedup:8.2f}x",
                 "  summaries byte-identical: yes",
@@ -94,7 +96,7 @@ def test_active_engine_speedup(capsys):
                 "idle-skip on a 3-burst trace (6000-cycle window)",
                 f"  cycles skipped:   {skip_run.cycles_skipped:8d}"
                 f" of {skip_run.cycles_run}",
-                f"  reference engine: {t_noskip * 1e3:8.1f} ms",
+                f"  oracle:           {t_noskip * 1e3:8.1f} ms",
                 f"  active engine:    {t_skip * 1e3:8.1f} ms",
                 f"  speedup:          {skip_speedup:8.2f}x",
             ]

@@ -77,7 +77,6 @@ from repro.traffic.patterns import PATTERNS, make_pattern
 
 def _add_run_flags(
     p: argparse.ArgumentParser, *, obs: bool = True, search: bool = False,
-    sim: bool = False,
 ) -> None:
     """The one shared option group for run/search/observability flags.
 
@@ -114,12 +113,6 @@ def _add_run_flags(
             "--space", choices=SEARCH_SPACES, default="row",
             help="placement search space: the paper's replicated row, "
             "heterogeneous per-row placements, or pooled-budget 2D chords",
-        )
-    if sim:
-        g.add_argument(
-            "--engine", choices=("active", "reference"), default="active",
-            help="cycle engine: active-set scheduling with idle skipping, "
-            "or the poll-everything reference (identical results)",
         )
     if obs:
         g.add_argument(
@@ -513,7 +506,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ledger = _ledger_for(args)
         ledger_params = {
             "n": args.n, "scheme": args.scheme, "workload": args.workload,
-            "rate": args.rate, "effort": args.effort, "engine": args.engine,
+            "rate": args.rate, "effort": args.effort,
         }
         run_id = None
         if ledger is not None:
@@ -532,8 +525,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         start = time.perf_counter()
         result = Simulator(
-            design.topology, cfg, traffic, obs=obs,
-            metrics_every=args.metrics_every, engine=args.engine,
+            design.topology, cfg, traffic, obs=obs, metrics_every=args.metrics_every,
         ).run()
         wall = time.perf_counter() - start
         s = result.summary
@@ -559,7 +551,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+SCHEMES = ("mesh", "hfb", "dc_sa")
+
+
 def _design_for(scheme: str, n: int, seed: int, effort: str):
+    if scheme not in SCHEMES:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}"
+        )
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2, got {n}")
     if scheme == "mesh":
         return mesh_design(n)
     if scheme == "hfb":
@@ -588,7 +589,6 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
             "n": args.n, "schemes": args.schemes, "patterns": args.patterns,
             "rates": args.rates, "seeds": args.seeds, "warmup": args.warmup,
             "measure": args.measure, "effort": args.effort,
-            "engine": args.engine,
         }
         run_id = None
         if ledger is not None:
@@ -599,8 +599,7 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
                 obs.set_context(run_id=run_id)
         grid = campaign_grid(
             designs, patterns, rates, base_seed=args.seed,
-            seeds_per_point=args.seeds, warmup=args.warmup,
-            measure=args.measure, engine=args.engine,
+            seeds_per_point=args.seeds, warmup=args.warmup, measure=args.measure,
         )
         start = time.perf_counter()
         campaign = run_campaign(grid, jobs=args.jobs, obs=obs)
@@ -623,7 +622,7 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
             rows,
             digits=6,
         ))
-        print(f"\n{len(grid)} runs on {args.jobs} job(s), engine={args.engine} "
+        print(f"\n{len(grid)} runs on {args.jobs} job(s) "
               "(results identical for every --jobs value)")
         _record_run(
             ledger, obs, run_id, "campaign", ledger_params, None, args.seed,
@@ -927,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="channel-load throughput bounds for a scheme"
     )
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--scheme", choices=("mesh", "hfb", "dc_sa"), default="dc_sa")
+    p.add_argument("--scheme", choices=SCHEMES, default="dc_sa")
     _add_run_flags(p, obs=False)
     p.set_defaults(func=_cmd_analyze)
 
@@ -983,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cycle-accurate simulation of a scheme")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--scheme", choices=("mesh", "hfb", "dc_sa"), default="dc_sa")
+    p.add_argument("--scheme", choices=SCHEMES, default="dc_sa")
     p.add_argument(
         "--workload",
         default="uniform_random",
@@ -993,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.02, help="packets/node/cycle")
     p.add_argument("--warmup", type=int, default=500)
     p.add_argument("--measure", type=int, default=2_000)
-    _add_run_flags(p, sim=True)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -1024,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--warmup", type=int, default=300)
     p.add_argument("--measure", type=int, default=1_000)
-    _add_run_flags(p, sim=True)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_simulate_sweep)
 
     p = sub.add_parser("inspect", help="show a placement's structure")

@@ -142,6 +142,8 @@ def solve_row_problem(
     """
     from repro.core.parallel import solve_limit
 
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2, got {n}")
     config = config or SearchConfig()
     if config.space != "row":
         from repro.core.search_space import mesh_objective
@@ -410,6 +412,8 @@ def optimize(
     (:func:`inject_warm_candidate`): trajectories are untouched, so the
     result is never worse than the cold sweep at the same seed.
     """
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2, got {n}")
     config = config or SearchConfig()
     start = time.perf_counter()
     if config.space != "row":

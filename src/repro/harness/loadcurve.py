@@ -92,7 +92,6 @@ def load_latency_curve(
     stop_after_saturation: bool = True,
     latency_factor: float = 3.0,
     jobs: int = 1,
-    engine: str = "active",
 ) -> LoadCurve:
     """Sweep offered load (aggregate packets/cycle) for one design.
 
@@ -122,7 +121,6 @@ def load_latency_curve(
             config=cfg,
             seed=seed,
             key=(pattern, rate),
-            engine=engine,
         ))
 
     zero_load: List[float] = []

@@ -127,7 +127,6 @@ def parsec_campaign(
     measure_cycles: int = 2_000,
     rate_scale: float = 1.0,
     jobs: int = 1,
-    engine: str = "active",
 ) -> CampaignResult:
     """Run the full campaign and return all cells.
 
@@ -160,7 +159,6 @@ def parsec_campaign(
                 config=config,
                 seed=seed + bench_i,
                 key=(bench, design.name),
-                engine=engine,
             ))
     campaign = run_campaign(grid, jobs=jobs)
     for job, res in zip(campaign.jobs, campaign.results):

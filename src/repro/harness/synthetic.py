@@ -115,7 +115,6 @@ def fig8(
     warmup: int = 300,
     measure: int = 1_500,
     jobs: int = 1,
-    engine: str = "active",
 ) -> Fig8Result:
     """Run the synthetic campaign.
 
@@ -149,7 +148,6 @@ def fig8(
                     config=config,
                     seed=seed,
                     key=(p, rate),
-                    engine=engine,
                 )
                 for rate in rates
             ]

@@ -33,10 +33,6 @@ class VirtualChannel:
         flit.ready_at = cycle
         self.buffer.append(flit)
 
-    @property
-    def front(self) -> Optional[Flit]:
-        return self.buffer[0] if self.buffer else None
-
     def pop(self) -> Flit:
         return self.buffer.popleft()
 
@@ -64,6 +60,3 @@ class InputPort:
 
     def occupancy(self) -> int:
         return sum(len(vc) for vc in self.vcs)
-
-    def has_flits(self) -> bool:
-        return any(vc.buffer for vc in self.vcs)

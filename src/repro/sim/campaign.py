@@ -118,7 +118,6 @@ class SimJob:
     #: Caller-chosen identity (e.g. ``(scheme, pattern, rate, seed_i)``)
     #: carried through to the result for keyed lookup.
     key: Tuple = ()
-    engine: str = "active"
     capture_events: bool = False
 
 
@@ -166,10 +165,7 @@ def _run_job(job: SimJob) -> JobResult:
         obs.set_context(task=list(job.key))
     topology = job.design.topology
     traffic = job.traffic.build(job.design.point.n, job.seed)
-    sim = Simulator(
-        topology, job.config, traffic,
-        obs=None if obs.is_null else obs, engine=job.engine,
-    )
+    sim = Simulator(topology, job.config, traffic, obs=None if obs.is_null else obs)
     run = sim.run()
     return JobResult(
         key=job.key,
@@ -256,7 +252,6 @@ def campaign_grid(
     measure: int = 1_000,
     max_cycles: Optional[int] = None,
     routing_mode: str = "xy",
-    engine: str = "active",
 ) -> List[SimJob]:
     """The standard design x pattern x rate x seed grid.
 
@@ -287,6 +282,5 @@ def campaign_grid(
                         config=config,
                         seed=derive_job_seed(base_seed, d_i, p_i, r_i, s_i),
                         key=(design.name, pattern, rate, s_i),
-                        engine=engine,
                     ))
     return grid

@@ -85,6 +85,10 @@ class SimConfig:
             raise ConfigurationError("vc_depth_flits must be >= 2")
         if self.router_stages < 1:
             raise ConfigurationError("router_stages must be >= 1")
+        if self.warmup_cycles < 0:
+            raise ConfigurationError("warmup_cycles must be >= 0")
+        if self.measure_cycles <= 0:
+            raise ConfigurationError("measure_cycles must be positive")
         if self.max_cycles <= self.warmup_cycles:
             raise ConfigurationError("max_cycles must exceed warmup_cycles")
         if self.routing_mode not in ("xy", "yx", "o1turn"):

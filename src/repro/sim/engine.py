@@ -5,21 +5,21 @@ One simulated cycle proceeds in fixed phases:
 1. the traffic generator offers new packets to the NIs (source queues),
 2. link and credit pipelines deliver everything due this cycle,
 3. NIs stream at most one flit each into their injection channels,
-4. every router runs one round of VC/switch allocation.
+4. every router holding flits runs one round of VC/switch allocation.
 
 Phase effects only become visible to other phases on later cycles
 (pipelines add at least one cycle), so intra-cycle phase order cannot
 create causality artifacts.
 
-Two step engines share this protocol.  ``engine="reference"`` polls
-every wire, NI and router each cycle; ``engine="active"`` (the
-default) sweeps only the network's incrementally maintained active
-sets (see :mod:`repro.sim.network`) and, when the whole fabric is
-quiescent between injections, jumps the cycle counter straight to the
-next cycle at which the traffic generator can possibly emit a packet
-(``next_packet_cycle``).  Both engines visit components in the same
-ascending order, so per-run summaries are byte-identical; the parity
-tests assert this across routing modes.
+Each phase sweeps only the network's incrementally maintained active
+sets (see :mod:`repro.sim.network`), and when the whole fabric is
+quiescent between injections the loop jumps the cycle counter straight
+to the next cycle at which the traffic generator can possibly emit a
+packet (``next_packet_cycle``).  Components are visited in ascending
+order, so per-run summaries are byte-identical to a loop that polls
+every wire, NI and router each cycle and never skips; the parity tests
+check this against such a loop (``tests/sim/oracle.py``) across
+routing modes.
 
 The run ends when every packet created inside the measurement window
 has been ejected, or at ``max_cycles`` (whichever first); a watchdog
@@ -68,8 +68,8 @@ class RunResult:
     packets_created: int
     packets_done: int
     activity: dict
-    #: Quiescent cycles the active engine fast-forwarded over (the
-    #: reference engine always reports 0).  ``cycles_run`` includes
+    #: Quiescent cycles the loop fast-forwarded over (0 when skipping is
+    #: off: invariant checks or heartbeats).  ``cycles_run`` includes
     #: them -- skipping changes wall-clock cost, never simulated time.
     cycles_skipped: int = 0
 
@@ -87,14 +87,10 @@ class Simulator:
         check_invariants: bool = False,
         obs: Optional[Instrumentation] = None,
         metrics_every: int = 0,
-        engine: str = "active",
     ):
-        if engine not in ("active", "reference"):
-            raise SimulationError(f"unknown step engine {engine!r}")
         self.topology = topology
         self.config = config
         self.traffic = traffic
-        self.engine = engine
         cost = cost or HopCostModel()
         mode = config.routing_mode
         if tables is not None:
@@ -146,23 +142,10 @@ class Simulator:
             self.network.nis[src].enqueue(packet)
 
     def step(self, cycle: int) -> int:
-        """Advance one cycle; return the number of flit movements."""
-        if self.engine == "active":
-            return self._step_active(cycle)
-        return self._step_reference(cycle)
+        """Advance one cycle; return the number of flit movements.
 
-    def _step_reference(self, cycle: int) -> int:
-        """Poll-everything step: visit every wire, NI and router."""
-        self._inject(cycle)
-        moved = self.network.deliver(cycle)
-        for ni in self.network.nis:
-            if ni.has_backlog():
-                moved += ni.tick(cycle)
-        moved += self.network.allocate(cycle)
-        return moved
-
-    def _step_active(self, cycle: int) -> int:
-        """Active-set step: visit only components that can have work."""
+        Visits only the components in the network's active sets.
+        """
         self._inject(cycle)
         net = self.network
         moved = net.deliver_active(cycle)
@@ -177,15 +160,10 @@ class Simulator:
         net = self.network
         window_end = cfg.warmup_cycles + cfg.measure_cycles
         heartbeat = self.metrics_every if obs.enabled else 0
-        # Idle-skipping needs exact active sets (only the active engine
-        # maintains them) and a traffic generator that can bound its
+        # Idle-skipping needs a traffic generator that can bound its
         # next emission; periodic invariant checks and heartbeats must
         # observe every cycle, so either disables it.
-        can_skip = (
-            self.engine == "active"
-            and not self.check_invariants
-            and heartbeat == 0
-        )
+        can_skip = not self.check_invariants and heartbeat == 0
         next_packet_cycle = getattr(self.traffic, "next_packet_cycle", None)
         wall_start = time.perf_counter()
         idle_streak = 0
@@ -236,8 +214,8 @@ class Simulator:
                 # happen until the traffic generator next emits, so
                 # jump there.  Cap at ``window_end`` (where the drain
                 # check can break) and ``max_cycles - 1`` (so truncated
-                # runs report the same ``cycles_run`` as the reference
-                # engine, which idles through those cycles one by one).
+                # runs report the same ``cycles_run`` as a loop that
+                # idles through those cycles one by one).
                 nxt = next_packet_cycle(next_cycle)
                 target = window_end if nxt is None else min(nxt, window_end)
                 target = min(target, cfg.max_cycles - 1)
@@ -306,14 +284,21 @@ class Simulator:
         """Conservation laws that must hold at every instant.
 
         * credits never negative nor above the receiving buffer depth,
-        * no input VC holds more flits than its depth.
+        * no input VC holds more flits than its depth,
+        * each router's ``buffer_writes - buffer_reads`` equals the
+          flits it buffers (the O(1) activity check trusts this),
+        * the active sets cover every router holding flits, every wire
+          with pipeline content and every NI with backlog (the step
+          visits nothing else).
 
         Violations are simulator bugs, surfaced as
         :class:`SimulationError` with the offending cycle.
         """
-        if not self.network.credit_invariant_ok():
+        net = self.network
+        if not net.credit_invariant_ok():
             raise SimulationError(f"credit bound violated at cycle {cycle}")
-        for router in self.network.routers:
+        for router in net.routers:
+            buffered = 0
             for port in router.in_ports.values():
                 for vc in port.vcs:
                     if len(vc) > port.depth:
@@ -321,3 +306,27 @@ class Simulator:
                             f"VC overflow at router {router.node}, cycle {cycle}: "
                             f"{len(vc)} flits in a depth-{port.depth} buffer"
                         )
+                    buffered += len(vc)
+            counted = router.buffer_writes - router.buffer_reads
+            if counted != buffered:
+                raise SimulationError(
+                    f"buffer counters at router {router.node}, cycle {cycle}: "
+                    f"writes - reads = {counted} but {buffered} flits buffered"
+                )
+            if buffered and router.node not in net.active_routers:
+                raise SimulationError(
+                    f"router {router.node} holds {buffered} flits but is not "
+                    f"in the active set at cycle {cycle}"
+                )
+        for idx, (out, _, _) in enumerate(net._wires):
+            if (len(out.link) or len(out.credit_pipe)) and idx not in net.active_wires:
+                raise SimulationError(
+                    f"wire {idx} has pipeline content but is not in the "
+                    f"active set at cycle {cycle}"
+                )
+        for ni in net.nis:
+            if ni.has_backlog() and ni.node not in net.active_nis:
+                raise SimulationError(
+                    f"NI {ni.node} has backlog but is not in the active set "
+                    f"at cycle {cycle}"
+                )

@@ -11,10 +11,10 @@ insertion per cycle at the upstream end), so delivery pops from the
 left only.
 
 Each pipeline optionally carries an ``on_activity`` callback, invoked
-on every :meth:`send`.  The active-set engine
+on every :meth:`send`.  The network
 (:meth:`repro.sim.network.Network.deliver_active`) uses it to mark the
 owning wire live the instant anything enters either direction, so the
-hot delivery loop only ever visits wires that can possibly have work.
+delivery phase only ever visits wires that can possibly have work.
 """
 
 from __future__ import annotations

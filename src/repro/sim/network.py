@@ -7,17 +7,17 @@ ejection path.  Route lookups are precomputed into flat per-router
 ``dst -> output`` dictionaries so the hot allocation loop never touches
 the table machinery.
 
-Active-set scheduling: alongside the poll-everything :meth:`deliver` /
-:meth:`allocate` reference pair, the network maintains three incremental
-active sets -- wires with a non-empty flit or credit pipeline, routers
-holding buffered flits, NIs with injection backlog.  They are updated at
-the moment state changes (pipeline ``send`` hooks, flit arrival, NI
-enqueue) and self-clean when a component drains, so the active variants
-:meth:`deliver_active` / :meth:`allocate_active` visit only components
-that can possibly have work.  Both variants iterate their sets in
-ascending index order -- the same order the reference loops visit
-components -- so every stateful effect (including the float-summation
-order of the stats) is byte-identical to the reference engine.
+Active-set scheduling: the network maintains three incremental active
+sets -- wires with a non-empty flit or credit pipeline, routers holding
+buffered flits, NIs with injection backlog.  They are updated at the
+moment state changes (pipeline ``send`` hooks, flit arrival, NI
+enqueue) and self-clean when a component drains, so each cycle phase
+(:meth:`deliver_active`, :meth:`tick_nis_active`,
+:meth:`allocate_active`) visits only components that can possibly have
+work.  Every phase iterates its set in ascending index order, so every
+stateful effect (including the float-summation order of the stats) is
+byte-identical to a loop that polls every component each cycle -- the
+test oracle in ``tests/sim/oracle.py`` is exactly that loop.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Network:
         # (output_channel, downstream_router, downstream_port_key)
         self._wires: List[Tuple[OutputChannel, Router, int]] = []
         self.nis: List[NetworkInterface] = []
-        # Active sets for the incremental engine (see module docstring).
+        # Active sets of the step engine (see module docstring).
         self.active_wires: set = set()
         self.active_routers: set = set()
         self.active_nis: set = set()
@@ -113,33 +113,13 @@ class Network:
         out.credit_pipe.on_activity = wake
 
     # ------------------------------------------------------------------
-    def deliver(self, cycle: int) -> int:
-        """Move flits/credits whose pipeline latency expired; return count.
-
-        The poll-everything reference path: visits every wire.  Still
-        maintains the router active set so the two engine variants can
-        be mixed within one run (tests do this when flushing).
-        """
-        moved = 0
-        for out, down_router, port_key in self._wires:
-            out.drain_credits(cycle)
-            arrivals = out.link.deliver(cycle)
-            if arrivals:
-                port = down_router.in_ports[port_key]
-                for flit, vc in arrivals:
-                    port.vcs[vc].push(flit, cycle)
-                    down_router.buffer_writes += 1
-                moved += len(arrivals)
-                self.active_routers.add(down_router.node)
-        return moved
-
     def deliver_active(self, cycle: int) -> int:
-        """:meth:`deliver`, visiting only wires with a non-empty pipeline.
+        """Move flits/credits whose pipeline latency expired; return flits.
 
-        Wires enter the set via the pipeline ``send`` hooks and leave it
-        here once both directions drained; routers receiving flits are
-        marked active for the allocation phase.  Iteration is in
-        ascending wire index -- the reference loop's order.
+        Visits only wires with a non-empty pipeline.  Wires enter the
+        set via the pipeline ``send`` hooks and leave it here once both
+        directions drained; routers receiving flits are marked active
+        for the allocation phase.  Iteration is in ascending wire index.
         """
         if not self.active_wires:
             return 0
@@ -159,30 +139,21 @@ class Network:
                 self.active_wires.discard(idx)
         return moved
 
-    def allocate(self, cycle: int) -> int:
-        """Run every router's allocator; return flits granted."""
-        moved = 0
-        for router in self.routers:
-            if router.has_traffic():
-                moved += router.allocate(cycle)
-        return moved
-
     def allocate_active(self, cycle: int) -> int:
-        """:meth:`allocate`, visiting only routers holding buffered flits.
+        """Run the allocator of every router holding flits; return grants.
 
-        Routers are marked by flit arrivals (``deliver_active`` /
-        ``deliver``) and self-deactivate once their input buffers empty.
-        Ascending node order matches the reference loop, so packet
-        completions -- and therefore the stats' float-summation order --
-        are identical.
+        Routers are marked by flit arrivals (:meth:`deliver_active`) and
+        leave the set once their input buffers empty, which
+        :meth:`Router.has_traffic` reads off the buffer counters in
+        O(1).  Ascending node order fixes the order of packet
+        completions, and therefore the stats' float-summation order.
         """
         if not self.active_routers:
             return 0
         moved = 0
         for node in sorted(self.active_routers):
             router = self.routers[node]
-            if router.has_traffic():
-                moved += router.allocate(cycle)
+            moved += router.allocate(cycle)
             if not router.has_traffic():
                 self.active_routers.discard(node)
         return moved
@@ -192,8 +163,7 @@ class Network:
 
         NIs enter :attr:`active_nis` when a packet is enqueued (the
         ``wake`` hook) and leave once their source queue and in-progress
-        packet are gone.  Ascending node order matches the reference
-        engine's NI loop.
+        packet are gone.  Iteration is in ascending node order.
         """
         if not self.active_nis:
             return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.buffers import InputPort
+from repro.sim.buffers import InputPort, VirtualChannel
 from repro.sim.flit import Flit
 from repro.sim.link import CreditPipeline, LinkPipeline
 
@@ -66,7 +66,7 @@ class Router:
     __slots__ = (
         "node",
         "in_ports",
-        "in_port_order",
+        "input_vcs",
         "outputs",
         "output_order",
         "route_tables",
@@ -84,7 +84,9 @@ class Router:
         self.node = node
         # key: upstream node id, or the router's own id for injection.
         self.in_ports: Dict[int, InputPort] = {}
-        self.in_port_order: List[int] = []
+        # (port key, vc index, vc) over every input VC, in port order:
+        # the allocator's request scan walks this one flat list.
+        self.input_vcs: List[Tuple[int, int, VirtualChannel]] = []
         # key: downstream node id, or EJECT.
         self.outputs: Dict[int, OutputChannel] = {}
         self.output_order: List[int] = []
@@ -104,7 +106,9 @@ class Router:
         # pointer the lowest-keyed input port would win every cycle and
         # starve the others under ejection contention.
         self.eject_rr = 0
-        # Activity counters for the power model.
+        # Activity counters for the power model.  Every VC push bumps
+        # ``buffer_writes`` and every pop ``buffer_reads``, so their
+        # difference is the flits buffered here (``has_traffic``).
         self.flits_routed = 0
         self.buffer_writes = 0
         self.buffer_reads = 0
@@ -113,7 +117,7 @@ class Router:
     # ------------------------------------------------------------------
     def add_input(self, key: int, port: InputPort, credit_sink: CreditPipeline) -> None:
         self.in_ports[key] = port
-        self.in_port_order.append(key)
+        self.input_vcs.extend((key, vci, vc) for vci, vc in enumerate(port.vcs))
         self.credit_sinks[key] = credit_sink
 
     def add_output(self, key: int, channel: OutputChannel) -> None:
@@ -123,27 +127,29 @@ class Router:
     @property
     def radix(self) -> int:
         """Network ports (inputs excluding injection)."""
-        return len(self.in_port_order) - (1 if self.node in self.in_ports else 0)
+        return len(self.in_ports) - (1 if self.node in self.in_ports else 0)
 
     def has_traffic(self) -> bool:
-        return any(p.has_flits() for p in self.in_ports.values())
+        """Whether any input VC holds a flit (O(1), from the counters)."""
+        return self.buffer_writes > self.buffer_reads
 
     # ------------------------------------------------------------------
     def allocate(self, cycle: int) -> int:
         """Run one cycle of VC/switch allocation; return flits moved."""
         # Gather requests per output channel.
-        requests: Dict[int, List[Tuple[int, int]]] = {}
-        for pkey in self.in_port_order:
-            port = self.in_ports[pkey]
-            for vci, vc in enumerate(port.vcs):
-                flit = vc.front
-                if flit is None or cycle < flit.ready_at + 1:
-                    continue
-                if vc.out_channel is None:
-                    if not flit.is_head:  # pragma: no cover - invariant
-                        raise RuntimeError("body flit at VC front without route state")
-                    vc.out_channel = self.route_tables[flit.packet.order][flit.packet.dst]
-                requests.setdefault(vc.out_channel, []).append((pkey, vci))
+        requests: Dict[int, List[Tuple[int, int, VirtualChannel, Flit]]] = {}
+        for pkey, vci, vc in self.input_vcs:
+            buffer = vc.buffer
+            if not buffer:
+                continue
+            flit = buffer[0]
+            if cycle <= flit.ready_at:
+                continue
+            if vc.out_channel is None:
+                if not flit.is_head:  # pragma: no cover - invariant
+                    raise RuntimeError("body flit at VC front without route state")
+                vc.out_channel = self.route_tables[flit.packet.order][flit.packet.dst]
+            requests.setdefault(vc.out_channel, []).append((pkey, vci, vc, flit))
 
         moved = 0
         granted_inports: set = set()
@@ -155,12 +161,9 @@ class Router:
             num = len(reqs)
             rr = out.rr if out is not None else self.eject_rr
             for offset in range(num):
-                pkey, vci = reqs[(offset + rr) % num]
+                pkey, vci, vc, flit = reqs[(offset + rr) % num]
                 if pkey in granted_inports:
                     continue
-                port = self.in_ports[pkey]
-                vc = port.vcs[vci]
-                flit = vc.front
                 if out_key == EJECT:
                     self._grant_eject(cycle, pkey, vci, vc, flit)
                     granted_inports.add(pkey)

@@ -7,7 +7,7 @@ the standard open-loop model for NoC evaluation.
 
 Generators additionally implement ``next_packet_cycle(cycle)``: the
 earliest cycle ``>= cycle`` at which the generator could possibly emit
-a packet, or ``None`` if it never will again.  The active engine uses
+a packet, or ``None`` if it never will again.  The simulator uses
 it to fast-forward over quiescent stretches.  The contract is
 conservative and RNG-preserving: for any cycle ``c`` with
 ``next_packet_cycle(c) > c`` (or ``None``), calling

@@ -22,6 +22,13 @@ class TestSolveRowProblem:
         with pytest.raises(ConfigurationError):
             solve_row_problem(8, 4, method="magic")
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_rows_below_two_routers_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="n must be >= 2"):
+            solve_row_problem(n, 2)
+        with pytest.raises(ConfigurationError, match="n must be >= 2"):
+            optimize(n)
+
     @pytest.mark.parametrize("method", ["dc_sa", "only_sa"])
     def test_heuristics_return_valid(self, method):
         sol = solve_row_problem(

@@ -194,6 +194,28 @@ class TestLedgerCli:
         assert events
         assert all(e["payload"].get("run_id") == run_id for e in events)
 
+    @pytest.mark.parametrize("argv,run_id,digest", [
+        (["simulate", "--n", "4", "--scheme", "mesh"],
+         "fddeab6e4a3e8a1b", "5590f24516ce549a"),
+        (["simulate-sweep", "--n", "4", "--schemes", "mesh",
+          "--patterns", "uniform_random", "--rates", "1.0"],
+         "c92530c7d249216c", "3804cba5e8629b22"),
+    ], ids=["simulate", "campaign"])
+    def test_pinned_simulation_run_ids(self, tmp_path, capsys, argv, run_id, digest):
+        # A simulation's identity is its workload, window and seed; the
+        # simulator has one step engine, so no engine name enters it.
+        # The digest pins the simulated results themselves.
+        ledger_dir = str(tmp_path / "runs")
+        assert main([
+            *argv, "--warmup", "100", "--measure", "300", "--seed", "2019",
+            "--ledger", ledger_dir,
+        ]) == 0
+        capsys.readouterr()
+        assert os.listdir(ledger_dir) == [run_id]
+        manifest = json.load(open(os.path.join(ledger_dir, run_id, "manifest.json")))
+        assert "engine" not in manifest["params"]
+        assert manifest["result_digest"] == digest
+
     def test_metrics_export_formats(self, tmp_path, capsys):
         ledger_dir = self.run_solve(tmp_path, 2019)
         capsys.readouterr()

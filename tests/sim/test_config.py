@@ -31,6 +31,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(warmup_cycles=1000, measure_cycles=200, max_cycles=1000)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ConfigurationError, match="warmup_cycles"):
+            SimConfig(warmup_cycles=-5)
+
+    @pytest.mark.parametrize("measure", [0, -1])
+    def test_empty_measurement_window_rejected(self, measure):
+        # An empty window measures no packet; the summary would be NaN.
+        with pytest.raises(ConfigurationError, match="measure_cycles"):
+            SimConfig(measure_cycles=measure)
+
 
 class TestBufferNormalization:
     def test_reference_budget(self):

@@ -1,10 +1,11 @@
-"""Active-set engine parity: byte-identical to the reference engine.
+"""Step-engine parity: byte-identical to the poll-everything oracle.
 
-The active engine must not be "approximately" the reference engine --
-every ``RunResult`` field, including the float latency averages (whose
-value depends on packet completion *order*), must match exactly.  These
-tests are the contract that lets every harness default to the fast
-engine.
+The simulator's active-set step must not be "approximately" the loop
+that polls every wire, NI and router each cycle (``tests/sim/oracle.py``)
+-- every ``RunResult`` field, including the float latency averages
+(whose value depends on packet completion *order*), must match exactly.
+These tests are the contract that lets the simulator skip idle
+components and cycles.
 """
 
 from dataclasses import asdict
@@ -21,17 +22,21 @@ from repro.traffic.injection import CombinedTraffic, SyntheticTraffic, TraceTraf
 from repro.traffic.patterns import make_pattern
 
 from tests.conftest import row_placements
+from tests.sim.oracle import PollEverythingSimulator
 
 
-def run_engine(topology, cfg, traffic_factory, engine):
-    sim = Simulator(topology, cfg, traffic_factory(), engine=engine)
-    return sim.run()
+def run_engine(topology, cfg, traffic_factory):
+    return Simulator(topology, cfg, traffic_factory()).run()
+
+
+def run_oracle(topology, cfg, traffic_factory):
+    return PollEverythingSimulator(topology, cfg, traffic_factory()).run()
 
 
 def assert_byte_identical(topology, cfg, traffic_factory):
-    """Both engines produce the same RunResult (sans skip accounting)."""
-    active = asdict(run_engine(topology, cfg, traffic_factory, "active"))
-    reference = asdict(run_engine(topology, cfg, traffic_factory, "reference"))
+    """Engine and oracle produce the same RunResult (sans skip accounting)."""
+    active = asdict(run_engine(topology, cfg, traffic_factory))
+    reference = asdict(run_oracle(topology, cfg, traffic_factory))
     active.pop("cycles_skipped")
     reference.pop("cycles_skipped")
     assert active == reference
@@ -60,16 +65,16 @@ class TestEngineParity:
         )
 
     def test_trace_with_gaps_skips_and_matches(self):
-        # Sparse trace: the active engine must fast-forward the gaps
-        # yet report identical cycles_run / summaries.
+        # Sparse trace: the engine must fast-forward the gaps yet
+        # report identical cycles_run / summaries.
         events = [(0, 0, 15, 256), (900, 3, 12, 512), (2_500, 5, 10, 128)]
         cfg = SimConfig(warmup_cycles=0, measure_cycles=3_000, max_cycles=10_000, seed=1)
         topo = MeshTopology.mesh(4)
         assert_byte_identical(topo, cfg, lambda: TraceTraffic(events))
-        active = run_engine(topo, cfg, lambda: TraceTraffic(events), "active")
+        active = run_engine(topo, cfg, lambda: TraceTraffic(events))
         assert active.cycles_skipped > 2_000
-        assert active.cycles_run == run_engine(
-            topo, cfg, lambda: TraceTraffic(events), "reference"
+        assert active.cycles_run == run_oracle(
+            topo, cfg, lambda: TraceTraffic(events)
         ).cycles_run
 
     def test_truncated_run_parity(self):
@@ -81,8 +86,8 @@ class TestEngineParity:
         )
 
     def test_stopped_traffic_idle_skip_parity(self):
-        # Traffic stops mid-window; the active engine jumps the idle
-        # tail to window_end and must land on the same cycles_run.
+        # Traffic stops mid-window; the engine jumps the idle tail to
+        # window_end and must land on the same cycles_run.
         cfg = SimConfig(warmup_cycles=0, measure_cycles=4_000, max_cycles=20_000, seed=6)
         topo = MeshTopology.mesh(4)
 
@@ -92,7 +97,7 @@ class TestEngineParity:
             )
 
         assert_byte_identical(topo, cfg, factory)
-        active = run_engine(topo, cfg, factory, "active")
+        active = run_engine(topo, cfg, factory)
         assert active.cycles_skipped > 3_000
 
     def test_combined_traffic_parity(self):
@@ -109,21 +114,10 @@ class TestEngineParity:
     def test_invariant_checking_runs_on_active_engine(self):
         cfg = SimConfig(warmup_cycles=50, measure_cycles=200, max_cycles=3_000, seed=5)
         traffic = SyntheticTraffic(make_pattern("uniform_random", 4), 0.1, rng=5)
-        sim = Simulator(
-            MeshTopology.mesh(4), cfg, traffic,
-            engine="active", check_invariants=True,
-        )
+        sim = Simulator(MeshTopology.mesh(4), cfg, traffic, check_invariants=True)
         result = sim.run()
         assert result.drained
         assert result.cycles_skipped == 0  # checking disables skipping
-
-    def test_unknown_engine_rejected(self):
-        from repro.util.errors import SimulationError
-
-        cfg = SimConfig()
-        traffic = SyntheticTraffic(make_pattern("uniform_random", 4), 0.1, rng=5)
-        with pytest.raises(SimulationError):
-            Simulator(MeshTopology.mesh(4), cfg, traffic, engine="turbo")
 
 
 @pytest.mark.slow

@@ -10,7 +10,8 @@ import pytest
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.topology.mesh import MeshTopology
-from repro.traffic.injection import TraceTraffic
+from repro.traffic.injection import SyntheticTraffic, TraceTraffic
+from repro.traffic.patterns import make_pattern
 from repro.util.errors import SimulationError
 
 
@@ -77,6 +78,74 @@ class TestInvariantChecker:
             sim.network.routers[0].outputs[1].credits[0] = 10**6
             sim.network.routers[1].output_order.clear()
             sim.run()
+
+
+class SabotagedSimulator(Simulator):
+    """Runs ``sabotage(network)`` right after stepping cycle 128.
+
+    128 is a multiple of 64, so the invariant check that follows the
+    same step is the first to see the damage.
+    """
+
+    def __init__(self, sabotage):
+        # Narrow flits make multi-flit worms, so NIs hold backlog too.
+        cfg = SimConfig(flit_bits=64, warmup_cycles=100, measure_cycles=300,
+                        max_cycles=5_000, seed=3)
+        traffic = SyntheticTraffic(make_pattern("uniform_random", 4), 0.15, rng=3)
+        super().__init__(MeshTopology.mesh(4), cfg, traffic, check_invariants=True)
+        self.sabotage = sabotage
+
+    def step(self, cycle):
+        moved = super().step(cycle)
+        if cycle == 128:
+            self.sabotage(self.network)
+        return moved
+
+
+class TestBookkeepingChecks:
+    """The O(1) activity check and the active sets are checked state."""
+
+    def test_corrupt_buffer_counter_detected(self):
+        def sabotage(net):
+            net.routers[6].buffer_writes += 1
+
+        with pytest.raises(SimulationError, match=r"router 6, cycle 128"):
+            SabotagedSimulator(sabotage).run()
+
+    def test_router_missing_from_active_set_detected(self):
+        dropped = []
+
+        def sabotage(net):
+            node = min(
+                r.node for r in net.routers
+                if r.buffer_writes > r.buffer_reads
+            )
+            net.active_routers.discard(node)
+            dropped.append(node)
+
+        with pytest.raises(SimulationError, match="not in the active set at cycle 128") as exc:
+            SabotagedSimulator(sabotage).run()
+        assert f"router {dropped[0]} holds" in str(exc.value)
+
+    def test_wire_missing_from_active_set_detected(self):
+        def sabotage(net):
+            assert net.active_wires
+            net.active_wires.discard(min(net.active_wires))
+
+        with pytest.raises(SimulationError, match=r"wire \d+ .* cycle 128"):
+            SabotagedSimulator(sabotage).run()
+
+    def test_ni_missing_from_active_set_detected(self):
+        def sabotage(net):
+            node = min(ni.node for ni in net.nis if ni.has_backlog())
+            net.active_nis.discard(node)
+
+        with pytest.raises(SimulationError, match=r"NI \d+ .* cycle 128"):
+            SabotagedSimulator(sabotage).run()
+
+    def test_healthy_run_passes_every_check(self):
+        result = SabotagedSimulator(lambda net: None).run()
+        assert result.drained
 
 
 class TestRoutingFailure:

@@ -1,8 +1,14 @@
 """CLI tests (python -m repro)."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SWEEP_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "sim", "simulate_sweep_golden.out"
+)
 
 
 class TestParser:
@@ -99,23 +105,41 @@ class TestCommands:
         assert table(serial) == table(parallel)
         assert "Mesh" in serial and "transpose" in serial
 
-    def test_simulate_sweep_reference_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "simulate-sweep",
-                    "--n", "4",
-                    "--schemes", "mesh",
-                    "--patterns", "uniform_random",
-                    "--rates", "1.0",
-                    "--warmup", "100",
-                    "--measure", "300",
-                    "--engine", "reference",
-                ]
-            )
-            == 0
+    def test_simulate_sweep_matches_reference_golden(self, capsys):
+        # The golden is this sweep's table as printed by the retired
+        # poll-everything engine; the one step engine must match it.
+        assert main([
+            "simulate-sweep", "--n", "4", "--schemes", "mesh",
+            "--patterns", "uniform_random,transpose", "--rates", "1.0,2.0",
+            "--seed", "2019", "--warmup", "100", "--measure", "300",
+        ]) == 0
+        out = [ln for ln in capsys.readouterr().out.splitlines() if "job(s)" not in ln]
+        with open(SWEEP_GOLDEN, encoding="utf-8") as fh:
+            assert out == fh.read().splitlines()
+
+    @pytest.mark.parametrize("schemes", ["bogus", "mesh,bogus"])
+    def test_simulate_sweep_rejects_unknown_scheme(self, capsys, schemes):
+        assert main([
+            "simulate-sweep", "--n", "4", "--schemes", schemes,
+            "--rates", "1.0", "--warmup", "10", "--measure", "30",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "D&C_SA" not in captured.out
+        assert captured.err == (
+            "error: unknown scheme 'bogus'; expected one of mesh, hfb, dc_sa\n"
         )
-        assert "engine=reference" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n", "1", "--effort", "smoke"],
+        ["solve", "--n", "1", "--c", "2", "--effort", "smoke"],
+        ["simulate", "--n", "1", "--effort", "smoke"],
+        ["simulate", "--n", "1", "--scheme", "mesh"],
+        ["simulate-sweep", "--n", "1", "--schemes", "hfb"],
+    ], ids=["optimize", "solve", "simulate", "simulate-mesh", "simulate-sweep"])
+    def test_single_router_row_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n must be >= 2, got 1\n"
 
     def test_simulate_parsec_workload(self, capsys):
         assert (
