@@ -4,7 +4,7 @@ The solver surface grew keyword-by-keyword across iterations
 (``optimize(..., rng=, restarts=, jobs=, max_evaluations=, ...)``).
 This module is the deliberate redesign: one frozen
 :class:`SearchConfig` carries every knob that shapes *how* a search
-runs (seed, restarts, jobs, FW implementation, trace settings), and
+runs (seed, restarts, jobs, trace settings), and
 every search entry point -- :func:`repro.optimize`,
 :func:`repro.solve_row_problem`, :func:`place_express_links`, across
 all search spaces -- returns one frozen result type:
@@ -27,15 +27,13 @@ Python rejects them as unknown keywords.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.impls import IMPLEMENTATIONS, resolve_impl  # noqa: F401
 from repro.topology.row import RowPlacement
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ReproError
 
 __all__ = [
     "SEARCH_SPACES",
@@ -125,6 +123,34 @@ def _float_unhex(value: Optional[str]) -> Optional[float]:
     return None if value is None else float.fromhex(value)
 
 
+_REQUIRED = object()
+
+
+def _json_field(data: Mapping, kind: str, name: str, convert,
+                default: Any = _REQUIRED) -> Any:
+    """``convert(data[name])``, failing with a :class:`ConfigurationError`
+    that names the field (a missing required field included)."""
+    try:
+        value = data[name] if default is _REQUIRED else data.get(name, default)
+        return convert(value)
+    except (ReproError, LookupError, TypeError, ValueError) as exc:
+        reason = "missing" if isinstance(exc, KeyError) else exc
+        raise ConfigurationError(f"{kind} field {name!r}: {reason}") from None
+
+
+def _json_list(value: Any, item=lambda v: v) -> tuple:
+    """A JSON list as a tuple of ``item(element)``."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(map(item, value))
+
+
+def _json_pair(value: Any, convert) -> tuple:
+    """A ``[C, x]`` JSON pair as ``(C, convert(x))``."""
+    c, x = _json_list(value)
+    return c, convert(x)
+
+
 def _check_schema(data: Mapping, kind: str) -> None:
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"{kind} JSON must be an object, got "
@@ -159,16 +185,10 @@ class SearchConfig:
         to the lowest restart index).
     jobs:
         Worker processes; results are bit-identical for every value.
-    impl:
-        Floyd-Warshall implementation: ``"vectorized"`` (NumPy,
-        default), the pure-Python ``"reference"`` oracle, or the
-        compiled ``"native"`` tier (an on-demand C extension; needs a C
-        compiler).  ``None`` resolves through the ``REPRO_IMPL``
-        environment default; all tiers are bit-identical by the
-        cross-impl parity gates, so ``impl`` is a pure wall-clock knob
-        and -- like ``jobs`` -- is excluded from ledger run
-        identities.  How each SA move is priced is not a
-        knob: :func:`repro.core.annealing.anneal` picks the O(n^2)
+        How each move is priced is not a knob either: every search runs
+        on the machine's Floyd-Warshall tier
+        (:func:`repro.routing.impls.default_impl`), and
+        :func:`repro.core.annealing.anneal` picks the O(n^2)
         incremental engine whenever it is bit-exact.
     max_evaluations:
         Optional cap (``>= 1``) on unique objective evaluations per
@@ -203,7 +223,6 @@ class SearchConfig:
     seed: Optional[int] = None
     restarts: int = 1
     jobs: int = 1
-    impl: Optional[str] = None
     max_evaluations: Optional[int] = None
     trace_out: Optional[str] = None
     metrics_every: int = 0
@@ -214,6 +233,11 @@ class SearchConfig:
     pareto: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.objectives, (list, tuple)):
+            raise ConfigurationError(
+                f"objectives must be a list of axis names, got "
+                f"{self.objectives!r}"
+            )
         # JSON round-trips deliver lists; normalize before validating
         # so equality with a freshly-built config holds.
         object.__setattr__(self, "objectives", tuple(self.objectives))
@@ -230,11 +254,6 @@ class SearchConfig:
             raise ConfigurationError(
                 f"max_evaluations must be >= 1 or None, got {self.max_evaluations}"
             )
-        # Centralized tier resolution: validates the name, applies the
-        # REPRO_IMPL environment default when impl is None, and
-        # degrades an env-requested but unavailable "native" to
-        # "vectorized" (an explicit "native" raises instead).
-        object.__setattr__(self, "impl", resolve_impl(self.impl))
         if self.metrics_every < 0:
             raise ConfigurationError(
                 f"metrics_every must be >= 0, got {self.metrics_every}"
@@ -289,22 +308,10 @@ class SearchConfig:
     def from_cli(cls, args: Any) -> "SearchConfig":
         """Build a config from parsed CLI args (missing flags default)."""
         defaults = cls()
-        return cls(
-            seed=getattr(args, "seed", defaults.seed),
-            restarts=getattr(args, "restarts", defaults.restarts),
-            jobs=getattr(args, "jobs", defaults.jobs),
-            impl=getattr(args, "impl", defaults.impl),
-            max_evaluations=getattr(
-                args, "max_evaluations", defaults.max_evaluations
-            ),
-            trace_out=getattr(args, "trace_out", defaults.trace_out),
-            metrics_every=getattr(args, "metrics_every", defaults.metrics_every),
-            profile=getattr(args, "profile", defaults.profile),
-            ledger=getattr(args, "ledger", defaults.ledger),
-            space=getattr(args, "space", defaults.space),
-            objectives=tuple(getattr(args, "objectives", defaults.objectives)),
-            pareto=getattr(args, "pareto", defaults.pareto),
-        )
+        return cls(**{
+            f.name: getattr(args, f.name, getattr(defaults, f.name))
+            for f in fields(cls)
+        })
 
     def with_updates(self, **changes: Any) -> "SearchConfig":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -525,43 +532,54 @@ class PlacementResult:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PlacementResult":
-        """Rebuild a result from :meth:`to_json` output (bit-exact)."""
+        """Rebuild a result from :meth:`to_json` output (bit-exact).
+
+        A missing or mistyped field raises :class:`ConfigurationError`
+        naming it.
+        """
         _check_schema(data, "placement_result")
-        space = data["space"]
-        if space not in SEARCH_SPACES:
-            raise ConfigurationError(
-                f"unknown search space {space!r} in placement_result"
-            )
-        placement = _placement_from_rows(
-            space, data["n"],
-            tuple(bytes.fromhex(row) for row in data["placement_rows"]),
-        )
+
+        def field(name, convert=lambda v: v, default=_REQUIRED):
+            return _json_field(data, "placement_result", name, convert, default)
+
+        def space_name(value):
+            if value not in SEARCH_SPACES:
+                raise ValueError(f"unknown search space {value!r}")
+            return value
+
+        space = field("space", space_name)
+        n = field("n")
+        placement = field("placement_rows", lambda rows: _placement_from_rows(
+            space, n, _json_list(rows, bytes.fromhex)
+        ))
         return cls(
-            n=data["n"],
-            method=data["method"],
+            n=n,
+            method=field("method"),
             space=space,
-            link_limit=data["link_limit"],
+            link_limit=field("link_limit"),
             placement=placement,
-            express_links=tuple(
-                tuple(link) for link in data["express_links"]
+            express_links=field(
+                "express_links",
+                lambda v: _json_list(v, lambda link: _json_list(link, int)),
             ),
-            energy=_float_unhex(data["energy"]),
-            evaluations=data["evaluations"],
-            wall_time_s=_float_unhex(data["wall_time_s"]),
-            config=SearchConfig.from_json(data["config"]),
-            flit_bits=data.get("flit_bits"),
-            head_latency=_float_unhex(data.get("head_latency")),
-            serialization_latency=_float_unhex(
-                data.get("serialization_latency")
+            energy=field("energy", float.fromhex),
+            evaluations=field("evaluations"),
+            wall_time_s=field("wall_time_s", float.fromhex),
+            config=field("config", SearchConfig.from_json),
+            flit_bits=field("flit_bits", default=None),
+            head_latency=field("head_latency", _float_unhex, None),
+            serialization_latency=field(
+                "serialization_latency", _float_unhex, None
             ),
-            total_latency=_float_unhex(data.get("total_latency")),
-            latency_curve=tuple(
-                (c, _float_unhex(t)) for c, t in data.get("latency_curve", ())
-            ),
-            restart_energies=tuple(
-                (c, tuple(_float_unhex(e) for e in energies))
-                for c, energies in data.get("restart_energies", ())
-            ),
+            total_latency=field("total_latency", _float_unhex, None),
+            latency_curve=field("latency_curve", lambda v: _json_list(
+                v, lambda pair: _json_pair(pair, float.fromhex)
+            ), []),
+            restart_energies=field("restart_energies", lambda v: _json_list(
+                v, lambda pair: _json_pair(
+                    pair, lambda es: _json_list(es, float.fromhex)
+                )
+            ), []),
         )
 
 
@@ -600,16 +618,22 @@ class EvalResult:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "EvalResult":
+        """Rebuild an evaluation from :meth:`to_json` output; a missing
+        or mistyped field raises :class:`ConfigurationError` naming it."""
         _check_schema(data, "eval_result")
+
+        def field(name, convert=lambda v: v):
+            return _json_field(data, "eval_result", name, convert)
+
         return cls(
-            n=data["n"],
-            link_limit=data["link_limit"],
-            row_head_latency=_float_unhex(data["row_head_latency"]),
-            head_latency=_float_unhex(data["head_latency"]),
-            worst_case_latency=_float_unhex(data["worst_case_latency"]),
-            serialization_latency=_float_unhex(data["serialization_latency"]),
-            total_latency=_float_unhex(data["total_latency"]),
-            flit_bits=data["flit_bits"],
+            n=field("n"),
+            link_limit=field("link_limit"),
+            row_head_latency=field("row_head_latency", float.fromhex),
+            head_latency=field("head_latency", float.fromhex),
+            worst_case_latency=field("worst_case_latency", _float_unhex),
+            serialization_latency=field("serialization_latency", _float_unhex),
+            total_latency=field("total_latency", _float_unhex),
+            flit_bits=field("flit_bits"),
         )
 
 
@@ -669,12 +693,10 @@ def evaluate_placement(
     Without ``link_limit`` only the head-latency terms are computed;
     with it the placement is validated against ``C`` and the full
     Eq. 2 breakdown (flit width, serialization, worst case) is filled
-    in.  ``impl=None`` resolves through
-    :func:`repro.routing.impls.resolve_impl` (``REPRO_IMPL`` honored).
+    in.  ``impl=None`` prices on the machine's tier; ``"reference"``
+    re-prices against the pure-Python oracle.
     """
     from repro.core.latency import mean_row_head_latency
-
-    impl = resolve_impl(impl)
 
     w = None if weights is None else np.asarray(weights, dtype=float)
     row = mean_row_head_latency(placement, cost, w, impl=impl)

@@ -53,7 +53,6 @@ from repro.api import SEARCH_SPACES, SearchConfig
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.optimizer import optimize, solve_row_problem
 from repro.harness.designs import EFFORTS, hfb_design, mesh_design
-from repro.routing.impls import IMPLEMENTATIONS
 from repro.harness.tables import pct_change, render_table
 from repro.obs import Instrumentation, JsonlSink, report_file
 from repro.obs.ledger import (
@@ -100,14 +99,6 @@ def _add_run_flags(
         g.add_argument(
             "--restarts", type=int, default=1, metavar="N",
             help="independent SA chains per C (derived seeds; best chain wins)",
-        )
-        g.add_argument(
-            "--impl", choices=IMPLEMENTATIONS, default=None,
-            help="Floyd-Warshall implementation: vectorized (NumPy, the "
-            "default), reference (pure-Python oracle), or native "
-            "(compiled tier; needs a C compiler).  All tiers are "
-            "bit-identical.  Unset, the REPRO_IMPL environment default "
-            "applies",
         )
         g.add_argument(
             "--space", choices=SEARCH_SPACES, default="row",
@@ -864,45 +855,41 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    """Environment report: versions, kernel tiers, resolution, cores.
+    """Environment report: versions, kernel tiers, the tier that runs, cores.
 
     The support-bundle line for serve deployments: one command that
-    says which interpreter/array stack a box runs, whether the optional
-    native tier loads (and through which backend), and what ``--impl``
-    would resolve to there.
+    says which interpreter/array stack a box runs, whether the native
+    tier loads (and where its build cache lives), and which tier every
+    search, routing table and evaluation on this machine runs -- with
+    the reason when it is not the compiled one.
     """
     import os
     import platform
 
     import numpy as np
 
-    from repro.routing import native
-    from repro.routing.impls import (
-        IMPL_ENV_VAR,
-        available_impls,
-        resolve_impl,
-    )
+    from repro.routing import _native_cext, native
+    from repro.routing.impls import IMPLEMENTATIONS, available_impls, default_impl
 
     print(f"python      {platform.python_version()}  ({sys.executable})")
     print(f"platform    {platform.platform()}")
     print(f"numpy       {np.__version__}")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tiers = available_impls()
-        default = resolve_impl(None)
+    tiers = available_impls()
+    reason = native.unavailable_reason()
     for impl in IMPLEMENTATIONS:
         status = "available" if impl in tiers else "unavailable"
         if impl == "native":
             if impl in tiers:
                 status = f"available (backend: {native.backend_name()})"
-            elif native.unavailable_reason():
-                status = f"unavailable ({native.unavailable_reason()})"
+            elif reason:
+                status = f"unavailable ({reason})"
         print(f"impl        {impl:<11} {status}")
-    env = os.environ.get(IMPL_ENV_VAR)
-    origin = f"{IMPL_ENV_VAR}={env}" if env else "built-in default"
-    print(f"default     {default}  ({origin})")
+    print(f"cache       {os.path.abspath(_native_cext.cache_dir())}")
+    tier = default_impl()
+    why = "compiled kernels loaded" if tier == "native" else (
+        f"native unavailable: {reason}"
+    )
+    print(f"tier        {tier}  ({why})")
     print(f"cpus        {os.cpu_count()}")
     return 0
 
@@ -1166,8 +1153,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigurationError as exc:
-        # Misconfiguration (unknown impl, unavailable native tier,
-        # invalid knob combos) is a user error, not a crash: one line
+        # Misconfiguration (invalid fields or knob combos) is a user
+        # error, not a crash: one line
         # on stderr, exit 2, matching the pareto command's convention.
         print(f"error: {exc}", file=sys.stderr)
         return 2

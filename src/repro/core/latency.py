@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.impls import check_impl
+from repro.routing.impls import resolve_impl
 from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
@@ -173,13 +173,13 @@ def full_connectivity_limit(n: int) -> int:
 def row_head_latency_matrix(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
-    impl: str = "vectorized",
+    impl: Optional[str] = None,
 ) -> np.ndarray:
     """All-pairs zero-load head latency within one row.
 
     ``impl`` forwards to
     :func:`~repro.routing.shortest_path.directional_distances`
-    (``"vectorized"`` or the pure-Python ``"reference"`` oracle).
+    (``None``: the machine's tier).
     """
     return directional_distances(placement, cost, impl=impl)
 
@@ -188,7 +188,7 @@ def mean_row_head_latency(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
     weights: np.ndarray | None = None,
-    impl: str = "vectorized",
+    impl: Optional[str] = None,
 ) -> float:
     """Average row head latency ``L_D,r`` of Eq. 5.
 
@@ -249,24 +249,25 @@ class RowObjective:
     under the ``latency.floyd_warshall`` span, which is how a profiled
     run attributes optimizer wall time to the O(n^3) evaluator.
 
-    ``impl`` picks the Floyd-Warshall implementation (``"vectorized"``
-    default, ``"reference"`` for the pure-Python oracle, ``"native"``
-    for the compiled tier of :mod:`repro.routing.native`); the
-    cross-impl parity suite guarantees all tiers produce the same
-    energies, so searches are trajectory-identical under any of them.
-    Constructing a ``"native"`` objective warms the backend up
-    immediately (JIT compile / shared-object load, once per process)
-    so the cost lands *outside* the ``latency.floyd_warshall`` span --
-    reported instead through the ``kernel.compile`` obs event.
+    ``impl`` is the Floyd-Warshall tier, resolved at construction:
+    ``None`` is the machine's tier
+    (:func:`repro.routing.impls.default_impl`), and the parity suites
+    name ``"vectorized"``, ``"native"`` or the pure-Python
+    ``"reference"`` oracle.  All tiers produce the same energies, so
+    searches are trajectory-identical under any of them.  Constructing
+    a ``"native"`` objective warms the backend up immediately
+    (shared-object load or build, once per process) so the cost lands
+    *outside* the ``latency.floyd_warshall`` span -- reported instead
+    through the ``kernel.compile`` obs event.
     """
 
     cost: HopCostModel = HopCostModel()
     weights: Tuple[Tuple[float, ...], ...] | None = None
-    impl: str = "vectorized"
+    impl: Optional[str] = None
     obs: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_impl(self.impl)
+        object.__setattr__(self, "impl", resolve_impl(self.impl))
         if self.impl == "native":
             from repro.routing import native
 

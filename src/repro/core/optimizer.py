@@ -153,9 +153,9 @@ def solve_row_problem(
                 "warm_start is row-space only; mesh-space solves take "
                 "no neighbor candidate"
             )
-        objective = mesh_objective(objective, config.impl)
+        objective = mesh_objective(objective)
     elif objective is None:
-        objective = RowObjective(impl=config.impl)
+        objective = RowObjective()
     solution, energies = solve_limit(
         n, link_limit, space=config.space, method=method,
         objective=objective, params=params, config=config, obs=obs,
@@ -439,7 +439,7 @@ def optimize(
     cost = cost or HopCostModel()
     solved = sweep_limits(
         n, link_limits or bandwidth.valid_link_limits(n), space="row",
-        method=method, objective=RowObjective(cost=cost, impl=config.impl),
+        method=method, objective=RowObjective(cost=cost),
         params=params, config=config, obs=obs,
     )
     sweep = SweepResult(n=n, method=method)
@@ -450,8 +450,7 @@ def optimize(
             solution.placement, limit, bandwidth, mix, cost
         )
     if warm_start is not None:
-        _inject_warm_into_sweep(sweep, warm_start, config.impl,
-                                bandwidth, mix, cost)
+        _inject_warm_into_sweep(sweep, warm_start, bandwidth, mix, cost)
     return PlacementResult.from_sweep(
         sweep, config, time.perf_counter() - start
     )
@@ -460,7 +459,6 @@ def optimize(
 def _inject_warm_into_sweep(
     sweep: SweepResult,
     warm_start: RowPlacement,
-    impl: str,
     bandwidth: BandwidthConfig | None,
     mix: PacketMix | None,
     cost: HopCostModel | None,
@@ -471,7 +469,7 @@ def _inject_warm_into_sweep(
     sweep already priced.  Improved solutions get their design point
     re-costed so ``best`` reflects the injected placement.
     """
-    pricing = RowObjective(cost=cost or HopCostModel(), impl=impl)
+    pricing = RowObjective(cost=cost or HopCostModel())
     for limit, solution in sweep.solutions.items():
         if limit == 1:
             continue

@@ -118,7 +118,7 @@ def _run_task(task: SearchTask) -> TaskResult:
         obs = Instrumentation(sinks=[] if sink is None else [sink],
                               profile=task.profile)
         obs.set_context(task=[task.link_limit, task.restart])
-    # Rebinding rebuilds the objective: under impl="native" that warms
+    # Rebinding rebuilds the objective: on the native tier that warms
     # the compiled backend up (once per worker process) before any
     # solve span opens, reported as a kernel.compile event instead of
     # polluting the latency.floyd_warshall span.

@@ -233,7 +233,6 @@ class ParetoSpec:
     cost: HopCostModel = HopCostModel()
     base_flit_bits: int = 256
     mix: PacketMix = PacketMix.paper_default()
-    impl: str = "vectorized"
 
     def __post_init__(self) -> None:
         unknown = [o for o in self.objectives if o not in OBJECTIVES]
@@ -267,7 +266,7 @@ class ParetoSpec:
 
     def latency_objective(self) -> RowObjective:
         """The latency axis as the scalar optimizer's own objective."""
-        return RowObjective(cost=self.cost, weights=self.weights, impl=self.impl)
+        return RowObjective(cost=self.cost, weights=self.weights)
 
 
 def _mesh_axis_values(
@@ -321,12 +320,10 @@ class ParetoPricer:
         # Integral unit costs: mean hop count and mean wire length per
         # row traversal, both mirror-fold safe in evaluate_many.
         self._hops = RowObjective(
-            cost=HopCostModel(1.0, 0.0, 0.0), weights=spec.weights,
-            impl=spec.impl,
+            cost=HopCostModel(1.0, 0.0, 0.0), weights=spec.weights
         )
         self._wire = RowObjective(
-            cost=HopCostModel(0.0, 1.0, 0.0), weights=spec.weights,
-            impl=spec.impl,
+            cost=HopCostModel(0.0, 1.0, 0.0), weights=spec.weights
         )
 
     @property
@@ -890,7 +887,6 @@ def pareto_front(
         cost=cost,
         base_flit_bits=bandwidth.base_flit_bits,
         mix=mix,
-        impl=config.impl,
     )
     base_seed = config.seed if config.seed is not None else fresh_entropy()
     pricer = ParetoPricer(spec)

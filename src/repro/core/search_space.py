@@ -54,7 +54,6 @@ from repro.core.latency import (
     row_head_latency_matrix,
 )
 from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.routing.impls import check_impl
 from repro.routing.shortest_path import (
     INF,
     HopCostModel,
@@ -137,17 +136,15 @@ class MeshObjective:
     every row, or a per-row ``(R, n, n)`` stack -- the latter is what
     makes heterogeneous placements strictly win (with shared weights
     the objective separates across rows, so the exhaustive hetero
-    optimum is the replicated row optimum).  ``impl`` and ``obs``
-    forward to the underlying :class:`RowObjective`.
+    optimum is the replicated row optimum).  ``obs`` forwards to the
+    underlying :class:`RowObjective`.
     """
 
     cost: HopCostModel = HopCostModel()
     weights: tuple | None = None
-    impl: str = "vectorized"
     obs: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_impl(self.impl)
         if self.weights is None:
             return
         w = np.asarray(self.weights, dtype=float)
@@ -182,7 +179,7 @@ class MeshObjective:
             w = self.weights[row_index]
         else:
             w = self.weights
-        return RowObjective(cost=self.cost, weights=w, impl=self.impl, obs=self.obs)
+        return RowObjective(cost=self.cost, weights=w, obs=self.obs)
 
     def _check_design(self, design: MeshRowsPlacement) -> None:
         if self.per_row_weights and len(self.weights) != len(design.rows):
@@ -257,7 +254,6 @@ class MeshObjective:
 def mesh_head_distance_stack(
     design: MeshRowsPlacement,
     cost: HopCostModel | None = None,
-    impl: str = "vectorized",
 ) -> np.ndarray:
     """Per-row all-pairs head latencies, stacked as ``(R, n, n)``.
 
@@ -266,7 +262,7 @@ def mesh_head_distance_stack(
     half of the reduction-parity contract.
     """
     return np.stack([
-        row_head_latency_matrix(row, cost, impl=impl) for row in design.rows
+        row_head_latency_matrix(row, cost) for row in design.rows
     ])
 
 
@@ -816,11 +812,11 @@ class SpaceSolution:
     exact: Optional[SpaceExactResult] = None
 
 
-def mesh_objective(objective, impl: str) -> MeshObjective:
+def mesh_objective(objective) -> MeshObjective:
     """The objective of a mesh-space search: ``objective`` itself, or a
     fresh :class:`MeshObjective` for ``None``."""
     if objective is None:
-        return MeshObjective(impl=impl)
+        return MeshObjective()
     if not isinstance(objective, MeshObjective):
         raise ConfigurationError(
             f"mesh-space solves need a MeshObjective (or None); got "
@@ -853,7 +849,7 @@ def solve_space(
     config = config or SearchConfig()
     solution, _ = solve_limit(
         n, link_limit, space=space, method=method,
-        objective=mesh_objective(objective, config.impl), params=params,
+        objective=mesh_objective(objective), params=params,
         config=config, obs=obs,
     )
     return solution
@@ -1042,7 +1038,7 @@ def optimize_space(
     cost = cost or HopCostModel()
     solved = sweep_limits(
         n, link_limits or bandwidth.valid_link_limits(n), space=space,
-        method=method, objective=MeshObjective(cost=cost, impl=config.impl),
+        method=method, objective=MeshObjective(cost=cost),
         params=params, config=config, obs=obs,
     )
     result = SpaceSweepResult(n=n, space=space, method=method)

@@ -13,10 +13,12 @@ The ``run_id`` is a digest of the run's *identity* -- kind, problem
 parameters, the result-shaping execution knobs and the seed -- so it is
 computable **before** the run (it stamps the trace context via
 ``obs.set_context(run_id=...)``) and identical runs overwrite the same
-manifest (idempotent, cache-friendly).  Wall-clock knobs (``jobs``,
-``impl``) and observability knobs (``trace_out``, ``profile``,
+manifest (idempotent, cache-friendly).  The wall-clock knob ``jobs``
+and the observability knobs (``trace_out``, ``profile``,
 ``metrics_every``, ``ledger``) are excluded from the identity because
-the engines guarantee they cannot change results.
+the engines guarantee they cannot change results.  The kernel tier is
+no knob at all: it is the machine's, recorded in the manifest's
+``environment`` block as ``kernel_tier``.
 
 The *outcome* is recorded separately: a ``result_digest`` over the
 canonical result bytes (placement bytes + ``float.hex`` energies, or
@@ -47,12 +49,9 @@ LEDGER_ROOT = os.path.join(".repro", "runs")
 
 #: SearchConfig/SimConfig fields excluded from the run identity: pure
 #: wall-clock knobs (results are bit-identical for every value) and
-#: observability settings (never touch any RNG stream).  ``impl`` is
-#: here because the kernel tiers are bit-identical by the cross-impl
-#: parity gates -- the same search yields the same run_id whether it
-#: was priced by the NumPy, reference, or native kernels.
+#: observability settings (never touch any RNG stream).
 NON_IDENTITY_FIELDS = frozenset({
-    "jobs", "trace_out", "metrics_every", "profile", "ledger", "impl",
+    "jobs", "trace_out", "metrics_every", "profile", "ledger",
 })
 
 
@@ -214,7 +213,9 @@ def git_sha() -> Optional[str]:
 
 
 def environment_snapshot() -> Dict:
-    """Interpreter + numpy versions and the commit, for the manifest."""
+    """Interpreter + numpy versions, the kernel tier and the commit."""
+    from repro.routing.impls import default_impl
+
     try:
         import numpy as np
 
@@ -225,6 +226,7 @@ def environment_snapshot() -> Dict:
         "python": platform.python_version(),
         "numpy": numpy_version,
         "platform": platform.platform(),
+        "kernel_tier": default_impl(),
         "git_sha": git_sha(),
     }
 

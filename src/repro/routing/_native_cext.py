@@ -1,16 +1,18 @@
 """C-extension backend of the native kernel tier.
 
-Used by :mod:`repro.routing.native`: a ~60-line C translation of the
-three hot kernels, compiled on first use with the system C compiler
-into a content-addressed cache directory (``.repro/native/`` by
-default, override with ``REPRO_NATIVE_CACHE``) and loaded through
-:mod:`ctypes`.  No third-party build dependency: the shared object is
-plain C (no ``Python.h``), so only ``cc``/``gcc``/``clang`` is needed,
-and only once per machine -- the cache key hashes the C source together
-with the compile flags, so an edit to either recompiles.  A cached file
-that fails to load (truncated, foreign, torn by a crash) is rebuilt
-once and published over the bad one; only a failed rebuild makes the
-tier unavailable.
+Used by :mod:`repro.routing.native`: a ~50-line C translation of the
+two Floyd-Warshall kernels, compiled on first use with the system C
+compiler into a content-addressed, per-user cache directory
+(``$XDG_CACHE_HOME/repro/native``, else ``~/.cache/repro/native``;
+``REPRO_NATIVE_CACHE`` overrides) and loaded through :mod:`ctypes`.
+No third-party build dependency: the shared object is plain C (no
+``Python.h``), so only ``cc``/``gcc``/``clang`` is needed, and only
+once per machine -- the cache key hashes the C source together with
+the compile flags, so an edit to either recompiles.  Nothing is written
+under the working directory.  A cached file that fails to load
+(truncated, foreign, torn by a crash) is rebuilt once and published
+over the bad one; only a failed rebuild (no compiler, or no writable
+cache) makes the tier unavailable.
 
 Bit-identity contract
 ---------------------
@@ -22,7 +24,7 @@ change row ``k`` or column ``k`` (``d[k][k] == 0`` and improvements are
 strict), so every candidate ``d[i][k] + d[k][j]`` reads exactly the
 values the out-of-place NumPy form reads, the IEEE additions are the
 same, ties resolve the same way, and the results are bitwise equal --
-the property the cross-impl parity suites pin.  The row kernel visits
+the property the cross-tier parity suites pin.  The row kernel visits
 the same ``i < k < j`` block as its NumPy twin, in the same pivot
 order.  The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off`` so the compiler cannot re-associate or fuse those
@@ -102,31 +104,6 @@ void repro_fw_batch(double *d, int64_t *nh, int64_t B, int64_t n) {
         }
     }
 }
-
-/* Crossing-block rewrite of the incremental APSP engine: re-min the
- * block rows < `rows`, cols >= b of the left-to-right layer over the K
- * crossing edges (us[e], vs[e]) with hop cost cs[e].  S is the
- * C-contiguous (n, n) layer.  Association order
- * (S[i][u] + c) + S[v][j], minimum accumulated in edge order -- the
- * bitwise contract shared with both NumPy paths.  Reads touch columns
- * us[e] < b and rows vs[e] >= b > rows-1 only, so writing the block in
- * place never feeds a stale value back in.
- */
-void repro_inc_update(double *S, int64_t n, int64_t rows, int64_t b,
-                      const int64_t *us, const int64_t *vs,
-                      const double *cs, int64_t K) {
-    for (int64_t i = 0; i < rows; i++) {
-        double *rowi = S + i * n;
-        for (int64_t j = b; j < n; j++) {
-            double acc = (rowi[us[0]] + cs[0]) + S[vs[0] * n + j];
-            for (int64_t e = 1; e < K; e++) {
-                double t = (rowi[us[e]] + cs[e]) + S[vs[e] * n + j];
-                if (t < acc) acc = t;
-            }
-            rowi[j] = acc;
-        }
-    }
-}
 """
 
 #: Compile and link flags.  Part of the cache key, so a flag change
@@ -149,11 +126,16 @@ def _find_compiler():
     return None
 
 
-def _cache_dir() -> str:
+def cache_dir() -> str:
+    """The per-user build cache: ``$REPRO_NATIVE_CACHE``, else
+    ``$XDG_CACHE_HOME/repro/native``, else ``~/.cache/repro/native``."""
     override = os.environ.get(CACHE_ENV_VAR)
     if override:
         return override
-    return os.path.join(".repro", "native")
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(base, "repro", "native")
 
 
 def _so_name() -> str:
@@ -163,17 +145,7 @@ def _so_name() -> str:
 
 
 def _so_path() -> str:
-    return os.path.join(_cache_dir(), _so_name())
-
-
-def plausible() -> bool:
-    """Could :func:`load` succeed?  Checks cache and toolchain only."""
-    try:
-        if os.path.exists(_so_path()):
-            return True
-    except OSError:
-        pass
-    return _find_compiler() is not None
+    return os.path.join(cache_dir(), _so_name())
 
 
 def _compile(so_path: str) -> None:
@@ -211,8 +183,6 @@ class _Kernels:
         lib.repro_row_dist_batch.restype = None
         lib.repro_fw_batch.argtypes = [ptr, ptr, i64, i64]
         lib.repro_fw_batch.restype = None
-        lib.repro_inc_update.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, i64]
-        lib.repro_inc_update.restype = None
         self._lib = lib
 
     @staticmethod
@@ -232,16 +202,6 @@ class _Kernels:
         self._require(nh, np.int64)
         self._lib.repro_fw_batch(
             d.ctypes.data, nh.ctypes.data, d.shape[0], d.shape[1]
-        )
-
-    def inc_update(self, S, rows, b, us, vs, cs) -> None:
-        self._require(S, np.float64)
-        self._require(us, np.int64)
-        self._require(vs, np.int64)
-        self._require(cs, np.float64)
-        self._lib.repro_inc_update(
-            S.ctypes.data, S.shape[0], rows, b,
-            us.ctypes.data, vs.ctypes.data, cs.ctypes.data, us.shape[0],
         )
 
 

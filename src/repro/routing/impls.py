@@ -1,43 +1,32 @@
-"""Implementation-tier registry for the kernel seam (``impl=``).
+"""Kernel-tier registry: which Floyd-Warshall implementation runs.
 
-Every hot kernel in the package is reachable through one seam: the
-``impl=`` parameter threaded from :class:`repro.api.SearchConfig` and
-the CLI ``--impl`` flag down to the directional Floyd-Warshall calls.
-This module is the single authority on which tiers exist, which are
-usable on the current machine, and how a request resolves:
+The tier is a property of the machine, not a user knob.
+:func:`default_impl` decides it once per process, lazily: ``"native"``
+when the compiled kernels of :mod:`repro.routing.native` load (from the
+per-user build cache, or after compiling them there), otherwise
+``"vectorized"``.  Every ``impl=None`` in the package -- the kernel
+functions, :class:`~repro.core.latency.RowObjective`,
+:func:`repro.api.evaluate_placement` and everything that builds on
+them -- resolves through :func:`resolve_impl`, so one search, one
+routing table and one served evaluation all run on the same tier.
 
 ``"vectorized"``
-    The batched NumPy kernels (default, always available).
-``"reference"``
-    The pure-Python oracle in :mod:`repro.routing.shortest_path_ref`
-    (always available; exists for verification, not speed).
+    The batched NumPy kernels (always available; the tier of a machine
+    without a C compiler).
 ``"native"``
-    Compiled kernels (:mod:`repro.routing.native`): a small C extension
-    built on demand with the system C compiler (the tier needs one, or
-    an already-built cache).  Bit-identical to ``"vectorized"`` by
-    the cross-impl parity suites -- distances, next-hop tables, and SA
-    trajectories -- so the tier is a pure wall-clock knob, excluded
-    from ledger run identities like ``--jobs``.
-
-Resolution semantics (:func:`resolve_impl`):
-
-* An unknown name raises :class:`UnknownImplementationError` (a
-  ``ConfigurationError`` *and* a ``ValueError``) naming the known
-  tiers and whether native is installed.
-* An explicit ``"native"`` request on a machine where the tier cannot
-  load raises :class:`ConfigurationError` with the install hint (make
-  a C compiler available).
-* ``impl=None`` resolves from the :data:`IMPL_ENV_VAR` environment
-  default (``REPRO_IMPL``) and falls back to ``"vectorized"`` with a
-  warning when the environment asks for an unavailable ``"native"`` --
-  an env default must degrade gracefully, an explicit argument must
-  not.
+    Compiled C kernels, bit-identical to ``"vectorized"`` by the
+    cross-tier parity suites -- distances, next-hop tables and SA
+    trajectories -- so the tier never changes a result, a run id or a
+    result digest.
+``"reference"``
+    The pure-Python oracle in :mod:`repro.routing.shortest_path_ref`.
+    Never chosen by :func:`default_impl`; named explicitly by the parity
+    suites and by callers that re-price a result against the oracle
+    (``evaluate_placement(..., impl="reference")``).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional, Tuple
 
 from repro.util.errors import ConfigurationError, UnknownImplementationError
@@ -45,27 +34,11 @@ from repro.util.errors import ConfigurationError, UnknownImplementationError
 #: Recognized implementations of the directional kernels.
 IMPLEMENTATIONS = ("vectorized", "reference", "native")
 
-#: The tier used when nothing (argument or environment) asks otherwise.
-DEFAULT_IMPL = "vectorized"
-
-#: Environment variable consulted when ``impl=None`` is resolved.
-IMPL_ENV_VAR = "REPRO_IMPL"
-
 #: What a machine needs for the native tier.
 NATIVE_INSTALL_HINT = "make a C compiler available (cc, gcc, clang or $CC)"
 
-
-def native_installed() -> bool:
-    """Cheap static probe: could the native tier plausibly load?
-
-    True when the C extension has a toolchain (or an already-built
-    cache) to work with.  Never compiles or loads anything -- this is
-    safe to call on error paths; :func:`native_available` gives the
-    real answer.
-    """
-    from repro.routing import _native_cext
-
-    return _native_cext.plausible()
+#: The process tier, decided on first use by :func:`default_impl`.
+_tier = {"name": None}
 
 
 def native_available() -> bool:
@@ -73,6 +46,18 @@ def native_available() -> bool:
     from repro.routing import native
 
     return native.available()
+
+
+def default_impl() -> str:
+    """The tier every ``impl=None`` runs on: the one tier decision.
+
+    ``"native"`` when the compiled kernels load on this machine,
+    otherwise ``"vectorized"``.  Decided once per process, on first
+    use, so ``import repro`` compiles and loads nothing.
+    """
+    if _tier["name"] is None:
+        _tier["name"] = "native" if native_available() else "vectorized"
+    return _tier["name"]
 
 
 def available_impls(probe: bool = True) -> Tuple[str, ...]:
@@ -88,49 +73,33 @@ def available_impls(probe: bool = True) -> Tuple[str, ...]:
 
 
 def check_impl(impl: str) -> None:
-    """Reject names outside :data:`IMPLEMENTATIONS`.
-
-    The error names the known tiers and whether the optional native
-    tier is installed, so every seam reports the same actionable
-    message.
-    """
+    """Reject names outside :data:`IMPLEMENTATIONS`, naming the known
+    tiers (the error path probes nothing: ``repro doctor`` reports
+    whether the native tier loads)."""
     if impl not in IMPLEMENTATIONS:
-        native_note = (
-            "native tier installed"
-            if native_installed()
-            else f"native tier not installed: {NATIVE_INSTALL_HINT}"
-        )
         raise UnknownImplementationError(
             f"unknown impl {impl!r}; expected one of {IMPLEMENTATIONS} "
-            f"({native_note})"
+            f"(`repro doctor` reports the native tier's state)"
         )
 
 
 def resolve_impl(impl: Optional[str] = None) -> str:
-    """Resolve an ``impl`` request to a concrete, usable tier name.
+    """A concrete, usable tier name for an ``impl`` argument.
 
-    See the module docstring for the explicit-vs-environment
-    semantics.  Returns one of :data:`IMPLEMENTATIONS`.
+    ``None`` is the process tier (:func:`default_impl`).  An explicit
+    name is validated, and an explicit ``"native"`` on a machine where
+    the compiled kernels cannot load raises :class:`ConfigurationError`
+    with the install hint.
     """
-    from_env = impl is None
-    if impl is None:
-        impl = os.environ.get(IMPL_ENV_VAR) or DEFAULT_IMPL
+    if impl is None or impl == _tier["name"]:
+        return default_impl()
     check_impl(impl)
     if impl == "native" and not native_available():
         from repro.routing import native
 
         reason = native.unavailable_reason() or "the kernels could not load"
-        if from_env:
-            warnings.warn(
-                f"{IMPL_ENV_VAR}=native requested but the native tier is "
-                f"unavailable ({reason}); falling back to "
-                f"{DEFAULT_IMPL!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return DEFAULT_IMPL
         raise ConfigurationError(
             f"impl='native' requested but the native tier could not load "
-            f"({reason}); {NATIVE_INSTALL_HINT}, or use impl='vectorized'"
+            f"({reason}); {NATIVE_INSTALL_HINT}"
         )
     return impl

@@ -66,7 +66,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.routing.impls import check_impl
 from repro.routing.shortest_path import (
     LEFT_TO_RIGHT,
     HopCostModel,
@@ -95,29 +94,22 @@ class IncrementalApspEngine:
       returns (upper = l2r, lower = r2l, diagonal zero), synced lazily
       from ``_S`` because only :meth:`distances` needs it.
 
-    ``impl`` selects the kernel tier for the rebuild pass and the
-    block rewrites: ``"native"`` runs the compiled crossing-block
-    kernel of :mod:`repro.routing.native` (same association order and
-    edge-order min accumulation, hence bitwise-equal state);
-    ``self_check()`` always re-solves with the NumPy kernels, so under
-    ``"native"`` it doubles as a cross-impl gate on live SA state.
+    ``impl`` (``None``: the machine's tier) selects the row kernel of
+    the from-scratch rebuild; the block rewrites are NumPy on every
+    tier.  ``self_check()`` re-solves with the full two-pass
+    :func:`floyd_warshall_batch`, so it also gates the triangular row
+    kernel on live SA state.
     """
 
     def __init__(
         self,
         placement: RowPlacement,
         cost: Optional[HopCostModel] = None,
-        impl: str = "vectorized",
+        impl: Optional[str] = None,
     ) -> None:
-        check_impl(impl)
         self.n = placement.n
         self.cost = cost or HopCostModel()
         self.impl = impl
-        # The oracle tier has no incremental form; it (like the
-        # default) runs the NumPy block rewrites, which the parity
-        # suite proves bit-identical anyway.  Only "native" swaps in
-        # the compiled kernels.
-        self._kernel_impl = "native" if impl == "native" else "vectorized"
         self.links = set(placement.express_links)
         self._hop = [self.cost.hop_cost(k) for k in range(max(self.n, 2))]
         self._upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
@@ -127,7 +119,7 @@ class IncrementalApspEngine:
 
     def _rebuild(self) -> None:
         w = weight_matrix(self.placement, self.cost, LEFT_TO_RIGHT)
-        self._S = row_distances_batch(w[None], impl=self._kernel_impl)[0]
+        self._S = row_distances_batch(w[None], impl=self.impl)[0]
         self._D = combine_directions(self._S)
         self._dirty = []  # (rows, b) boxes where _D lags _S
 
@@ -152,16 +144,6 @@ class IncrementalApspEngine:
                 vs.append(v)
                 cs.append(hop[v - u])
         rows = amax + 1
-        if self._kernel_impl == "native":
-            from repro.routing import native
-
-            native.inc_update_boundary(
-                S, rows, b,
-                np.asarray(us, dtype=np.int64),
-                np.asarray(vs, dtype=np.int64),
-                np.asarray(cs, dtype=np.float64),
-            )
-            return
         if len(us) < 5:
             # Few crossing edges (the norm: the cross-section limit caps
             # them): scalar-indexed views beat the fancy-index gather's

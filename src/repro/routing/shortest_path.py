@@ -35,24 +35,22 @@ A pure-Python triple-loop implementation of the paper's two passes is
 retained in :mod:`repro.routing.shortest_path_ref` as the
 specification; the parity suite
 (``tests/routing/test_shortest_path_parity.py``) proves the kernels
-here bit-identical to it -- distances *and* next hops -- and the public
-entry points take ``impl="vectorized" | "reference" | "native"`` so
-any caller can be flipped onto the oracle or onto the compiled tier
-(:mod:`repro.routing.native`; optional, bit-identical, and selected
-centrally through :func:`repro.routing.impls.resolve_impl`).
+here bit-identical to it -- distances *and* next hops.  Every entry
+point takes ``impl=None``, the machine's tier
+(:func:`repro.routing.impls.default_impl`: the compiled kernels of
+:mod:`repro.routing.native` where they load, these NumPy ones
+otherwise); the parity suites name a tier explicitly
+(``"vectorized" | "reference" | "native"``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.routing.impls import (  # noqa: F401  (IMPLEMENTATIONS re-exported)
-    IMPLEMENTATIONS,
-    check_impl as _check_impl,
-)
+from repro.routing.impls import resolve_impl
 from repro.topology.row import RowPlacement
 
 #: Direction tags for the two passes.
@@ -170,7 +168,7 @@ def weight_stack_population(
     return w
 
 
-def row_distances_batch(w: np.ndarray, impl: str = "vectorized") -> np.ndarray:
+def row_distances_batch(w: np.ndarray, impl: Optional[str] = None) -> np.ndarray:
     """Left-to-right row Floyd-Warshall, distances only, triangle block.
 
     ``w`` is a ``(B, n, n)`` stack of left-to-right row graphs: zero
@@ -179,17 +177,16 @@ def row_distances_batch(w: np.ndarray, impl: str = "vectorized") -> np.ndarray:
     ``dist[:, :k, k+1:]``, the one block it can change (see the module
     docstring), so the result is bitwise the full
     :func:`floyd_warshall_distances_batch` pass on the same stack.
-    ``impl="native"`` runs the compiled in-place loop over the same
+    The ``"native"`` tier runs the compiled in-place loop over the same
     block (:mod:`repro.routing.native`).
     """
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {w.shape}")
-    _check_impl(impl)
-    if impl == "native":
+    if resolve_impl(impl) == "native":
         from repro.routing import native
 
         dist = np.array(w, dtype=np.float64, order="C")
-        native.row_distances_batch_inplace(dist)
+        native.load().row_dist_batch(dist)
         return dist
     dist = w.copy()
     for k in range(1, w.shape[1] - 1):
@@ -221,7 +218,7 @@ def batched_mean_distances(
     placements: Sequence[RowPlacement],
     cost: HopCostModel | None = None,
     weights: np.ndarray | None = None,
-    impl: str = "vectorized",
+    impl: Optional[str] = None,
 ) -> np.ndarray:
     """Mean directional head latency of each placement, in one FW pass.
 
@@ -231,8 +228,9 @@ def batched_mean_distances(
     exact operation order of the scalar path -- results are
     bit-identical to ``B`` scalar evaluations.  ``weights`` (an
     ``n x n`` nonnegative matrix, validated as in the scalar path)
-    switches to the traffic-weighted mean.  ``impl`` selects the row
-    kernel: ``"native"`` swaps in the compiled pass (stack building and
+    switches to the traffic-weighted mean.  ``impl`` (``None``: the
+    machine's tier) selects the row kernel: ``"native"`` runs the
+    compiled pass (stack building and
     the pinned-order mean reduction stay in NumPy -- they are
     O(B n^2) against the pass's O(B n^3), and the reduction's
     pairwise-summation order is part of the bit-identity contract);
@@ -242,7 +240,7 @@ def batched_mean_distances(
     from repro.util.errors import ConfigurationError
 
     cost = cost or HopCostModel()
-    _check_impl(impl)
+    impl = resolve_impl(impl)
     placements = list(placements)
     if not placements:
         return np.empty(0, dtype=float)
@@ -278,7 +276,7 @@ def batched_mean_distances(
 
 
 def floyd_warshall_batch(
-    w: np.ndarray, impl: str = "vectorized"
+    w: np.ndarray, impl: Optional[str] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched min-plus Floyd-Warshall with next-hop reconstruction.
 
@@ -287,8 +285,8 @@ def floyd_warshall_batch(
     ``(dist, next_hop)`` stacks of the same shape, with the per-slice
     semantics of :func:`floyd_warshall` (strict ``<`` improvement, ties
     keep the incumbent next hop, ``-1`` for unreachable pairs, ``j`` on
-    the diagonal).  ``impl="native"`` runs the compiled in-place pass
-    (:mod:`repro.routing.native`), which is bit-identical on the
+    the diagonal).  The ``"native"`` tier runs the compiled in-place
+    pass (:mod:`repro.routing.native`), which is bit-identical on the
     zero-diagonal nonnegative stacks the weight builders produce;
     other tiers use this NumPy loop (the batch kernels *are* the
     vectorized implementation -- the pure-Python oracle lives at the
@@ -296,7 +294,7 @@ def floyd_warshall_batch(
     """
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {w.shape}")
-    _check_impl(impl)
+    impl = resolve_impl(impl)
     n = w.shape[1]
     cols = np.arange(n)
     next_hop = np.where(np.isfinite(w), cols[None, None, :], -1).astype(np.int64)
@@ -305,7 +303,7 @@ def floyd_warshall_batch(
         from repro.routing import native
 
         dist = np.array(w, dtype=np.float64, order="C")
-        native.fw_batch_inplace(dist, next_hop)
+        native.load().fw_batch(dist, next_hop)
         return dist, next_hop
     dist = w.copy()
     for k in range(n):
@@ -388,18 +386,17 @@ def floyd_warshall_distances(w: np.ndarray) -> np.ndarray:
 def directional_distances(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
-    impl: str = "vectorized",
+    impl: Optional[str] = None,
 ) -> np.ndarray:
     """All-pairs directional head latencies (no next hops; fast path).
 
-    ``impl`` selects the batched NumPy kernel (default), the
-    pure-Python reference in :mod:`repro.routing.shortest_path_ref`,
-    or the compiled ``"native"`` tier; all are bit-identical by the
-    cross-impl parity suite, so the switch exists for verification and
-    speed, not for results.
+    ``impl=None`` runs the machine's tier; ``"reference"`` runs the
+    pure-Python oracle in :mod:`repro.routing.shortest_path_ref`.  All
+    tiers are bit-identical by the cross-tier parity suite, so the
+    switch exists for verification, not for results.
     """
     cost = cost or HopCostModel()
-    _check_impl(impl)
+    impl = resolve_impl(impl)
     if impl == "reference":
         from repro.routing import shortest_path_ref as ref
 
@@ -411,7 +408,7 @@ def directional_distances(
 def directional_paths(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
-    impl: str = "vectorized",
+    impl: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs directional head latencies and next hops for one row.
 
@@ -424,7 +421,7 @@ def directional_paths(
     ``impl`` is as in :func:`directional_distances`.
     """
     cost = cost or HopCostModel()
-    _check_impl(impl)
+    impl = resolve_impl(impl)
     n = placement.n
     if impl == "reference":
         from repro.routing import shortest_path_ref as ref

@@ -28,10 +28,15 @@ Endpoints
 
 Robustness
 ----------
+Every body field is type- and range-checked before any work is
+queued: a malformed field is a 400 that names it, never a 500.
 Per-request deadlines (``deadline_s`` in the body, capped by the
 server) return 504 while the underlying computation continues and
 still populates the cache; a bounded in-flight budget returns 429 with
-``Retry-After``; shutdown drains in-flight work behind 503s.  Every
+``Retry-After``; shutdown drains in-flight work behind 503s.  Searches
+and campaigns run in-process (``jobs`` is accepted but not honoured:
+results never depend on it), so ``capacity`` alone bounds the
+server's concurrency and no request can make it fork.  Every
 request increments ``serve.*`` counters and every computed design is
 recorded in the run ledger, so the obs stack is the service telemetry.
 """
@@ -46,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import SearchConfig
-from repro.core.optimizer import optimize
+from repro.core.optimizer import METHODS, optimize
 from repro.obs.ledger import (
     RunLedger,
     digest_parts,
@@ -62,6 +67,12 @@ from repro.util.errors import ConfigurationError, InvalidPlacementError
 #: Body fields every POST endpoint understands.
 _COMMON_FIELDS = {"deadline_s"}
 
+#: Largest mesh side a request may name.  Pricing one n x n row
+#: allocates O(n^2) floats and runs O(n^3) relaxations, so an unbounded
+#: ``n`` is a memory and CPU exhaustion vector (the canonical placement
+#: encoding itself stops at 65535).
+MAX_N = 1024
+
 JSON = "application/json"
 TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -70,6 +81,33 @@ Response = Tuple[int, str, bytes, Dict[str, str]]
 
 class RequestError(Exception):
     """A malformed request (maps to HTTP 400)."""
+
+
+def _int_field(body: Dict, name: str, default: Any, minimum: int,
+               maximum: Optional[int] = None) -> int:
+    """``body[name]`` (or ``default``) as an integer in
+    ``[minimum, maximum]`` (no upper bound for ``maximum=None``)."""
+    value = body.get(name, default)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum or (maximum is not None and value > maximum)):
+        most = "" if maximum is None else f" and <= {maximum}"
+        raise RequestError(
+            f"{name} must be an integer >= {minimum}{most}, got {value!r}"
+        )
+    return value
+
+
+def _list_field(body: Dict, name: str, default: List, valid, expected: str) -> List:
+    """``body[name]`` as a non-empty list whose items all pass ``valid``
+    (absent or ``null``: ``default``)."""
+    value = body.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, list) or not value or not all(map(valid, value)):
+        raise RequestError(
+            f"{name} must be a non-empty list of {expected}, got {value!r}"
+        )
+    return value
 
 
 def _json_bytes(obj: Any) -> bytes:
@@ -204,7 +242,7 @@ class ServeApp:
         except (TypeError, ValueError):
             raise RequestError(f"deadline_s must be a number, got "
                                f"{deadline!r}") from None
-        if deadline <= 0:
+        if not deadline > 0:  # also rejects NaN
             raise RequestError(f"deadline_s must be positive, got {deadline}")
         return min(deadline, self.max_deadline_s)
 
@@ -218,20 +256,26 @@ class ServeApp:
                                f"known: {sorted(known)}")
         if "n" not in body:
             raise RequestError("/place requires 'n' (mesh size)")
-        n = body["n"]
-        if not isinstance(n, int) or n < 2:
-            raise RequestError(f"n must be an integer >= 2, got {n!r}")
-        from repro.harness.designs import EFFORTS
-
+        n = _int_field(body, "n", None, 2, MAX_N)
         method = body.get("method", "dc_sa")
-        effort = body.get("effort", self.default_effort)
-        if effort not in EFFORTS:
+        if method not in METHODS:
             raise RequestError(
-                f"unknown effort {effort!r}; expected one of {sorted(EFFORTS)}"
+                f"unknown method {method!r}; expected one of {METHODS}"
             )
-        config_body = dict(body.get("config") or {})
-        config_body.setdefault("seed", self.default_seed)
-        cfg = SearchConfig.from_json(config_body)
+        effort = self._effort(body)
+        config = body.get("config")
+        if config is None:
+            config = {}
+        if not isinstance(config, dict):
+            raise RequestError(f"config must be a JSON object, got {config!r}")
+        # jobs is validated but not honoured: a served search never
+        # forks, and results (and the store key) never depend on it.
+        cfg = SearchConfig.from_json(
+            {"seed": self.default_seed, **config}
+        ).with_updates(jobs=1)
+        warm = body.get("warm", True)
+        if not isinstance(warm, bool):
+            raise RequestError(f"warm must be true or false, got {warm!r}")
         link_limits = body.get("link_limits")
         if link_limits is not None:
             if (not isinstance(link_limits, list) or not link_limits
@@ -245,9 +289,18 @@ class ServeApp:
             params["link_limits"] = list(link_limits)
         return {
             "n": n, "method": method, "effort": effort, "config": cfg,
-            "link_limits": link_limits, "params": params,
-            "warm": bool(body.get("warm", True)),
+            "link_limits": link_limits, "params": params, "warm": warm,
         }
+
+    def _effort(self, body: Dict) -> str:
+        from repro.harness.designs import EFFORTS
+
+        effort = body.get("effort", self.default_effort)
+        if not isinstance(effort, str) or effort not in EFFORTS:
+            raise RequestError(
+                f"unknown effort {effort!r}; expected one of {sorted(EFFORTS)}"
+            )
+        return effort
 
     async def _handle_place(self, body: Dict) -> Response:
         deadline = self._deadline(body)
@@ -364,27 +417,35 @@ class ServeApp:
             raise RequestError(f"unknown /evaluate field(s) {unknown}; "
                                f"known: {sorted(known)}")
         if "placement_row" in body:
-            placement = RowPlacement.from_canonical_bytes(
-                bytes.fromhex(body["placement_row"])
-            )
+            row = body["placement_row"]
+            try:
+                data = bytes.fromhex(row)
+            except (TypeError, ValueError):
+                raise RequestError(
+                    f"placement_row must be canonical placement bytes as "
+                    f"hex, got {row!r}"
+                ) from None
+            placement = RowPlacement.from_canonical_bytes(data)
         elif "n" in body:
+            n = _int_field(body, "n", None, 2, MAX_N)
             links = body.get("express_links", [])
-            if not isinstance(links, list):
-                raise RequestError("express_links must be a list of [i, j] "
-                                   "pairs")
+            if not isinstance(links, list) or not all(
+                isinstance(link, list) and len(link) == 2
+                and all(isinstance(i, int) and not isinstance(i, bool)
+                        for i in link)
+                for link in links
+            ):
+                raise RequestError(f"express_links must be a list of [i, j] "
+                                   f"integer pairs, got {links!r}")
             placement = RowPlacement(
-                n=body["n"],
-                express_links=frozenset(tuple(link) for link in links),
+                n=n, express_links=frozenset(tuple(link) for link in links),
             )
         else:
             raise RequestError("/evaluate requires 'placement_row' (canonical "
                                "bytes hex) or 'n' + 'express_links'")
         link_limit = body.get("link_limit")
-        if link_limit is not None and (
-            not isinstance(link_limit, int) or link_limit < 1
-        ):
-            raise RequestError(f"link_limit must be an integer >= 1, got "
-                               f"{link_limit!r}")
+        if link_limit is not None:
+            link_limit = _int_field(body, "link_limit", None, 1)
         weights = body.get("weights")
         if weights is not None:
             try:
@@ -434,6 +495,7 @@ class ServeApp:
                                f"known: {sorted(known)}")
         if "n" not in body:
             raise RequestError("/campaign requires 'n' (mesh size)")
+        spec = self._campaign_spec(body)
         deadline = self._deadline(body)
         if self.draining:
             self.metrics.counter("serve.rejected.draining").inc()
@@ -447,18 +509,50 @@ class ServeApp:
                 {"Retry-After": "1"},
             )
         task = asyncio.get_running_loop().create_task(
-            self._compute_campaign(body)
+            self._compute_campaign(spec)
         )
         payload = await asyncio.wait_for(asyncio.shield(task), deadline)
         return (200, JSON, _json_bytes(payload), {})
 
-    async def _compute_campaign(self, body: Dict) -> Dict:
+    def _campaign_spec(self, body: Dict) -> Dict:
+        """The validated campaign grid of a ``/campaign`` body."""
+        from repro.cli import SCHEMES
+        from repro.traffic.patterns import PATTERNS
+
+        n = _int_field(body, "n", None, 2, MAX_N)
+
+        def known(names):
+            return lambda item: isinstance(item, str) and item in names
+
+        def rate(item):
+            # Aggregate packets/cycle network-wide: at most one per node.
+            return (not isinstance(item, bool) and isinstance(item, (int, float))
+                    and 0 < item <= n * n)
+
+        spec = {
+            "n": n,
+            "schemes": _list_field(body, "schemes", ["mesh"], known(SCHEMES),
+                                   f"scheme names ({', '.join(SCHEMES)})"),
+            "patterns": _list_field(body, "patterns", ["uniform_random"],
+                                    known(PATTERNS), "pattern names"),
+            "rates": [float(r) for r in _list_field(
+                body, "rates", [1.0], rate, f"rates in (0, {n * n}]")],
+            "seeds": _int_field(body, "seeds", 1, 1),
+            "warmup": _int_field(body, "warmup", 300, 0),
+            "measure": _int_field(body, "measure", 1_000, 1),
+            "seed": _int_field(body, "seed", 2019, 0),
+            "effort": self._effort(body),
+        }
+        # Accepted but not honoured: a served campaign never forks.
+        _int_field(body, "jobs", 1, 1)
+        return spec
+
+    async def _compute_campaign(self, spec: Dict) -> Dict:
         self._active += 1
         try:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
-                self.executor, functools.partial(_run_campaign_grid, body,
-                                                 self.default_effort)
+                self.executor, functools.partial(_run_campaign_grid, spec)
             )
         finally:
             self._active -= 1
@@ -480,28 +574,26 @@ class ServeApp:
         return (200, TEXT, text.encode("utf-8"), {})
 
 
-def _run_campaign_grid(body: Dict, default_effort: str) -> Dict:
-    """Build and run one campaign grid (worker thread)."""
+def _run_campaign_grid(spec: Dict) -> Dict:
+    """Build and run one validated campaign grid, in-process (worker
+    thread)."""
     from repro.cli import _design_for
     from repro.sim.campaign import campaign_grid, run_campaign
 
-    n = body["n"]
-    seed = body.get("seed", 2019)
-    effort = body.get("effort", default_effort)
     designs = [
-        _design_for(s, n, seed, effort)
-        for s in (body.get("schemes") or ["mesh"])
+        _design_for(s, spec["n"], spec["seed"], spec["effort"])
+        for s in spec["schemes"]
     ]
     grid = campaign_grid(
         designs,
-        body.get("patterns") or ["uniform_random"],
-        [float(r) for r in (body.get("rates") or [1.0])],
-        base_seed=seed,
-        seeds_per_point=int(body.get("seeds", 1)),
-        warmup=int(body.get("warmup", 300)),
-        measure=int(body.get("measure", 1_000)),
+        spec["patterns"],
+        spec["rates"],
+        base_seed=spec["seed"],
+        seeds_per_point=spec["seeds"],
+        warmup=spec["warmup"],
+        measure=spec["measure"],
     )
-    campaign = run_campaign(grid, jobs=int(body.get("jobs", 1)))
+    campaign = run_campaign(grid)
     rows: List[Dict] = []
     digest_fields: List[Any] = []
     for job, res in zip(campaign.jobs, campaign.results):

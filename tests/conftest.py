@@ -77,3 +77,23 @@ def rng():
 def quick_sa():
     """A fast annealing schedule for tests."""
     return AnnealingParams(total_moves=300, moves_per_cooldown=100)
+
+
+@pytest.fixture
+def pin_tier(monkeypatch):
+    """Pin the process kernel tier: what every ``impl=None`` resolves to.
+
+    ``pin_tier("vectorized")`` runs a whole search on the NumPy kernels,
+    ``pin_tier("reference")`` on the pure-Python oracle (no engine
+    walk), ``pin_tier("native")`` on the compiled kernels -- skipping
+    the test where they cannot load.  Pool workers fork with the pin.
+    """
+    from repro.routing import impls
+
+    def pin(tier: str) -> None:
+        impls.check_impl(tier)
+        if tier == "native" and not impls.native_available():
+            pytest.skip("native tier unavailable (no C toolchain)")
+        monkeypatch.setitem(impls._tier, "name", tier)
+
+    return pin

@@ -6,8 +6,9 @@ costs on any tier but the pure-Python oracle.  That choice changes how
 each candidate is priced, not what the search does, so every observable
 of the run (placements, energies, evaluation counts, traces, accept
 statistics) must be bit-identical to the decode-and-FW walk, reached
-here through a plain callable wrapping the objective or through
-``impl="reference"``.
+here through a plain callable wrapping the objective, through
+``impl="reference"``, or by pinning the whole process to the oracle
+tier (the ``pin_tier`` fixture).
 """
 
 import numpy as np
@@ -196,11 +197,10 @@ class TestObservability:
 class TestEndToEnd:
     """Engine walk (default) against the oracle tier's FW walk."""
 
-    def test_optimize_sweep_parity(self):
-        base = optimize(
-            8, params=SMOKE, config=SearchConfig(seed=41, impl="reference")
-        ).sweep
+    def test_optimize_sweep_parity(self, pin_tier):
         incr = optimize(8, params=SMOKE, config=SearchConfig(seed=41)).sweep
+        pin_tier("reference")
+        base = optimize(8, params=SMOKE, config=SearchConfig(seed=41)).sweep
         assert base.best.link_limit == incr.best.link_limit
         for c, sol in base.solutions.items():
             assert incr.solutions[c].placement == sol.placement
@@ -209,21 +209,19 @@ class TestEndToEnd:
             if sol.annealing is not None:
                 assert incr.solutions[c].annealing.trace == sol.annealing.trace
 
-    def test_solve_row_problem_parity(self):
-        base = solve_row_problem(
-            8, 4, params=SMOKE, config=SearchConfig(seed=43, impl="reference")
-        )
+    def test_solve_row_problem_parity(self, pin_tier):
         incr = solve_row_problem(8, 4, params=SMOKE, config=SearchConfig(seed=43))
+        pin_tier("reference")
+        base = solve_row_problem(8, 4, params=SMOKE, config=SearchConfig(seed=43))
         assert incr.placement == base.placement
         assert incr.energy == base.energy
         assert incr.evaluations == base.evaluations
 
-    def test_parallel_restarts_parity(self):
+    def test_parallel_restarts_parity(self, pin_tier):
         cfg = SearchConfig(seed=47, restarts=2, jobs=2)
-        base = optimize(
-            6, params=SMOKE, config=cfg.with_updates(impl="reference")
-        ).sweep
         incr = optimize(6, params=SMOKE, config=cfg).sweep
+        pin_tier("reference")
+        base = optimize(6, params=SMOKE, config=cfg).sweep
         for c, sol in base.solutions.items():
             assert incr.solutions[c].placement == sol.placement
         assert base.restart_energies == incr.restart_energies

@@ -1,6 +1,5 @@
 """Run ledger: content-addressed manifests and the ``repro runs`` CLI."""
 
-import dataclasses
 import json
 import os
 
@@ -14,6 +13,7 @@ from repro.obs.ledger import (
     config_identity,
     diff_manifests,
     digest_parts,
+    environment_snapshot,
     optimize_params,
     solve_params,
 )
@@ -64,16 +64,18 @@ class TestRunId:
         # not move an identity.
         assert compute_run_id(kind, params, config, config.seed) == run_id
 
-    def test_impl_excluded_from_identity(self):
-        # The kernel tiers are bit-identical by the cross-impl parity
-        # gates, so ``impl`` is a wall-clock knob like jobs: the
-        # same search priced by any tier owns the same run_id.
-        base = compute_run_id("optimize", {"n": 8}, SearchConfig(seed=3), 3)
-        fields = dataclasses.asdict(SearchConfig(seed=3))
-        for impl in ("vectorized", "reference", "native"):
-            variant = dict(fields, impl=impl)
-            assert compute_run_id("optimize", {"n": 8}, variant, 3) == base
+    def test_impl_excluded_from_identity(self, pin_tier):
+        # The kernel tier is the machine's, not a config field: the
+        # same search owns the same run_id on every tier, and the
+        # manifest's environment block records the tier that ran.
         assert "impl" not in config_identity(SearchConfig(seed=3))
+        base = compute_run_id("optimize", {"n": 8}, SearchConfig(seed=3), 3)
+        for tier in ("vectorized", "reference"):
+            pin_tier(tier)
+            assert compute_run_id(
+                "optimize", {"n": 8}, SearchConfig(seed=3), 3
+            ) == base
+            assert environment_snapshot()["kernel_tier"] == tier
 
     def test_digest_parts_distinguishes_bytes(self):
         assert digest_parts(b"ab", b"c") != digest_parts(b"a", b"bc")

@@ -18,8 +18,12 @@ are drawn from the row domain (``inf`` below the diagonal) and checked
 against the full NumPy pass as well as the NumPy row kernel; the
 next-hop kernel stays generic and is attacked with arbitrary stacks.
 
+Whole searches are pinned to one tier with the ``pin_tier`` fixture
+(``tests/conftest.py``), the seam that decides what every ``impl=None``
+runs on.
+
 The whole module is skipped when the C extension cannot load on this
-machine; the graceful-fallback behaviour for that case is covered by
+machine; the fallback to NumPy for that case is covered by
 ``test_impls.py``.
 """
 
@@ -40,7 +44,6 @@ from repro.core.latency import RowObjective
 from repro.core.optimizer import optimize
 from repro.routing import _native_cext, native
 from repro.routing.impls import available_impls
-from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
@@ -153,27 +156,9 @@ class TestPopulationPricing:
         assert np.array_equal(got, floyd_warshall_distances_batch(stack))
 
 
-class TestIncrementalEngine:
-    def test_boundary_rewrite_matches_numpy_engine(self):
-        rng = np.random.default_rng(23)
-        m = ConnectionMatrix.random(10, 4, rng)
-        fast = IncrementalApspEngine(m.decode(), impl="native")
-        base = IncrementalApspEngine(m.decode(), impl="vectorized")
-        for step in range(40):
-            i = int(rng.integers(0, 8))
-            j = int(rng.integers(i + 2, 10))
-            for engine in (fast, base):
-                if (i, j) in engine.placement.express_links:
-                    engine.remove_link(i, j)
-                else:
-                    engine.add_link(i, j)
-            assert np.array_equal(fast.distances(), base.distances())
-            assert np.array_equal(fast.next_hops(), base.next_hops())
-            assert fast.placement == base.placement
-
-
-def _sweep(n, impl, link_limits=None):
-    cfg = SearchConfig(seed=2019, restarts=2, impl=impl)
+def _sweep(pin_tier, n, tier, link_limits=None):
+    pin_tier(tier)
+    cfg = SearchConfig(seed=2019, restarts=2)
     return optimize(
         n, params=SMALL, config=cfg, link_limits=link_limits
     ).sweep
@@ -182,9 +167,9 @@ def _sweep(n, impl, link_limits=None):
 class TestTrajectoryIdentity:
     """Whole SA runs -- not just kernels -- are impl-invariant."""
 
-    def test_optimize_native_bit_identical(self):
-        base = _sweep(8, "vectorized")
-        fast = _sweep(8, "native")
+    def test_optimize_native_bit_identical(self, pin_tier):
+        base = _sweep(pin_tier, 8, "vectorized")
+        fast = _sweep(pin_tier, 8, "native")
         assert base.best == fast.best
         assert base.restart_energies == fast.restart_energies
         for c in base.solutions:
@@ -194,11 +179,11 @@ class TestTrajectoryIdentity:
                 base.solutions[c].evaluations == fast.solutions[c].evaluations
             )
 
-    def test_incremental_search_native_bit_identical(self):
-        """The native engine walk (the default under ``impl="native"``)
-        against the oracle tier's FW walk: whole trajectories."""
-        base = _sweep(8, "reference")
-        fast = _sweep(8, "native")
+    def test_incremental_search_native_bit_identical(self, pin_tier):
+        """The engine walk on the native tier against the oracle tier's
+        FW walk: whole trajectories."""
+        base = _sweep(pin_tier, 8, "reference")
+        fast = _sweep(pin_tier, 8, "native")
         assert base.best == fast.best
         assert base.restart_energies == fast.restart_energies
         for c, sol in base.solutions.items():
@@ -230,7 +215,7 @@ class TestWarmup:
 
 
 class TestBuildCache:
-    """The ``.repro/native/`` cache never serves a bad or stale build."""
+    """The per-user build cache never serves a bad or stale build."""
 
     def test_cache_key_covers_compile_flags(self, monkeypatch):
         name = _native_cext._so_name()
@@ -268,14 +253,15 @@ class TestBuildCache:
 
 @pytest.mark.slow
 class TestLargeProblems:
-    def test_n32_sa_identity(self):
-        base = _sweep(32, "vectorized", link_limits=(4,))
-        fast = _sweep(32, "native", link_limits=(4,))
+    def test_n32_sa_identity(self, pin_tier):
+        base = _sweep(pin_tier, 32, "vectorized", link_limits=(4,))
+        fast = _sweep(pin_tier, 32, "native", link_limits=(4,))
         assert base.best == fast.best
         assert base.restart_energies == fast.restart_energies
 
-    def test_n64_native_restart_smoke(self):
-        cfg = SearchConfig(seed=7, restarts=2, impl="native")
+    def test_n64_native_restart_smoke(self, pin_tier):
+        pin_tier("native")
+        cfg = SearchConfig(seed=7, restarts=2)
         result = optimize(
             64, params=SMALL, config=cfg, link_limits=(8,)
         )

@@ -292,6 +292,12 @@ class TestPlace:
         ({"n": 6, "config": {"seeed": 1}}, "unknown SearchConfig field"),
         ({"n": 6, "config": {"incremental": True}},
          "unknown SearchConfig field"),
+        ({"n": 6, "config": [1]}, "config must be a JSON object"),
+        ({"n": 6, "config": {"objectives": 5}}, "objectives must be"),
+        ({"n": 6, "config": {"impl": "native"}}, "'impl'"),
+        ({"n": 6, "warm": "no"}, "warm must be true or false"),
+        ({"n": 6, "deadline_s": float("nan")}, "deadline_s must be positive"),
+        ({"n": 6, "method": 5}, "unknown method"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(
@@ -404,6 +410,13 @@ class TestEvaluate:
         ({"n": 6, "weights": [[0.0] * 6] * 6}, "positive sum"),
         ({"n": 6, "weights": "dense"}, "weights"),
         ({"n": 6, "unknown_knob": 1}, "unknown /evaluate field"),
+        ({"n": 6, "express_links": [[0, "a"]]}, "express_links"),
+        ({"n": 6, "express_links": [[0, 2, 3]]}, "express_links"),
+        ({"n": 6, "express_links": [5]}, "express_links"),
+        ({"placement_row": "zz"}, "placement_row"),
+        ({"n": "4"}, "n must be an integer >= 2"),
+        ({"n": 10**30}, "n must be an integer >= 2 and <= 1024"),
+        ({"n": 6, "link_limit": True}, "link_limit must be an integer"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(
@@ -469,6 +482,75 @@ class TestCampaign:
         ))
         assert status == 400
         assert "unknown /campaign field" in body["error"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", "abc"),
+        ("seeds", 0),
+        ("measure", "lots"),
+        ("measure", 0),
+        ("warmup", -1),
+        ("seed", "x"),
+        ("seed", -1),
+        ("rates", ["x"]),
+        ("rates", [0.0]),
+        ("rates", [True]),
+        ("rates", 1.0),
+        ("n", "4"),
+        ("n", 1),
+        ("n", 1025),
+        ("schemes", "mesh"),
+        ("schemes", ["bogus"]),
+        ("patterns", ["nope"]),
+        ("patterns", []),
+        ("effort", "turbo"),
+        ("effort", ["smoke"]),
+        ("jobs", 0),
+        ("jobs", "2"),
+    ])
+    def test_malformed_field_400_before_any_work(self, app, monkeypatch,
+                                                 field, value):
+        import repro.serve.server as server
+
+        def no_work(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a malformed campaign reached the grid")
+
+        monkeypatch.setattr(server, "_run_campaign_grid", no_work)
+        status, body, _ = asyncio.run(_request(
+            app, "POST", "/campaign",
+            dict({"n": 4, "warmup": 20, "measure": 100}, **{field: value}),
+        ))
+        assert status == 400
+        assert body["error"].startswith((f"{field} must be", f"unknown {field}"))
+        assert _counters(app)["serve.errors.bad_request"] == 1
+
+
+class TestNoFork:
+    """``jobs`` in a request is validated but never forks the server."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import repro.core.parallel as parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served request tried to start a pool")
+
+        monkeypatch.setattr(parallel.mp, "get_context", refuse)
+
+    def test_place_runs_in_process(self, app, no_pool):
+        status, body, _ = asyncio.run(_request(app, "POST", "/place", dict(
+            PLACE, config={"seed": 7, "restarts": 2, "jobs": 64}, warm=False,
+        )))
+        assert status == 200, body
+        assert body["result"]["config"]["jobs"] == 1
+        assert body["result"]["config"]["restarts"] == 2
+
+    def test_campaign_runs_in_process(self, app, no_pool):
+        status, body, _ = asyncio.run(_request(app, "POST", "/campaign", {
+            "n": 4, "rates": [0.05, 0.1], "seeds": 2, "jobs": 64,
+            "warmup": 20, "measure": 100,
+        }))
+        assert status == 200, body
+        assert body["runs"] == 4
 
 
 class TestRunsAndMetrics:

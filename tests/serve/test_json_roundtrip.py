@@ -38,7 +38,6 @@ def search_configs(draw):
         seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
         restarts=draw(st.integers(1, 4)),
         jobs=draw(st.integers(1, 4)),
-        impl=draw(st.sampled_from(("vectorized", "reference"))),
         max_evaluations=draw(st.one_of(st.none(), st.integers(1, 10**6))),
         trace_out=draw(st.one_of(st.none(), st.just("trace.jsonl"))),
         metrics_every=draw(st.integers(0, 100)),

@@ -25,7 +25,8 @@ class TestSearchConfig:
         cfg = SearchConfig()
         assert cfg.seed is None
         assert cfg.restarts == 1 and cfg.jobs == 1
-        assert cfg.impl == "vectorized"
+        # The kernel tier is the machine's, not a config field.
+        assert "impl" not in {f.name for f in dataclasses.fields(cfg)}
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -37,7 +38,7 @@ class TestSearchConfig:
             {"restarts": 0},
             {"jobs": -1},
             {"max_evaluations": 0},
-            {"impl": "cuda"},
+            {"seed": "x"},
             {"metrics_every": -5},
         ],
     )
@@ -55,20 +56,19 @@ class TestSearchConfig:
 
     def test_with_updates_revalidates(self):
         with pytest.raises(ConfigurationError):
-            SearchConfig().with_updates(impl="nope")
+            SearchConfig().with_updates(restarts=0)
 
     def test_from_cli_round_trip(self):
         ns = type("Args", (), {})()
         ns.seed = 2019
         ns.restarts = 4
         ns.jobs = 2
-        ns.impl = "reference"
         ns.trace_out = "t.jsonl"
         ns.metrics_every = 100
         ns.profile = True
         cfg = SearchConfig.from_cli(ns)
         assert cfg == SearchConfig(
-            seed=2019, restarts=4, jobs=2, impl="reference",
+            seed=2019, restarts=4, jobs=2,
             trace_out="t.jsonl", metrics_every=100, profile=True,
         )
 
@@ -76,20 +76,57 @@ class TestSearchConfig:
         ns = type("Args", (), {"seed": 5})()
         assert SearchConfig.from_cli(ns) == SearchConfig(seed=5)
 
-    def test_impl_none_resolves_to_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IMPL", raising=False)
-        assert SearchConfig(impl=None).impl == "vectorized"
+    def test_impl_none_resolves_to_default(self):
+        # Searches build their objectives with impl=None: the machine's
+        # tier, whatever the config says.
+        from repro.core.latency import RowObjective
+        from repro.routing.impls import default_impl
 
-    def test_impl_none_honors_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IMPL", "reference")
-        assert SearchConfig(impl=None).impl == "reference"
-        # Explicit arguments beat the environment default.
-        assert SearchConfig(impl="vectorized").impl == "vectorized"
+        assert RowObjective().impl == RowObjective(impl=None).impl
+        assert RowObjective().impl == default_impl()
+
+    def test_impl_none_honors_environment(self, pin_tier):
+        # impl=None follows the process tier -- the machine's, pinned
+        # here the way a machine without a compiler pins NumPy -- and
+        # prices the same on every tier.
+        from repro.core.latency import RowObjective
+        from repro.obs.ledger import environment_snapshot
+
+        placement = RowPlacement(8, frozenset({(0, 4), (2, 7)}))
+        priced = {}
+        for tier in ("vectorized", "reference"):
+            pin_tier(tier)
+            assert RowObjective().impl == tier
+            assert environment_snapshot()["kernel_tier"] == tier
+            priced[tier] = evaluate_placement(placement, link_limit=4)
+        assert priced["vectorized"] == priced["reference"]
+        assert priced["reference"] == evaluate_placement(
+            placement, link_limit=4, impl="reference"
+        )
 
     def test_impl_unknown_env_value_raises(self, monkeypatch):
+        # An unknown tier name still fails loudly wherever a tier can be
+        # named; the retired environment variable is not one of them.
+        from repro.core.latency import RowObjective
+
         monkeypatch.setenv("REPRO_IMPL", "turbo")
-        with pytest.raises(ConfigurationError):
-            SearchConfig()
+        placement = RowPlacement(8, frozenset({(0, 4)}))
+        with pytest.raises(ConfigurationError, match="turbo"):
+            evaluate_placement(placement, impl="turbo")
+        with pytest.raises(ConfigurationError, match="turbo"):
+            RowObjective(impl="turbo")
+        with pytest.raises(ConfigurationError, match="impl"):
+            SearchConfig.from_json({"impl": "turbo"})
+
+    def test_impl_is_not_a_config_field(self, monkeypatch):
+        # The tier is the machine's: no keyword, no JSON key, and the
+        # retired environment variable changes nothing.
+        with pytest.raises(TypeError, match="impl"):
+            SearchConfig(impl="native")
+        with pytest.raises(ConfigurationError, match="impl"):
+            SearchConfig.from_json({"impl": "vectorized"})
+        monkeypatch.setenv("REPRO_IMPL", "turbo")
+        assert SearchConfig() == SearchConfig.from_json({})
 
 
 class TestLegacyKwargsRejected:
@@ -132,12 +169,11 @@ class TestPlaceExpressLinks:
         assert res.energy == other.energy
         assert res.sweep is not None and other.sweep is not None
 
-    def test_incremental_config_same_design(self):
+    def test_incremental_config_same_design(self, pin_tier):
         """The default engine walk against the oracle tier's FW walk."""
-        base = place_express_links(
-            6, config=SearchConfig(seed=5, impl="reference"), params=SMOKE
-        )
         inc = place_express_links(6, config=SearchConfig(seed=5), params=SMOKE)
+        pin_tier("reference")
+        base = place_express_links(6, config=SearchConfig(seed=5), params=SMOKE)
         assert base.placement == inc.placement
         assert base.energy == inc.energy
         assert base.evaluations == inc.evaluations

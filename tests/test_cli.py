@@ -1,6 +1,7 @@
 """CLI tests (python -m repro)."""
 
 import os
+import re
 
 import pytest
 
@@ -9,6 +10,21 @@ from repro.cli import build_parser, main
 SWEEP_GOLDEN = os.path.join(
     os.path.dirname(__file__), "sim", "simulate_sweep_golden.out"
 )
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+
+#: Search commands whose output the pure-Python oracle tier printed,
+#: with the wall-clock field stripped (``tests/goldens/``).
+SEARCH_GOLDENS = {
+    "optimize_n8_smoke_seed2019": [
+        "optimize", "--n", "8", "--effort", "smoke", "--seed", "2019",
+    ],
+    "solve_n12_c2_exact": [
+        "solve", "--n", "12", "--c", "2", "--method", "exact",
+    ],
+    "solve_n8_c4_smoke_seed2019": [
+        "solve", "--n", "8", "--c", "4", "--effort", "smoke", "--seed", "2019",
+    ],
+}
 
 
 class TestParser:
@@ -115,6 +131,20 @@ class TestCommands:
         ]) == 0
         out = [ln for ln in capsys.readouterr().out.splitlines() if "job(s)" not in ln]
         with open(SWEEP_GOLDEN, encoding="utf-8") as fh:
+            assert out == fh.read().splitlines()
+
+    @pytest.mark.parametrize("tier", ["vectorized", "native"])
+    @pytest.mark.parametrize("name", sorted(SEARCH_GOLDENS))
+    def test_search_matches_oracle_golden(self, capsys, pin_tier, name, tier):
+        # The goldens are these commands as printed on the oracle tier;
+        # every fast tier must print the same lines but the wall time.
+        pin_tier(tier)
+        assert main(SEARCH_GOLDENS[name]) == 0
+        out = [
+            re.sub(r", wall time: [^ ]+$", "", ln)
+            for ln in capsys.readouterr().out.splitlines()
+        ]
+        with open(os.path.join(GOLDENS, f"{name}.out"), encoding="utf-8") as fh:
             assert out == fh.read().splitlines()
 
     @pytest.mark.parametrize("schemes", ["bogus", "mesh,bogus"])
@@ -225,12 +255,32 @@ class TestDoctor:
         assert out.count("available") >= 2
         assert ("backend: cext" in out) or ("unavailable" in out)
 
-    def test_doctor_reports_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_IMPL", "reference")
+    def test_doctor_names_the_tier_and_reason(self, capsys):
+        from repro.routing.impls import default_impl
+
         assert main(["doctor"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO_IMPL" in out
-        assert "reference" in out
+        assert "REPRO_IMPL" not in out
+        assert "cache " in out
+        tier_line = [ln for ln in out.splitlines() if ln.startswith("tier ")]
+        assert len(tier_line) == 1
+        assert tier_line[0].split()[1] == default_impl()
+        if default_impl() == "native":
+            assert "compiled kernels loaded" in tier_line[0]
+        else:
+            assert "native unavailable" in tier_line[0]
+
+    def test_doctor_reports_why_numpy_runs(self, capsys, monkeypatch):
+        from repro.routing import impls, native
+
+        monkeypatch.setattr(impls, "native_available", lambda: False)
+        monkeypatch.setattr(native, "unavailable_reason",
+                            lambda: "cext: no C compiler found (test)")
+        monkeypatch.setitem(impls._tier, "name", None)
+        assert main(["doctor"]) == 0
+        out = capsys.readouterr().out
+        assert ("tier        vectorized  (native unavailable: cext: no C "
+                "compiler found (test))") in out
 
     def test_doctor_registered_in_parser(self):
         args = build_parser().parse_args(["doctor"])
