@@ -37,6 +37,7 @@ from repro.util.errors import ConfigurationError, ReproError
 
 __all__ = [
     "SEARCH_SPACES",
+    "METHODS",
     "OBJECTIVES",
     "PARETO_DRIVERS",
     "RESULT_SCHEMA",
@@ -108,6 +109,12 @@ OBJECTIVES = ("latency", "power", "area", "channel_load")
 #: backends and the NSGA-II-style population loop.
 PARETO_DRIVERS = ("epsilon", "nsga2")
 
+#: Row solvers: the paper's D&C-seeded annealing, annealing from a
+#: random matrix, and exhaustive search.  Defined here (not in
+#: :mod:`repro.core.optimizer`) so :meth:`PlacementResult.from_json` can
+#: validate without importing the search stack.
+METHODS = ("dc_sa", "only_sa", "exact")
+
 #: Version stamp of the shared JSON schema (:meth:`SearchConfig.to_json`,
 #: :meth:`PlacementResult.to_json`, :meth:`EvalResult.to_json`).  Bump
 #: when a field changes meaning; readers reject unknown versions.
@@ -145,10 +152,33 @@ def _json_list(value: Any, item=lambda v: v) -> tuple:
     return tuple(map(item, value))
 
 
+def _json_int(minimum: int, optional: bool = False):
+    """A converter accepting an integer ``>= minimum`` (never a bool),
+    or ``None`` when ``optional``."""
+    def convert(value: Any) -> Optional[int]:
+        if optional and value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value}")
+        return int(value)
+    return convert
+
+
+def _json_choice(choices: Tuple[str, ...]):
+    """A converter accepting one of ``choices``."""
+    def convert(value: Any) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    return convert
+
+
 def _json_pair(value: Any, convert) -> tuple:
-    """A ``[C, x]`` JSON pair as ``(C, convert(x))``."""
+    """A ``[C, x]`` JSON pair as ``(C, convert(x))``, ``C`` an int >= 1."""
     c, x = _json_list(value)
-    return c, convert(x)
+    return _json_int(1)(c), convert(x)
 
 
 def _check_schema(data: Mapping, kind: str) -> None:
@@ -246,6 +276,16 @@ class SearchConfig:
             self._require_int(name, "an integer")
         self._require_int("max_evaluations", "an integer >= 1 or None",
                           optional=True)
+        for name in ("trace_out", "ledger"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigurationError(
+                    f"{name} must be a path string or None, got {value!r}"
+                )
+        if not isinstance(self.profile, bool):
+            raise ConfigurationError(
+                f"profile must be a bool, got {self.profile!r}"
+            )
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
         if self.jobs < 1:
@@ -367,7 +407,9 @@ def _placement_rows(placement: Any, space: str) -> Tuple[bytes, ...]:
     return tuple(row.canonical_bytes() for row in placement.rows)
 
 
-def _placement_from_rows(space: str, n: int, rows: Tuple[bytes, ...]) -> Any:
+def _placement_from_rows(space: str, rows: Tuple[bytes, ...]) -> Any:
+    """Inverse of :func:`_placement_rows`; a mesh design's size is its
+    row count (its constructor checks every row against it)."""
     decoded = [RowPlacement.from_canonical_bytes(data) for data in rows]
     if space == "row":
         if len(decoded) != 1:
@@ -378,7 +420,7 @@ def _placement_from_rows(space: str, n: int, rows: Tuple[bytes, ...]) -> Any:
     from repro.topology.grid import Grid2DPlacement, HeteroPlacement
 
     cls = HeteroPlacement if space == "hetero" else Grid2DPlacement
-    return cls(n=n, rows=tuple(decoded))
+    return cls(n=len(decoded), rows=tuple(decoded))
 
 
 @dataclass(frozen=True)
@@ -542,31 +584,34 @@ class PlacementResult:
         def field(name, convert=lambda v: v, default=_REQUIRED):
             return _json_field(data, "placement_result", name, convert, default)
 
-        def space_name(value):
-            if value not in SEARCH_SPACES:
-                raise ValueError(f"unknown search space {value!r}")
+        def placement_size(value):
+            value = _json_int(2)(value)
+            if value != placement.n:
+                raise ValueError(
+                    f"{value} != the placement's {placement.n} routers per row"
+                )
             return value
 
-        space = field("space", space_name)
-        n = field("n")
+        space = field("space", _json_choice(SEARCH_SPACES))
         placement = field("placement_rows", lambda rows: _placement_from_rows(
-            space, n, _json_list(rows, bytes.fromhex)
+            space, _json_list(rows, bytes.fromhex)
         ))
+        n = field("n", placement_size)
         return cls(
             n=n,
-            method=field("method"),
+            method=field("method", _json_choice(METHODS)),
             space=space,
-            link_limit=field("link_limit"),
+            link_limit=field("link_limit", _json_int(1)),
             placement=placement,
             express_links=field(
                 "express_links",
                 lambda v: _json_list(v, lambda link: _json_list(link, int)),
             ),
             energy=field("energy", float.fromhex),
-            evaluations=field("evaluations"),
+            evaluations=field("evaluations", _json_int(0)),
             wall_time_s=field("wall_time_s", float.fromhex),
             config=field("config", SearchConfig.from_json),
-            flit_bits=field("flit_bits", default=None),
+            flit_bits=field("flit_bits", _json_int(1, optional=True), None),
             head_latency=field("head_latency", _float_unhex, None),
             serialization_latency=field(
                 "serialization_latency", _float_unhex, None
@@ -626,14 +671,14 @@ class EvalResult:
             return _json_field(data, "eval_result", name, convert)
 
         return cls(
-            n=field("n"),
-            link_limit=field("link_limit"),
+            n=field("n", _json_int(2)),
+            link_limit=field("link_limit", _json_int(1, optional=True)),
             row_head_latency=field("row_head_latency", float.fromhex),
             head_latency=field("head_latency", float.fromhex),
             worst_case_latency=field("worst_case_latency", _float_unhex),
             serialization_latency=field("serialization_latency", _float_unhex),
             total_latency=field("total_latency", _float_unhex),
-            flit_bits=field("flit_bits"),
+            flit_bits=field("flit_bits", _json_int(1, optional=True)),
         )
 
 

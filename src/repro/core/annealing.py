@@ -172,6 +172,17 @@ class MemoizedObjective:
         """Forget every cached energy (counters are kept)."""
         self._cache.clear()
 
+    def mirror_invariant(self) -> bool:
+        """Whether the wrapped objective prices mirror images alike.
+
+        Passes through the objective's own
+        :meth:`~repro.core.latency.RowObjective.mirror_invariant`; an
+        objective that declares nothing keeps the exact search's
+        documented mirror fold.
+        """
+        declared = getattr(self._objective, "mirror_invariant", None)
+        return True if declared is None else bool(declared())
+
     def __call__(self, placement: RowPlacement) -> float:
         key = placement.canonical_bytes()
         value = self.lookup_key(key)
@@ -198,15 +209,16 @@ class MemoizedObjective:
         deterministic, so the values agree).
 
         ``folded=True`` asserts the caller already reduced the batch to
-        pairwise-distinct mirror-fold representatives that are also
-        disjoint from everything previously priced through this memo
-        (the exact enumerators' flush pattern: fresh memo, globally
-        unique stream).  The memo then bulk-counts the batch as misses
-        and skips both the per-placement cache probe and the store --
-        the keying bytes are never computed and the values are *not*
-        cached -- while the objective skips its own dedup pass.  Values
-        and every counter are identical to the scalar loop under that
-        contract.
+        placements pairwise distinct under the objective's dedup key
+        (one per mirror pair when it is mirror-invariant) that are
+        also disjoint from everything previously priced through this
+        memo (the exact enumerators' flush pattern: fresh memo,
+        globally unique stream).  The memo then bulk-counts the batch
+        as misses and skips both the per-placement cache probe and the
+        store -- the keying bytes are never computed and the values are
+        *not* cached -- while the objective skips its own dedup pass.
+        Values and every counter are identical to the scalar loop under
+        that contract.
         """
         placements = list(placements)
         if folded:

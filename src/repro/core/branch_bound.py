@@ -4,9 +4,11 @@ Two independent exact methods are provided:
 
 * :func:`exhaustive_matrix_search` enumerates the complete connection
   matrix space ``2^{(n-2)(C-1)}``, de-duplicating matrices that decode
-  to the same placement and folding the left-right mirror symmetry
-  (the objective is reversal-invariant), so the expensive evaluation
-  runs only once per equivalence class.
+  to the same placement, so the expensive evaluation runs only once
+  per equivalence class.  It also folds the left-right mirror
+  symmetry when the objective declares itself reversal-invariant
+  (:meth:`~repro.core.latency.RowObjective.mirror_invariant`); a
+  traffic-weighted objective is searched over both mirror images.
 * :func:`branch_and_bound` searches over express-link *sets* directly
   with depth-first branching and an admissible bound: head latency is
   monotone non-increasing in the link set, so the energy of the current
@@ -94,14 +96,16 @@ def exhaustive_matrix_search(
 ) -> ExactResult:
     """Optimal placement by full enumeration of the matrix space.
 
-    Enumeration proceeds in chunks of ``batch_size`` mirror-folded
-    equivalence classes; each chunk is priced with a single batched
-    Floyd-Warshall stack (``MemoizedObjective.evaluate_many``), which
-    is bit-identical to -- and several times faster than -- the scalar
-    loop.  ``batch_size=1`` forces the scalar kernel (the benchmark
-    baseline).  Best-so-far updates scan each chunk in enumeration
-    order with strict ``<``, so the winning placement is the same first
-    minimum the sequential path finds.
+    Enumeration proceeds in chunks of ``batch_size`` equivalence
+    classes: one per mirror pair when the objective is
+    mirror-invariant (an objective that declares nothing is folded),
+    one per placement otherwise.  Each chunk is priced with a single
+    batched Floyd-Warshall stack (``MemoizedObjective.evaluate_many``),
+    which is bit-identical to -- and several times faster than -- the
+    scalar loop.  ``batch_size=1`` forces the scalar kernel (the
+    benchmark baseline).  Best-so-far updates scan each chunk in
+    enumeration order with strict ``<``, so the winning placement is
+    the same first minimum the sequential path finds.
     """
     limit = effective_link_limit(n, link_limit)
     memo = MemoizedObjective(objective)
@@ -123,7 +127,8 @@ def exhaustive_matrix_search(
                 best_placement = placement
         chunk.clear()
 
-    for placement in iter_unique_placements(n, limit):
+    fold = memo.mirror_invariant()
+    for placement in iter_unique_placements(n, limit, fold=fold):
         if batch_size <= 1:
             energy = memo(placement)
             if energy < best_energy:

@@ -238,25 +238,52 @@ def enumerate_matrices(n: int, link_limit: int) -> Iterator[ConnectionMatrix]:
         yield ConnectionMatrix(n, link_limit, bits)
 
 
+def _run_links(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The links of every fused run in a ``(count, n - 2)`` block of
+    one layer's bits, as ``(owner, i, j)`` arrays in row-major order.
+
+    A run of 1-bits ``a .. b`` fuses interior routers ``a + 1 .. b + 1``
+    into the link ``(a, b + 2)`` of matrix ``owner``; starts and ends
+    pair up in row-major order, so each matrix's links come out left to
+    right.  Every run spans at least two hops, so its link is
+    normalized (``j - i >= 2``) by construction.
+    """
+    padded = np.zeros((len(bits), bits.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    edges = np.diff(padded, axis=1)
+    owner, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1] + 1
+    return owner, starts, ends
+
+
 def iter_unique_placements(
     n: int,
     link_limit: int,
     block_size: int = 1 << 16,
+    fold: bool = True,
 ) -> Iterator[RowPlacement]:
-    """Mirror-folded unique placements of the matrix space, in code order.
+    """Distinct placements of the matrix space, in code order.
 
-    The bulk equivalent of ``decode()`` + mirror-fold dedup over
-    :func:`enumerate_matrices`: codes are unpacked into bit blocks and
-    each layer's fused runs are extracted with vectorized boundary
-    detection (a run of 1-bits over interior routers ``a .. b`` is the
-    express link ``(a, b + 2)``), so the per-matrix Python work drops
-    to the dedup dictionary probe.  Folding uses the same
-    lexicographic-minimum rule as
-    :meth:`repro.topology.row.RowPlacement.mirror_min_links`, so the
-    first matrix of each equivalence class (in enumeration order)
-    supplies the representative -- exactly the placements the scalar
-    ``decode()`` loop would have kept.  Blocks bound peak memory for
-    the largest admissible spaces.
+    The bulk equivalent of ``decode()`` + dedup over
+    :func:`enumerate_matrices`: the first matrix (in code order) of
+    each class of matrices that decode alike supplies the class's
+    representative, exactly as the scalar loop would keep it.  With
+    ``fold=True`` a placement and its mirror image form one class
+    (the lexicographic-minimum rule of
+    :meth:`repro.topology.row.RowPlacement.mirror_min_links`) -- sound
+    only for objectives that price both alike (see
+    :meth:`repro.core.latency.RowObjective.mirror_invariant`); with
+    ``fold=False`` every distinct placement is yielded.
+
+    Codes are unpacked in blocks, which bound peak memory for the
+    largest admissible spaces, and each layer's fused runs are
+    extracted with vectorized boundary detection.  A one-layer space
+    (``C = 2``) decodes one-to-one and mirrors a code by reversing its
+    ``n - 2`` bits, so the first member of a mirror class is the code
+    with ``code <= reverse(code)``: the fold is one array comparison,
+    and each placement is a slice of one link list.  Layers of a
+    multi-layer space can repeat and permute links, so there each
+    matrix's sorted link tuple is probed in a dictionary.
     """
     shape = ConnectionMatrix.shape(n, link_limit)
     size = shape[0] * shape[1]
@@ -264,47 +291,45 @@ def iter_unique_placements(
         raise ConfigurationError(
             f"refusing to enumerate 2^{size} matrices; use the heuristics"
         )
-    rows, layers = shape
     shifts = np.arange(size, dtype=np.int64)
+    blocks = (
+        np.arange(lo, min(lo + block_size, 1 << size), dtype=np.int64)
+        for lo in range(0, 1 << size, block_size)
+    )
+    if shape[1] == 1:
+        # Bit k's mirror is bit size - 1 - k.
+        mirrored = 1 << shifts[::-1]
+        for codes in blocks:
+            bits = (codes[:, None] >> shifts) & 1
+            if fold:
+                bits = bits[codes <= bits @ mirrored]
+            owner, starts, ends = _run_links(bits)
+            links = list(zip(starts.tolist(), ends.tolist()))
+            bounds = np.searchsorted(owner, np.arange(len(bits) + 1)).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                yield RowPlacement.from_normalized(n, frozenset(links[lo:hi]))
+        return
+    rows, layers = shape
     last = n - 1
     seen = set()
-    for lo in range(0, 1 << size, block_size):
-        codes = np.arange(lo, min(lo + block_size, 1 << size), dtype=np.int64)
-        count = len(codes)
-        bits = ((codes[:, None] >> shifts) & 1).astype(bool).reshape(
-            count, rows, layers
-        )
-        # Encoded links per matrix; (i, j) packs to i * n + j, which
-        # preserves lexicographic pair order for the mirror fold below.
-        links_of: list = [[] for _ in range(count)]
-        padded = np.zeros((count, rows + 2), dtype=bool)
+    for codes in blocks:
+        bits = ((codes[:, None] >> shifts) & 1).reshape(len(codes), rows, layers)
+        links_of: list = [[] for _ in range(len(codes))]
         for layer in range(layers):
-            padded[:, 1:-1] = bits[:, :, layer]
-            edges = padded[:, 1:].view(np.int8) - padded[:, :-1].view(np.int8)
-            # A run starting at bit a and ending at bit b decodes to the
-            # link (a, b + 2); starts and ends pair up in row-major order.
-            rows_idx, start_bits = np.nonzero(edges == 1)
-            end_bits = np.nonzero(edges == -1)[1]
-            enc = start_bits * n + (end_bits + 1)
-            for row, link in zip(rows_idx.tolist(), enc.tolist()):
+            # (i, j) packs to i * n + j, which preserves lexicographic
+            # link order for the sort and the mirror fold below.
+            owner, starts, ends = _run_links(bits[:, :, layer])
+            for row, link in zip(owner.tolist(), (starts * n + ends).tolist()):
                 links_of[row].append(link)
         for links in links_of:
-            if links:
-                # A single layer yields links already sorted (runs are
-                # extracted left to right) and duplicate-free; only
-                # multi-layer matrices can repeat a link across layers.
-                fwd = tuple(links) if layers == 1 else tuple(sorted(set(links)))
-                rev = tuple(
-                    sorted((last - e % n) * n + (last - e // n) for e in fwd)
-                )
-                key = min(fwd, rev)
-            else:
-                key = ()
+            key = tuple(sorted(set(links)))
+            if fold and key:
+                key = min(key, tuple(
+                    sorted((last - e % n) * n + (last - e // n) for e in key)
+                ))
             if key in seen:
                 continue
             seen.add(key)
-            # Decoded runs are normalized by construction (i < j,
-            # j - i >= 2), so validation can be skipped.
             yield RowPlacement.from_normalized(
                 n, frozenset((e // n, e % n) for e in links)
             )

@@ -272,6 +272,12 @@ class RowObjective:
             from repro.routing import native
 
             native.warmup(self.obs)
+        # The weight matrix as an array, once per instance (not a
+        # field: equality, hashing and repr see ``weights`` only).  A
+        # slice with no traffic falls back to the unweighted mean, so
+        # searches on it remain well defined.
+        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "_w", None if w is None or w.sum() <= 0 else w)
 
     def __call__(self, placement: RowPlacement) -> float:
         if self.obs is None:
@@ -280,27 +286,19 @@ class RowObjective:
             return self._evaluate(placement)
 
     def _evaluate(self, placement: RowPlacement) -> float:
-        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w is not None and w.sum() <= 0:
-            # A slice with no traffic: fall back to the unweighted mean
-            # so searches on it remain well defined.
-            w = None
-        return mean_row_head_latency(placement, self.cost, w, impl=self.impl)
+        return mean_row_head_latency(placement, self.cost, self._w, impl=self.impl)
 
     def evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
         """Price a whole population in one batched Floyd-Warshall pass.
 
         Returns ``energies`` with ``energies[i] == self(placements[i])``
         bit for bit.  Duplicate placements (by ``canonical_bytes``) are
-        priced once; when the objective is mirror-invariant
-        (unweighted) *and* the hop-cost parameters are integral -- so
-        distances are exact integers and the reversed relaxation order
-        cannot shift a single bit -- a placement and its mirror image
-        also share one kernel slice (mirror-fold dedup).
-        ``folded=True`` asserts the batch already consists of
-        pairwise-distinct mirror-fold representatives (the exact
-        enumerators guarantee this) and skips the dedup pass -- the
-        fold would map every placement to itself, so the energies are
+        priced once; when the objective is :meth:`mirror_invariant`, a
+        placement and its mirror image also share one kernel slice
+        (mirror-fold dedup).  ``folded=True`` asserts the batch is
+        already pairwise distinct under that dedup key (the exact
+        enumerators guarantee this) and skips the dedup pass -- it
+        would map every placement to itself, so the energies are
         unchanged.  Under ``impl="reference"`` the population is priced
         by the pure-Python oracle one placement at a time, preserving
         the oracle contract at scalar speed.
@@ -323,15 +321,26 @@ class RowObjective:
             and float(c.contention_delay).is_integer()
         )
 
+    def mirror_invariant(self) -> bool:
+        """True when a placement and its mirror image price bit-identically.
+
+        Reversing the row maps pair ``(i, j)`` to ``(n-1-i, n-1-j)``,
+        which leaves the unweighted mean unchanged but moves traffic
+        weights onto other pairs.  Integral hop costs make distances
+        exact integers, so the reversed relaxation order cannot shift
+        a bit either.  The one definition behind both mirror folds:
+        :meth:`evaluate_many`'s shared kernel slice and the exact
+        search's enumeration of one placement per mirror pair.
+        """
+        return self._w is None and self._integral_costs()
+
     def _evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
         if self.impl == "reference":
             return np.asarray([self._evaluate(p) for p in placements], dtype=float)
-        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w is not None and w.sum() <= 0:
-            w = None
+        w = self._w
         if folded:
             return batched_mean_distances(placements, self.cost, w, impl=self.impl)
-        fold = w is None and self._integral_costs()
+        fold = self.mirror_invariant()
         keys = [
             p.mirror_fold_bytes() if fold else p.canonical_bytes()
             for p in placements
@@ -402,13 +411,7 @@ class IncrementalRowEvaluator:
         self.engine = IncrementalApspEngine(
             placement, objective.cost, impl=objective.impl
         )
-        w = (
-            None
-            if objective.weights is None
-            else np.asarray(objective.weights, dtype=float)
-        )
-        if w is not None and w.sum() <= 0:
-            w = None
+        w = objective._w
         if w is not None and w.shape != (placement.n, placement.n):
             raise ConfigurationError(
                 f"weights shape {w.shape} != {(placement.n, placement.n)}"

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.api import PlacementResult, SearchConfig
+from repro.api import METHODS, PlacementResult, SearchConfig
 from repro.core.annealing import (
     AnnealingParams,
     AnnealingResult,
@@ -46,9 +46,6 @@ from repro.routing.shortest_path import HopCostModel
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
 from repro.util.rngtools import ensure_rng
-
-#: Recognized solver names.
-METHODS = ("dc_sa", "only_sa", "exact")
 
 
 @dataclass(frozen=True)

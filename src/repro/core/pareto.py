@@ -447,6 +447,11 @@ class _VectorObjective:
             total += scale * max(0.0, values[axis_j] - bound)
         return total
 
+    def mirror_invariant(self) -> bool:
+        """Traffic weights tell a placement from its mirror image;
+        without them the exact search keeps folding mirror pairs."""
+        return self.pricer.spec.weights is None
+
 
 # ----------------------------------------------------------------------
 # Result type

@@ -45,7 +45,7 @@ import numpy as np
 from repro.api import SEARCH_SPACES, SearchConfig
 from repro.core.annealing import AnnealingParams, AnnealingResult, anneal
 from repro.core.branch_bound import effective_link_limit, exhaustive_matrix_search
-from repro.core.connection_matrix import ConnectionMatrix
+from repro.core.connection_matrix import ConnectionMatrix, iter_unique_placements
 from repro.core.divide_conquer import initial_solution
 from repro.core.latency import (
     BandwidthConfig,
@@ -620,14 +620,9 @@ def exhaustive_replicated_search(
             f"replicated enumeration needs {bits} bits > "
             f"{_REPLICATED_ENUM_MAX_BITS}; use a smaller instance"
         )
-    seen: Dict[bytes, RowPlacement] = {}
-    for code in range(1 << bits):
-        plane = np.array(
-            [(code >> b) & 1 for b in range(bits)], dtype=bool
-        ).reshape(rows, layers)
-        p = ConnectionMatrix(n, limit, plane).decode()
-        seen.setdefault(p.canonical_bytes(), p)
-    candidates = [cls.replicate(p) for p in seen.values()]
+    candidates = [
+        cls.replicate(p) for p in iter_unique_placements(n, limit, fold=False)
+    ]
     energies = objective.evaluate_many(candidates)
     best = 0
     for k in range(1, len(candidates)):

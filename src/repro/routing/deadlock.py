@@ -10,17 +10,19 @@ dependency graph (CDG) is acyclic.
 This module constructs the CDG *from the actual routes* the tables
 produce (not just the rule) and checks acyclicity with networkx, which
 both verifies the implementation and serves as a property test target
-for arbitrary placements.
+for arbitrary placements.  networkx is imported by the checks
+themselves, so ``import repro`` does not pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Tuple
 
 from repro.routing.dor import compute_route
 from repro.routing.tables import RoutingTables
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A directed channel: (upstream router, downstream router).
 DirectedChannel = Tuple[int, int]
@@ -32,6 +34,8 @@ def channel_dependency_graph(tables: RoutingTables) -> nx.DiGraph:
     Nodes are directed channels; an edge ``c1 -> c2`` means some packet
     holds ``c1`` while requesting ``c2`` (consecutive hops of a route).
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     num = tables.topology.num_nodes
     for src in range(num):
@@ -48,11 +52,15 @@ def channel_dependency_graph(tables: RoutingTables) -> nx.DiGraph:
 
 def is_deadlock_free(tables: RoutingTables) -> bool:
     """True iff the channel dependency graph is acyclic."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(channel_dependency_graph(tables))
 
 
 def find_dependency_cycle(tables: RoutingTables):
     """Return one CDG cycle if any exists, else ``None`` (for debugging)."""
+    import networkx as nx
+
     g = channel_dependency_graph(tables)
     try:
         return nx.find_cycle(g)

@@ -286,3 +286,20 @@ class TestSingleValidation:
             assert sa.placement == sb.placement
         for sa, sb in zip(a.col_solutions, b.col_solutions):
             assert sa.placement == sb.placement
+
+
+def test_exact_search_tells_mirror_images_apart():
+    """All traffic flows into the rightmost column, so each row's
+    weights are not mirror-symmetric: the exact optimum must be found
+    among both mirror images, not one per mirror pair."""
+    n = 6
+    gamma = np.zeros((n * n, n * n))
+    for src in range(n * n):
+        for r in range(n):
+            dst = r * n + n - 1
+            if dst != src:
+                gamma[src, dst] = 1.0
+    result = optimize_application_aware(gamma, n, 2, method="exact")
+    for solution in result.row_solutions:
+        assert solution.placement.express_links == frozenset({(0, 2), (2, 5)})
+        assert solution.energy == pytest.approx(6.685714285714286, abs=1e-12)

@@ -1,14 +1,25 @@
 """Exact-solver tests: exhaustive enumeration vs branch and bound."""
 
+import numpy as np
 import pytest
 
+from repro.core.annealing import MemoizedObjective
 from repro.core.branch_bound import (
     branch_and_bound,
     effective_link_limit,
     exhaustive_matrix_search,
 )
+from repro.core.connection_matrix import enumerate_matrices
 from repro.core.latency import RowObjective, mean_row_head_latency
+from repro.routing.shortest_path import HopCostModel
 from repro.topology.row import RowPlacement
+
+
+def _random_weights(n: int, seed: int):
+    gen = np.random.default_rng(seed)
+    w = gen.random((n, n))
+    np.fill_diagonal(w, 0.0)
+    return tuple(map(tuple, w.tolist()))
 
 
 class TestEffectiveLimit:
@@ -59,6 +70,44 @@ class TestExhaustive:
             assert batched.energy == scalar.energy
             assert batched.evaluations == scalar.evaluations
             assert batched.states_visited == scalar.states_visited
+
+
+class TestMirrorFold:
+    """The exact search folds mirror pairs only for objectives that
+    price a placement and its mirror image alike."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weighted_optimum_equals_brute_force(self, seed):
+        gen = np.random.default_rng((7, seed))
+        n, c = int(gen.integers(4, 8)), int(gen.integers(2, 4))
+        objective = RowObjective(weights=_random_weights(n, seed))
+        assert not objective.mirror_invariant()
+        result = exhaustive_matrix_search(n, c, objective)
+        brute = min(objective(m.decode()) for m in enumerate_matrices(n, c))
+        assert result.energy == brute
+        result.placement.validate(c)
+
+    def test_weighted_search_prices_both_mirror_images(self):
+        folded = exhaustive_matrix_search(7, 2, RowObjective())
+        weighted = exhaustive_matrix_search(
+            7, 2, RowObjective(weights=_random_weights(7, 0))
+        )
+        assert weighted.evaluations == 2 ** 5 > folded.evaluations
+
+    def test_invariance_is_declared_by_the_objective(self):
+        assert RowObjective().mirror_invariant()
+        # A slice with no traffic prices as the unweighted mean.
+        assert RowObjective(weights=((0.0, 0.0), (0.0, 0.0))).mirror_invariant()
+        assert not RowObjective(weights=_random_weights(4, 1)).mirror_invariant()
+        # Non-integral hop costs round differently in reversed order.
+        assert not RowObjective(
+            cost=HopCostModel(router_delay=1.5)
+        ).mirror_invariant()
+        weighted = RowObjective(weights=_random_weights(4, 1))
+        assert not MemoizedObjective(weighted).mirror_invariant()
+        assert MemoizedObjective(MemoizedObjective(RowObjective())).mirror_invariant()
+        # An objective that declares nothing keeps the documented fold.
+        assert MemoizedObjective(RowObjective().__call__).mirror_invariant()
 
 
 class TestBranchAndBound:

@@ -195,28 +195,58 @@ def test_memoized_evaluate_many_accounting_matches_scalar(pop):
 # Enumeration parity
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,limit", [(4, 2), (4, 3), (8, 2), (8, 3), (6, 4)])
-def test_iter_unique_placements_matches_decode_loop(n, limit):
+def _decode_loop(n, limit, fold):
+    """The scalar reference: decode every matrix, keep first members."""
     seen = set()
     expected = []
     for matrix in enumerate_matrices(n, limit):
         placement = matrix.decode()
-        key = placement.mirror_fold_bytes()
+        key = placement.mirror_fold_bytes() if fold else placement.canonical_bytes()
         if key in seen:
             continue
         seen.add(key)
         expected.append(placement)
-    got = list(iter_unique_placements(n, limit))
+    return expected
+
+
+def _assert_same_sequence(got, expected):
     assert got == expected  # same representatives, same order
     assert [g.canonical_bytes() for g in got] == [
         e.canonical_bytes() for e in expected
     ]
 
 
+#: One-layer spaces (C = 2) take the bit-reversal fold; odd n has a
+#: middle connection point that is its own mirror, n = 2 has none.
+ONE_LAYER = [(2, 2), (3, 2), (5, 2), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize(
+    "n,limit", [(4, 2), (4, 3), (8, 2), (8, 3), (6, 4)] + ONE_LAYER
+)
+def test_iter_unique_placements_matches_decode_loop(n, limit):
+    _assert_same_sequence(
+        list(iter_unique_placements(n, limit)), _decode_loop(n, limit, True)
+    )
+
+
+@pytest.mark.parametrize("n,limit", [(4, 3), (6, 3), (6, 4)] + ONE_LAYER)
+def test_iter_unique_placements_unfolded_matches_decode_loop(n, limit):
+    _assert_same_sequence(
+        list(iter_unique_placements(n, limit, fold=False)),
+        _decode_loop(n, limit, False),
+    )
+
+
 def test_iter_unique_placements_block_size_invariant():
-    full = list(iter_unique_placements(8, 3))
-    tiny = list(iter_unique_placements(8, 3, block_size=7))
-    assert full == tiny
+    # Small blocks split the one-layer fold's mirror pairs across blocks.
+    for n, limit, block_size in [(8, 3, 7), (9, 2, 1), (9, 2, 7), (10, 2, 7)]:
+        for fold in (True, False):
+            full = list(iter_unique_placements(n, limit, fold=fold))
+            tiny = list(iter_unique_placements(
+                n, limit, block_size=block_size, fold=fold
+            ))
+            _assert_same_sequence(tiny, full)
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,36 @@ class TestPlace:
         assert _counters(app)["serve.cache.corrupt"] == 1
 
     @pytest.mark.parametrize("field,value", [
+        ("n", 9),
+        ("method", {}),
+        ("link_limit", -3),
+        ("evaluations", [1]),
+    ])
+    def test_edited_result_scalar_is_recomputed(self, app, field, value):
+        """An entry whose stored result carries a scalar no search
+        could write -- here one edited by hand -- is not served: it is
+        a counted miss, and the recompute replaces it."""
+        status, fresh, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        key = fresh["key"]
+        path = app.store.entry_path(key)
+        entry = json.loads(open(path).read())
+        entry["result"][field] = value
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        with pytest.raises(ConfigurationError, match=repr(field)):
+            app.store.get(key)
+
+        status, body, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        assert body["cache"] == "miss"
+        assert body["key"] == key
+        assert body["result_digest"] == fresh["result_digest"]
+        assert app.store.get(key).result.to_json() == json.loads(
+            open(path).read())["result"]
+        assert _counters(app)["serve.cache.corrupt"] == 1
+
+    @pytest.mark.parametrize("field,value", [
         ("seed", "abc"),
         ("seed", 1.5),
         ("seed", True),

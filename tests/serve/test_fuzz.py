@@ -84,14 +84,18 @@ class TestFromJson:
     @pytest.mark.parametrize("field", [
         "energy", "head_latency", "serialization_latency", "total_latency",
         "wall_time_s", "express_links", "placement_rows", "latency_curve",
-        "restart_energies",
+        "restart_energies", "n", "method", "link_limit", "evaluations",
+        "flit_bits",
     ])
-    @pytest.mark.parametrize("value", [None, "x", 1.5, [], {}, -1],
-                             ids=["None", "x", "1.5", "list", "dict", "-1"])
+    @pytest.mark.parametrize("value", [None, "x", 1.5, [], {}, -1, True],
+                             ids=["None", "x", "1.5", "list", "dict", "-1",
+                                  "True"])
     def test_placement_result_field_is_named(self, field, value):
         data = dict(_PLACEMENT.to_json(), **{field: value})
-        # Sweep-only latencies may be null; the three lists may be empty.
-        valid = (value is None and field.endswith("latency")) or (
+        # Sweep-only latencies and the flit width may be null; the three
+        # lists may be empty.
+        valid = (value is None and (field.endswith("latency")
+                                    or field == "flit_bits")) or (
             value == [] and field in ("express_links", "latency_curve",
                                       "restart_energies"))
         if valid:
@@ -100,6 +104,48 @@ class TestFromJson:
         with pytest.raises(ConfigurationError) as exc:
             PlacementResult.from_json(data)
         assert repr(field) in str(exc.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", _PLACEMENT.n + 5),
+        ("n", 2),
+        ("method", "annealing"),
+        ("link_limit", 0),
+        ("flit_bits", 0),
+        ("latency_curve", [[0, "0x1p+0"]]),
+        ("latency_curve", [[True, "0x1p+0"]]),
+        ("restart_energies", [["2", ["0x1p+0"]]]),
+        ("restart_energies", [[1.0, ["0x1p+0"]]]),
+    ])
+    def test_placement_result_scalar_is_checked(self, field, value):
+        """Well-typed JSON that no search could have written: a size
+        other than the placement's, an unknown method, non-positive
+        limits and counts, a pair whose ``C`` is not a limit."""
+        data = dict(_PLACEMENT.to_json(), **{field: value})
+        with pytest.raises(ConfigurationError) as exc:
+            PlacementResult.from_json(data)
+        assert repr(field) in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["n", "link_limit", "flit_bits"])
+    @pytest.mark.parametrize("value", [None, "x", 1.5, {}, 0, True],
+                             ids=["None", "x", "1.5", "dict", "0", "True"])
+    def test_eval_result_field_is_named(self, field, value):
+        data = dict(_EVAL.to_json(), **{field: value})
+        # Without a link limit there is no flit width: both may be null.
+        if value is None and field != "n":
+            EvalResult.from_json(data)
+            return
+        with pytest.raises(ConfigurationError) as exc:
+            EvalResult.from_json(data)
+        assert repr(field) in str(exc.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trace_out", 5), ("trace_out", ["t.jsonl"]), ("ledger", 3.5),
+        ("ledger", True), ("profile", "yes"), ("profile", 1),
+        ("profile", None),
+    ])
+    def test_search_config_observability_field_is_named(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            SearchConfig.from_json({field: value})
 
     def test_search_config_objectives_is_named(self):
         with pytest.raises(ConfigurationError, match="objectives"):

@@ -21,6 +21,14 @@ SEARCH_GOLDENS = {
     "solve_n12_c2_exact": [
         "solve", "--n", "12", "--c", "2", "--method", "exact",
     ],
+    # The one-layer enumeration at odd n (a self-mirrored middle bit)
+    # and the multi-layer one.
+    "solve_n13_c2_exact": [
+        "solve", "--n", "13", "--c", "2", "--method", "exact",
+    ],
+    "solve_n9_c3_exact": [
+        "solve", "--n", "9", "--c", "3", "--method", "exact",
+    ],
     "solve_n8_c4_smoke_seed2019": [
         "solve", "--n", "8", "--c", "4", "--effort", "smoke", "--seed", "2019",
     ],
