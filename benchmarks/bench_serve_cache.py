@@ -3,12 +3,11 @@
 The design cache's pitch is that a repeated ``POST /place`` costs a
 disk read instead of a full SA sweep.  This bench drives the in-process
 app (no socket, so the numbers isolate the cache from HTTP framing)
-through one cold request, a burst of exact hits, and one warm-started
-near miss, then gates the exact-hit path at a 10x latency reduction
-over the cold search.
+through one cold request and a burst of exact hits, then gates the
+exact-hit path at a 10x latency reduction over the cold search.
 
 Accounting discipline: the cache counters must classify *every* place
-request (``hit + miss + warm + coalesced == requests``) -- a speedup
+request (``hit + miss + coalesced == requests``) -- a speedup
 number is only meaningful when no request bypassed the path being
 measured.  The exact hit is also asserted byte-identical to the cold
 result, so the speedup is not traded against fidelity.
@@ -39,7 +38,6 @@ def served(tmp_path_factory):
     store = DesignStore(str(tmp_path_factory.mktemp("designs")))
     app = ServeApp(store, default_effort=sa_effort(), default_seed=SEED)
     body = json.dumps({"n": N}).encode()
-    warm_body = json.dumps({"n": N, "config": {"seed": SEED + 1}}).encode()
 
     async def scenario():
         timings = {}
@@ -57,13 +55,7 @@ def served(tmp_path_factory):
         hit = json.loads(data)
         assert status == 200 and hit["cache"] == "hit"
         timings["hit_s"] = best_hit
-
-        t0 = time.perf_counter()
-        status, _, data, _ = await app.handle("POST", "/place", warm_body)
-        timings["warm_s"] = time.perf_counter() - t0
-        warm = json.loads(data)
-        assert status == 200 and warm["cache"] == "warm"
-        return timings, cold, hit, warm
+        return timings, cold, hit
 
     outcome = asyncio.run(scenario())
     yield app, outcome
@@ -71,7 +63,7 @@ def served(tmp_path_factory):
 
 
 def test_exact_hit_is_byte_identical(served):
-    _, (_, cold, hit, _) = served
+    _, (_, cold, hit) = served
     assert hit["result"] == cold["result"]
     assert hit["result_digest"] == cold["result_digest"]
     assert hit["key"] == cold["key"]
@@ -82,31 +74,21 @@ def test_counters_account_for_every_request(served):
     counters = app.metrics.snapshot()["counters"]
     classified = sum(
         counters.get(f"serve.cache.{c}", 0)
-        for c in ("hit", "miss", "warm", "coalesced")
+        for c in ("hit", "miss", "coalesced")
     )
     assert classified == counters["serve.request.place"]
     assert counters["serve.cache.miss"] == 1
     assert counters["serve.cache.hit"] == HIT_ROUNDS
-    assert counters["serve.cache.warm"] == 1
-
-
-def test_warm_start_recorded_with_provenance(served):
-    app, (_, cold, _, warm) = served
-    assert warm["warm_from"] == cold["key"]
-    assert app.store.get(warm["key"]).warm_from == cold["key"]
 
 
 def test_exact_hit_speedup_gate(served, capsys):
-    app, (timings, cold, _, warm) = served
+    app, (timings, cold, _) = served
     counters = app.metrics.snapshot()["counters"]
     speedup = timings["cold_s"] / timings["hit_s"]
-    warm_ratio = timings["cold_s"] / timings["warm_s"]
     rows = [
         ["cold search (miss)", f"{timings['cold_s'] * 1e3:.2f}", "1.0x"],
         [f"exact hit (best of {HIT_ROUNDS})",
          f"{timings['hit_s'] * 1e3:.2f}", f"{speedup:.0f}x"],
-        ["warm-started near miss",
-         f"{timings['warm_s'] * 1e3:.2f}", f"{warm_ratio:.1f}x"],
     ]
     publish(
         capsys,
@@ -122,15 +104,12 @@ def test_exact_hit_speedup_gate(served, capsys):
             "effort": sa_effort(),
             "cold_s": timings["cold_s"],
             "hit_s": timings["hit_s"],
-            "warm_s": timings["warm_s"],
             "hit_speedup": speedup,
             "requests": counters["serve.request.place"],
             "hits": counters["serve.cache.hit"],
             "misses": counters["serve.cache.miss"],
-            "warm": counters["serve.cache.warm"],
             "coalesced": counters.get("serve.cache.coalesced", 0),
             "cold_key": cold["key"],
-            "warm_key": warm["key"],
         },
     )
     assert speedup >= MIN_SPEEDUP, (

@@ -696,17 +696,13 @@ def place_express_links(
     params=None,
     link_limits: Optional[Tuple[int, ...]] = None,
     obs=None,
-    warm_start: Optional[RowPlacement] = None,
 ) -> PlacementResult:
     """Run the paper's full flow for an ``n x n`` mesh (any space).
 
     Sweeps every feasible cross-section limit ``C``, solves each
     ``P~(n, C)`` with ``method`` in ``config.space``, adds the
     serialization latency implied by the flit width, and returns the
-    best design as a frozen :class:`PlacementResult`.  ``warm_start``
-    (row space only) injects a known-good neighbor placement as an
-    extra candidate after each solve -- see
-    :func:`repro.core.optimizer.optimize`.
+    best design as a frozen :class:`PlacementResult`.
     """
     from repro.core.optimizer import optimize
 
@@ -720,7 +716,6 @@ def place_express_links(
         link_limits=link_limits,
         obs=obs,
         config=config or SearchConfig(),
-        warm_start=warm_start,
     )
 
 

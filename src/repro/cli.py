@@ -13,8 +13,8 @@ Gives downstream users the paper's flow without writing Python:
   jobs value at a fixed seed),
 * ``inspect``  -- show a placement's structure, matrix and audits,
 * ``serve``    -- run the placement service: an HTTP/JSON server with a
-  content-addressed design cache, request batching, warm-started
-  near-miss searches and an idle-time cache sweeper,
+  content-addressed design cache (every entry is what ``optimize``
+  prints for its key), request batching and an idle-time cache sweeper,
 * ``experiments`` -- list the paper-figure regenerators,
 * ``trace-report`` -- summarize a JSONL trace written by ``--trace-out``
   (``--by-worker`` / ``--by-task`` add the correlation views),

@@ -17,7 +17,7 @@ Three solving methods are exposed:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.api import METHODS, PlacementResult, SearchConfig
@@ -111,7 +111,6 @@ def solve_row_problem(
     params: AnnealingParams | None = None,
     obs: Optional[Instrumentation] = None,
     config: Optional[SearchConfig] = None,
-    warm_start: Optional[RowPlacement] = None,
 ) -> PlacementResult:
     """Solve ``P~(n, C)`` and return a :class:`~repro.api.PlacementResult`.
 
@@ -126,13 +125,6 @@ def solve_row_problem(
     :class:`~repro.core.search_space.MeshObjective`.  The winning
     engine object stays reachable as ``result.solution``.
 
-    ``warm_start`` (row space only) is the design cache's neighbor
-    seam: the placement is clipped to the requested limit
-    (:meth:`~repro.topology.row.RowPlacement.clipped_to_limit`),
-    priced once *after* the cold solve, and kept only if strictly
-    better.  The cold trajectory is untouched, so a warm-started solve
-    is never worse than the cold one at the same seed and budget.
-
     ``obs`` flows into the D&C seeder, the annealer and the
     Floyd-Warshall evaluator of every task, so a single
     :class:`~repro.obs.Instrumentation` observes the whole solve.
@@ -145,11 +137,6 @@ def solve_row_problem(
     if config.space != "row":
         from repro.core.search_space import mesh_objective
 
-        if warm_start is not None:
-            raise ConfigurationError(
-                "warm_start is row-space only; mesh-space solves take "
-                "no neighbor candidate"
-            )
         objective = mesh_objective(objective)
     elif objective is None:
         objective = RowObjective()
@@ -157,43 +144,9 @@ def solve_row_problem(
         n, link_limit, space=config.space, method=method,
         objective=objective, params=params, config=config, obs=obs,
     )
-    if warm_start is not None:
-        solution = inject_warm_candidate(solution, warm_start, objective)
     return PlacementResult.from_solution(
         solution, config, restart_energies=((solution.link_limit, energies),)
     )
-
-
-def inject_warm_candidate(
-    solution: RowSolution,
-    warm_start: RowPlacement,
-    objective: Objective,
-) -> RowSolution:
-    """Post-solve candidate injection: the warm-start guarantee.
-
-    Clips ``warm_start`` to the solution's effective limit, prices it
-    once, and returns a solution with the candidate swapped in iff it
-    is strictly better.  Composing with an unchanged cold solve gives
-    ``energy_warm == min(energy_cold, energy_candidate) <=
-    energy_cold`` -- the "never worse than cold at the same seed and
-    budget" property the cache-semantics suite pins, deterministic
-    rather than statistical because the SA trajectory and its RNG
-    stream are untouched.
-    """
-    if warm_start.n != solution.n:
-        raise ConfigurationError(
-            f"warm_start is for n={warm_start.n}, solve is n={solution.n}"
-        )
-    limit = effective_link_limit(solution.n, solution.link_limit)
-    candidate = warm_start.clipped_to_limit(limit)
-    energy = objective(candidate)
-    evaluations = solution.evaluations + 1
-    if energy < solution.energy:
-        return replace(
-            solution, placement=candidate, energy=energy,
-            evaluations=evaluations,
-        )
-    return replace(solution, evaluations=evaluations)
 
 
 def _solve_row(
@@ -384,7 +337,6 @@ def optimize(
     link_limits: Optional[Tuple[int, ...]] = None,
     obs: Optional[Instrumentation] = None,
     config: Optional[SearchConfig] = None,
-    warm_start: Optional[RowPlacement] = None,
 ) -> PlacementResult:
     """Full optimization: sweep ``C``, solve each ``P~(n, C)``, cost them.
 
@@ -403,11 +355,6 @@ def optimize(
     ``jobs`` value at a fixed seed.  With ``config.space`` set to a
     mesh space the sweep routes to
     :func:`~repro.core.search_space.optimize_space`.
-
-    ``warm_start`` (row space only) injects a cached neighbor design as
-    a post-solve candidate at every ``C``
-    (:func:`inject_warm_candidate`): trajectories are untouched, so the
-    result is never worse than the cold sweep at the same seed.
     """
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
@@ -416,11 +363,6 @@ def optimize(
     if config.space != "row":
         from repro.core.search_space import optimize_space
 
-        if warm_start is not None:
-            raise ConfigurationError(
-                "warm_start is row-space only; mesh-space sweeps take "
-                "no neighbor candidate"
-            )
         sweep = optimize_space(
             n, config.space, method=method, bandwidth=bandwidth, mix=mix,
             cost=cost, params=params, link_limits=link_limits, obs=obs,
@@ -446,33 +388,6 @@ def optimize(
         sweep.points[limit] = design_point(
             solution.placement, limit, bandwidth, mix, cost
         )
-    if warm_start is not None:
-        _inject_warm_into_sweep(sweep, warm_start, bandwidth, mix, cost)
     return PlacementResult.from_sweep(
         sweep, config, time.perf_counter() - start
     )
-
-
-def _inject_warm_into_sweep(
-    sweep: SweepResult,
-    warm_start: RowPlacement,
-    bandwidth: BandwidthConfig | None,
-    mix: PacketMix | None,
-    cost: HopCostModel | None,
-) -> None:
-    """Inject the warm candidate at every swept ``C`` (in place).
-
-    ``C = 1`` is skipped: the clip degenerates to the plain mesh the
-    sweep already priced.  Improved solutions get their design point
-    re-costed so ``best`` reflects the injected placement.
-    """
-    pricing = RowObjective(cost=cost or HopCostModel())
-    for limit, solution in sweep.solutions.items():
-        if limit == 1:
-            continue
-        injected = inject_warm_candidate(solution, warm_start, pricing)
-        sweep.solutions[limit] = injected
-        if injected.placement != solution.placement:
-            sweep.points[limit] = design_point(
-                injected.placement, limit, bandwidth, mix, cost
-            )

@@ -11,9 +11,9 @@ Endpoints
 ``POST /place``
     Full design search (``repro.optimize``) through the design cache:
     exact identity hits return the stored result in O(1); concurrent
-    identical requests compute once (single-flight); near misses
-    warm-start from a cached neighbor
-    (:meth:`~repro.serve.store.DesignStore.nearest`).
+    identical requests compute once (single-flight); a miss computes
+    exactly what ``repro optimize`` computes for the same key, whatever
+    else the store holds.
 ``POST /evaluate``
     Price one placement; concurrent requests coalesce into one
     population kernel call (:mod:`repro.serve.batcher`).
@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
@@ -83,13 +84,24 @@ class RequestError(Exception):
     """A malformed request (maps to HTTP 400)."""
 
 
+def _is_int(value: Any, minimum: int, maximum: Optional[int] = None) -> bool:
+    """An integer (not a bool) in ``[minimum, maximum]`` (no upper bound
+    for ``maximum=None``)."""
+    return (not isinstance(value, bool) and isinstance(value, int)
+            and value >= minimum and (maximum is None or value <= maximum))
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _int_field(body: Dict, name: str, default: Any, minimum: int,
                maximum: Optional[int] = None) -> int:
     """``body[name]`` (or ``default``) as an integer in
     ``[minimum, maximum]`` (no upper bound for ``maximum=None``)."""
     value = body.get(name, default)
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or value < minimum or (maximum is not None and value > maximum)):
+    if not _is_int(value, minimum, maximum):
         most = "" if maximum is None else f" and <= {maximum}"
         raise RequestError(
             f"{name} must be an integer >= {minimum}{most}, got {value!r}"
@@ -237,19 +249,17 @@ class ServeApp:
 
     def _deadline(self, body: Dict) -> float:
         deadline = body.get("deadline_s", self.default_deadline_s)
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError):
+        if not _is_number(deadline):
             raise RequestError(f"deadline_s must be a number, got "
-                               f"{deadline!r}") from None
+                               f"{deadline!r}")
         if not deadline > 0:  # also rejects NaN
             raise RequestError(f"deadline_s must be positive, got {deadline}")
-        return min(deadline, self.max_deadline_s)
+        return float(min(deadline, self.max_deadline_s))
 
     # -- /place --------------------------------------------------------
     def _place_spec(self, body: Dict) -> Dict:
-        known = {"n", "method", "effort", "config", "link_limits",
-                 "warm"} | _COMMON_FIELDS
+        known = {"n", "method", "effort", "config",
+                 "link_limits"} | _COMMON_FIELDS
         unknown = sorted(set(body) - known)
         if unknown:
             raise RequestError(f"unknown /place field(s) {unknown}; "
@@ -273,23 +283,15 @@ class ServeApp:
         cfg = SearchConfig.from_json(
             {"seed": self.default_seed, **config}
         ).with_updates(jobs=1)
-        warm = body.get("warm", True)
-        if not isinstance(warm, bool):
-            raise RequestError(f"warm must be true or false, got {warm!r}")
-        link_limits = body.get("link_limits")
-        if link_limits is not None:
-            if (not isinstance(link_limits, list) or not link_limits
-                    or not all(isinstance(c, int) and c >= 1
-                               for c in link_limits)):
-                raise RequestError("link_limits must be a non-empty list "
-                                   "of integers >= 1")
-            link_limits = tuple(link_limits)
+        link_limits = _list_field(body, "link_limits", None,
+                                  lambda c: _is_int(c, 1), "integers >= 1")
         params = optimize_params(n, method, effort, cfg.space)
         if link_limits is not None:
             params["link_limits"] = list(link_limits)
+            link_limits = tuple(link_limits)
         return {
             "n": n, "method": method, "effort": effort, "config": cfg,
-            "link_limits": link_limits, "params": params, "warm": warm,
+            "link_limits": link_limits, "params": params,
         }
 
     def _effort(self, body: Dict) -> str:
@@ -338,27 +340,20 @@ class ServeApp:
                 f"at capacity ({self.capacity} searches in flight)",
                 {"Retry-After": "1"},
             )
-        neighbor: Optional[StoreEntry] = None
-        if spec["warm"] and cfg.space == "row":
-            neighbor = self.store.nearest(spec["n"], "row", exclude=key)
-        cache_class = "warm" if neighbor is not None else "miss"
-        self.metrics.counter(f"serve.cache.{cache_class}").inc()
+        self.metrics.counter("serve.cache.miss").inc()
         task = asyncio.get_running_loop().create_task(
-            self._compute_place(key, spec, neighbor)
+            self._compute_place(key, spec)
         )
         self._inflight[key] = task
         entry = await asyncio.wait_for(asyncio.shield(task), deadline)
-        return self._place_response(entry, cache_class)
+        return self._place_response(entry, "miss")
 
-    async def _compute_place(
-        self, key: str, spec: Dict, neighbor: Optional[StoreEntry]
-    ) -> StoreEntry:
+    async def _compute_place(self, key: str, spec: Dict) -> StoreEntry:
         from repro.harness.designs import EFFORTS
 
         self._active += 1
         try:
             cfg: SearchConfig = spec["config"]
-            warm_start = neighbor.result.placement if neighbor else None
             loop = asyncio.get_running_loop()
             start = time.perf_counter()
             result = await loop.run_in_executor(
@@ -370,7 +365,6 @@ class ServeApp:
                     params=EFFORTS[spec["effort"]],
                     link_limits=spec["link_limits"],
                     config=cfg,
-                    warm_start=warm_start,
                 ),
             )
             wall = time.perf_counter() - start
@@ -378,7 +372,7 @@ class ServeApp:
             digest = sweep_digest(result.sweep)
             entry = self.store.put(
                 "optimize", spec["params"], cfg, cfg.seed, result, digest,
-                warm_from=neighbor.key if neighbor else None, key=key,
+                key=key,
             )
             if self.ledger is not None:
                 self.ledger.record(
@@ -402,7 +396,6 @@ class ServeApp:
             "key": entry.key,
             "cache": cache,
             "result_digest": entry.result_digest,
-            "warm_from": entry.warm_from,
             "wall_time_s": entry.wall_time_s,
             "result": entry.result.to_json(),
         }), {})
@@ -448,17 +441,20 @@ class ServeApp:
             link_limit = _int_field(body, "link_limit", None, 1)
         weights = body.get("weights")
         if weights is not None:
-            try:
-                weights = tuple(
-                    tuple(float(x) for x in row) for row in weights
-                )
-            except (TypeError, ValueError):
+            # Finite and within float range: 10**400 is a JSON int too.
+            if not isinstance(weights, list) or not all(
+                isinstance(row, list) and all(
+                    _is_number(x) and 0 <= x <= sys.float_info.max
+                    for x in row)
+                for row in weights
+            ):
                 raise RequestError("weights must be an n x n matrix of "
-                                   "numbers") from None
+                                   "finite numbers >= 0")
             n = placement.n
             if len(weights) != n or any(len(row) != n for row in weights):
                 raise RequestError(f"weights must be {n}x{n} for this "
                                    "placement")
+            weights = tuple(tuple(float(x) for x in row) for row in weights)
             if sum(x for row in weights for x in row) <= 0:
                 raise RequestError("weights must have positive sum")
         return placement, link_limit, weights
@@ -526,8 +522,7 @@ class ServeApp:
 
         def rate(item):
             # Aggregate packets/cycle network-wide: at most one per node.
-            return (not isinstance(item, bool) and isinstance(item, (int, float))
-                    and 0 < item <= n * n)
+            return _is_number(item) and 0 < item <= n * n
 
         spec = {
             "n": n,

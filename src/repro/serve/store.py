@@ -11,12 +11,12 @@ one name for it.
 Exact hits (:meth:`DesignStore.get`) deserialize the stored
 :class:`~repro.api.PlacementResult` bit-exactly (float-hex energies,
 canonical placement bytes -- see :meth:`~repro.api.PlacementResult
-.from_json`).  Near misses (:meth:`DesignStore.nearest`) return a
-cached neighbor design for the same ``(n, space)`` under a different
-budget or config; the optimizer clips it to the requested limit and
-injects it as a post-solve candidate
-(:func:`repro.core.optimizer.inject_warm_candidate`), which can only
-improve the answer.
+.from_json`).  Every entry is what ``repro optimize`` computes for its
+key: a store never feeds one design into the search of another, so the
+key alone names the result.  An entry whose payload carries a non-null
+``warm_from`` was written by an older server that seeded the search
+with a neighbor design; :meth:`DesignStore.get` treats it as unreadable,
+and the server recomputes it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class StoreEntry:
     seed: Optional[int]
     result_digest: str
     result: PlacementResult
-    #: Store key of the neighbor that warm-started this entry, or
-    #: ``None`` when it was computed cold.  Cold entries are the ones
-    #: guaranteed byte-identical to the CLI's output for the same key.
-    warm_from: Optional[str] = None
     wall_time_s: float = 0.0
     payload: Dict[str, Any] = field(repr=False, compare=False,
                                     default_factory=dict)
@@ -61,7 +57,6 @@ class StoreEntry:
             "config": self.config,
             "seed": self.seed,
             "result_digest": self.result_digest,
-            "warm_from": self.warm_from,
             "wall_time_s": round(float(self.wall_time_s), 6),
             "result": self.result.to_json(),
         }
@@ -97,7 +92,8 @@ class DesignStore:
         """Load one entry, or ``None`` on a cache miss.
 
         An entry that exists but does not parse -- truncated, edited,
-        or written in a layout this version no longer reads -- raises
+        written in a layout this version no longer reads, or seeded
+        with a neighbor design (a non-null ``warm_from``) -- raises
         :class:`~repro.util.errors.ConfigurationError` naming the key.
         """
         path = self.entry_path(key)
@@ -112,7 +108,7 @@ class DesignStore:
             ) from None
 
     def _entry_from_payload(self, payload: Dict) -> StoreEntry:
-        return StoreEntry(
+        entry = StoreEntry(
             key=payload["key"],
             kind=payload["kind"],
             params=payload["params"],
@@ -120,10 +116,15 @@ class DesignStore:
             seed=payload["seed"],
             result_digest=payload["result_digest"],
             result=PlacementResult.from_json(payload["result"]),
-            warm_from=payload.get("warm_from"),
             wall_time_s=payload.get("wall_time_s", 0.0),
             payload=payload,
         )
+        if payload.get("warm_from") is not None:
+            raise ConfigurationError(
+                f"warm_from is {payload['warm_from']!r}: the entry was not "
+                "computed cold"
+            )
+        return entry
 
     def keys(self) -> List[str]:
         """All stored keys, sorted (deterministic scan order)."""
@@ -149,7 +150,6 @@ class DesignStore:
         seed: Optional[int],
         result: PlacementResult,
         result_digest: str,
-        warm_from: Optional[str] = None,
         key: Optional[str] = None,
     ) -> StoreEntry:
         """Write one entry atomically and return it."""
@@ -166,7 +166,6 @@ class DesignStore:
             seed=seed,
             result_digest=result_digest,
             result=result,
-            warm_from=warm_from,
             wall_time_s=result.wall_time_s,
         )
         write_atomic(
@@ -174,22 +173,22 @@ class DesignStore:
         )
         return entry
 
-    # -- near-miss lookup ----------------------------------------------
+    # -- same-size lookup ----------------------------------------------
     def nearest(
         self,
         n: int,
         space: str = "row",
         exclude: Optional[str] = None,
     ) -> Optional[StoreEntry]:
-        """A cached neighbor design for ``(n, space)``, or ``None``.
+        """A cached design for ``(n, space)``, or ``None``.
 
-        The warm-start source for near-miss requests: any entry of the
-        same size and space, regardless of budget, weights or config,
-        since the candidate is clipped to the requested limit and only
-        kept if strictly better.  Row space only -- mesh placements
-        have no clip rule yet.  Deterministic: entries are scanned in
-        sorted-key order and the first match wins, so the same store
-        contents always warm-start the same way.
+        Any row-space entry of the same size, regardless of budget,
+        weights or config; entries are scanned in sorted-key order and
+        the first match wins.  Nothing in the package calls this: the
+        server no longer seeds a search with a stored design.  It stays
+        only because the benchmark's traced run wraps
+        ``DesignStore.nearest`` by name (``perfbench/tracing.py``), and
+        goes once that target is dropped.
         """
         if space != "row":
             return None

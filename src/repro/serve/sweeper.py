@@ -84,7 +84,6 @@ class Sweeper:
                 "n": spec["n"], "method": spec["method"],
                 "effort": spec["effort"], "config": cfg,
                 "link_limits": spec["link_limits"], "params": params,
-                "warm": False,  # sweeper entries stay byte-identical to CLI
             },
         }
 
@@ -112,7 +111,7 @@ class Sweeper:
                 self.skipped += 1
                 continue
             task = asyncio.get_running_loop().create_task(
-                self.app._compute_place(key, plan["spec"], None)
+                self.app._compute_place(key, plan["spec"])
             )
             self.app._inflight[key] = task
             await asyncio.shield(task)

@@ -218,32 +218,6 @@ class RowPlacement:
                     f"cross-section {k} carries {c} links, limit is {limit}"
                 )
 
-    def clipped_to_limit(self, limit: int) -> "RowPlacement":
-        """A nearby placement satisfying ``limit``, derived deterministically.
-
-        The warm-start projection used by the design cache: when a
-        cached neighbor was solved under a different cross-section
-        budget, its links are clipped down to the requested one.  While
-        any cross-section is over budget, among the links crossing the
-        most-loaded section the longest one is dropped (ties broken by
-        the lexicographically largest endpoint pair), longest-first
-        because long links load the most sections per unit of latency
-        benefit.  The rule uses no RNG, so the same neighbor always
-        projects to the same candidate.
-        """
-        if limit < 1:
-            raise InvalidPlacementError(f"link limit must be >= 1, got {limit}")
-        links = set(self.express_links)
-        counts = list(self.cross_section_counts())
-        while counts and max(counts) > limit:
-            worst = counts.index(max(counts))
-            crossing = [l for l in links if l[0] <= worst < l[1]]
-            victim = max(crossing, key=lambda l: (l[1] - l[0], l))
-            links.remove(victim)
-            for k in range(victim[0], victim[1]):
-                counts[k] -= 1
-        return RowPlacement.from_normalized(self.n, frozenset(links))
-
     def degree(self, i: int) -> int:
         """Number of row links incident to router ``i`` (ports used)."""
         deg = (1 if i > 0 else 0) + (1 if i < self.n - 1 else 0)

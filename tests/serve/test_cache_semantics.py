@@ -2,14 +2,13 @@
 
 Three properties, each deterministic rather than statistical:
 
-1. **Exact hit == cold CLI.**  A served cold ``/place`` and a direct
+1. **Exact hit == cold CLI.**  A served ``/place`` and a direct
    :func:`repro.core.optimizer.optimize` call with the same identity
    key produce byte-identical result JSON, and the exact hit replays
    those bytes.
-2. **Warm never worse.**  Injecting a cached neighbor as a post-solve
-   candidate keeps the SA trajectory untouched, so
-   ``energy_warm == min(energy_cold, energy_candidate)`` and the only
-   observable cost is one extra evaluation per swept ``C``.
+2. **A miss ignores the rest of the store.**  A miss computes what the
+   CLI computes for its key even when the store already holds a design
+   of the same size under another key.
 3. **Single-flight.**  N identical concurrent requests run one search.
 """
 
@@ -18,13 +17,11 @@ import asyncio
 import pytest
 
 from repro.api import SearchConfig
-from repro.core.optimizer import inject_warm_candidate, optimize
-from repro.core.latency import RowObjective
+from repro.core.optimizer import optimize
 from repro.harness.designs import EFFORTS
 from repro.obs.ledger import optimize_params, sweep_digest
 from repro.serve.server import ServeApp
 from repro.serve.store import DesignStore
-from repro.topology.row import RowPlacement
 
 SMOKE = EFFORTS["smoke"]
 
@@ -80,77 +77,30 @@ class TestExactHitIdentity:
         assert open(app.store.entry_path(first["key"]), "rb").read() == stored
 
     def test_different_identity_different_entry(self, app):
-        a = asyncio.run(_place(app, n=6, effort="smoke", warm=False))
-        b = asyncio.run(
-            _place(app, n=6, effort="smoke", warm=False,
-                   config={"seed": 7})
-        )
+        a = asyncio.run(_place(app, n=6, effort="smoke"))
+        b = asyncio.run(_place(app, n=6, effort="smoke", config={"seed": 7}))
         assert a["key"] != b["key"]
         assert len(app.store) == 2
 
 
-class TestWarmNeverWorse:
-    def test_injection_energy_is_min_of_cold_and_candidate(self):
-        cfg = SearchConfig(seed=5)
-        objective = RowObjective()
-        from repro.core.optimizer import solve_row_problem
-
-        cold = solve_row_problem(8, 3, params=SMOKE, config=cfg)
-        candidate = RowPlacement(8, frozenset({(0, 7)}))
-        warm = inject_warm_candidate(
-            cold.solution, candidate, objective
+class TestMissIgnoresTheStore:
+    def test_miss_beside_a_same_size_entry_is_the_cli_result(self, app):
+        # The seed-2019 design is in the store when seed 18 misses; the
+        # miss must not borrow from it (seeding the search with that
+        # design answers C=4 here, where the CLI picks C=2).
+        stored = asyncio.run(_place(app, n=6, effort="smoke"))
+        served = asyncio.run(
+            _place(app, n=6, effort="smoke", config={"seed": 18})
         )
-        clipped = candidate.clipped_to_limit(3)
-        assert warm.energy == min(cold.energy, objective(clipped))
-        assert warm.evaluations == cold.evaluations + 1
-
-    def test_optimize_with_warm_start_never_worse_at_same_seed(self):
-        cfg = SearchConfig(seed=11)
-        cold = optimize(6, params=SMOKE, config=cfg)
-        # A deliberately mediocre neighbor: the plain mesh.
-        warm = optimize(6, params=SMOKE, config=cfg,
-                        warm_start=RowPlacement.mesh(6))
-        assert warm.energy <= cold.energy
-        # The mesh never strictly beats the solver's own best, so the
-        # trajectory -- and the design -- are unchanged; only the
-        # candidate evaluations are added (one per swept C except
-        # C = 1, where the clip degenerates to the mesh itself).
-        assert warm.placement == cold.placement
-        assert warm.energy == cold.energy
-        swept = [c for c in cold.sweep.solutions if c != 1]
-        assert warm.evaluations == cold.evaluations + len(swept)
-        assert sweep_digest(warm.sweep) == sweep_digest(cold.sweep)
-
-    def test_strong_warm_start_improves_or_matches(self):
-        cfg = SearchConfig(seed=11)
-        cold = optimize(6, params=SMOKE, config=cfg)
-        # Warm-start from a *better-budgeted* run of the same problem.
-        rich = optimize(6, params=EFFORTS["quick"], config=SearchConfig(seed=3))
-        warm = optimize(6, params=SMOKE, config=cfg,
-                        warm_start=rich.placement)
-        assert warm.energy <= cold.energy
-
-    def test_served_warm_request_never_worse_than_cold(self, app):
-        cold = asyncio.run(_place(app, n=6, effort="smoke", warm=False,
-                                  config={"seed": 7}))
-        warm = asyncio.run(_place(app, n=6, effort="smoke"))
-        assert warm["cache"] == "warm"
-        assert warm["warm_from"] == cold["key"]
-        # Same identity computed cold, for the comparison baseline.
-        baseline = optimize(6, params=SMOKE, config=SearchConfig(seed=2019))
-        assert (float.fromhex(warm["result"]["energy"])
-                <= baseline.energy)
-
-    def test_cold_entries_stay_cli_identical_when_warmed(self, app):
-        # A warm-started entry records its provenance; the cold entry
-        # it came from is untouched and still byte-replays the CLI.
-        asyncio.run(_place(app, n=6, effort="smoke", warm=False,
-                           config={"seed": 7}))
-        warm = asyncio.run(_place(app, n=6, effort="smoke"))
-        cold_entry = app.store.get(warm["warm_from"])
-        assert cold_entry.warm_from is None
-        warm_entry = app.store.get(warm["key"])
-        assert warm_entry.warm_from == warm["warm_from"]
+        assert (stored["cache"], served["cache"]) == ("miss", "miss")
+        direct = optimize(6, params=SMOKE, config=SearchConfig(seed=18))
+        assert served["result_digest"] == sweep_digest(direct.sweep)
+        direct_json = direct.to_json()
+        served_json = dict(served["result"])
+        served_json.pop("wall_time_s")
+        direct_json.pop("wall_time_s")
+        assert served_json == direct_json
+        assert len(app.store) == 2
 
 
 class TestSingleFlight:
@@ -174,9 +124,8 @@ class TestSingleFlight:
     def test_distinct_identities_do_not_coalesce(self, app):
         async def scenario():
             return await asyncio.gather(
-                _place(app, n=6, effort="smoke", warm=False),
-                _place(app, n=6, effort="smoke", warm=False,
-                       config={"seed": 1}),
+                _place(app, n=6, effort="smoke"),
+                _place(app, n=6, effort="smoke", config={"seed": 1}),
             )
 
         a, b = asyncio.run(scenario())

@@ -86,7 +86,7 @@ class TestPlace:
         # design the in-process default search returns.
         async def scenario():
             first = await _request(app, "POST", "/place", dict(
-                PLACE, config={"seed": 7, "jobs": 2}, warm=False))
+                PLACE, config={"seed": 7, "jobs": 2}))
             second = await _request(app, "POST", "/place", dict(
                 PLACE, config={"seed": 7}))
             return first, second
@@ -127,7 +127,7 @@ class TestPlace:
                 *(_request(app, "POST", "/place", PLACE) for _ in range(3))
             )
             await _request(app, "POST", "/place", PLACE)  # hit
-            await _request(  # second identity: miss (or warm)
+            await _request(  # second identity: miss
                 app, "POST", "/place", dict(PLACE, config={"seed": 7})
             )
 
@@ -135,40 +135,16 @@ class TestPlace:
         counters = _counters(app)
         classified = sum(
             counters.get(f"serve.cache.{c}", 0)
-            for c in ("hit", "miss", "warm", "coalesced")
+            for c in ("hit", "miss", "coalesced")
         )
         assert classified == counters["serve.request.place"] == 5
-
-    def test_warm_start_from_cached_neighbor(self, app):
-        async def scenario():
-            await _request(app, "POST", "/place",
-                           dict(PLACE, config={"seed": 7}))
-            return await _request(app, "POST", "/place", PLACE)
-
-        status, body, _ = asyncio.run(scenario())
-        assert status == 200
-        assert body["cache"] == "warm"
-        assert body["warm_from"] is not None
-        assert body["warm_from"] != body["key"]
-        assert body["warm_from"] in app.store
-
-    def test_warm_false_disables_neighbor_lookup(self, app):
-        async def scenario():
-            await _request(app, "POST", "/place",
-                           dict(PLACE, config={"seed": 7}))
-            return await _request(app, "POST", "/place",
-                                  dict(PLACE, warm=False))
-
-        status, body, _ = asyncio.run(scenario())
-        assert status == 200
-        assert body["cache"] == "miss"
-        assert body["warm_from"] is None
+        assert counters["serve.cache.miss"] == 2
 
     def test_entry_with_retired_config_fields_never_breaks_a_miss(self, app):
         """A store written before ``incremental``/``resync_every`` were
         retired: its entries' configs no longer parse.  Their keys
-        digest the old fields, so no request hits them, and the
-        neighbor scan skips them -- a fresh miss is served as usual."""
+        digest the old fields, so no request hits them -- a fresh miss
+        is served as usual."""
         cfg = SearchConfig(seed=2019)
         params = optimize_params(6, "dc_sa", "smoke", cfg.space)
         old_config = dict(cfg.to_json(), incremental=False,
@@ -191,7 +167,6 @@ class TestPlace:
         assert status == 200
         assert body["cache"] == "miss"
         assert body["key"] == new_key
-        assert body["warm_from"] is None
         assert body["result_digest"] == fresh["result_digest"]
 
     def test_unreadable_entry_is_recomputed_as_a_miss(self, app):
@@ -216,6 +191,35 @@ class TestPlace:
         assert body["result_digest"] == fresh["result_digest"]
         assert app.store.get(key).result_digest == fresh["result_digest"]
         assert _counters(app)["serve.cache.corrupt"] == 1
+
+    def test_entry_with_warm_from_is_recomputed_as_a_miss(self, app):
+        """An entry whose search was seeded with another stored design
+        (a non-null ``warm_from``) is not what ``repro optimize``
+        computes for its key: it is a counted miss, and the recompute
+        replaces it with the cold result."""
+        status, fresh, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        key = fresh["key"]
+        path = app.store.entry_path(key)
+        with open(path) as fh:
+            entry = json.load(fh)
+        entry["warm_from"] = "0123456789abcdef"
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        with pytest.raises(ConfigurationError, match=key):
+            app.store.get(key)
+
+        status, body, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
+        assert status == 200
+        assert body["cache"] == "miss"
+        assert body["key"] == key
+        assert body["result_digest"] == fresh["result_digest"]
+        with open(path) as fh:
+            assert "warm_from" not in json.load(fh)
+        assert app.store.get(key).result_digest == fresh["result_digest"]
+        counters = _counters(app)
+        assert counters["serve.cache.corrupt"] == 1
+        assert counters["serve.cache.miss"] == 2
 
     @pytest.mark.parametrize("field,value", [
         ("n", 9),
@@ -325,9 +329,14 @@ class TestPlace:
         ({"n": 6, "config": [1]}, "config must be a JSON object"),
         ({"n": 6, "config": {"objectives": 5}}, "objectives must be"),
         ({"n": 6, "config": {"impl": "native"}}, "'impl'"),
-        ({"n": 6, "warm": "no"}, "warm must be true or false"),
+        ({"n": 6, "warm": "no"}, "unknown /place field(s) ['warm']"),
         ({"n": 6, "deadline_s": float("nan")}, "deadline_s must be positive"),
         ({"n": 6, "method": 5}, "unknown method"),
+        ({"n": 6, "warm": False}, "unknown /place field(s) ['warm']"),
+        ({"n": 6, "link_limits": [True]}, "link_limits must be"),
+        ({"n": 6, "link_limits": [1.0]}, "link_limits must be"),
+        ({"n": 6, "deadline_s": True}, "deadline_s must be a number"),
+        ({"n": 6, "deadline_s": "7"}, "deadline_s must be a number"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(
@@ -447,6 +456,14 @@ class TestEvaluate:
         ({"n": "4"}, "n must be an integer >= 2"),
         ({"n": 10**30}, "n must be an integer >= 2 and <= 1024"),
         ({"n": 6, "link_limit": True}, "link_limit must be an integer"),
+        ({"n": 6, "weights": [[float("nan")] * 6] * 6}, "finite numbers >= 0"),
+        ({"n": 6, "weights": [[1.0] * 6] * 5 + [[float("inf")] + [1.0] * 5]},
+         "finite numbers >= 0"),
+        ({"n": 6, "weights": [[-5, 1, 1, 1, 1, 1]] + [[1] * 6] * 5},
+         "finite numbers >= 0"),
+        ({"n": 6, "weights": [[True] * 6] * 6}, "finite numbers >= 0"),
+        ({"n": 6, "weights": [["1"] * 6] * 6}, "finite numbers >= 0"),
+        ({"n": 6, "weights": [[10 ** 400] * 6] * 6}, "finite numbers >= 0"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(
@@ -568,7 +585,7 @@ class TestNoFork:
 
     def test_place_runs_in_process(self, app, no_pool):
         status, body, _ = asyncio.run(_request(app, "POST", "/place", dict(
-            PLACE, config={"seed": 7, "restarts": 2, "jobs": 64}, warm=False,
+            PLACE, config={"seed": 7, "restarts": 2, "jobs": 64},
         )))
         assert status == 200, body
         assert body["result"]["config"]["jobs"] == 1

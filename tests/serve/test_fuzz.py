@@ -180,7 +180,7 @@ def _bodies(fields):
     )
 
 
-PLACE_FIELDS = ["n", "method", "effort", "config", "link_limits", "warm",
+PLACE_FIELDS = ["n", "method", "effort", "config", "link_limits",
                 "deadline_s"]
 EVALUATE_FIELDS = ["n", "express_links", "placement_row", "link_limit",
                    "weights", "deadline_s"]

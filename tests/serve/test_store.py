@@ -1,4 +1,4 @@
-"""Content-addressed design store: identity, round-trip, neighbors."""
+"""Content-addressed design store: identity, round-trip, concurrency."""
 
 import json
 import multiprocessing as mp
@@ -17,6 +17,7 @@ from repro.obs.ledger import (
     sweep_digest,
 )
 from repro.serve.store import DesignStore
+from repro.util.errors import ConfigurationError
 
 SMOKE = EFFORTS["smoke"]
 
@@ -67,7 +68,30 @@ class TestRoundTrip:
         assert loaded.result == result
         assert loaded.result.to_json() == result.to_json()
         assert loaded.result_digest == digest
-        assert loaded.warm_from is None
+        with open(store.entry_path(entry.key)) as fh:
+            assert "warm_from" not in json.load(fh)
+
+    @pytest.mark.parametrize("warm_from,readable", [
+        (None, True), ("0123456789abcdef", False),
+    ])
+    def test_warm_from_field(self, store, warm_from, readable):
+        """An entry whose search was seeded with another design (a
+        non-null ``warm_from``) is not the cold result its key names,
+        so it does not read; a null one reads as before."""
+        params, cfg, result = _solve()
+        entry = store.put("optimize", params, cfg, cfg.seed, result,
+                          sweep_digest(result.sweep))
+        path = store.entry_path(entry.key)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["warm_from"] = warm_from
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        if readable:
+            assert store.get(entry.key).result == result
+        else:
+            with pytest.raises(ConfigurationError, match=entry.key):
+                store.get(entry.key)
 
     def test_miss_returns_none(self, store):
         assert store.get("0" * 16) is None
@@ -153,7 +177,8 @@ class TestNearest:
 
 
 def _hammer_one_key(writer, root, entry, rounds, barrier, out):
-    """Worker: publish one key ``rounds`` times, report every failure.
+    """Worker: publish one key ``rounds`` times, report every failure,
+    then ``None``.
 
     Runs in a spawned process, so it takes only picklable values and
     rebuilds the result from its JSON form.
@@ -175,12 +200,40 @@ def _hammer_one_key(writer, root, entry, rounds, barrier, out):
     out.put(None)
 
 
+def _read_one_key(writer, root, entry, barrier, stop, out):
+    """Worker: read the key the ``writer`` kind publishes until ``stop``
+    is set (at least once), report every read that is missing, raises
+    or differs from what was written, then the number of reads."""
+    expected = PlacementResult.from_json(entry["result"])
+    barrier.wait(timeout=60)
+    reads = 0
+    while reads == 0 or not stop.is_set():
+        reads += 1
+        try:
+            if writer == "store":
+                loaded = DesignStore(root).get(entry["key"])
+                if loaded is None:
+                    out.put(f"read {reads} found no entry")
+                elif (loaded.result != expected
+                      or loaded.result_digest != entry["result_digest"]):
+                    out.put(f"read {reads} returned another result")
+            else:
+                manifest = RunLedger(root).load(entry["key"])
+                if (manifest["result_digest"] != entry["result_digest"]
+                        or manifest["results"] != entry["result"]):
+                    out.put(f"read {reads} returned another manifest")
+        except Exception as exc:  # reported to the parent, not swallowed
+            out.put(f"read {reads} raised {exc!r}")
+    out.put(reads)
+
+
 class TestConcurrentWriters:
     """Writers of one key in separate processes must never collide:
-    each publishes through a private temp file, and readers always see
-    a whole entry."""
+    each publishes through a private temp file, and readers running
+    beside them always see a whole entry."""
 
     WORKERS = 4
+    READERS = 2
     ROUNDS = 150
 
     @pytest.mark.parametrize("writer", ["store", "ledger"])
@@ -191,32 +244,51 @@ class TestConcurrentWriters:
             "optimize", params, cfg, cfg.seed, result,
             sweep_digest(result.sweep),
         ).to_dict()
+        if writer == "ledger":  # readers find a manifest from the start
+            RunLedger(root).record(
+                entry["kind"], entry["params"], entry["config"],
+                entry["seed"], results=entry["result"],
+                result_digest=entry["result_digest"],
+            )
         ctx = mp.get_context("spawn")
-        barrier = ctx.Barrier(self.WORKERS)
+        barrier = ctx.Barrier(self.WORKERS + self.READERS)
+        stop = ctx.Event()
         out = ctx.Queue()
         procs = [
             ctx.Process(target=_hammer_one_key,
                         args=(writer, root, entry, self.ROUNDS, barrier, out))
             for _ in range(self.WORKERS)
+        ] + [
+            ctx.Process(target=_read_one_key,
+                        args=(writer, root, entry, barrier, stop, out))
+            for _ in range(self.READERS)
         ]
         for proc in procs:
             proc.start()
-        errors, done = [], 0
+        # Readers stop once every writer is done, so each "done" before
+        # that is a writer's ``None`` and each read count a reader's.
+        errors, done, reads = [], 0, []
         try:
-            while done < self.WORKERS:
+            while done < self.WORKERS or len(reads) < self.READERS:
                 item = out.get(timeout=120)
                 if item is None:
                     done += 1
+                    if done == self.WORKERS:
+                        stop.set()
+                elif isinstance(item, int):
+                    reads.append(item)
                 else:
                     errors.append(item)
         except queue.Empty:
             pass
+        stop.set()
         for proc in procs:
             proc.join(timeout=30)
             if proc.is_alive():
                 proc.kill()
         assert done == self.WORKERS, "a writer did not finish"
-        assert not errors, f"{len(errors)} failed writes, e.g. {errors[0]}"
+        assert len(reads) == self.READERS, "a reader did not finish"
+        assert not errors, f"{len(errors)} failed operations, e.g. {errors[0]}"
         if writer == "store":
             loaded = DesignStore(root).get(entry["key"])
             assert loaded.result == result
