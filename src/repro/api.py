@@ -438,12 +438,10 @@ class PlacementResult:
     its chains' final energies, in restart order.
 
     ``sweep`` keeps the raw engine object
-    (:class:`~repro.core.optimizer.SweepResult` or
-    :class:`~repro.core.search_space.SpaceSweepResult`) and
-    ``solution`` the per-instance object
-    (:class:`~repro.core.optimizer.RowSolution` /
-    :class:`~repro.core.search_space.SpaceSolution`) for power users;
-    both are excluded from equality and from the JSON schema.
+    (:class:`~repro.core.optimizer.SweepResult`) and ``solution`` the
+    per-instance one (:class:`~repro.core.optimizer.RowSolution`) for
+    power users, in every space; both are excluded from equality and
+    from the JSON schema.
     """
 
     n: int
@@ -473,32 +471,23 @@ class PlacementResult:
         config: SearchConfig,
         wall_time_s: float,
     ) -> "PlacementResult":
-        """Wrap a full ``C`` sweep (row or mesh space) as the public type."""
+        """Wrap a full ``C`` sweep (any space) as the public type."""
         best = sweep.best
-        space = getattr(sweep, "space", "row")
         solution = sweep.solutions[best.link_limit]
-        if space == "row":
-            express = tuple(sorted(best.placement.express_links))
-            head = best.latency.head
-            serialization = best.latency.serialization
-        else:
-            express = best.placement.express_chords()
-            head = best.head_latency
-            serialization = best.serialization
         return cls(
             n=sweep.n,
             method=sweep.method,
-            space=space,
+            space=sweep.space,
             link_limit=best.link_limit,
             placement=best.placement,
-            express_links=express,
+            express_links=tuple(sorted(best.placement.express_links)),
             energy=solution.energy,
             evaluations=sum(s.evaluations for s in sweep.solutions.values()),
             wall_time_s=wall_time_s,
             config=config,
             flit_bits=best.flit_bits,
-            head_latency=head,
-            serialization_latency=serialization,
+            head_latency=best.latency.head,
+            serialization_latency=best.latency.serialization,
             total_latency=best.total_latency,
             latency_curve=sweep.latency_curve(),
             restart_energies=tuple(sorted(sweep.restart_energies.items())),
@@ -512,20 +501,14 @@ class PlacementResult:
         config: SearchConfig,
         restart_energies: Tuple[Tuple[int, Tuple[float, ...]], ...] = (),
     ) -> "PlacementResult":
-        """Wrap a single ``P~(n, C)`` solve as the public type."""
-        space = getattr(solution, "space", "row")
-        placement = solution.placement
-        if space == "row":
-            express = tuple(sorted(placement.express_links))
-        else:
-            express = placement.express_chords()
+        """Wrap a single ``P~(n, C)`` solve (any space) as the public type."""
         return cls(
             n=solution.n,
             method=solution.method,
-            space=space,
+            space=solution.space,
             link_limit=solution.link_limit,
-            placement=placement,
-            express_links=express,
+            placement=solution.placement,
+            express_links=tuple(sorted(solution.placement.express_links)),
             energy=solution.energy,
             evaluations=solution.evaluations,
             wall_time_s=solution.wall_time_s,

@@ -260,20 +260,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
             save_sweep(sweep, args.save)
             print(f"sweep saved to {args.save}")
-        rows = []
-        for c, point in sorted(sweep.points.items()):
-            if mesh_space:
-                head = point.head_latency
-                serialization = point.serialization
-                links = point.placement.num_express_chords()
-            else:
-                head = point.latency.head
-                serialization = point.latency.serialization
-                links = len(point.placement.express_links)
-            rows.append(
-                [c, point.flit_bits, head, serialization,
-                 point.total_latency, links]
-            )
+        rows = [
+            [c, point.flit_bits, point.latency.head, point.latency.serialization,
+             point.total_latency, len(point.placement.express_links)]
+            for c, point in sorted(sweep.points.items())
+        ]
         label = f"{args.method}, space={cfg.space}" if mesh_space else args.method
         print(
             render_table(
@@ -287,10 +278,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"\nbest: C={best.link_limit}, flit={best.flit_bits}b, "
               f"total={best.total_latency:.2f} cycles "
               f"(-{pct_change(best.total_latency, mesh.point.total_latency):.1f}% vs mesh)")
-        if mesh_space:
-            print(f"chords: {list(best.placement.express_chords())}")
-        else:
-            print(f"row placement: {sorted(best.placement.express_links)}")
+        print(f"{'chords' if mesh_space else 'row placement'}: "
+              f"{list(res.express_links)}")
         if cfg.restarts > 1:
             spread = sweep.restart_energies[best.link_limit]
             print(f"search: {cfg.restarts} restart(s) x {len(sweep.points)} "
@@ -303,10 +292,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "best_link_limit": best.link_limit,
                 "best_flit_bits": best.flit_bits,
                 "best_total_latency": best.total_latency,
-                "express_links": (
-                    best.placement.num_express_chords() if mesh_space
-                    else len(best.placement.express_links)
-                ),
+                "express_links": len(best.placement.express_links),
             },
             result_digest=sweep_digest(sweep),
         )
@@ -343,10 +329,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # CI diffs it between `--space row` and `--space hetero` exact
         # solves as an end-to-end reduction-parity check.
         print(f"  mean row head latency: {sol.energy:.4f} cycles (2D: {2 * sol.energy:.4f})")
-        if mesh_space:
-            print(f"  express chords: {list(sol.placement.express_chords())}")
-        else:
-            print(f"  express links: {sorted(sol.placement.express_links)}")
+        print(f"  express {'chords' if mesh_space else 'links'}: "
+              f"{list(sol.express_links)}")
         print(f"  evaluations: {sol.evaluations}, wall time: {sol.wall_time_s:.2f}s")
         if cfg.restarts > 1:
             energies = sol.restart_energies[0][1]
@@ -355,10 +339,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ledger, obs, run_id, "solve", ledger_params, cfg, cfg.seed, wall,
             results={
                 "energy": sol.energy,
-                "express_links": (
-                    sol.placement.num_express_chords() if mesh_space
-                    else len(sol.placement.express_links)
-                ),
+                "express_links": len(sol.express_links),
                 "evaluations": sol.evaluations,
             },
             result_digest=solution_digest(sol),
@@ -764,6 +745,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve import (
         DesignStore,
@@ -773,6 +755,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sweep_grid,
     )
 
+    sizes = []
+    if args.sweep:
+        try:
+            sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
+        except ValueError as exc:
+            print(f"error: bad --sweep value: {exc}", file=sys.stderr)
+            return 2
     store = DesignStore(args.store) if args.store else DesignStore()
     ledger = RunLedger(args.ledger) if args.ledger else None
     app = ServeApp(
@@ -789,6 +778,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         server = HttpServer(app, args.host, args.port)
         await server.start()
+        # SIGINT and SIGTERM both end the serve loop, and the finally
+        # block drains.  The loop's handler replaces the SIGINT
+        # disposition too, so a server whose SIGINT started ignored (a
+        # background job of a non-interactive shell) still stops on it.
+        # Installed before the banner: a signal sent on seeing it drains.
+        loop = asyncio.get_running_loop()
+        serving = loop.create_task(server.serve_forever())
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, serving.cancel)
         host, port = server.address
         print(
             f"repro serve listening on http://{host}:{port} "
@@ -797,22 +795,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         sweep_task = None
         if args.sweep:
-            try:
-                sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
-            except ValueError as exc:
-                print(f"error: bad --sweep value: {exc}", file=sys.stderr)
-                await server.close()
-                raise SystemExit(2) from exc
             sweeper = Sweeper(app, sweep_grid(
                 sizes, effort=args.effort, seed=args.seed,
             ))
-            sweep_task = asyncio.get_running_loop().create_task(
-                sweeper.run()
-            )
+            sweep_task = loop.create_task(sweeper.run())
             print(f"sweeper pre-populating {len(sweeper.specs)} grid "
                   f"point(s) for n in {sizes} during idle time", flush=True)
         try:
-            await server.serve_forever()
+            await serving
         except asyncio.CancelledError:
             pass
         finally:
@@ -822,8 +812,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("\nserver stopped")
+    except KeyboardInterrupt:  # before the handlers were installed
+        pass
+    print("\nserver stopped")
     return 0
 
 

@@ -204,8 +204,8 @@ def mean_row_head_latency(
     if w.shape != dist.shape:
         raise ConfigurationError(f"weights shape {w.shape} != {dist.shape}")
     total = w.sum()
-    if total <= 0:
-        raise ConfigurationError("weights must have positive sum")
+    if not 0 < total < math.inf:
+        raise ConfigurationError("weights must have positive, finite sum")
     return float((dist * w).sum() / total)
 
 
@@ -275,9 +275,13 @@ class RowObjective:
         # The weight matrix as an array, once per instance (not a
         # field: equality, hashing and repr see ``weights`` only).  A
         # slice with no traffic falls back to the unweighted mean, so
-        # searches on it remain well defined.
+        # searches on it remain well defined; a sum that overflows (or
+        # is NaN) is refused here, before any pricing path sees it.
         w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "_w", None if w is None or w.sum() <= 0 else w)
+        total = 0.0 if w is None else w.sum()
+        if not total < math.inf:
+            raise ConfigurationError("weights must have positive, finite sum")
+        object.__setattr__(self, "_w", w if total > 0 else None)
 
     def __call__(self, placement: RowPlacement) -> float:
         if self.obs is None:

@@ -12,13 +12,18 @@ Three solving methods are exposed:
   solution + simulated annealing (D&C_SA),
 * ``"only_sa"`` -- simulated annealing from a random matrix (OnlySA),
 * ``"exact"``   -- exhaustive optimal (small instances only).
+
+The same flow runs in every search space (``config.space``): the row
+is the paper's reduction, ``hetero`` and ``grid2d`` search whole mesh
+designs.  The functions here never branch on the space; what differs
+per space is looked up in :data:`repro.core.search_space.SPACES`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.api import METHODS, PlacementResult, SearchConfig
 from repro.core.annealing import (
@@ -27,19 +32,13 @@ from repro.core.annealing import (
     Objective,
     anneal,
 )
-from repro.core.branch_bound import (
-    ExactResult,
-    effective_link_limit,
-    exhaustive_matrix_search,
-)
-from repro.core.connection_matrix import ConnectionMatrix
-from repro.core.divide_conquer import InitialSolution, initial_solution
+from repro.core.branch_bound import ExactResult, effective_link_limit
+from repro.core.divide_conquer import InitialSolution
 from repro.core.latency import (
     BandwidthConfig,
     LatencyBreakdown,
     PacketMix,
     RowObjective,
-    network_average_latency,
 )
 from repro.obs.instrument import Instrumentation, ensure_obs
 from repro.routing.shortest_path import HopCostModel
@@ -50,15 +49,21 @@ from repro.util.rngtools import ensure_rng
 
 @dataclass(frozen=True)
 class RowSolution:
-    """Solution of one ``P~(n, C)`` instance."""
+    """Solution of one ``P~(n, C)`` instance in ``space``.
+
+    ``placement`` is a design of that space: a
+    :class:`~repro.topology.row.RowPlacement` in the row space, a whole
+    mesh design in the others.
+    """
 
     n: int
     link_limit: int
-    placement: RowPlacement
+    placement: Any
     energy: float
     method: str
     evaluations: int
     wall_time_s: float
+    space: str = "row"
     annealing: Optional[AnnealingResult] = None
     seed_solution: Optional[InitialSolution] = None
     exact: Optional[ExactResult] = None
@@ -71,7 +76,7 @@ class DesignPoint:
     n: int
     link_limit: int
     flit_bits: int
-    placement: RowPlacement
+    placement: Any
     latency: LatencyBreakdown
 
     @property
@@ -89,6 +94,7 @@ class SweepResult:
 
     n: int
     method: str
+    space: str = "row"
     points: Dict[int, DesignPoint] = field(default_factory=dict)
     solutions: Dict[int, RowSolution] = field(default_factory=dict)
     restart_energies: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
@@ -123,26 +129,22 @@ def solve_row_problem(
     ``jobs`` value.  ``config.space`` picks the search space; in the
     mesh spaces ``objective``, if given, must be a
     :class:`~repro.core.search_space.MeshObjective`.  The winning
-    engine object stays reachable as ``result.solution``.
+    :class:`RowSolution` stays reachable as ``result.solution``.
 
     ``obs`` flows into the D&C seeder, the annealer and the
     Floyd-Warshall evaluator of every task, so a single
     :class:`~repro.obs.Instrumentation` observes the whole solve.
     """
     from repro.core.parallel import solve_limit
+    from repro.core.search_space import SPACES
 
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
     config = config or SearchConfig()
-    if config.space != "row":
-        from repro.core.search_space import mesh_objective
-
-        objective = mesh_objective(objective)
-    elif objective is None:
-        objective = RowObjective()
     solution, energies = solve_limit(
         n, link_limit, space=config.space, method=method,
-        objective=objective, params=params, config=config, obs=obs,
+        objective=SPACES[config.space].objective_for(objective),
+        params=params, config=config, obs=obs,
     )
     return PlacementResult.from_solution(
         solution, config, restart_energies=((solution.link_limit, energies),)
@@ -153,6 +155,7 @@ def _solve_row(
     n: int,
     link_limit: int,
     *,
+    space: str = "row",
     method: str = "dc_sa",
     objective: Objective,
     params: AnnealingParams | None = None,
@@ -161,13 +164,19 @@ def _solve_row(
     obs: Optional[Instrumentation] = None,
     progress_every: int = 0,
 ) -> RowSolution:
-    """Single-chain ``P~(n, C)`` solve: one task of the search runner.
+    """Single-chain ``P~(n, C)`` solve in ``space``: one task of the search runner.
 
+    ``"exact"`` runs the space's exhaustive search; ``"dc_sa"`` anneals
+    from the space's D&C seed and keeps the seed if no state beats it;
+    ``"only_sa"`` anneals from a random state drawn from ``rng``.
     ``rng`` may be a shared generator: application-aware slices and
     rectangular sweeps draw several chains from one stream.
     """
+    from repro.core.search_space import SPACES
+
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
+    spec = SPACES[space]
     obs = ensure_obs(obs)
     params = params or AnnealingParams()
     gen = ensure_rng(rng)
@@ -178,7 +187,7 @@ def _solve_row(
 
     if method == "exact":
         with obs.span("solve.exact"):
-            exact = exhaustive_matrix_search(n, limit, objective)
+            exact = spec.exact(n, limit, objective)
         return RowSolution(
             n=n,
             link_limit=link_limit,
@@ -187,19 +196,20 @@ def _solve_row(
             method=method,
             evaluations=exact.evaluations,
             wall_time_s=time.perf_counter() - start,
+            space=space,
             exact=exact,
         )
 
     seed: Optional[InitialSolution] = None
     if method == "dc_sa":
-        seed = initial_solution(n, limit, objective, obs=obs)
-        matrix = ConnectionMatrix.from_placement(seed.placement, limit)
+        seed = spec.seed(n, limit, objective, obs)
+        state = spec.state.from_placement(seed.placement, limit)
     else:  # only_sa
-        matrix = ConnectionMatrix.random(n, limit, gen)
+        state = spec.state.random(n, limit, gen)
 
     with obs.span("solve.anneal"):
         sa = anneal(
-            matrix,
+            state,
             objective,
             params=params,
             rng=gen,
@@ -219,28 +229,43 @@ def _solve_row(
         method=method,
         evaluations=evaluations,
         wall_time_s=time.perf_counter() - start,
+        space=space,
         annealing=sa,
         seed_solution=seed,
     )
 
 
 def design_point(
-    placement: RowPlacement,
+    placement: Any,
     link_limit: int,
     bandwidth: BandwidthConfig | None = None,
     mix: PacketMix | None = None,
     cost: HopCostModel | None = None,
 ) -> DesignPoint:
-    """Cost a placement at a given link limit into a :class:`DesignPoint`."""
+    """Cost a design of any space at a link limit into a :class:`DesignPoint`.
+
+    The head latency is twice the space objective's energy: under
+    dimension-order routing each design serves both dimensions (Eq. 5
+    for a row, :meth:`~repro.topology.grid.MeshRowsPlacement
+    .mesh_topology` for a mesh design), so totals compare across
+    spaces.  For a row this is bit for bit
+    :func:`~repro.core.latency.network_average_latency`.
+    """
+    from repro.core.search_space import space_of
+
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
-    breakdown = network_average_latency(placement, link_limit, bandwidth, mix, cost)
+    placement.validate(link_limit)
+    energy = space_of(placement).objective(cost=cost or HopCostModel())(placement)
+    flit_bits = bandwidth.flit_bits(link_limit)
     return DesignPoint(
         n=placement.n,
         link_limit=link_limit,
-        flit_bits=bandwidth.flit_bits(link_limit),
+        flit_bits=flit_bits,
         placement=placement,
-        latency=breakdown,
+        latency=LatencyBreakdown(
+            head=2.0 * energy, serialization=mix.serialization_cycles(flit_bits)
+        ),
     )
 
 
@@ -352,36 +377,25 @@ def optimize(
     ``config.restarts`` independent SA chains per ``C`` with
     per-``(C, restart)`` derived seeds, best chain kept, on up to
     ``config.jobs`` processes -- bit-identical results for every
-    ``jobs`` value at a fixed seed.  With ``config.space`` set to a
-    mesh space the sweep routes to
-    :func:`~repro.core.search_space.optimize_space`.
+    ``jobs`` value at a fixed seed.  ``config.space`` picks the search
+    space; ``C = 1`` is the plain mesh in every space.
     """
+    from repro.core.parallel import sweep_limits
+    from repro.core.search_space import SPACES
+
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
     config = config or SearchConfig()
     start = time.perf_counter()
-    if config.space != "row":
-        from repro.core.search_space import optimize_space
-
-        sweep = optimize_space(
-            n, config.space, method=method, bandwidth=bandwidth, mix=mix,
-            cost=cost, params=params, link_limits=link_limits, obs=obs,
-            config=config,
-        )
-        return PlacementResult.from_sweep(
-            sweep, config, time.perf_counter() - start
-        )
-    from repro.core.parallel import sweep_limits
-
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
     solved = sweep_limits(
-        n, link_limits or bandwidth.valid_link_limits(n), space="row",
-        method=method, objective=RowObjective(cost=cost),
+        n, link_limits or bandwidth.valid_link_limits(n), space=config.space,
+        method=method, objective=SPACES[config.space].objective(cost=cost),
         params=params, config=config, obs=obs,
     )
-    sweep = SweepResult(n=n, method=method)
+    sweep = SweepResult(n=n, method=method, space=config.space)
     for limit, (solution, energies) in solved.items():
         sweep.solutions[limit] = solution
         sweep.restart_energies[limit] = energies

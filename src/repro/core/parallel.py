@@ -46,12 +46,11 @@ from repro.core.optimizer import METHODS, RowSolution, _solve_row
 from repro.obs.instrument import Instrumentation, ensure_obs
 from repro.obs.sinks import MemorySink
 from repro.obs.spans import SpanStats
-from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
 from repro.util.rngtools import derived_rng, fresh_entropy
 
 #: ``(best solution, per-restart final energies in restart order)``.
-Solved = Tuple[Any, Tuple[float, ...]]
+Solved = Tuple[RowSolution, Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class TaskResult:
 
     link_limit: int
     restart: int
-    solution: Any
+    solution: RowSolution
     events: List[dict]
     metrics: dict
     spans: List[SpanStats]
@@ -123,7 +122,10 @@ def _run_task(task: SearchTask) -> TaskResult:
     # solve span opens, reported as a kernel.compile event instead of
     # polluting the latency.floyd_warshall span.
     objective = _with_obs(task.objective, None if obs.is_null else obs)
-    kwargs = dict(
+    solution = _solve_row(
+        task.n,
+        task.link_limit,
+        space=task.space,
         method=task.method,
         objective=objective,
         params=task.params,
@@ -132,12 +134,6 @@ def _run_task(task: SearchTask) -> TaskResult:
         obs=obs,
         progress_every=task.progress_every,
     )
-    if task.space == "row":
-        solution = _solve_row(task.n, task.link_limit, **kwargs)
-    else:
-        from repro.core.search_space import solve_space_chain
-
-        solution = solve_space_chain(task.n, task.link_limit, task.space, **kwargs)
     return TaskResult(
         link_limit=task.link_limit,
         restart=task.restart,
@@ -317,19 +313,12 @@ def sweep_limits(
     return {limit: solved[limit] for limit in limits}
 
 
-def _mesh_solution(n: int, space: str, method: str, objective):
+def _mesh_solution(n: int, space: str, method: str, objective) -> RowSolution:
     """The ``C = 1`` design of ``space``: the plain mesh, priced once."""
-    if space == "row":
-        placement = RowPlacement.mesh(n)
-        return RowSolution(
-            n=n, link_limit=1, placement=placement, energy=objective(placement),
-            method=method, evaluations=1, wall_time_s=0.0,
-        )
-    from repro.core.search_space import SpaceSolution, _space_class
+    from repro.core.search_space import SPACES
 
-    placement = _space_class(space).mesh(n)
-    return SpaceSolution(
-        n=n, link_limit=1, space=space, placement=placement,
-        energy=objective(placement), method=method, evaluations=1,
-        wall_time_s=0.0,
+    placement = SPACES[space].placement.mesh(n)
+    return RowSolution(
+        n=n, link_limit=1, placement=placement, energy=objective(placement),
+        method=method, evaluations=1, wall_time_s=0.0, space=space,
     )

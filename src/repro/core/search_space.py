@@ -1,23 +1,25 @@
-"""Search spaces beyond the replicated row (ROADMAP item 4).
+"""The search spaces, and the one place that knows how they differ.
 
 The paper's optimizer searches one :class:`~repro.topology.row
-.RowPlacement` and replicates it across the mesh.  This module
-generalizes the whole search stack to two mesh-level spaces built on
-:mod:`repro.topology.grid`:
+.RowPlacement` and replicates it across the mesh (Sec. 4.2).  Two
+mesh-level spaces built on :mod:`repro.topology.grid` measure that
+reduction:
 
 * ``"hetero"`` -- independent per-row placements, each under the row
   budget ``C`` (:class:`~repro.topology.grid.HeteroPlacement`),
 * ``"grid2d"`` -- arbitrary same-row horizontal chords under the pooled
   per-cut budget (:class:`~repro.topology.grid.Grid2DPlacement`).
 
-It provides the mesh objective (:class:`MeshObjective`), SA move
-kernels implementing the same state protocol as
-:class:`~repro.core.connection_matrix.ConnectionMatrix` (so
-:func:`~repro.core.annealing.anneal` runs unchanged), exhaustive
-searches at small ``n``, the single-chain solve the search runner
-(:mod:`repro.core.parallel`) executes per task, and the
-:func:`solve_space` / :func:`optimize_space` entry points the CLI's
-``--space`` flag routes to.
+Every space runs on one search stack -- :func:`repro.optimize`,
+:func:`repro.solve_row_problem`, the ``(C, restart)`` runner of
+:mod:`repro.core.parallel` and its chain function -- with the space as
+a parameter.  :data:`SPACES` is the table that stack reads: per space
+its placement class, SA state class, default objective, D&C seed and
+exhaustive search.  This module also provides the mesh objective
+(:class:`MeshObjective`), the mesh SA move kernels (same state protocol
+as :class:`~repro.core.connection_matrix.ConnectionMatrix`, so
+:func:`~repro.core.annealing.anneal` runs unchanged) and the mesh
+exhaustive searches.
 
 Reduction-parity contract
 -------------------------
@@ -38,22 +40,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api import SEARCH_SPACES, SearchConfig
-from repro.core.annealing import AnnealingParams, AnnealingResult, anneal
-from repro.core.branch_bound import effective_link_limit, exhaustive_matrix_search
-from repro.core.connection_matrix import ConnectionMatrix, iter_unique_placements
-from repro.core.divide_conquer import initial_solution
-from repro.core.latency import (
-    BandwidthConfig,
-    PacketMix,
-    RowObjective,
-    row_head_latency_matrix,
+from repro.core.branch_bound import (
+    ExactResult,
+    effective_link_limit,
+    exhaustive_matrix_search,
 )
-from repro.obs.instrument import Instrumentation, ensure_obs
+from repro.core.connection_matrix import ConnectionMatrix, iter_unique_placements
+from repro.core.divide_conquer import InitialSolution, initial_solution
+from repro.core.latency import RowObjective, row_head_latency_matrix
 from repro.routing.shortest_path import (
     INF,
     HopCostModel,
@@ -63,33 +62,6 @@ from repro.topology.grid import Grid2DPlacement, HeteroPlacement, MeshRowsPlacem
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
 from repro.util.rngtools import ensure_rng
-
-#: The mesh-level spaces this module searches (``"row"`` is the
-#: classic path in :mod:`repro.core.optimizer`).
-MESH_SPACES = tuple(s for s in SEARCH_SPACES if s != "row")
-
-
-def _check_space(space: str) -> None:
-    if space not in MESH_SPACES:
-        raise ConfigurationError(
-            f"unknown mesh search space {space!r}; expected one of {MESH_SPACES}"
-        )
-
-
-def _space_class(space: str):
-    _check_space(space)
-    return HeteroPlacement if space == "hetero" else Grid2DPlacement
-
-
-def placement_space(placement: MeshRowsPlacement) -> str:
-    """The space name of a mesh placement instance."""
-    if isinstance(placement, Grid2DPlacement):
-        return "grid2d"
-    if isinstance(placement, HeteroPlacement):
-        return "hetero"
-    raise ConfigurationError(
-        f"not a mesh-space placement: {type(placement).__name__}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +431,7 @@ class Grid2DChords:
     def from_placement(
         cls, placement: MeshRowsPlacement, link_limit: int
     ) -> "Grid2DChords":
-        return cls(placement.n, link_limit, placement.express_chords())
+        return cls(placement.n, link_limit, placement.express_links)
 
     @classmethod
     def random(cls, n: int, link_limit: int, rng=None) -> "Grid2DChords":
@@ -517,38 +489,15 @@ class Grid2DChords:
         return Grid2DPlacement.from_chords(self.n, self._chords)
 
 
-def _state_from_placement(space: str, placement: MeshRowsPlacement, limit: int):
-    if space == "hetero":
-        return HeteroMatrix.from_placement(placement, limit)
-    return Grid2DChords.from_placement(placement, limit)
-
-
-def _random_state(space: str, n: int, limit: int, gen):
-    if space == "hetero":
-        return HeteroMatrix.random(n, limit, gen)
-    return Grid2DChords.random(n, limit, gen)
-
-
 # ----------------------------------------------------------------------
 # Exhaustive search at small n
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceExactResult:
-    """Optimal mesh design found by exhaustive search."""
-
-    placement: MeshRowsPlacement
-    energy: float
-    evaluations: int
-    states_visited: int
-    wall_time_s: float
-
 
 def exhaustive_hetero_search(
     n: int,
     link_limit: int,
     objective: MeshObjective | None = None,
-) -> SpaceExactResult:
+) -> ExactResult:
     """Exhaustive hetero optimum, exploiting row separability.
 
     The hetero objective is a (count-weighted) mean of independent
@@ -566,7 +515,7 @@ def exhaustive_hetero_search(
     if not objective.per_row_weights:
         exact = exhaustive_matrix_search(n, limit, objective.row_objective())
         placement = HeteroPlacement.replicate(exact.placement)
-        return SpaceExactResult(
+        return ExactResult(
             placement=placement,
             energy=objective(placement),
             evaluations=exact.evaluations,
@@ -581,7 +530,7 @@ def exhaustive_hetero_search(
         evaluations += exact.evaluations
         states += exact.states_visited
     placement = HeteroPlacement(n=n, rows=tuple(rows))
-    return SpaceExactResult(
+    return ExactResult(
         placement=placement,
         energy=objective(placement),
         evaluations=evaluations,
@@ -599,7 +548,7 @@ def exhaustive_replicated_search(
     link_limit: int,
     objective: MeshObjective,
     space: str = "hetero",
-) -> SpaceExactResult:
+) -> ExactResult:
     """Row-space exhaustive optimum under a :class:`MeshObjective`.
 
     The oracle for "the best *replicated* design" when the objective
@@ -610,7 +559,7 @@ def exhaustive_replicated_search(
     with the mesh objective.  First strict minimum wins, matching the
     row-space exact search's tie-breaking.
     """
-    cls = _space_class(space)
+    cls = SPACES[space].placement
     limit = effective_link_limit(n, link_limit)
     start = time.perf_counter()
     rows, layers = ConnectionMatrix.shape(n, limit)
@@ -628,7 +577,7 @@ def exhaustive_replicated_search(
     for k in range(1, len(candidates)):
         if energies[k] < energies[best]:
             best = k
-    return SpaceExactResult(
+    return ExactResult(
         placement=candidates[best],
         energy=float(energies[best]),
         evaluations=len(candidates),
@@ -650,7 +599,7 @@ def exhaustive_grid2d_search(
     n: int,
     link_limit: int,
     objective: MeshObjective | None = None,
-) -> SpaceExactResult:
+) -> ExactResult:
     """Exhaustive grid2d optimum via Pareto-pruned DFS over row designs.
 
     Enumerates every per-row chord subset feasible on its own, prices
@@ -765,7 +714,7 @@ def exhaustive_grid2d_search(
     rep_energy = objective(replicated)
     if rep_energy <= energy:
         placement, energy = replicated, rep_energy
-    return SpaceExactResult(
+    return ExactResult(
         placement=placement,
         energy=energy,
         evaluations=len(placements) + row_exact.evaluations,
@@ -774,273 +723,100 @@ def exhaustive_grid2d_search(
     )
 
 
-def exhaustive_space_search(
-    n: int,
-    link_limit: int,
-    space: str,
-    objective: MeshObjective | None = None,
-) -> SpaceExactResult:
-    """Dispatch to the per-space exhaustive search."""
-    _check_space(space)
-    if space == "hetero":
-        return exhaustive_hetero_search(n, link_limit, objective)
-    return exhaustive_grid2d_search(n, link_limit, objective)
-
-
 # ----------------------------------------------------------------------
-# Solve / optimize entry points
+# The space table
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceSolution:
-    """Solution of one ``P~(n, C)`` instance in a mesh-level space."""
-
-    n: int
-    link_limit: int
-    space: str
-    placement: MeshRowsPlacement
-    energy: float
-    method: str
-    evaluations: int
-    wall_time_s: float
-    annealing: Optional[AnnealingResult] = None
-    exact: Optional[SpaceExactResult] = None
+# The row entries look their functions up at call time, so a tracer
+# that rebinds module attributes (``perfbench/tracing.py``) sees them.
+def _row_seed(n: int, link_limit: int, objective, obs) -> InitialSolution:
+    return initial_solution(n, link_limit, objective, obs=obs)
 
 
-def mesh_objective(objective) -> MeshObjective:
-    """The objective of a mesh-space search: ``objective`` itself, or a
-    fresh :class:`MeshObjective` for ``None``."""
-    if objective is None:
-        return MeshObjective()
-    if not isinstance(objective, MeshObjective):
-        raise ConfigurationError(
-            f"mesh-space solves need a MeshObjective (or None); got "
-            f"{type(objective).__name__}"
-        )
-    return objective
+def _row_exact(n: int, link_limit: int, objective) -> ExactResult:
+    return exhaustive_matrix_search(n, link_limit, objective)
 
 
-def solve_space(
-    n: int,
-    link_limit: int,
-    space: str,
-    method: str = "dc_sa",
-    objective: MeshObjective | None = None,
-    params: AnnealingParams | None = None,
-    obs: Optional[Instrumentation] = None,
-    config: Optional[SearchConfig] = None,
-) -> SpaceSolution:
-    """Solve ``P~(n, C)`` in a mesh-level space.
+def _mesh_seed(
+    cls, n: int, link_limit: int, objective: MeshObjective, obs
+) -> InitialSolution:
+    """The D&C seed of a mesh space, priced as a whole design.
 
-    The mesh twin of :func:`repro.core.optimizer.solve_row_problem`,
-    run by the same search runner: ``config.restarts`` chains of
-    :func:`solve_space_chain` from the derived streams
-    ``derived_rng(seed, C, restart)`` on up to ``config.jobs``
-    processes, the best kept (ties to the lowest restart).
+    The row space's seed replicated on every row, or under per-row
+    weights one row seed per row, each solved under its own row's
+    traffic.
     """
-    from repro.core.parallel import solve_limit
-
-    _check_space(space)
-    config = config or SearchConfig()
-    solution, _ = solve_limit(
-        n, link_limit, space=space, method=method,
-        objective=mesh_objective(objective), params=params,
-        config=config, obs=obs,
-    )
-    return solution
-
-
-def solve_space_chain(
-    n: int,
-    link_limit: int,
-    space: str,
-    *,
-    method: str = "dc_sa",
-    objective: MeshObjective,
-    params: AnnealingParams | None = None,
-    rng=None,
-    max_evaluations: Optional[int] = None,
-    obs: Optional[Instrumentation] = None,
-    progress_every: int = 0,
-) -> SpaceSolution:
-    """One chain of a mesh-space solve: one task of the search runner.
-
-    ``"exact"`` runs the per-space exhaustive search, ``"dc_sa"`` seeds
-    simulated annealing with the replicated D&C row solution (the same
-    warm start the row space gets, embedded in the larger space) and
-    ``"only_sa"`` starts from a random feasible state drawn from
-    ``rng``.
-    """
-    _check_space(space)
-    obs = ensure_obs(obs)
-    params = params or AnnealingParams()
-    gen = ensure_rng(rng)
-    limit = effective_link_limit(n, link_limit)
     start = time.perf_counter()
-    if obs.enabled:
-        obs.emit("solve.start", n=n, link_limit=link_limit,
-                 method=method, space=space)
-
-    if method == "exact":
-        with obs.span("solve.exact"):
-            exact = exhaustive_space_search(n, limit, space, objective)
-        return SpaceSolution(
-            n=n, link_limit=link_limit, space=space,
-            placement=exact.placement, energy=exact.energy, method=method,
-            evaluations=exact.evaluations,
-            wall_time_s=time.perf_counter() - start, exact=exact,
-        )
-
-    cls = _space_class(space)
-    seed_placement = None
-    seed_energy: Optional[float] = None
-    seed_evaluations = 0
-    if method == "dc_sa":
-        if objective.per_row_weights:
-            rows: List[RowPlacement] = []
-            for r in range(n):
-                s = initial_solution(n, limit, objective.row_objective(r), obs=obs)
-                rows.append(s.placement)
-                seed_evaluations += s.evaluations
-            seed_placement = cls(n=n, rows=tuple(rows))
-        else:
-            s = initial_solution(n, limit, objective.row_objective(), obs=obs)
-            seed_placement = cls.replicate(s.placement)
-            seed_evaluations = s.evaluations
-        seed_energy = objective(seed_placement)
-        state0 = _state_from_placement(space, seed_placement, limit)
+    if objective.per_row_weights:
+        seeds = [
+            initial_solution(n, link_limit, objective.row_objective(r), obs=obs)
+            for r in range(n)
+        ]
+        placement = cls(n=n, rows=tuple(s.placement for s in seeds))
     else:
-        state0 = _random_state(space, n, limit, gen)
-
-    with obs.span("solve.anneal"):
-        sa = anneal(
-            state0, objective, params=params, rng=gen,
-            max_evaluations=max_evaluations, obs=obs,
-            progress_every=progress_every,
-        )
-    placement, energy = sa.best_placement, sa.best_energy
-    if seed_energy is not None and seed_energy < energy:
-        placement, energy = seed_placement, seed_energy
-    return SpaceSolution(
-        n=n, link_limit=link_limit, space=space, placement=placement,
-        energy=energy, method=method,
-        evaluations=sa.evaluations + seed_evaluations,
-        wall_time_s=time.perf_counter() - start, annealing=sa,
+        seeds = [initial_solution(n, link_limit, objective.row_objective(), obs=obs)]
+        placement = cls.replicate(seeds[0].placement)
+    return InitialSolution(
+        placement=placement,
+        energy=objective(placement),
+        evaluations=sum(s.evaluations for s in seeds),
+        wall_time_s=time.perf_counter() - start,
     )
 
 
 @dataclass(frozen=True)
-class SpaceDesignPoint:
-    """A fully-costed mesh design: placement + Eq. 2 breakdown.
+class Space:
+    """How one search space differs from the others.
 
-    ``energy`` is the X-dimension objective (mean row head latency over
-    rows); ``head_latency`` is ``2 * energy`` because the winning
-    solution is reused per dimension (see
-    :meth:`~repro.topology.grid.MeshRowsPlacement.mesh_topology`), the
-    same Eq. 5 rule the replicated design uses -- which keeps total
-    latencies comparable across all three spaces.
+    ``placement`` is the design class (its ``mesh(n)`` is the ``C = 1``
+    design), ``state`` the SA state class (``random(n, C, rng)`` and
+    ``from_placement(p, C)``), ``objective`` the default objective
+    class (built with ``cost=``), ``seed(n, C, objective, obs)`` the
+    D&C seed and ``exact(n, C, objective)`` the exhaustive search.
     """
 
-    n: int
-    space: str
-    link_limit: int
-    flit_bits: int
-    placement: MeshRowsPlacement
-    energy: float
-    head_latency: float
-    serialization: float
+    name: str
+    placement: type
+    state: type
+    objective: type
+    seed: Callable[..., InitialSolution]
+    exact: Callable[..., ExactResult]
 
-    @property
-    def total_latency(self) -> float:
-        return self.head_latency + self.serialization
+    def objective_for(self, objective=None):
+        """``objective``, or a default objective of this space for ``None``.
+
+        The row space takes any callable of a row placement; the mesh
+        kernels read a :class:`MeshObjective`'s rows, so a mesh space
+        refuses any other objective.
+        """
+        if objective is None:
+            return self.objective()
+        if self.objective is MeshObjective and not isinstance(objective, MeshObjective):
+            raise ConfigurationError(
+                f"{self.name}-space solves need a MeshObjective (or None); "
+                f"got {type(objective).__name__}"
+            )
+        return objective
 
 
-def space_design_point(
-    placement: MeshRowsPlacement,
-    link_limit: int,
-    bandwidth: BandwidthConfig | None = None,
-    mix: PacketMix | None = None,
-    cost: HopCostModel | None = None,
-) -> SpaceDesignPoint:
-    """Cost a mesh placement at a link limit into a :class:`SpaceDesignPoint`."""
-    bandwidth = bandwidth or BandwidthConfig()
-    mix = mix or PacketMix.paper_default()
-    placement.validate(link_limit)
-    energy = MeshObjective(cost=cost or HopCostModel())(placement)
-    return SpaceDesignPoint(
-        n=placement.n,
-        space=placement_space(placement),
-        link_limit=link_limit,
-        flit_bits=bandwidth.flit_bits(link_limit),
-        placement=placement,
-        energy=energy,
-        head_latency=2.0 * energy,
-        serialization=mix.serialization_cycles(bandwidth.flit_bits(link_limit)),
+#: Every search space by name, in :data:`repro.api.SEARCH_SPACES` order.
+SPACES: Dict[str, Space] = {
+    "row": Space("row", RowPlacement, ConnectionMatrix, RowObjective,
+                 _row_seed, _row_exact),
+    "hetero": Space("hetero", HeteroPlacement, HeteroMatrix, MeshObjective,
+                    partial(_mesh_seed, HeteroPlacement),
+                    exhaustive_hetero_search),
+    "grid2d": Space("grid2d", Grid2DPlacement, Grid2DChords, MeshObjective,
+                    partial(_mesh_seed, Grid2DPlacement),
+                    exhaustive_grid2d_search),
+}
+
+
+def space_of(placement) -> Space:
+    """The space whose designs ``placement`` belongs to."""
+    for space in SPACES.values():
+        if isinstance(placement, space.placement):
+            return space
+    raise ConfigurationError(
+        f"not a search-space placement: {type(placement).__name__}"
     )
-
-
-@dataclass
-class SpaceSweepResult:
-    """Outcome of the full ``C`` sweep in one mesh-level space.
-
-    Duck-typed like :class:`~repro.core.optimizer.SweepResult` (``best``
-    / ``latency_curve`` / ``points`` / ``solutions`` /
-    ``restart_energies``), so reporting and ledger digests work on
-    either.
-    """
-
-    n: int
-    space: str
-    method: str
-    points: Dict[int, SpaceDesignPoint] = field(default_factory=dict)
-    solutions: Dict[int, SpaceSolution] = field(default_factory=dict)
-    restart_energies: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
-
-    @property
-    def best(self) -> SpaceDesignPoint:
-        return min(self.points.values(), key=lambda p: p.total_latency)
-
-    def latency_curve(self) -> Tuple[Tuple[int, float], ...]:
-        return tuple(sorted((c, p.total_latency) for c, p in self.points.items()))
-
-
-def optimize_space(
-    n: int,
-    space: str,
-    method: str = "dc_sa",
-    bandwidth: BandwidthConfig | None = None,
-    mix: PacketMix | None = None,
-    cost: HopCostModel | None = None,
-    params: AnnealingParams | None = None,
-    link_limits: Optional[Tuple[int, ...]] = None,
-    obs: Optional[Instrumentation] = None,
-    config: Optional[SearchConfig] = None,
-) -> SpaceSweepResult:
-    """Full optimization in a mesh-level space: sweep ``C``, cost designs.
-
-    The mesh twin of :func:`repro.core.optimizer.optimize`, which
-    routes here when ``config.space`` is ``"hetero"`` or ``"grid2d"``;
-    the ``(C, restart)`` grid runs through the same search runner.
-    ``C = 1`` short-circuits to the plain mesh, exactly as the row
-    sweep does.
-    """
-    from repro.core.parallel import sweep_limits
-
-    _check_space(space)
-    config = config or SearchConfig()
-    bandwidth = bandwidth or BandwidthConfig()
-    mix = mix or PacketMix.paper_default()
-    cost = cost or HopCostModel()
-    solved = sweep_limits(
-        n, link_limits or bandwidth.valid_link_limits(n), space=space,
-        method=method, objective=MeshObjective(cost=cost),
-        params=params, config=config, obs=obs,
-    )
-    result = SpaceSweepResult(n=n, space=space, method=method)
-    for limit, (solution, energies) in solved.items():
-        result.solutions[limit] = solution
-        result.restart_energies[limit] = energies
-        result.points[limit] = space_design_point(
-            solution.placement, limit, bandwidth, mix, cost
-        )
-    return result

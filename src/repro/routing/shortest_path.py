@@ -250,8 +250,8 @@ def batched_mean_distances(
         if w.shape != (n, n):
             raise ConfigurationError(f"weights shape {w.shape} != {(n, n)}")
         total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("weights must have positive sum")
+        if not 0 < total < np.inf:
+            raise ConfigurationError("weights must have positive, finite sum")
     if impl == "reference":
         out = []
         for placement in placements:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,7 @@ from repro.obs.ledger import (
     sweep_digest,
 )
 from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.routing.shortest_path import HopCostModel
 from repro.serve.batcher import EvaluateBatcher
 from repro.serve.store import DesignStore, StoreEntry
 from repro.topology.row import RowPlacement
@@ -455,8 +457,15 @@ class ServeApp:
                 raise RequestError(f"weights must be {n}x{n} for this "
                                    "placement")
             weights = tuple(tuple(float(x) for x in row) for row in weights)
-            if sum(x for row in weights for x in row) <= 0:
+            total = sum(x for row in weights for x in row)
+            if total <= 0:
                 raise RequestError("weights must have positive sum")
+            # No placement's distances exceed the plain mesh row's, whose
+            # largest is n - 1 unit hops: below this bound (with 2x
+            # headroom for rounding) the weighted distance sum is finite.
+            if not math.isfinite(2.0 * total * (n - 1) * HopCostModel().hop_cost(1)):
+                raise RequestError("weights sum is too large: the weighted "
+                                   "distance sum would overflow")
         return placement, link_limit, weights
 
     async def _handle_evaluate(self, body: Dict) -> Response:

@@ -117,16 +117,18 @@ class MeshRowsPlacement:
         """True when this design is a replicated-row embedding."""
         return all(row == self.rows[0] for row in self.rows[1:])
 
-    def express_chords(self) -> Tuple[Chord, ...]:
-        """All express chords as sorted ``(row, i, j)`` triples."""
+    @property
+    def express_links(self) -> Tuple[Chord, ...]:
+        """All express chords as sorted ``(row, i, j)`` triples.
+
+        The mesh counterpart of :attr:`RowPlacement.express_links`, so
+        a result reads its links the same way in every search space.
+        """
         return tuple(sorted(
             (r, i, j)
             for r, row in enumerate(self.rows)
             for i, j in row.express_links
         ))
-
-    def num_express_chords(self) -> int:
-        return sum(len(row.express_links) for row in self.rows)
 
     def cross_section_totals(self) -> Tuple[int, ...]:
         """Total links at each vertical cut, summed over all rows.
@@ -216,7 +218,7 @@ class MeshRowsPlacement:
         )
 
     def __str__(self) -> str:
-        chords = ", ".join(f"{r}:{i}-{j}" for r, i, j in self.express_chords())
+        chords = ", ".join(f"{r}:{i}-{j}" for r, i, j in self.express_links)
         return f"{type(self).__name__}(n={self.n}, chords=[{chords}])"
 
 

@@ -126,6 +126,24 @@ class TestRowHeadLatency:
         with pytest.raises(ConfigurationError):
             mean_row_head_latency(RowPlacement.mesh(4), weights=np.zeros((4, 4)))
 
+    def test_weighted_mean_rejects_non_finite_sum(self):
+        # Sixteen entries of 1e308 sum to inf, which used to pass the
+        # positive-sum check and price to inf / inf = nan; the scalar
+        # and batched paths and the objective (so the annealer's
+        # incremental walk too) reject it.
+        from repro.routing.shortest_path import batched_mean_distances
+
+        p = RowPlacement(4, frozenset({(0, 2)}))
+        huge = np.full((4, 4), 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                mean_row_head_latency(p, weights=huge)
+            with pytest.raises(ConfigurationError, match="finite"):
+                batched_mean_distances([p], weights=huge)
+            with pytest.raises(ConfigurationError, match="finite"):
+                RowObjective(weights=huge)
+        assert np.isfinite(RowObjective(weights=np.full((4, 4), 1e300))(p))
+
     def test_worst_case_mesh(self):
         # Worst pair: corner to corner = 2 * (n-1) hops * 4 cycles.
         assert worst_case_head_latency_2d(RowPlacement.mesh(8)) == pytest.approx(

@@ -4,11 +4,19 @@ import pytest
 
 from repro.api import PlacementResult, SearchConfig
 from repro.core.annealing import AnnealingParams
-from repro.core.latency import BandwidthConfig, PacketMix
+from repro.core.branch_bound import exhaustive_matrix_search
+from repro.core.latency import (
+    BandwidthConfig,
+    PacketMix,
+    RowObjective,
+    mean_row_head_latency,
+)
 from repro.core.optimizer import (
     METHODS,
+    best_rectangular,
     design_point,
     optimize,
+    optimize_rectangular,
     solve_row_problem,
 )
 from repro.topology.row import RowPlacement
@@ -114,3 +122,43 @@ class TestOptimize:
         assert res.flit_bits == best.flit_bits
         assert res.total_latency == best.total_latency
         assert res.latency_curve == res.sweep.latency_curve()
+
+
+class TestOptimizeRectangular:
+    @pytest.fixture(scope="class")
+    def points(self):
+        return optimize_rectangular(8, 5, method="exact", link_limits=(1, 2, 4))
+
+    def test_limits_swept(self, points):
+        assert sorted(points) == [1, 2, 4]
+        assert best_rectangular(points) is min(
+            points.values(), key=lambda p: p.total_latency
+        )
+
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_each_dimension_is_its_exact_optimum(self, points, c):
+        for dim, placement in ((8, points[c].row_placement),
+                               (5, points[c].col_placement)):
+            exact = exhaustive_matrix_search(dim, c, RowObjective())
+            assert placement == exact.placement
+            assert mean_row_head_latency(placement) == exact.energy
+
+    @pytest.mark.parametrize("c,row,col,head", [
+        (2, 7.6875, 4.96, 12.6475),
+        (4, 6.5625, 4.48, 11.0425),
+    ])
+    def test_head_is_row_plus_column(self, points, c, row, col, head):
+        point = points[c]
+        assert mean_row_head_latency(point.row_placement) == pytest.approx(row)
+        assert mean_row_head_latency(point.col_placement) == pytest.approx(col)
+        assert point.head_latency == (
+            mean_row_head_latency(point.row_placement)
+            + mean_row_head_latency(point.col_placement)
+        )
+        assert point.head_latency == pytest.approx(head)
+
+    def test_c1_is_the_plain_mesh(self, points):
+        point = points[1]
+        assert point.row_placement == RowPlacement.mesh(8)
+        assert point.col_placement == RowPlacement.mesh(5)
+        assert point.head_latency == pytest.approx(16.9)

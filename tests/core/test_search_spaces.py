@@ -10,6 +10,9 @@ key their memo entries injectively across spaces.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,19 +24,16 @@ from repro.core.annealing import MemoizedObjective, anneal
 from repro.core.branch_bound import exhaustive_matrix_search
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective, row_head_latency_matrix
-from repro.core.optimizer import optimize, solve_row_problem
+from repro.core.optimizer import SweepResult, optimize, solve_row_problem
 from repro.core.search_space import (
     Grid2DChords,
     HeteroMatrix,
     MeshObjective,
-    SpaceSweepResult,
     exhaustive_grid2d_search,
     exhaustive_hetero_search,
     exhaustive_replicated_search,
     grid2d_head_distances,
     mesh_head_distance_stack,
-    optimize_space,
-    solve_space,
 )
 from repro.topology.grid import Grid2DPlacement, HeteroPlacement
 from repro.topology.row import RowPlacement
@@ -363,16 +363,18 @@ class TestExhaustiveSearches:
 
 class TestSolveAndOptimize:
     def test_exact_method_routes_to_exhaustive(self):
-        s = solve_space(5, 2, "hetero", method="exact")
+        s = solve_row_problem(
+            5, 2, method="exact", config=SearchConfig(space="hetero")
+        )
         row = exhaustive_matrix_search(5, 2, RowObjective())
         assert s.energy == row.energy
-        assert s.exact is not None
+        assert s.solution.exact is not None
 
     @pytest.mark.parametrize("space", ["hetero", "grid2d"])
     @pytest.mark.parametrize("method", ["dc_sa", "only_sa"])
     def test_sa_methods_feasible(self, space, method):
-        cfg = SearchConfig(seed=3, max_evaluations=120)
-        s = solve_space(6, 2, space, method=method, config=cfg)
+        cfg = SearchConfig(seed=3, max_evaluations=120, space=space)
+        s = solve_row_problem(6, 2, method=method, config=cfg)
         s.placement.validate(2)
         assert s.space == space
 
@@ -382,8 +384,8 @@ class TestSolveAndOptimize:
         from repro.core.divide_conquer import initial_solution
 
         seed_solution = initial_solution(6, 3, RowObjective())
-        cfg = SearchConfig(seed=9, max_evaluations=100)
-        s = solve_space(6, 3, "hetero", method="dc_sa", config=cfg)
+        cfg = SearchConfig(seed=9, max_evaluations=100, space="hetero")
+        s = solve_row_problem(6, 3, method="dc_sa", config=cfg)
         assert s.energy <= MeshObjective()(
             HeteroPlacement.replicate(seed_solution.placement)
         )
@@ -404,8 +406,9 @@ class TestSolveAndOptimize:
                 assert (run(entry, *args, restarts=restarts, jobs=1)
                         == run(entry, *args, restarts=restarts, jobs=2))
         solve = [
-            solve_space(5, 2, space, method="only_sa", config=SearchConfig(
-                seed=4, restarts=3, jobs=jobs, max_evaluations=80))
+            solve_row_problem(5, 2, method="only_sa", config=SearchConfig(
+                seed=4, restarts=3, jobs=jobs, max_evaluations=80,
+                space=space))
             for jobs in (1, 2)
         ]
         assert solve[0].placement == solve[1].placement
@@ -417,7 +420,7 @@ class TestSolveAndOptimize:
         res = optimize(4, config=cfg)
         assert res.space == "hetero"
         sweep = res.sweep
-        assert isinstance(sweep, SpaceSweepResult)
+        assert isinstance(sweep, SweepResult)
         assert sweep.space == "hetero"
         assert set(sweep.points) == {1, 2, 4}
         # C = 1 short-circuits to the plain mesh in every space.
@@ -435,27 +438,59 @@ class TestSolveAndOptimize:
         s.placement.validate(2)
 
     def test_design_point_head_is_twice_energy(self):
-        sweep = optimize_space(
-            4, "grid2d", method="only_sa",
-            config=SearchConfig(seed=2, max_evaluations=50),
-        )
+        sweep = optimize(
+            4, method="only_sa",
+            config=SearchConfig(seed=2, max_evaluations=50, space="grid2d"),
+        ).sweep
         for point in sweep.points.values():
-            assert point.head_latency == 2.0 * point.energy
+            energy = MeshObjective()(point.placement)
+            assert point.latency.head == 2.0 * energy
             assert point.total_latency == (
-                point.head_latency + point.serialization
+                point.latency.head + point.latency.serialization
             )
+
+    def test_mesh_space_refuses_a_row_objective(self):
+        # The mesh kernels read a MeshObjective's rows; any other
+        # objective is a ConfigurationError before a task runs.
+        with pytest.raises(ConfigurationError, match="MeshObjective"):
+            solve_row_problem(4, 2, objective=RowObjective(),
+                              config=SearchConfig(space="hetero"))
 
     def test_mesh_topology_bridge(self):
         # Winners flow into the simulator via the existing
         # express-topology path: same rows per dimension.
-        s = solve_space(
-            4, 2, "hetero", method="only_sa",
-            config=SearchConfig(seed=6, max_evaluations=40),
+        s = solve_row_problem(
+            4, 2, method="only_sa",
+            config=SearchConfig(seed=6, max_evaluations=40, space="hetero"),
         )
         topo = s.placement.mesh_topology()
         assert topo.n == 4
         assert tuple(topo.row_placements) == s.placement.rows
         assert tuple(topo.col_placements) == s.placement.rows
+
+
+class TestSpaceTableImport:
+    def test_import_repro_does_not_load_the_mesh_spaces(self):
+        # The space table loads with the first search, not with the
+        # package: a fresh interpreter, so this module's imports cannot
+        # mask an eager import.
+        import repro
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import repro\n"
+             "import repro.cli\n"
+             "bad = [m for m in ('repro.core.search_space', "
+             "'repro.topology.grid') if m in sys.modules]\n"
+             "assert not bad, bad\n"
+             "print('clean')\n"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=root),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["clean"]
 
 
 class TestSearchConfigSpace:
@@ -472,4 +507,4 @@ class TestSearchConfigSpace:
         )
         assert res.space == "hetero"
         assert res.link_limit in (1, 2, 4)
-        assert res.express_links == res.placement.express_chords()
+        assert res.express_links == res.placement.express_links

@@ -218,6 +218,34 @@ class TestLedgerCli:
         assert "engine" not in manifest["params"]
         assert manifest["result_digest"] == digest
 
+    @pytest.mark.parametrize("argv,run_id,digest", [
+        (["optimize", "--n", "8", "--effort", "smoke", "--seed", "2019"],
+         "4858d0d5450cc08b", "7857a3e3b735fedc"),
+        (["optimize", "--n", "6", "--effort", "smoke", "--seed", "2019",
+          "--space", "hetero"],
+         "df21345856c04442", "83fc8b891f713a46"),
+        (["optimize", "--n", "6", "--effort", "smoke", "--seed", "2019",
+          "--space", "grid2d"],
+         "bab5e1cda5bcd5b9", "6aa18426dc8c87b9"),
+        (["solve", "--n", "6", "--c", "3", "--method", "only_sa",
+          "--effort", "smoke", "--seed", "2019", "--space", "hetero"],
+         "a85a745bd92bbd67", "bfea4e11ade78472"),
+        (["solve", "--n", "6", "--c", "3", "--method", "exact",
+          "--space", "grid2d"],
+         "a1389ea08ef47c9d", "2ef08f7923b69e6d"),
+    ], ids=["optimize-row", "optimize-hetero", "optimize-grid2d",
+            "solve-only-sa-hetero", "solve-exact-grid2d"])
+    def test_pinned_search_run_ids(self, tmp_path, capsys, argv, run_id, digest):
+        # A search's identity and its results in every space: the
+        # digest covers each solved C's placement bytes and energy, so
+        # it moves if any space's search takes another path.
+        ledger_dir = str(tmp_path / "runs")
+        assert main([*argv, "--ledger", ledger_dir]) == 0
+        capsys.readouterr()
+        assert os.listdir(ledger_dir) == [run_id]
+        manifest = json.load(open(os.path.join(ledger_dir, run_id, "manifest.json")))
+        assert manifest["result_digest"] == digest
+
     def test_metrics_export_formats(self, tmp_path, capsys):
         ledger_dir = self.run_solve(tmp_path, 2019)
         capsys.readouterr()

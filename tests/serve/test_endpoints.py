@@ -7,6 +7,7 @@ coroutines directly -- the HTTP framing has its own suite.
 
 import asyncio
 import json
+import math
 import os
 
 import numpy as np
@@ -441,6 +442,22 @@ class TestEvaluate:
             weights=weights,
         ).to_json()
 
+    def test_huge_finite_weights_still_price(self, app):
+        # Just below the overflow bound the weighted mean is finite and
+        # byte-identical to the library's.
+        weights = [[1e300] * 4 for _ in range(4)]
+        status, body, _ = asyncio.run(_request(
+            app, "POST", "/evaluate",
+            {"n": 4, "express_links": [[0, 2]], "link_limit": 2,
+             "weights": weights},
+        ))
+        assert status == 200
+        expected = evaluate_placement(
+            RowPlacement(4, frozenset({(0, 2)})), 2, weights=weights
+        )
+        assert math.isfinite(expected.row_head_latency)
+        assert body["result"] == expected.to_json()
+
     @pytest.mark.parametrize("body,fragment", [
         ({"link_limit": 2}, "requires 'placement_row'"),
         ({"n": 6, "express_links": "0,3"}, "express_links"),
@@ -464,6 +481,14 @@ class TestEvaluate:
         ({"n": 6, "weights": [[True] * 6] * 6}, "finite numbers >= 0"),
         ({"n": 6, "weights": [["1"] * 6] * 6}, "finite numbers >= 0"),
         ({"n": 6, "weights": [[10 ** 400] * 6] * 6}, "finite numbers >= 0"),
+        # Finite entries whose sum overflows, and a finite sum whose
+        # weighted distance sum would (both were answered 200).
+        ({"n": 4, "express_links": [[0, 2]], "link_limit": 2,
+          "weights": [[1e308] * 4] * 4}, "weights"),
+        ({"n": 4, "express_links": [[0, 2]], "link_limit": 2,
+          "weights": [[1e307] * 4] * 4}, "weights"),
+        ({"n": 4, "express_links": [[0, 2]], "link_limit": 2,
+          "weights": [[5e306] * 4] * 4}, "weights"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(

@@ -9,6 +9,7 @@ round trip the CI serve job performs.
 import asyncio
 import json
 import os
+import signal
 import subprocess
 import sys
 import urllib.error
@@ -183,3 +184,32 @@ class TestServeCli:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT],
+                             ids=["sigterm", "sigint"])
+    def test_signal_drains_with_sigint_ignored(self, tmp_path, sig):
+        # A background job of a non-interactive shell starts with SIGINT
+        # ignored; SIGTERM (what CI sends) and SIGINT (what a terminal
+        # and the benchmark's server stop send) must both drain and
+        # exit 0.
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--effort", "smoke"],
+            cwd=str(tmp_path),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(sig)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, out
+        assert "server stopped" in out

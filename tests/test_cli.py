@@ -32,6 +32,24 @@ SEARCH_GOLDENS = {
     "solve_n8_c4_smoke_seed2019": [
         "solve", "--n", "8", "--c", "4", "--effort", "smoke", "--seed", "2019",
     ],
+    # The mesh spaces: both sweeps, a random-start hetero chain and the
+    # grid2d exhaustive search.
+    "optimize_n6_smoke_seed2019_hetero": [
+        "optimize", "--n", "6", "--effort", "smoke", "--seed", "2019",
+        "--space", "hetero",
+    ],
+    "optimize_n6_smoke_seed2019_grid2d": [
+        "optimize", "--n", "6", "--effort", "smoke", "--seed", "2019",
+        "--space", "grid2d",
+    ],
+    "solve_n6_c3_only_sa_smoke_seed2019_hetero": [
+        "solve", "--n", "6", "--c", "3", "--method", "only_sa",
+        "--effort", "smoke", "--seed", "2019", "--space", "hetero",
+    ],
+    "solve_n6_c3_exact_grid2d": [
+        "solve", "--n", "6", "--c", "3", "--method", "exact",
+        "--space", "grid2d",
+    ],
 }
 
 
