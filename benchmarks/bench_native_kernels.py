@@ -2,13 +2,15 @@
 
 The ``"native"`` tier -- the default wherever its C kernels load --
 replaces the NumPy row Floyd-Warshall relaxation (which materializes a
-``(B, k, n - k - 1)`` broadcast temporary per pivot ``k``) and the
-next-hop pass with compiled loops.  This bench times the two tiers
-over identical inputs on a grid of problem scales and asserts the
-headline: **>= 3x on at least one n >= 32 leg**, with byte-identical
-outputs on every leg, so the speed is free.  (The incremental engine's
-crossing-block rewrite is NumPy on every tier: its compiled twin was a
-wash, 0.97-1.04x in a paired timing, and was removed.)
+``(B, k, n - k - 1)`` broadcast temporary per pivot ``k``), the
+next-hop pass and the incremental engine's link-diff update with
+compiled loops.  This bench times the two tiers over identical inputs
+on a grid of problem scales and asserts the headline: **>= 3x on at
+least one n >= 32 leg**, with byte-identical outputs on every leg, so
+the speed is free.  The ``engine_walk`` leg prices a recorded
+SA-shaped walk (one link diff per move, the annealer's memo-miss path)
+through the engine on each twin (its ``B`` column counts the walk's
+moves): one compiled call per diff against the NumPy block rewrites.
 
 Timing discipline mirrors ``bench_incremental_objective``: tiers
 alternate in paired best-of rounds to cancel machine drift, and the
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.connection_matrix import ConnectionMatrix
+from repro.core.latency import RowObjective
 from repro.harness.tables import render_table
 from repro.routing import native
 from repro.routing.impls import available_impls
@@ -38,6 +41,7 @@ from repro.routing.shortest_path import (
     weight_stack_population,
 )
 
+from benchmarks.bench_incremental_objective import record_walk, run_incremental
 from benchmarks.conftest import SEED, publish, sa_effort
 
 pytestmark = pytest.mark.skipif(
@@ -126,9 +130,22 @@ def population_leg():
     return "population", n, b, nat_s, vec_s
 
 
+def engine_walk_leg():
+    """A recorded SA-shaped walk priced by the engine on each twin."""
+    moves = 400 if sa_effort() == "paper" else 100
+    start, sites = record_walk(16, 4, moves, SEED)
+    nat_s, vec_s, e_nat, e_vec = paired_best(
+        lambda: run_incremental(start, sites, RowObjective(impl="native")),
+        lambda: run_incremental(start, sites, RowObjective(impl="vectorized")),
+    )
+    assert e_nat[1] == e_vec[1], "engine walk energies diverge"
+    return "engine_walk", 16, moves, nat_s, vec_s
+
+
 def test_native_kernel_speedups(fw_legs, capsys):
     legs = list(fw_legs)
     legs.append(population_leg())
+    legs.append(engine_walk_leg())
 
     rows, record_legs = [], []
     for kind, n, b, nat_s, vec_s in legs:

@@ -324,10 +324,11 @@ class _EngineWalk:
     ``canonical_bytes`` at fixed ``n``, so hits, misses and evaluations
     match :class:`_DecodeWalk` move for move.
 
-    The engine is synced lazily.  It stays at the link set it last
-    priced, and a memo miss moves it to the candidate's link set with
-    one ``apply_link_changes`` call, so a rejected move costs nothing
-    to undo and a repeated state costs a dictionary probe.
+    The engine is synced lazily: it stays at the link set it last
+    priced, ``pending`` records the walk's diff from it at the same
+    zero crossings, and a memo miss hands that diff over in one
+    ``apply_link_changes`` call, so a rejected move costs nothing to
+    undo and a repeated state costs a dictionary probe.
     """
 
     def __init__(self, state: ConnectionMatrix, evaluator) -> None:
@@ -336,10 +337,12 @@ class _EngineWalk:
         self.engine = evaluator.engine
         self.memo = MemoizedObjective(evaluator.objective)
         self.counts: Dict[Link, int] = {}
+        self.pending: Dict[Link, bool] = {}
         self.key = 0
         self._diff: Tuple = ((), ())
         for layer in range(state.bits.shape[1]):
             self._shift(state.layer_links(layer), ())
+        self.pending = {}  # the engine starts at the decoded link set
         self.incremental = self.selfchecks = self.resyncs = 0
 
     @property
@@ -351,16 +354,16 @@ class _EngineWalk:
         value = self.memo.lookup_key(self.key)
         if value is not MemoizedObjective.MISS:
             return value
-        engine, links = self.engine, self.counts.keys()
-        changes = [(a, b, False) for a, b in engine.links - links]
-        changes.extend((a, b, True) for a, b in links - engine.links)
-        if changes:
-            engine.apply_link_changes(changes)
+        if self.pending:
+            self.engine.apply_link_changes(
+                [(a, b, held) for (a, b), held in self.pending.items()]
+            )
+            self.pending = {}
             self.incremental += 1
         return self.memo.store_key(self.key, self.evaluator.energy())
 
     def _shift(self, added, removed) -> None:
-        counts, n = self.counts, self.state.n
+        counts, pending, n = self.counts, self.pending, self.state.n
         for link in removed:
             left = counts[link] - 1
             if left:
@@ -368,11 +371,15 @@ class _EngineWalk:
             else:
                 del counts[link]
                 self.key ^= 1 << (link[0] * n + link[1])
+                if pending.pop(link, None) is None:
+                    pending[link] = False
         for link in added:
             held = counts.get(link, 0)
             counts[link] = held + 1
             if not held:
                 self.key ^= 1 << (link[0] * n + link[1])
+                if pending.pop(link, None) is None:
+                    pending[link] = True
 
     def propose(self, site) -> float:
         self._diff = self.state.flip_diff(*site)

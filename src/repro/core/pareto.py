@@ -448,9 +448,12 @@ class _VectorObjective:
         return total
 
     def mirror_invariant(self) -> bool:
-        """Traffic weights tell a placement from its mirror image;
-        without them the exact search keeps folding mirror pairs."""
-        return self.pricer.spec.weights is None
+        """True only when every axis prices mirror images bit for bit:
+        the latency axis alone, by its own rule.  The mesh axes sum
+        per-router terms in node order, which a mirror reverses."""
+        pricer = self.pricer
+        return (pricer.spec.objectives == ("latency",)
+                and pricer._latency.mirror_invariant())
 
 
 # ----------------------------------------------------------------------

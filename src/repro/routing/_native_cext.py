@@ -1,8 +1,9 @@
 """C-extension backend of the native kernel tier.
 
-Used by :mod:`repro.routing.native`: a ~50-line C translation of the
-two Floyd-Warshall kernels, compiled on first use with the system C
-compiler into a content-addressed, per-user cache directory
+Used by :mod:`repro.routing.native`: a ~110-line C translation of the
+two Floyd-Warshall kernels and the incremental engine's update,
+compiled on first use with the system C compiler into a
+content-addressed, per-user cache directory
 (``$XDG_CACHE_HOME/repro/native``, else ``~/.cache/repro/native``;
 ``REPRO_NATIVE_CACHE`` overrides) and loaded through :mod:`ctypes`.
 No third-party build dependency: the shared object is plain C (no
@@ -26,9 +27,10 @@ values the out-of-place NumPy form reads, the IEEE additions are the
 same, ties resolve the same way, and the results are bitwise equal --
 the property the cross-tier parity suites pin.  The row kernel visits
 the same ``i < k < j`` block as its NumPy twin, in the same pivot
-order.  The build deliberately avoids ``-ffast-math`` and forces
-``-ffp-contract=off`` so the compiler cannot re-associate or fuse those
-additions.
+order; the engine kernel forms each candidate with its twin's
+association, and a min does not depend on the order it scans.  The
+build deliberately avoids ``-ffast-math`` and forces ``-ffp-contract=off``
+so the compiler cannot re-associate or fuse those additions.
 """
 
 from __future__ import annotations
@@ -102,6 +104,68 @@ void repro_fw_batch(double *d, int64_t *nh, int64_t B, int64_t n) {
                 }
             }
         }
+    }
+}
+
+/* The incremental engine's whole link diff in one call.  s is the
+ * (n, n) left-to-right distance layer (inf below the diagonal), w the
+ * row's left-to-right weight matrix, hop[len] the cost of a link of
+ * length len, ch m (a, b, is_add) triples.  Groups run in ascending
+ * right endpoint b: the group's links enter or leave w, then the block
+ * rows <= amax, cols >= b is rewritten as the min over the cut's
+ * crossing edges (u, v) -- read from w -- of (s[i][u] + w[u][v]) +
+ * s[v][j], the association of the NumPy rewrite.  The block never
+ * reads itself (u < b, v > amax), and s[i][u] is inf for i > u, so
+ * rows stop at u.  Returns total plus every block's change of sum
+ * (the running upper-triangle total), or NaN -- before touching
+ * anything -- when a triple is not an express link of the row.
+ */
+double repro_engine_apply(double *s, double *w, const double *hop, int64_t n,
+                          const int64_t *ch, int64_t m, double total) {
+    for (int64_t k = 0; k < m; k++) {
+        if (ch[3 * k] < 0 || ch[3 * k + 1] - ch[3 * k] < 2 || ch[3 * k + 1] >= n)
+            return NAN;
+    }
+    for (int64_t prev = 0;; ) {
+        int64_t b = n, amax = 0;
+        for (int64_t k = 0; k < m; k++) {
+            int64_t bk = ch[3 * k + 1];
+            if (bk > prev && bk < b) b = bk;
+        }
+        if (b == n) return total;
+        for (int64_t k = 0; k < m; k++) {
+            if (ch[3 * k + 1] != b) continue;
+            int64_t a = ch[3 * k];
+            w[a * n + b] = ch[3 * k + 2] ? hop[b - a] : INFINITY;
+            if (a > amax) amax = a;
+        }
+        for (int64_t i = 0; i <= amax; i++) {
+            double *row = s + i * n;
+            for (int64_t j = b; j < n; j++) {
+                total -= row[j];
+                row[j] = INFINITY;
+            }
+        }
+        for (int64_t u = 0; u < b; u++) {
+            int64_t top = u < amax ? u : amax;
+            for (int64_t v = b; v < n; v++) {
+                double c = w[u * n + v];
+                if (isinf(c)) continue;
+                const double *tail = s + v * n;
+                for (int64_t i = 0; i <= top; i++) {
+                    double head = s[i * n + u] + c;
+                    double *row = s + i * n;
+                    for (int64_t j = b; j < n; j++) {
+                        double via = head + tail[j];
+                        row[j] = via < row[j] ? via : row[j];
+                    }
+                }
+            }
+        }
+        for (int64_t i = 0; i <= amax; i++) {
+            for (int64_t j = b; j < n; j++) total += s[i * n + j];
+        }
+        prev = b;
     }
 }
 """
@@ -183,6 +247,8 @@ class _Kernels:
         lib.repro_row_dist_batch.restype = None
         lib.repro_fw_batch.argtypes = [ptr, ptr, i64, i64]
         lib.repro_fw_batch.restype = None
+        lib.repro_engine_apply.argtypes = [ptr, ptr, ptr, i64, ptr, i64, ctypes.c_double]
+        lib.repro_engine_apply.restype = ctypes.c_double
         self._lib = lib
 
     @staticmethod
@@ -203,6 +269,28 @@ class _Kernels:
         self._lib.repro_fw_batch(
             d.ctypes.data, nh.ctypes.data, d.shape[0], d.shape[1]
         )
+
+    def engine_apply(self, s: np.ndarray, w: np.ndarray, hop: np.ndarray):
+        """Bind the engine kernel to an ``(n, n)`` layer ``s``, weight
+        matrix ``w`` and ``n`` link costs ``hop``, checked once.  The
+        returned ``apply(changes, total)`` applies ``(a, b, is_add)``
+        triples in place and returns the new running total."""
+        n = len(hop)
+        for arr, shape in ((s, (n, n)), (w, (n, n)), (hop, (n,))):
+            self._require(arr, np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"engine kernel needs shape {shape}, got {arr.shape}")
+        fn, args = self._lib.repro_engine_apply, (s.ctypes.data, w.ctypes.data, hop.ctypes.data, n)
+
+        def apply(changes, total: float) -> float:
+            flat = [x for a, b, add in changes for x in (a, b, 1 if add else 0)]
+            out = fn(*args, (ctypes.c_int64 * len(flat))(*flat), len(changes), total)
+            if out != out:
+                raise ValueError(f"not express links of an {n}-router row: {changes}")
+            return out
+
+        apply.arrays = (s, w, hop)  # the buffers must outlive the binding
+        return apply
 
 
 def load() -> _Kernels:

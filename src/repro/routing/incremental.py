@@ -26,9 +26,10 @@ those pairs the distance decomposes over the crossing edges::
 where ``D(i, u)`` (``u < b``) and ``D(v, j)`` (``v >= b``) are existing
 distances on the unchanged sides of the cut.  The same identity holds
 for additions *and* removals -- the min is re-taken over the new
-crossing set.  One numpy broadcast evaluates the min for the whole
-affected block; the right-to-left direction needs no update of its
-own, since it is read as the transpose of the same layer.
+crossing set, read from the row's left-to-right weight matrix.  One
+rewrite evaluates the min for the whole affected block; the
+right-to-left direction needs no update of its own, since it is read as
+the transpose of the same layer.
 
 A change set may hold any number of links at any number of right
 endpoints (the annealer hands over the whole difference between the
@@ -46,27 +47,40 @@ A change set is undone by applying its inverse (every add becomes a
 remove and vice versa); the annealer never needs even that, since its
 engine walk only moves on to the next memo miss.
 
+Each rewrite also moves a running total of the layer's upper triangle
+by the block's change of sum, so ``mean_distance()`` reads no matrix.
+On the native tier a whole change set is one compiled call
+(:mod:`repro.routing._native_cext`), so no Python runs between the
+blocks of a memo miss; elsewhere the NumPy rewrite below, its parity
+reference, runs group by group.
+
 Drift self-check
 ----------------
 
 All block updates compute the same mins as Floyd-Warshall, but may
 associate floating-point additions differently, so bit-identity with
-the full solver is guaranteed only when hop-cost sums are exact (e.g.
-the integral default :class:`HopCostModel`).  ``self_check()`` compares
-the maintained state -- distances *and* reconstructed next-hops --
-against a from-scratch solve, and ``resync()`` repairs by rebuilding.
-The annealer runs it every ``SELF_CHECK_EVERY`` accepted moves and, on
-a mismatch, emits an ``sa.resync`` event, rebuilds, and re-prices its
+the full solver -- and an exact running total -- is guaranteed only
+when hop-cost sums are exact (e.g. the integral default
+:class:`HopCostModel`).  ``self_check()`` compares the maintained state
+-- distances, total *and* reconstructed next-hops -- against a
+from-scratch solve, and ``resync()`` repairs by rebuilding.  The
+annealer runs it every ``SELF_CHECK_EVERY`` accepted moves and, on a
+mismatch, emits an ``sa.resync`` event, rebuilds, and re-prices its
 current and best states rather than corrupting the run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.routing import native
+from repro.routing.impls import resolve_impl
 from repro.routing.shortest_path import (
+    INF,
     LEFT_TO_RIGHT,
     HopCostModel,
     combine_directions,
@@ -85,20 +99,12 @@ LinkChange = Tuple[int, int, bool]
 class IncrementalApspEngine:
     """Maintains directional row-graph distances under link flips.
 
-    State layout (all float64, shape ``(n, n)``):
-
-    * ``_S[i, j]`` -- left-to-right distance ``i -> j`` (``i <= j``);
-      by the transpose identity it is also the right-to-left distance
-      ``j -> i``, so this one layer holds both directions,
-    * ``_D`` -- the combined matrix :func:`directional_distances`
-      returns (upper = l2r, lower = r2l, diagonal zero), synced lazily
-      from ``_S`` because only :meth:`distances` needs it.
-
-    ``impl`` (``None``: the machine's tier) selects the row kernel of
-    the from-scratch rebuild; the block rewrites are NumPy on every
-    tier.  ``self_check()`` re-solves with the full two-pass
-    :func:`floyd_warshall_batch`, so it also gates the triangular row
-    kernel on live SA state.
+    State: ``_W``, the row's left-to-right weight matrix and the one
+    owner of the link set; ``_S[i, j]``, the left-to-right distance
+    ``i -> j`` (``i <= j``), by the transpose identity also the
+    right-to-left distance ``j -> i``; and ``_total``, the sum of
+    ``_S``'s upper triangle.  ``impl`` (``None``: the machine's tier)
+    picks the kernels of the rebuild and of :meth:`apply_link_changes`.
     """
 
     def __init__(
@@ -109,19 +115,27 @@ class IncrementalApspEngine:
     ) -> None:
         self.n = placement.n
         self.cost = cost or HopCostModel()
-        self.impl = impl
-        self.links = set(placement.express_links)
-        self._hop = [self.cost.hop_cost(k) for k in range(max(self.n, 2))]
+        self.impl = resolve_impl(impl)
+        self._hop = np.array([self.cost.hop_cost(k) for k in range(self.n)])
         self._upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
+        self._W = weight_matrix(placement, self.cost, LEFT_TO_RIGHT)
         self._rebuild()
 
     # -- construction / repair ------------------------------------------
 
     def _rebuild(self) -> None:
-        w = weight_matrix(self.placement, self.cost, LEFT_TO_RIGHT)
-        self._S = row_distances_batch(w[None], impl=self.impl)[0]
-        self._D = combine_directions(self._S)
-        self._dirty = []  # (rows, b) boxes where _D lags _S
+        self._S = row_distances_batch(self._W[None], impl=self.impl)[0]
+        self._total = float(np.sum(self._S[self._upper]))
+        self._apply = (
+            native.load().engine_apply(self._S, self._W, self._hop)
+            if self.impl == "native" else self._rewrite
+        )
+
+    @property
+    def links(self) -> Set[Tuple[int, int]]:
+        """The express links the engine holds, read from ``_W``."""
+        a, b = np.nonzero(np.triu(self._W < INF, k=2))
+        return set(zip(a.tolist(), b.tolist()))
 
     @property
     def placement(self) -> RowPlacement:
@@ -130,50 +144,35 @@ class IncrementalApspEngine:
 
     # -- the O(n^2) update ----------------------------------------------
 
-    def _update_boundary(self, amax: int, b: int) -> None:
-        """Re-min the block ``rows <= amax``, ``cols >= b`` over the
-        edges crossing the (b-1 | b) cut."""
-        S = self._S
-        hop = self._hop
-        us = [b - 1]
-        vs = [b]
-        cs = [hop[1]]
-        for (u, v) in self.links:
-            if u < b <= v:
-                us.append(u)
-                vs.append(v)
-                cs.append(hop[v - u])
-        rows = amax + 1
-        if len(us) < 5:
-            # Few crossing edges (the norm: the cross-section limit caps
-            # them): scalar-indexed views beat the fancy-index gather's
-            # dispatch overhead.  Same association order, so the sums
-            # stay bitwise-equal to the batched form.
-            acc = None
-            for u, v, c in zip(us, vs, cs):
-                t = (S[:rows, u, None] + c) + S[v, None, b:]
-                if acc is None:
-                    acc = t
-                else:
-                    np.minimum(acc, t, out=acc)
-            S[:rows, b:] = acc
-        else:
-            A = S[:rows, us]  # (rows, K) gather -> safe to add in place
-            A += np.array(cs)
-            T = A[:, :, None] + S[vs, b:][None, :, :]
-            np.min(T, axis=1, out=S[:rows, b:])
-
-    def _sync(self) -> None:
-        # Every box satisfies rows <= b (link left endpoints sit left of
-        # the boundary), so each lies strictly in the upper triangle and
-        # plain slice copies never leak an inf sentinel from the
-        # layer's dead lower half.
-        if self._dirty:
-            for rows, b in self._dirty:
-                block = self._S[:rows, b:]
-                self._D[:rows, b:] = block
-                self._D[b:, :rows] = block.T
-            self._dirty = []
+    def _rewrite(self, changes: Sequence[LinkChange], total: float) -> float:
+        """The NumPy twin of the compiled kernel.  Per right endpoint
+        ``b``, ascending: the group's links enter or leave ``_W``, then
+        the block ``rows <= amax``, ``cols >= b`` is re-minned over the
+        edges crossing the (b-1 | b) cut.  Returns the new total."""
+        S, W = self._S, self._W
+        for b, group in groupby(sorted(changes, key=itemgetter(1)), itemgetter(1)):
+            rows = 1
+            for a, _, is_add in group:
+                W[a, b] = self._hop[b - a] if is_add else INF
+                rows = max(rows, a + 1)
+            Wq = W[:b, b:]
+            us, vs = np.isfinite(Wq).nonzero()  # crossing (u, v + b)
+            block = S[:rows, b:]
+            total -= np.add.reduce(block, None)
+            if len(us) < 3:
+                # One or two crossing edges: scalar-indexed views beat
+                # the fancy-index gather's dispatch overhead.  Same
+                # association, so the sums stay bitwise-equal.
+                acc = None
+                for u, v in zip(us.tolist(), vs.tolist()):
+                    t = (S[:rows, u, None] + Wq[u, v]) + S[v + b, None, b:]
+                    acc = t if acc is None else np.minimum(acc, t, out=acc)
+            else:
+                A = S[:rows, us] + Wq[us, vs]
+                acc = (A[:, :, None] + S[vs + b, b:]).min(axis=1)
+            block[...] = acc
+            total += np.add.reduce(acc, None)
+        return float(total)
 
     # -- edit API --------------------------------------------------------
 
@@ -183,32 +182,18 @@ class IncrementalApspEngine:
         ``changes`` may hold any number of links and arrive in any
         order; links sharing a right endpoint are applied together, as
         one exact block rewrite per endpoint (see the module
-        docstring).
+        docstring).  The whole set is validated before anything moves.
         """
-        links = self.links
+        weight, n = self._W.item, self.n
         for a, b, is_add in changes:
-            if is_add == ((a, b) in links):
+            if not (0 <= a and a + 2 <= b < n):
+                raise ConfigurationError(
+                    f"({a}, {b}) is not an express link of a {n}-router row"
+                )
+            if is_add == (weight(a, b) < INF):
                 verb = "add existing" if is_add else "remove absent"
                 raise ConfigurationError(f"cannot {verb} link ({a}, {b})")
-        self._sync()
-        if len(changes) > 1:
-            changes = sorted(changes, key=lambda c: c[1])
-        i = 0
-        nch = len(changes)
-        while i < nch:
-            b = changes[i][1]
-            amax = 0
-            while i < nch and changes[i][1] == b:
-                a, _, is_add = changes[i]
-                if is_add:
-                    links.add((a, b))
-                else:
-                    links.discard((a, b))
-                if a > amax:
-                    amax = a
-                i += 1
-            self._dirty.append((amax + 1, b))
-            self._update_boundary(amax, b)
+        self._total = self._apply(changes, self._total)
 
     def add_link(self, a: int, b: int) -> None:
         self.apply_link_changes([(a, b, True)])
@@ -219,17 +204,15 @@ class IncrementalApspEngine:
     # -- read API --------------------------------------------------------
 
     def distances(self) -> np.ndarray:
-        """Combined directional distance matrix (engine-owned buffer;
-        treat as read-only, it is reused across updates)."""
-        self._sync()
-        return self._D
+        """Combined directional distance matrix (a fresh array)."""
+        return combine_directions(self._S)
 
     def mean_distance(self) -> float:
-        # np.sum(x) / x.size uses the same pairwise reduction as
-        # x.mean(), so this is bitwise-equal to the full objective's
-        # float(dist.mean()) -- just a little cheaper per move.
-        self._sync()
-        return float(np.sum(self._D) / self._D.size)
+        # The combined matrix holds the upper triangle twice around a
+        # zero diagonal.  Under integral hop costs (the engine walk's
+        # domain) every partial sum is an exact integer, so this equals
+        # the full objective's float(np.sum(D) / D.size) bit for bit.
+        return 2.0 * self._total / (self.n * self.n)
 
     def next_hops(self) -> np.ndarray:
         """Reconstruct the canonical next-hop table from distances.
@@ -245,7 +228,7 @@ class IncrementalApspEngine:
         self-check reports as a mismatch).
         """
         n = self.n
-        w = weight_matrix(self.placement, self.cost, LEFT_TO_RIGHT)
+        w = self._W
         S = self._S
         nh = np.full((n, n), -1, dtype=np.int64)
         np.fill_diagonal(nh, np.arange(n))
@@ -269,21 +252,20 @@ class IncrementalApspEngine:
             nh[j, :j] = np.where(direct, rows_, np.where(hit, kstar, -1))
         return nh
 
-    def paths(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(distances, next_hops) mirroring :func:`directional_paths`."""
-        return self.distances().copy(), self.next_hops()
-
     # -- drift self-check ------------------------------------------------
 
     def self_check(self) -> bool:
         """True iff state is bit-identical to a from-scratch two-pass
-        solve (the layer, the combined matrix, and next-hops)."""
+        solve (the layer, the combined matrix, the running total, and
+        next-hops)."""
         dist, nh = floyd_warshall_batch(weight_stack(self.placement, self.cost))
         if not np.array_equal(self._S, dist[0]):
             return False
         ref = np.where(self._upper, dist[0], dist[1])
         np.fill_diagonal(ref, 0.0)
         if not np.array_equal(self.distances(), ref):
+            return False
+        if 2.0 * self._total != np.sum(ref):
             return False
         ref_nh = np.where(self._upper, nh[0], nh[1])
         np.fill_diagonal(ref_nh, np.arange(self.n))

@@ -1,7 +1,7 @@
 """The ``"native"`` kernel tier: loading and dispatch.
 
 This module is the only place that knows *how* the native tier is
-provided: :mod:`repro.routing._native_cext`, two kernels in plain C,
+provided: :mod:`repro.routing._native_cext`, three kernels in plain C,
 compiled once per machine with the system C compiler into a per-user
 build cache and loaded via ctypes.  Anything importing this module
 stays cheap -- nothing is compiled or loaded until :func:`load` runs,
@@ -9,15 +9,17 @@ so ``import repro`` never touches the toolchain (a test pins that).
 :func:`repro.routing.impls.default_impl` calls :func:`available` once
 per process to decide the tier.
 
-The kernel contract (both in place, C-contiguous float64/int64):
+The kernel contract (all in place, C-contiguous float64/int64):
 
 * ``row_dist_batch(d)`` -- the left-to-right row Floyd-Warshall over a
   ``(B, n, n)`` stack, distances only, relaxing the ``i < k < j``
   block of each pivot,
 * ``fw_batch(d, nh)`` -- batched min-plus Floyd-Warshall over any
-  ``(B, n, n)`` stack, emitting next-hop tables.
+  ``(B, n, n)`` stack, emitting next-hop tables,
+* ``engine_apply(s, w, hop)`` -- binds an incremental engine's arrays
+  and returns ``apply(changes, total)``: one call per link diff.
 
-Both are bit-identical to their NumPy counterparts on the domain the
+All are bit-identical to their NumPy counterparts on the domain the
 weight builders produce (nonnegative weights, zero diagonal, ``inf``
 sentinels, no NaN); see :mod:`repro.routing._native_cext` for the
 invariance argument and the cross-tier parity suites for the pin.
@@ -96,7 +98,7 @@ def warmup(obs=None) -> str:
     """Load (building if needed) and exercise the kernels, outside any span.
 
     Idempotent per process: the first call pays the load -- and the C
-    build on a cold cache -- plus a tiny-input run of both kernels;
+    build on a cold cache -- plus a tiny-input run of every kernel;
     later calls return immediately.  With an
     :class:`~repro.obs.Instrumentation` attached, the first call emits
     a ``kernel.compile`` event and sets the ``kernel.compile_seconds``
@@ -113,6 +115,8 @@ def warmup(obs=None) -> str:
     d2 = np.array([[[0.0, 1.0], [np.inf, 0.0]]])
     nh = np.array([[[0, 1], [-1, 1]]], dtype=np.int64)
     kernels.fw_batch(d2, nh)
+    w = np.array([[0.0, 1.0, np.inf], [np.inf, 0.0, 1.0], [np.inf, np.inf, 0.0]])
+    kernels.engine_apply(d[0], w, np.arange(3.0))([(0, 2, True)], 4.0)
     seconds = time.perf_counter() - start
     _state["warm"] = True
     if obs is not None and not getattr(obs, "is_null", True):

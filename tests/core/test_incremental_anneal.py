@@ -149,9 +149,10 @@ class TestDriftRepair:
                 # Distance 0 -> 1 sits left of every link boundary, so
                 # no block rewrite ever repairs it; lowering it far
                 # below any real distance makes every energy the engine
-                # prices from here on a new best.
+                # prices from here on a new best.  The running total
+                # that prices those energies drops with it.
                 self._S[0, 1] -= 100.0
-                self._D[0, 1] -= 100.0
+                self._total -= 100.0
 
         monkeypatch.setattr(
             IncrementalApspEngine, "apply_link_changes", corrupting

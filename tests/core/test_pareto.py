@@ -10,10 +10,12 @@ from repro.core.annealing import AnnealingParams
 from repro.core.application_aware import weighted_average_head_latency
 from repro.core.latency import mean_row_head_latency
 from repro.core.optimizer import solve_row_problem
+from repro.core.connection_matrix import iter_unique_placements
 from repro.core.pareto import (
     ParetoFront,
     ParetoPricer,
     ParetoSpec,
+    _VectorObjective,
     aggregate_weights,
     dominates,
     hypervolume,
@@ -21,6 +23,7 @@ from repro.core.pareto import (
     pareto_front,
     pareto_sweep,
 )
+from repro.routing.shortest_path import HopCostModel
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
 from repro.traffic.parsec import PARSEC_WORKLOADS, workload_gamma
@@ -160,6 +163,43 @@ class TestSpecAndPricer:
         assert by_axis["latency"][1] < by_axis["latency"][0]
         assert by_axis["channel_load"][1] < by_axis["channel_load"][0]
         assert by_axis["area"][1] > by_axis["area"][0]
+
+
+class TestMirrorFold:
+    """The exact search folds a placement with its mirror image only
+    where every axis prices the pair bit for bit."""
+
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("objectives", [
+        ("latency",),
+        ("latency", "power"),
+        ("power", "area"),
+        ("latency", "channel_load"),
+    ])
+    def test_fold_predicate_implies_bit_identical_mirrors(self, c, objectives):
+        pricer = ParetoPricer(ParetoSpec(n=8, link_limit=c, objectives=objectives))
+        if not _VectorObjective(pricer, 0).mirror_invariant():
+            assert objectives != ("latency",)
+            return
+        for placement in iter_unique_placements(8, c, fold=False):
+            assert pricer.price(placement) == pricer.price(placement.reversed())
+
+    def test_static_power_tells_mirrors_apart(self):
+        # The pair behind the rule: mesh axes sum in node order.
+        pricer = ParetoPricer(ParetoSpec(n=8, link_limit=2, objectives=("power",)))
+        left = pricer.price(RowPlacement(8, frozenset({(2, 6)})))
+        right = pricer.price(RowPlacement(8, frozenset({(1, 5)})))
+        assert left != right
+        assert left == pytest.approx(right, rel=1e-12)
+
+    def test_weights_or_non_integral_costs_never_fold(self):
+        w = tuple(tuple(float(i == j + 1) for j in range(8)) for i in range(8))
+        for spec in (
+            ParetoSpec(n=8, link_limit=2, objectives=("latency",), weights=w),
+            ParetoSpec(n=8, link_limit=2, objectives=("latency",),
+                       cost=HopCostModel(router_delay=2.5)),
+        ):
+            assert not _VectorObjective(ParetoPricer(spec), 0).mirror_invariant()
 
 
 class TestFrontSearch:

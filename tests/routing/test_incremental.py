@@ -26,6 +26,7 @@ from repro.routing.shortest_path import (
     HopCostModel,
     directional_paths,
     floyd_warshall_batch,
+    row_distances_batch,
     weight_stack,
 )
 from repro.topology.row import RowPlacement
@@ -99,6 +100,18 @@ class TestSingleEdits:
         engine = IncrementalApspEngine(RowPlacement.mesh(6))
         with pytest.raises(ConfigurationError):
             engine.apply_link_changes([(0, 2, True), (0, 3, False)])
+        assert engine.links == set()
+        assert_matches_full(engine)
+
+    @pytest.mark.parametrize("engine_impl", ENGINE_IMPLS)
+    @pytest.mark.parametrize("link", [(2, 3), (-1, 3), (3, 6), (4, 2)])
+    def test_non_express_links_rejected(self, engine_impl, link):
+        # Local links, negative or out-of-row endpoints and reversed
+        # pairs never reach a kernel: they name no express link.
+        engine = IncrementalApspEngine(RowPlacement.mesh(6), impl=engine_impl)
+        for is_add in (True, False):
+            with pytest.raises(ConfigurationError, match="not an express"):
+                engine.apply_link_changes([(0, 3, True), (*link, is_add)])
         assert engine.links == set()
         assert_matches_full(engine)
 
@@ -202,6 +215,63 @@ class TestResync:
         engine.resync()
         assert engine.self_check()
         assert_matches_full(engine)
+
+    @pytest.mark.parametrize("engine_impl", ENGINE_IMPLS)
+    def test_resync_repairs_corrupted_total(self, engine_impl):
+        engine = IncrementalApspEngine(
+            RowPlacement(8, frozenset({(1, 5)})), impl=engine_impl
+        )
+        engine.add_link(2, 7)
+        engine._total += 1.0  # drift in the running total alone
+        assert not engine.self_check()
+        engine.resync()
+        assert engine.self_check()
+        assert engine.mean_distance() == float(
+            directional_paths(engine.placement)[0].mean()
+        )
+
+
+class TestWideCuts:
+    """A fully connected row: its middle cut is crossed by thousands of
+    edges, so nothing in the update may hold them in fixed scratch."""
+
+    N = 130
+    MID = N // 2
+
+    @pytest.fixture(scope="class")
+    def full_row(self):
+        links = frozenset(
+            (a, b) for a in range(self.N) for b in range(a + 2, self.N)
+        )
+        return RowPlacement(self.N, links)
+
+    @staticmethod
+    def assert_layer_exact(engine):
+        w = weight_stack(engine.placement, engine.cost)[:1]
+        np.testing.assert_array_equal(engine._S, row_distances_batch(w)[0])
+        assert 2.0 * engine._total == np.sum(engine.distances())
+
+    @pytest.mark.parametrize("engine_impl", ENGINE_IMPLS)
+    def test_middle_cut_rewrite(self, full_row, engine_impl):
+        engine = IncrementalApspEngine(full_row, impl=engine_impl)
+        crossing = np.isfinite(engine._W[:self.MID, self.MID:]).sum()
+        assert crossing == self.MID * (self.N - self.MID) == 4225
+        engine.remove_link(0, self.MID)
+        self.assert_layer_exact(engine)
+        engine.add_link(0, self.MID)
+        self.assert_layer_exact(engine)
+
+    def test_middle_cut_full_block_compiled(self, full_row):
+        # Every row of the block above the cut, on the compiled kernel
+        # (the NumPy twin's (rows, K, cols) temporary would be ~140 MB).
+        if "native" not in ENGINE_IMPLS:
+            pytest.skip("native tier unavailable (no C toolchain)")
+        engine = IncrementalApspEngine(full_row, impl="native")
+        engine.apply_link_changes(
+            [(self.MID - 1, self.MID + 1, False), (0, self.MID + 1, False)]
+        )
+        self.assert_layer_exact(engine)
+        assert engine.self_check()
 
 
 class TestPlacementLinkChanges:

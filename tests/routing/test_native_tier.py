@@ -44,14 +44,18 @@ from repro.core.latency import RowObjective
 from repro.core.optimizer import optimize
 from repro.routing import _native_cext, native
 from repro.routing.impls import available_impls
+from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.shortest_path import (
+    LEFT_TO_RIGHT,
     HopCostModel,
     batched_mean_distances,
     floyd_warshall_batch,
     floyd_warshall_distances_batch,
     row_distances_batch,
+    weight_matrix,
     weight_stack_population,
 )
+from repro.topology.row import RowPlacement
 from tests.conftest import row_weight_stacks
 
 pytestmark = pytest.mark.skipif(
@@ -127,6 +131,81 @@ class TestAdversarialStacks:
             row_distances_batch(w, impl="native"),
             row_distances_batch(w, impl="vectorized"),
         )
+
+
+class TestEngineKernel:
+    """The compiled link-diff update: its contract checks, and bit
+    parity with the NumPy twin on SA-shaped change sets."""
+
+    @staticmethod
+    def engine_arrays(n=6):
+        placement = RowPlacement(n, frozenset({(0, 3), (2, 5)}))
+        w = weight_matrix(placement, HopCostModel(), LEFT_TO_RIGHT)
+        s = row_distances_batch(w[None])[0]
+        hop = np.array([HopCostModel().hop_cost(k) for k in range(n)])
+        return s, w, hop
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["float32", "strided", "shape"])
+    def test_wrapper_refuses_wrong_dtype_or_layout(self, which, bad):
+        arrays = list(self.engine_arrays())
+        arr = arrays[which]
+        if bad == "float32":
+            arr = arr.astype(np.float32)
+        elif bad == "strided":
+            arr = np.stack([arr, arr], axis=-1)[..., 0]
+            assert not arr.flags.c_contiguous
+        else:
+            arr = np.ascontiguousarray(arr[:-1])
+        arrays[which] = arr
+        with pytest.raises(ValueError):
+            native.load().engine_apply(*arrays)
+
+    @pytest.mark.parametrize("triple", [(2, 3, True), (-1, 3, True),
+                                        (1, 6, True), (4, 2, False)])
+    def test_kernel_refuses_non_express_links_untouched(self, triple):
+        s, w, hop = self.engine_arrays()
+        before = s.copy(), w.copy()
+        apply = native.load().engine_apply(s, w, hop)
+        with pytest.raises(ValueError):
+            apply([(1, 4, True), triple], 0.0)
+        assert np.array_equal(s, before[0]) and np.array_equal(w, before[1])
+
+    def test_numpy_bools_are_accepted(self):
+        engine = IncrementalApspEngine(RowPlacement.mesh(8), impl="native")
+        twin = IncrementalApspEngine(RowPlacement.mesh(8), impl="vectorized")
+        for eng in (engine, twin):
+            eng.apply_link_changes([(1, 5, np.True_), (0, 7, np.bool_(1))])
+        assert np.array_equal(engine._S, twin._S)
+        assert engine._total == twin._total
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(2, 15)), max_size=24,
+    ), seed=st.integers(0, 2**32 - 1), integral=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_diffs_match_numpy_twin(self, pairs, seed, integral):
+        """Random link diffs at n=16 -- many links at many right
+        endpoints in one call -- leave both twins bit-identical: the
+        layer and the weight matrix under any costs (same association,
+        and a min is exact), the running total where sums are exact."""
+        cost = HopCostModel() if integral else TestPopulationPricing.COST
+        rng = np.random.default_rng(seed)
+        start = ConnectionMatrix.random(16, 4, rng=rng).decode()
+        engines = [IncrementalApspEngine(start, cost, impl=i)
+                   for i in ("native", "vectorized")]
+        held = set(start.express_links)
+        changes = []
+        for a, b in sorted({(a, b) for a, b in pairs if b >= a + 2}):
+            changes.append((a, b, (a, b) not in held))
+        for eng in engines:
+            eng.apply_link_changes(changes)
+        nat, vec = engines
+        assert np.array_equal(nat._S, vec._S)
+        assert np.array_equal(nat._W, vec._W)
+        if integral:
+            assert nat._total == vec._total
+            assert nat.mean_distance() == vec.mean_distance()
+            assert nat.self_check()
 
 
 class TestPopulationPricing:

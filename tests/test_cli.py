@@ -18,6 +18,10 @@ SEARCH_GOLDENS = {
     "optimize_n8_smoke_seed2019": [
         "optimize", "--n", "8", "--effort", "smoke", "--seed", "2019",
     ],
+    # The engine walk at n=16 over every C of the sweep (2..64).
+    "optimize_n16_quick_seed2019": [
+        "optimize", "--n", "16", "--effort", "quick", "--seed", "2019",
+    ],
     "solve_n12_c2_exact": [
         "solve", "--n", "12", "--c", "2", "--method", "exact",
     ],
