@@ -44,10 +44,6 @@ class RuntimeCurves:
             },
         )
 
-    def final_gap_percent(self) -> float:
-        """OnlySA's excess latency at the largest budget (percent)."""
-        return 100.0 * (self.only_sa[-1] - self.dc_sa[-1]) / self.dc_sa[-1]
-
     def budget_to_quality(self, scheme: str, tolerance: float = 0.01) -> float:
         """Smallest budget at which ``scheme`` is within ``tolerance``
         of the best final energy either scheme achieved.

@@ -95,6 +95,11 @@ from repro.util.errors import ConfigurationError
 #: One link edit: ``(a, b, is_add)`` with ``a < b``.
 LinkChange = Tuple[int, int, bool]
 
+#: Elements (8 MiB of float64) of the ``(rows, edges, cols)`` temporary
+#: one step of the NumPy block rewrite may hold; a cut crossed by more
+#: edges is folded in chunks of edges.
+REWRITE_CHUNK_ELEMENTS = 1 << 20
+
 
 class IncrementalApspEngine:
     """Maintains directional row-graph distances under link flips.
@@ -168,8 +173,15 @@ class IncrementalApspEngine:
                     t = (S[:rows, u, None] + Wq[u, v]) + S[v + b, None, b:]
                     acc = t if acc is None else np.minimum(acc, t, out=acc)
             else:
+                # Min is exact, so folding the edges chunk by chunk
+                # gives the bits of one (rows, K, cols) reduction.
                 A = S[:rows, us] + Wq[us, vs]
-                acc = (A[:, :, None] + S[vs + b, b:]).min(axis=1)
+                tail = S[vs + b, b:]
+                step = max(1, REWRITE_CHUNK_ELEMENTS // block.size)
+                acc = (A[:, :step, None] + tail[:step]).min(axis=1)
+                for k in range(step, len(us), step):
+                    part = (A[:, k:k + step, None] + tail[k:k + step]).min(axis=1)
+                    np.minimum(acc, part, out=acc)
             block[...] = acc
             total += np.add.reduce(acc, None)
         return float(total)

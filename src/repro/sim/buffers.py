@@ -6,6 +6,11 @@ a VC because the upstream router sends each worm contiguously on the VC
 it allocated).  The VC tracks the route state of the worm currently at
 its head: the output channel chosen by route computation and the
 downstream VC granted by VC allocation.
+
+Every VC reports whether it holds a flit to the router that owns it:
+:meth:`VirtualChannel.push` sets, and :meth:`VirtualChannel.pop` clears,
+the VC's bit in ``Router.occupied`` as the buffer leaves or reaches
+empty, so the allocator visits occupied VCs only.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.sim.flit import Flit
 class VirtualChannel:
     """One VC FIFO plus the route state of the worm at its head."""
 
-    __slots__ = ("buffer", "out_channel", "out_vc")
+    __slots__ = ("buffer", "out_channel", "out_vc", "owner", "bit")
 
     def __init__(self) -> None:
         self.buffer: Deque[Flit] = deque()
@@ -28,13 +33,24 @@ class VirtualChannel:
         self.out_channel: Optional[int] = None
         # Downstream VC index granted by VC allocation (None until VA).
         self.out_vc: Optional[int] = None
+        # The router whose ``occupied`` mask carries this VC's ``bit``
+        # (bound by ``Router.add_input``).
+        self.owner = None
+        self.bit = 0
 
     def push(self, flit: Flit, cycle: int) -> None:
         flit.ready_at = cycle
-        self.buffer.append(flit)
+        buffer = self.buffer
+        if not buffer:
+            self.owner.occupied |= self.bit
+        buffer.append(flit)
 
     def pop(self) -> Flit:
-        return self.buffer.popleft()
+        buffer = self.buffer
+        flit = buffer.popleft()
+        if not buffer:
+            self.owner.occupied &= ~self.bit
+        return flit
 
     def reset_route(self) -> None:
         self.out_channel = None

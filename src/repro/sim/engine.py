@@ -5,21 +5,24 @@ One simulated cycle proceeds in fixed phases:
 1. the traffic generator offers new packets to the NIs (source queues),
 2. link and credit pipelines deliver everything due this cycle,
 3. NIs stream at most one flit each into their injection channels,
-4. every router holding flits runs one round of VC/switch allocation.
+4. every router that held flits before this cycle's deliveries runs one
+   round of VC/switch allocation (flits that arrived this cycle cannot
+   move before the next).
 
 Phase effects only become visible to other phases on later cycles
 (pipelines add at least one cycle), so intra-cycle phase order cannot
 create causality artifacts.
 
-Each phase sweeps only the network's incrementally maintained active
-sets (see :mod:`repro.sim.network`), and when the whole fabric is
+Each phase is driven by events (see :mod:`repro.sim.network`): delivery
+drains only the wires the due-cycle calendar files under this cycle,
+injection ticks only NIs with backlog, and allocation runs only routers
+holding flits, over their occupied input VCs.  When the whole fabric is
 quiescent between injections the loop jumps the cycle counter straight
 to the next cycle at which the traffic generator can possibly emit a
-packet (``next_packet_cycle``).  Components are visited in ascending
-order, so per-run summaries are byte-identical to a loop that polls
-every wire, NI and router each cycle and never skips; the parity tests
-check this against such a loop (``tests/sim/oracle.py``) across
-routing modes.
+packet (``next_packet_cycle``).  Per-run summaries are byte-identical
+to a loop that polls every wire, NI and router each cycle, scans every
+input VC and never skips; the parity tests check this against such a
+loop (``tests/sim/oracle.py``) across routing modes.
 
 The run ends when every packet created inside the measurement window
 has been ejected, or at ``max_cycles`` (whichever first); a watchdog
@@ -144,7 +147,7 @@ class Simulator:
     def step(self, cycle: int) -> int:
         """Advance one cycle; return the number of flit movements.
 
-        Visits only the components in the network's active sets.
+        Visits only the components that have work this cycle.
         """
         self._inject(cycle)
         net = self.network
@@ -286,10 +289,13 @@ class Simulator:
         * credits never negative nor above the receiving buffer depth,
         * no input VC holds more flits than its depth,
         * each router's ``buffer_writes - buffer_reads`` equals the
-          flits it buffers (the O(1) activity check trusts this),
-        * the active sets cover every router holding flits, every wire
-          with pipeline content and every NI with backlog (the step
-          visits nothing else).
+          flits it buffers (the power model's activity counters),
+        * each router's occupancy mask has exactly the bits of its
+          non-empty input VCs (the allocator visits nothing else),
+        * every router holding flits is active, every NI with backlog
+          is active, and each wire is in the calendar at the due cycle
+          of each of its pipelines' heads (the step visits nothing
+          else).
 
         Violations are simulator bugs, surfaced as
         :class:`SimulationError` with the offending cycle.
@@ -313,17 +319,28 @@ class Simulator:
                     f"buffer counters at router {router.node}, cycle {cycle}: "
                     f"writes - reads = {counted} but {buffered} flits buffered"
                 )
+            occupied = sum(
+                1 << i for i, (_, _, vc) in enumerate(router.input_vcs) if vc.buffer
+            )
+            if router.occupied != occupied:
+                raise SimulationError(
+                    f"occupancy mask at router {router.node}, cycle {cycle}: "
+                    f"{router.occupied:#x} but the VCs holding flits are "
+                    f"{occupied:#x}"
+                )
             if buffered and router.node not in net.active_routers:
                 raise SimulationError(
                     f"router {router.node} holds {buffered} flits but is not "
                     f"in the active set at cycle {cycle}"
                 )
+        calendar = net.wire_calendar
         for idx, (out, _, _) in enumerate(net._wires):
-            if (len(out.link) or len(out.credit_pipe)) and idx not in net.active_wires:
-                raise SimulationError(
-                    f"wire {idx} has pipeline content but is not in the "
-                    f"active set at cycle {cycle}"
-                )
+            for queue in (out.link._queue, out.credit_pipe._queue):
+                if queue and idx not in calendar.get(queue[0][0], ()):
+                    raise SimulationError(
+                        f"wire {idx} has pipeline content due at cycle "
+                        f"{queue[0][0]} but is not in the calendar at cycle {cycle}"
+                    )
         for ni in net.nis:
             if ni.has_backlog() and ni.node not in net.active_nis:
                 raise SimulationError(

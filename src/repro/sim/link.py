@@ -11,10 +11,11 @@ insertion per cycle at the upstream end), so delivery pops from the
 left only.
 
 Each pipeline optionally carries an ``on_activity`` callback, invoked
-on every :meth:`send`.  The network
-(:meth:`repro.sim.network.Network.deliver_active`) uses it to mark the
-owning wire live the instant anything enters either direction, so the
-delivery phase only ever visits wires that can possibly have work.
+on every :meth:`send` with the cycle the new entry comes due.  The
+network files the owning wire under that cycle in its due-cycle
+calendar, so the delivery phase
+(:meth:`repro.sim.network.Network.deliver_active`) visits a wire only in
+a cycle where something on it arrives.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ class LinkPipeline:
 
     def send(self, cycle: int, flit: Flit, vc: int) -> None:
         """Launch ``flit`` toward downstream VC ``vc`` at ``cycle`` (ST time)."""
-        self._queue.append((cycle + 1 + self.latency, flit, vc))
+        due = cycle + 1 + self.latency
+        self._queue.append((due, flit, vc))
         if self.on_activity is not None:
-            self.on_activity()
+            self.on_activity(due)
 
     def deliver(self, cycle: int) -> List[Tuple[Flit, int]]:
         """Pop every flit whose traversal completes by ``cycle``."""
@@ -79,9 +81,10 @@ class CreditPipeline:
         self.on_activity = None
 
     def send(self, cycle: int, vc: int) -> None:
-        self._queue.append((cycle + 1 + self.latency, vc))
+        due = cycle + 1 + self.latency
+        self._queue.append((due, vc))
         if self.on_activity is not None:
-            self.on_activity()
+            self.on_activity(due)
 
     def deliver(self, cycle: int) -> List[int]:
         out: List[int] = []

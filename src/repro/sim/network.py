@@ -7,22 +7,37 @@ ejection path.  Route lookups are precomputed into flat per-router
 ``dst -> output`` dictionaries so the hot allocation loop never touches
 the table machinery.
 
-Active-set scheduling: the network maintains three incremental active
-sets -- wires with a non-empty flit or credit pipeline, routers holding
-buffered flits, NIs with injection backlog.  They are updated at the
-moment state changes (pipeline ``send`` hooks, flit arrival, NI
-enqueue) and self-clean when a component drains, so each cycle phase
-(:meth:`deliver_active`, :meth:`tick_nis_active`,
-:meth:`allocate_active`) visits only components that can possibly have
-work.  Every phase iterates its set in ascending index order, so every
-stateful effect (including the float-summation order of the stats) is
+Event-driven scheduling: the network keeps three structures that are
+updated at the moment state changes, so each cycle phase visits only
+components that have work.
+
+* A due-cycle **calendar** of wires (``wire_calendar``: cycle -> wire
+  indices).  Every pipeline ``send`` passes the cycle its flit or
+  credit comes due to the wire's hook, which files the wire under that
+  cycle; :meth:`deliver_active` pops the current cycle's entry and
+  drains exactly those wires.  Each wire's delivery touches only its own
+  sender credits and its own downstream input port, so the order among
+  one cycle's wires changes nothing.
+* The **active routers**, those holding buffered flits.  A router that
+  flit arrivals woke joins the set after this cycle's allocation: every
+  flit it holds arrived this cycle, and a flit is not eligible in the
+  cycle it became readable, so allocating it could move nothing and
+  change no state.  Inside a router, the allocator visits only occupied
+  input VCs (``Router.occupied``).
+* The **active NIs**, those with injection backlog (the NI ``wake``
+  hook on enqueue).
+
+Routers and NIs are visited in ascending node order, so every stateful
+effect (including the float-summation order of the stats) is
 byte-identical to a loop that polls every component each cycle -- the
-test oracle in ``tests/sim/oracle.py`` is exactly that loop.
+test oracle in ``tests/sim/oracle.py`` is exactly that loop, with its
+own full-scan allocator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Set, Tuple
 
 from repro.routing.tables import RoutingTables
 from repro.sim.buffers import InputPort
@@ -61,10 +76,13 @@ class Network:
         # (output_channel, downstream_router, downstream_port_key)
         self._wires: List[Tuple[OutputChannel, Router, int]] = []
         self.nis: List[NetworkInterface] = []
-        # Active sets of the step engine (see module docstring).
-        self.active_wires: set = set()
-        self.active_routers: set = set()
-        self.active_nis: set = set()
+        # Scheduling state of the step engine (see module docstring).
+        self.wire_calendar: DefaultDict[int, Set[int]] = defaultdict(set)
+        self.active_routers: Set[int] = set()
+        self.active_nis: Set[int] = set()
+        # Routers woken by this cycle's arrivals; they join
+        # ``active_routers`` after this cycle's allocation.
+        self._woken: Set[int] = set()
 
         num_vcs = config.vcs_per_port
         depth_at = [
@@ -101,61 +119,71 @@ class Network:
                 router.route_tables[order] = table
 
     def _register_wire(self, out: OutputChannel, down_router: Router, port_key: int) -> None:
-        """Track one directed wire and hook its pipelines into the active set."""
+        """Track one directed wire and hook its pipelines into the calendar."""
         index = len(self._wires)
         self._wires.append((out, down_router, port_key))
-        active = self.active_wires
+        calendar = self.wire_calendar
 
-        def wake(idx=index, active=active):
-            active.add(idx)
+        def file_under(due, idx=index, calendar=calendar):
+            calendar[due].add(idx)
 
-        out.link.on_activity = wake
-        out.credit_pipe.on_activity = wake
+        out.link.on_activity = file_under
+        out.credit_pipe.on_activity = file_under
 
     # ------------------------------------------------------------------
     def deliver_active(self, cycle: int) -> int:
         """Move flits/credits whose pipeline latency expired; return flits.
 
-        Visits only wires with a non-empty pipeline.  Wires enter the
-        set via the pipeline ``send`` hooks and leave it here once both
-        directions drained; routers receiving flits are marked active
-        for the allocation phase.  Iteration is in ascending wire index.
+        Drains the wires the calendar files under ``cycle`` and nothing
+        else.  Routers receiving flits are woken for the next cycle's
+        allocation (see the module docstring).
         """
-        if not self.active_wires:
+        due = self.wire_calendar.pop(cycle, None)
+        if due is None:
             return 0
         moved = 0
-        for idx in sorted(self.active_wires):
-            out, down_router, port_key = self._wires[idx]
-            out.drain_credits(cycle)
-            arrivals = out.link.deliver(cycle)
-            if arrivals:
-                port = down_router.in_ports[port_key]
-                for flit, vc in arrivals:
-                    port.vcs[vc].push(flit, cycle)
-                    down_router.buffer_writes += 1
-                moved += len(arrivals)
-                self.active_routers.add(down_router.node)
-            if not out.link._queue and not out.credit_pipe._queue:
-                self.active_wires.discard(idx)
+        wires = self._wires
+        woken = self._woken
+        for idx in due:
+            out, down_router, port_key = wires[idx]
+            queue = out.credit_pipe._queue
+            while queue and queue[0][0] <= cycle:
+                out.credits[queue.popleft()[1]] += 1
+            queue = out.link._queue
+            if queue and queue[0][0] <= cycle:
+                vcs = down_router.in_ports[port_key].vcs
+                arrived = 0
+                while queue and queue[0][0] <= cycle:
+                    _, flit, vc = queue.popleft()
+                    vcs[vc].push(flit, cycle)
+                    arrived += 1
+                down_router.buffer_writes += arrived
+                moved += arrived
+                woken.add(down_router.node)
         return moved
 
     def allocate_active(self, cycle: int) -> int:
         """Run the allocator of every router holding flits; return grants.
 
-        Routers are marked by flit arrivals (:meth:`deliver_active`) and
-        leave the set once their input buffers empty, which
-        :meth:`Router.has_traffic` reads off the buffer counters in
-        O(1).  Ascending node order fixes the order of packet
-        completions, and therefore the stats' float-summation order.
+        A router leaves the set once its input buffers empty, which its
+        occupancy mask tells in O(1); routers woken by this cycle's
+        arrivals join it afterwards.  Ascending node order fixes the
+        order of packet completions, and therefore the stats'
+        float-summation order.
         """
-        if not self.active_routers:
-            return 0
         moved = 0
-        for node in sorted(self.active_routers):
-            router = self.routers[node]
-            moved += router.allocate(cycle)
-            if not router.has_traffic():
-                self.active_routers.discard(node)
+        active = self.active_routers
+        if active:
+            routers = self.routers
+            for node in sorted(active):
+                router = routers[node]
+                moved += router.allocate(cycle)
+                if not router.occupied:
+                    active.discard(node)
+        woken = self._woken
+        if woken:
+            active |= woken
+            woken.clear()
         return moved
 
     def tick_nis_active(self, cycle: int) -> int:
@@ -178,13 +206,11 @@ class Network:
     def is_idle(self) -> bool:
         """No flit buffered, in flight, or credit outstanding anywhere.
 
-        Constant-time via the active sets: every wire with pipeline
-        content and every router with buffered flits is in its set (the
-        sets only over-approximate, and only until the next active
-        sweep).  NI backlog is tracked separately via
-        :attr:`active_nis`.
+        Constant-time: every wire with pipeline content is in the
+        calendar and every router with buffered flits is active (between
+        steps).  NI backlog is tracked separately via :attr:`active_nis`.
         """
-        return not self.active_wires and not self.active_routers
+        return not self.wire_calendar and not self.active_routers
 
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:

@@ -15,6 +15,11 @@ allocation: a head flit wins only if a free downstream VC with an
 available credit exists (non-atomic VC reuse -- the VC is released when
 the tail flit is sent, which is safe because worms on one VC stay
 contiguous and drain in order).
+
+Requests are gathered from the occupied input VCs only: ``occupied`` is
+a bitmask over ``input_vcs`` that the VCs keep up to date on every push
+and pop, and its set bits are walked in ascending order -- the same
+request order as a scan of every input VC.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ class Router:
         "node",
         "in_ports",
         "input_vcs",
+        "occupied",
         "outputs",
         "output_order",
         "route_tables",
@@ -85,8 +91,10 @@ class Router:
         # key: upstream node id, or the router's own id for injection.
         self.in_ports: Dict[int, InputPort] = {}
         # (port key, vc index, vc) over every input VC, in port order:
-        # the allocator's request scan walks this one flat list.
+        # bit ``i`` of ``occupied`` is set while ``input_vcs[i]`` holds
+        # a flit (maintained by ``VirtualChannel.push``/``pop``).
         self.input_vcs: List[Tuple[int, int, VirtualChannel]] = []
+        self.occupied = 0
         # key: downstream node id, or EJECT.
         self.outputs: Dict[int, OutputChannel] = {}
         self.output_order: List[int] = []
@@ -108,7 +116,7 @@ class Router:
         self.eject_rr = 0
         # Activity counters for the power model.  Every VC push bumps
         # ``buffer_writes`` and every pop ``buffer_reads``, so their
-        # difference is the flits buffered here (``has_traffic``).
+        # difference is the flits buffered here.
         self.flits_routed = 0
         self.buffer_writes = 0
         self.buffer_reads = 0
@@ -117,7 +125,10 @@ class Router:
     # ------------------------------------------------------------------
     def add_input(self, key: int, port: InputPort, credit_sink: CreditPipeline) -> None:
         self.in_ports[key] = port
-        self.input_vcs.extend((key, vci, vc) for vci, vc in enumerate(port.vcs))
+        for vci, vc in enumerate(port.vcs):
+            vc.owner = self
+            vc.bit = 1 << len(self.input_vcs)
+            self.input_vcs.append((key, vci, vc))
         self.credit_sinks[key] = credit_sink
 
     def add_output(self, key: int, channel: OutputChannel) -> None:
@@ -129,56 +140,76 @@ class Router:
         """Network ports (inputs excluding injection)."""
         return len(self.in_ports) - (1 if self.node in self.in_ports else 0)
 
-    def has_traffic(self) -> bool:
-        """Whether any input VC holds a flit (O(1), from the counters)."""
-        return self.buffer_writes > self.buffer_reads
-
     # ------------------------------------------------------------------
     def allocate(self, cycle: int) -> int:
         """Run one cycle of VC/switch allocation; return flits moved."""
-        # Gather requests per output channel.
-        requests: Dict[int, List[Tuple[int, int, VirtualChannel, Flit]]] = {}
-        for pkey, vci, vc in self.input_vcs:
-            buffer = vc.buffer
-            if not buffer:
-                continue
-            flit = buffer[0]
+        # Requests (out key, port key, vc index, vc, front flit) of the
+        # occupied VCs whose front flit is ready, in input-VC order.
+        ready = []
+        mask = self.occupied
+        input_vcs = self.input_vcs
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            pkey, vci, vc = input_vcs[low.bit_length() - 1]
+            flit = vc.buffer[0]
             if cycle <= flit.ready_at:
                 continue
-            if vc.out_channel is None:
+            out_key = vc.out_channel
+            if out_key is None:
                 if not flit.is_head:  # pragma: no cover - invariant
                     raise RuntimeError("body flit at VC front without route state")
-                vc.out_channel = self.route_tables[flit.packet.order][flit.packet.dst]
-            requests.setdefault(vc.out_channel, []).append((pkey, vci, vc, flit))
+                packet = flit.packet
+                out_key = vc.out_channel = self.route_tables[packet.order][packet.dst]
+            ready.append((out_key, pkey, vci, vc, flit))
+        if not ready:
+            return 0
+        if len(ready) == 1:
+            # One request: it wins its output if the output is arbitrated
+            # and can take the flit (round robin over one is that one).
+            out_key, pkey, vci, vc, flit = ready[0]
+            if out_key not in self.output_order:
+                return 0
+            return self._try_grant(cycle, out_key, pkey, vci, vc, flit)
 
+        # Gather requests per output channel.
+        requests: Dict[int, List[Tuple[int, int, VirtualChannel, Flit]]] = {}
+        for out_key, pkey, vci, vc, flit in ready:
+            requests.setdefault(out_key, []).append((pkey, vci, vc, flit))
         moved = 0
         granted_inports: set = set()
         for out_key in self.output_order:
             reqs = requests.get(out_key)
             if not reqs:
                 continue
-            out = self.outputs[out_key] if out_key != EJECT else None
             num = len(reqs)
-            rr = out.rr if out is not None else self.eject_rr
+            rr = self.eject_rr if out_key == EJECT else self.outputs[out_key].rr
             for offset in range(num):
                 pkey, vci, vc, flit = reqs[(offset + rr) % num]
                 if pkey in granted_inports:
                     continue
-                if out_key == EJECT:
-                    self._grant_eject(cycle, pkey, vci, vc, flit)
+                if self._try_grant(cycle, out_key, pkey, vci, vc, flit):
                     granted_inports.add(pkey)
                     moved += 1
-                    self.eject_rr += 1
                     break
-                ovc = self._output_vc(out, vc, flit)
-                if ovc is None:
-                    continue
-                self._grant(cycle, out, ovc, pkey, vci, vc, flit)
-                granted_inports.add(pkey)
-                moved += 1
-                out.rr += 1
-                break
         return moved
+
+    def _try_grant(self, cycle, out_key: int, pkey, vci, vc, flit: Flit) -> int:
+        """Grant ``out_key`` to one request if it can move; return 1 or 0.
+
+        A grant advances the output's round-robin pointer.
+        """
+        if out_key == EJECT:
+            self._grant_eject(cycle, pkey, vci, vc, flit)
+            self.eject_rr += 1
+            return 1
+        out = self.outputs[out_key]
+        ovc = self._output_vc(out, vc, flit)
+        if ovc is None:
+            return 0
+        self._grant(cycle, out, ovc, pkey, vci, vc, flit)
+        out.rr += 1
+        return 1
 
     # ------------------------------------------------------------------
     def _output_vc(self, out: OutputChannel, vc, flit: Flit) -> Optional[int]:

@@ -9,6 +9,7 @@ kernel-distinct tiers through the same walks, so the native
 crossing-block rewrite is gated against the NumPy one bit for bit.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.routing.incremental import (
+    REWRITE_CHUNK_ELEMENTS,
     IncrementalApspEngine,
     placement_link_changes,
 )
@@ -261,17 +263,32 @@ class TestWideCuts:
         engine.add_link(0, self.MID)
         self.assert_layer_exact(engine)
 
+    #: Rewrites every row of the block above the cut: the NumPy twin's
+    #: unchunked (rows, K, cols) temporary would be 65 x 4224 x 64
+    #: doubles, about 140 MB.
+    FULL_BLOCK = [(MID - 1, MID + 1, False), (0, MID + 1, False)]
+
     def test_middle_cut_full_block_compiled(self, full_row):
-        # Every row of the block above the cut, on the compiled kernel
-        # (the NumPy twin's (rows, K, cols) temporary would be ~140 MB).
         if "native" not in ENGINE_IMPLS:
             pytest.skip("native tier unavailable (no C toolchain)")
         engine = IncrementalApspEngine(full_row, impl="native")
-        engine.apply_link_changes(
-            [(self.MID - 1, self.MID + 1, False), (0, self.MID + 1, False)]
-        )
+        engine.apply_link_changes(self.FULL_BLOCK)
         self.assert_layer_exact(engine)
         assert engine.self_check()
+
+    def test_middle_cut_full_block_numpy_is_bounded(self, full_row):
+        engine = IncrementalApspEngine(full_row, impl="vectorized")
+        tracemalloc.start()
+        try:
+            engine.apply_link_changes(self.FULL_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_layer_exact(engine)
+        assert engine.self_check()
+        # One chunk of the temporary plus the gathered (rows, K) and
+        # (K, cols) operands, about 2.2 MB each at this size.
+        assert peak < REWRITE_CHUNK_ELEMENTS * 8 + 8 * 2**20, peak
 
 
 class TestPlacementLinkChanges:

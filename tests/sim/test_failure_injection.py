@@ -103,7 +103,8 @@ class SabotagedSimulator(Simulator):
 
 
 class TestBookkeepingChecks:
-    """The O(1) activity check and the active sets are checked state."""
+    """The activity counters, occupancy masks, active sets and the wire
+    calendar are checked state."""
 
     def test_corrupt_buffer_counter_detected(self):
         def sabotage(net):
@@ -128,12 +129,34 @@ class TestBookkeepingChecks:
         assert f"router {dropped[0]} holds" in str(exc.value)
 
     def test_wire_missing_from_active_set_detected(self):
-        def sabotage(net):
-            assert net.active_wires
-            net.active_wires.discard(min(net.active_wires))
+        dropped = []
 
-        with pytest.raises(SimulationError, match=r"wire \d+ .* cycle 128"):
+        def sabotage(net):
+            # The earliest calendar entry holds wires whose head is due
+            # then; unfiling one leaves its arrival unscheduled.
+            wires = net.wire_calendar[min(net.wire_calendar)]
+            dropped.append(min(wires))
+            wires.discard(dropped[0])
+
+        with pytest.raises(SimulationError, match=r"wire \d+ .* cycle 128") as exc:
             SabotagedSimulator(sabotage).run()
+        assert f"wire {dropped[0]} has" in str(exc.value)
+        assert "not in the calendar" in str(exc.value)
+
+    def test_corrupt_occupancy_mask_detected(self):
+        dropped = []
+
+        def sabotage(net):
+            # Clear the lowest occupied VC's bit: the allocator would
+            # never see that VC's flits again.
+            router = min((r for r in net.routers if r.occupied), key=lambda r: r.node)
+            router.occupied &= router.occupied - 1
+            dropped.append(router.node)
+
+        mask_error = r"occupancy mask at router \d+, cycle 128"
+        with pytest.raises(SimulationError, match=mask_error) as exc:
+            SabotagedSimulator(sabotage).run()
+        assert f"router {dropped[0]}," in str(exc.value)
 
     def test_ni_missing_from_active_set_detected(self):
         def sabotage(net):

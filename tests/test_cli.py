@@ -10,6 +10,10 @@ from repro.cli import build_parser, main
 SWEEP_GOLDEN = os.path.join(
     os.path.dirname(__file__), "sim", "simulate_sweep_golden.out"
 )
+#: An 8x8 mesh and HFB (express links of lengths 2 and 4) sweep.
+SWEEP_N8_HFB_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "sim", "simulate_sweep_n8_hfb_golden.out"
+)
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
 #: Search commands whose output the pure-Python oracle tier printed,
@@ -161,6 +165,18 @@ class TestCommands:
         ]) == 0
         out = [ln for ln in capsys.readouterr().out.splitlines() if "job(s)" not in ln]
         with open(SWEEP_GOLDEN, encoding="utf-8") as fh:
+            assert out == fh.read().splitlines()
+
+    def test_simulate_sweep_express_topology_golden(self, capsys):
+        # Express links make pipelines several cycles deep, so flits and
+        # credits of one wire come due on different cycles.
+        assert main([
+            "simulate-sweep", "--n", "8", "--schemes", "mesh,hfb",
+            "--patterns", "uniform_random,transpose", "--rates", "1.0,3.0",
+            "--seed", "2019", "--warmup", "100", "--measure", "400",
+        ]) == 0
+        out = [ln for ln in capsys.readouterr().out.splitlines() if "job(s)" not in ln]
+        with open(SWEEP_N8_HFB_GOLDEN, encoding="utf-8") as fh:
             assert out == fh.read().splitlines()
 
     @pytest.mark.parametrize("tier", ["vectorized", "native"])
