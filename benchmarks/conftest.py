@@ -34,18 +34,29 @@ def sa_effort() -> str:
 
 
 def git_sha() -> str:
-    """Short commit hash of the benchmarked tree ("unknown" off-repo)."""
-    try:
+    """Short commit hash of the benchmarked tree ("unknown" off-repo).
+
+    Suffixed ``-dirty`` when a tracked file differs from that commit, so
+    a twin regenerated on an uncommitted tree does not name the commit
+    it was built on as the code that produced it.
+    """
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
         ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except Exception:
         return "unknown"
+    return f"{sha}-dirty" if dirty else sha
 
 
 def publish(capsys, name: str, text: str, record: dict | None = None) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.topology.row import Link, RowPlacement
+from repro.topology.row import Link, LinkBlock, RowPlacement
 from repro.util.rngtools import ensure_rng
 
 Objective = Callable[[RowPlacement], float]
@@ -183,6 +183,14 @@ class MemoizedObjective:
         declared = getattr(self._objective, "mirror_invariant", None)
         return True if declared is None else bool(declared())
 
+    def prices_link_blocks(self) -> bool:
+        """Whether the wrapped objective prices a
+        :class:`~repro.topology.row.LinkBlock` in bulk (a
+        :class:`~repro.core.latency.RowObjective` does); the exact
+        search hands any other objective its classes as placements."""
+        declared = getattr(self._objective, "prices_link_blocks", None)
+        return declared is not None and bool(declared())
+
     def __call__(self, placement: RowPlacement) -> float:
         key = placement.canonical_bytes()
         value = self.lookup_key(key)
@@ -218,9 +226,13 @@ class MemoizedObjective:
         store -- the keying bytes are never computed and the values are
         *not* cached -- while the objective skips its own dedup pass.
         Values and every counter are identical to the scalar loop under
-        that contract.
+        that contract.  Under ``folded=True`` a
+        :class:`~repro.topology.row.LinkBlock` batch reaches the
+        objective as it is (for one that :meth:`prices_link_blocks`);
+        otherwise a block is walked as its placements.
         """
-        placements = list(placements)
+        if not isinstance(placements, LinkBlock):
+            placements = list(placements)
         if folded:
             count = len(placements)
             self.calls += count

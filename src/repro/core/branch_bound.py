@@ -9,6 +9,8 @@ Two independent exact methods are provided:
   symmetry when the objective declares itself reversal-invariant
   (:meth:`~repro.core.latency.RowObjective.mirror_invariant`); a
   traffic-weighted objective is searched over both mirror images.
+  The classes stay link arrays from the enumeration to the pricing
+  kernel; only the winner becomes a placement.
 * :func:`branch_and_bound` searches over express-link *sets* directly
   with depth-first branching and an admissible bound: head latency is
   monotone non-increasing in the link set, so the energy of the current
@@ -29,8 +31,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.annealing import MemoizedObjective, Objective
-from repro.core.connection_matrix import ConnectionMatrix, iter_unique_placements
+from repro.core.connection_matrix import (
+    ConnectionMatrix,
+    iter_unique_blocks,
+    iter_unique_placements,
+)
 from repro.core.latency import full_connectivity_limit
 from repro.topology.row import RowPlacement
 
@@ -82,9 +90,12 @@ def validated_link_limit(n: int, link_limit: int, obs=None) -> int:
     return limit
 
 
-#: Placements priced per batched kernel call by the exact searches.
-#: With the triangular row kernel (one (B, k, n - k - 1) temporary per
-#: pivot k), batch sizes 64-512 measured within noise of each other.
+#: Classes priced per batched kernel call by the exact searches.  The
+#: whole P~(20, 2) search on the compiled tier, pinned to one CPU of a
+#: 2-vCPU VM (median of 9): 0.34 s at 64, 0.31 s at 128 and 256, then
+#: 0.35-0.37 s at 512-2048 and 0.46 s at 4096, as the stack and its
+#: copies outgrow the cache.  The NumPy tier has the same shape (0.89 s
+#: at 128, 0.86 s at 256, 1.04 s at 1024).
 DEFAULT_BATCH_SIZE = 128
 
 
@@ -96,16 +107,24 @@ def exhaustive_matrix_search(
 ) -> ExactResult:
     """Optimal placement by full enumeration of the matrix space.
 
-    Enumeration proceeds in chunks of ``batch_size`` equivalence
-    classes: one per mirror pair when the objective is
-    mirror-invariant (an objective that declares nothing is folded),
-    one per placement otherwise.  Each chunk is priced with a single
-    batched Floyd-Warshall stack (``MemoizedObjective.evaluate_many``),
-    which is bit-identical to -- and several times faster than -- the
-    scalar loop.  ``batch_size=1`` forces the scalar kernel (the
-    benchmark baseline).  Best-so-far updates scan each chunk in
-    enumeration order with strict ``<``, so the winning placement is
-    the same first minimum the sequential path finds.
+    The equivalence classes are one per mirror pair when the objective
+    is mirror-invariant (an objective that declares nothing is folded),
+    one per placement otherwise.  The enumerator hands over each code
+    block's classes as link arrays
+    (:func:`~repro.core.connection_matrix.iter_unique_blocks`), and
+    each chunk of at most ``batch_size`` of them is priced with a
+    single batched Floyd-Warshall stack
+    (``MemoizedObjective.evaluate_many``), which is bit-identical to --
+    and several times faster than -- the scalar loop.  An objective
+    that :meth:`~repro.core.annealing.MemoizedObjective.prices_link_blocks`
+    takes the arrays as they are; any other is handed the chunk's
+    placements, built in order (the Pareto pricer's archive sees every
+    class).  The chunk's first minimum (``np.argmin``) replaces the
+    incumbent only if strictly lower, so the winner is the same first
+    minimum in enumeration order the sequential path finds, and it is
+    the one class built from the arrays as a :class:`RowPlacement`.
+    ``batch_size=1`` walks the placements one at a time through the
+    scalar kernel (the benchmark baseline).
     """
     limit = effective_link_limit(n, link_limit)
     memo = MemoizedObjective(objective)
@@ -116,30 +135,24 @@ def exhaustive_matrix_search(
     best_energy = float("inf")
     shape = ConnectionMatrix.shape(n, limit)
     states = 1 << (shape[0] * shape[1])
-    chunk: List[RowPlacement] = []
-
-    def flush() -> None:
-        nonlocal best_energy, best_placement
-        energies = memo.evaluate_many(chunk, folded=True)
-        for placement, energy in zip(chunk, energies):
-            if energy < best_energy:
-                best_energy = float(energy)
-                best_placement = placement
-        chunk.clear()
-
     fold = memo.mirror_invariant()
-    for placement in iter_unique_placements(n, limit, fold=fold):
-        if batch_size <= 1:
+    if batch_size <= 1:
+        for placement in iter_unique_placements(n, limit, fold=fold):
             energy = memo(placement)
             if energy < best_energy:
                 best_energy = energy
                 best_placement = placement
-        else:
-            chunk.append(placement)
-            if len(chunk) >= batch_size:
-                flush()
-    if chunk:
-        flush()
+    else:
+        arrays = memo.prices_link_blocks()
+        for block in iter_unique_blocks(n, limit, fold=fold):
+            for chunk in block.chunks(batch_size):
+                energies = memo.evaluate_many(
+                    chunk if arrays else list(chunk), folded=True
+                )
+                k = int(np.argmin(energies))
+                if energies[k] < best_energy:
+                    best_energy = float(energies[k])
+                    best_placement = chunk[k]
     return ExactResult(
         placement=best_placement,
         energy=best_energy,

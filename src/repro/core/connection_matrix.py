@@ -31,7 +31,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.topology.row import Link, RowPlacement
+from repro.topology.row import Link, LinkBlock, RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
 from repro.util.rngtools import ensure_rng
 
@@ -256,13 +256,13 @@ def _run_links(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner, starts, ends
 
 
-def iter_unique_placements(
+def iter_unique_blocks(
     n: int,
     link_limit: int,
     block_size: int = 1 << 16,
     fold: bool = True,
-) -> Iterator[RowPlacement]:
-    """Distinct placements of the matrix space, in code order.
+) -> Iterator[LinkBlock]:
+    """Distinct placements of the matrix space as link arrays, in code order.
 
     The bulk equivalent of ``decode()`` + dedup over
     :func:`enumerate_matrices`: the first matrix (in code order) of
@@ -273,15 +273,17 @@ def iter_unique_placements(
     :meth:`repro.topology.row.RowPlacement.mirror_min_links`) -- sound
     only for objectives that price both alike (see
     :meth:`repro.core.latency.RowObjective.mirror_invariant`); with
-    ``fold=False`` every distinct placement is yielded.
+    ``fold=False`` every distinct placement is kept.
 
-    Codes are unpacked in blocks, which bound peak memory for the
-    largest admissible spaces, and each layer's fused runs are
-    extracted with vectorized boundary detection.  A one-layer space
-    (``C = 2``) decodes one-to-one and mirrors a code by reversing its
-    ``n - 2`` bits, so the first member of a mirror class is the code
-    with ``code <= reverse(code)``: the fold is one array comparison,
-    and each placement is a slice of one link list.  Layers of a
+    Codes are unpacked in blocks of ``block_size``, which bound peak
+    memory for the largest admissible spaces, and each block's kept
+    classes are yielded as one :class:`~repro.topology.row.LinkBlock`
+    (possibly empty); each layer's fused runs are extracted with
+    vectorized boundary detection.  A one-layer space (``C = 2``)
+    decodes one-to-one and mirrors a code by reversing its ``n - 2``
+    bits, so the first member of a mirror class is the code with
+    ``code <= reverse(code)``: the fold is one array comparison and the
+    block is the kept codes' runs as they come.  Layers of a
     multi-layer space can repeat and permute links, so there each
     matrix's sorted link tuple is probed in a dictionary.
     """
@@ -303,11 +305,7 @@ def iter_unique_placements(
             bits = (codes[:, None] >> shifts) & 1
             if fold:
                 bits = bits[codes <= bits @ mirrored]
-            owner, starts, ends = _run_links(bits)
-            links = list(zip(starts.tolist(), ends.tolist()))
-            bounds = np.searchsorted(owner, np.arange(len(bits) + 1)).tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                yield RowPlacement.from_normalized(n, frozenset(links[lo:hi]))
+            yield LinkBlock(n, len(bits), *_run_links(bits))
         return
     rows, layers = shape
     last = n - 1
@@ -321,15 +319,31 @@ def iter_unique_placements(
             owner, starts, ends = _run_links(bits[:, :, layer])
             for row, link in zip(owner.tolist(), (starts * n + ends).tolist()):
                 links_of[row].append(link)
+        kept = []
         for links in links_of:
-            key = tuple(sorted(set(links)))
+            own = key = tuple(sorted(set(links)))
             if fold and key:
                 key = min(key, tuple(
                     sorted((last - e % n) * n + (last - e // n) for e in key)
                 ))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield RowPlacement.from_normalized(
-                n, frozenset((e // n, e % n) for e in links)
-            )
+            if key not in seen:
+                seen.add(key)
+                kept.append(own)
+        packed = np.fromiter(
+            (e for own in kept for e in own), dtype=np.int64
+        )
+        owner = np.repeat(np.arange(len(kept)), [len(own) for own in kept])
+        yield LinkBlock(n, len(kept), owner, packed // n, packed % n)
+
+
+def iter_unique_placements(
+    n: int,
+    link_limit: int,
+    block_size: int = 1 << 16,
+    fold: bool = True,
+) -> Iterator[RowPlacement]:
+    """The classes of :func:`iter_unique_blocks` one
+    :class:`RowPlacement` at a time, in the same order (the scalar
+    exact search and the enumeration tests walk this view)."""
+    for block in iter_unique_blocks(n, link_limit, block_size, fold):
+        yield from block

@@ -38,7 +38,7 @@ from repro.routing.shortest_path import (
     batched_mean_distances,
     directional_distances,
 )
-from repro.topology.row import RowPlacement
+from repro.topology.row import LinkBlock, RowPlacement
 from repro.util.errors import ConfigurationError
 
 
@@ -303,12 +303,17 @@ class RowObjective:
         already pairwise distinct under that dedup key (the exact
         enumerators guarantee this) and skips the dedup pass -- it
         would map every placement to itself, so the energies are
-        unchanged.  Under ``impl="reference"`` the population is priced
+        unchanged.  ``placements`` may also be a
+        :class:`~repro.topology.row.LinkBlock` (the exact search's
+        chunks); a block goes to the stack builder as it is, so it is
+        priced without building a placement or a dedup key, as if
+        ``folded``.  Under ``impl="reference"`` the population is priced
         by the pure-Python oracle one placement at a time, preserving
         the oracle contract at scalar speed.
         """
-        placements = list(placements)
-        if not placements:
+        if not isinstance(placements, LinkBlock):
+            placements = list(placements)
+        if not len(placements):
             return np.empty(0, dtype=float)
         if self.obs is None:
             return self._evaluate_many(placements, folded)
@@ -338,11 +343,16 @@ class RowObjective:
         """
         return self._w is None and self._integral_costs()
 
+    def prices_link_blocks(self) -> bool:
+        """True: :meth:`evaluate_many` prices a
+        :class:`~repro.topology.row.LinkBlock` in bulk."""
+        return True
+
     def _evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
         if self.impl == "reference":
             return np.asarray([self._evaluate(p) for p in placements], dtype=float)
         w = self._w
-        if folded:
+        if folded or isinstance(placements, LinkBlock):
             return batched_mean_distances(placements, self.cost, w, impl=self.impl)
         fold = self.mirror_invariant()
         keys = [

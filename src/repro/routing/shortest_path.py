@@ -51,7 +51,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.routing.impls import resolve_impl
-from repro.topology.row import RowPlacement
+from repro.topology.row import LinkBlock, RowPlacement
 
 #: Direction tags for the two passes.
 LEFT_TO_RIGHT = "l2r"
@@ -125,46 +125,33 @@ def weight_stack(placement: RowPlacement, cost: HopCostModel) -> np.ndarray:
 
 
 def weight_stack_population(
-    placements: Sequence[RowPlacement],
+    population: LinkBlock | Sequence[RowPlacement],
     cost: HopCostModel,
 ) -> np.ndarray:
     """Left-to-right weight matrices for a whole population: ``(B, n, n)``.
 
-    Slice ``b`` is placement ``b``'s left-to-right matrix, equal to
-    ``weight_stack(placements[b], cost)[0]`` -- the input
-    :func:`row_distances_batch` relaxes.  All placements must share one
-    row size ``n``.
+    ``population`` is a :class:`~repro.topology.row.LinkBlock` or a
+    sequence of placements sharing one row size ``n`` (flattened into a
+    block first, so there is one builder).  Slice ``b`` is member
+    ``b``'s left-to-right matrix, equal to ``weight_stack(member,
+    cost)[0]`` -- the input :func:`row_distances_batch` relaxes.  Every
+    slice starts as a copy of the mesh row's matrix, and the block's
+    express links land in one scatter.
     """
-    placements = list(placements)
-    if not placements:
-        raise ValueError("population must contain at least one placement")
-    n = placements[0].n
-    for p in placements:
-        if p.n != n:
-            raise ValueError(
-                f"population mixes row sizes: expected n={n}, got n={p.n}"
-            )
-    w = np.full((len(placements), n, n), INF)
-    idx = np.arange(n)
-    w[:, idx, idx] = 0.0
+    block = LinkBlock.of(population)
+    n = block.n
     # hop_cost(length) is precomputed per length so every slice sees the
     # exact same float weight_stack would have written.
     cost_by_len = np.asarray(
         [0.0] + [cost.hop_cost(length) for length in range(1, n)]
     )
-    # The n - 1 local links are common to every placement: write them
-    # across all slices in one vectorized stroke.
-    if n > 1:
-        w[:, idx[:-1], idx[1:]] = cost_by_len[1]
-    # Only express links differ per placement (i < j by construction).
-    flat = [
-        (b, i, j)
-        for b, placement in enumerate(placements)
-        for i, j in placement.express_links
-    ]
-    if flat:
-        s, r, c = np.asarray(flat, dtype=np.intp).T
-        w[s, r, c] = cost_by_len[c - r]
+    mesh = np.full((n, n), INF)
+    idx = np.arange(n)
+    mesh[idx, idx] = 0.0
+    mesh[idx[:-1], idx[1:]] = cost_by_len[1]
+    w = np.empty((len(block), n, n))
+    w[...] = mesh
+    w[block.owner, block.starts, block.ends] = cost_by_len[block.ends - block.starts]
     return w
 
 
@@ -202,20 +189,20 @@ def combine_directions(dist: np.ndarray) -> np.ndarray:
 
     The upper triangle is read as is, the lower triangle from the
     transpose (the right-to-left pass, by the transpose identity), and
-    the diagonal is zero.  The result is a fresh C-contiguous array, so
+    the diagonal is zero.  ``dist`` is a left-to-right distance stack as
+    every row kernel leaves it -- zero diagonal, ``inf`` below it (no
+    leftward edge reaches there) -- so each cell is the smaller of
+    itself and its mirror: one transposed copy and one in-place
+    ``minimum``, no mask.  The result is a fresh C-contiguous array, so
     reducing each ``(n, n)`` slice sums in the same order as the scalar
     path's matrix.
     """
-    n = dist.shape[-1]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    out = np.where(upper, dist, dist.swapaxes(-1, -2))
-    idx = np.arange(n)
-    out[..., idx, idx] = 0.0
-    return out
+    out = np.array(dist.swapaxes(-1, -2), order="C")
+    return np.minimum(out, dist, out=out)
 
 
 def batched_mean_distances(
-    placements: Sequence[RowPlacement],
+    placements: LinkBlock | Sequence[RowPlacement],
     cost: HopCostModel | None = None,
     weights: np.ndarray | None = None,
     impl: Optional[str] = None,
@@ -224,10 +211,11 @@ def batched_mean_distances(
 
     The population version of ``mean_row_head_latency``: one
     ``(B, n, n)`` left-to-right :func:`row_distances_batch` prices all
-    ``B`` placements, then each mean is reduced per slice with the
-    exact operation order of the scalar path -- results are
-    bit-identical to ``B`` scalar evaluations.  ``weights`` (an
-    ``n x n`` nonnegative matrix, validated as in the scalar path)
+    ``B`` members of ``placements`` (a sequence of placements or a
+    :class:`~repro.topology.row.LinkBlock`), then each mean is reduced
+    per slice with the exact operation order of the scalar path --
+    results are bit-identical to ``B`` scalar evaluations.  ``weights``
+    (an ``n x n`` nonnegative matrix, validated as in the scalar path)
     switches to the traffic-weighted mean.  ``impl`` (``None``: the
     machine's tier) selects the row kernel: ``"native"`` runs the
     compiled pass (stack building and
@@ -241,10 +229,12 @@ def batched_mean_distances(
 
     cost = cost or HopCostModel()
     impl = resolve_impl(impl)
-    placements = list(placements)
-    if not placements:
+    if not isinstance(placements, LinkBlock):
+        placements = list(placements)
+    if not len(placements):
         return np.empty(0, dtype=float)
-    n = placements[0].n
+    block = LinkBlock.of(placements)
+    n = block.n
     w = None if weights is None else np.asarray(weights, dtype=float)
     if w is not None:
         if w.shape != (n, n):
@@ -262,7 +252,7 @@ def batched_mean_distances(
                 out.append((dist * w).sum() / total)
         return np.asarray(out, dtype=float)
     combined = combine_directions(
-        row_distances_batch(weight_stack_population(placements, cost), impl=impl)
+        row_distances_batch(weight_stack_population(block, cost), impl=impl)
     )
     # Reducing each C-contiguous slice over its flattened innermost
     # axis applies numpy's pairwise summation per row -- the identical
@@ -271,8 +261,8 @@ def batched_mean_distances(
     # fused `mean(axis=(1, 2))` over the 3-D view would not make that
     # guarantee; the property suite pins this).
     if w is None:
-        return combined.reshape(len(placements), -1).mean(axis=1)
-    return (combined * w).reshape(len(placements), -1).sum(axis=1) / total
+        return combined.reshape(len(block), -1).mean(axis=1)
+    return (combined * w).reshape(len(block), -1).sum(axis=1) / total
 
 
 def floyd_warshall_batch(

@@ -77,8 +77,12 @@ class NetworkInterface:
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
-        """Advance injection by up to one flit; return flits injected."""
-        self.channel.drain_credits(cycle)
+        """Advance injection by up to one flit; return flits injected.
+
+        Credits returning on the injection channel are already counted:
+        the channel is one of the network's wires, drained earlier in
+        the same cycle.
+        """
         if self.current_flits is None:
             if not self.queue:
                 return 0

@@ -8,8 +8,10 @@ link limit ``C``.  The same row solution is replicated across every row
 and column of the mesh.
 
 :class:`RowPlacement` is the canonical representation of one such row
-solution.  Routers are 0-indexed ``0 .. n-1`` (the paper uses 1-based
-labels; Figure 2's routers ``1..8`` are our ``0..7``).  Local links
+solution; :class:`LinkBlock` holds a whole population of them as flat
+link arrays, the form the exact search prices in bulk.  Routers are
+0-indexed ``0 .. n-1`` (the paper uses 1-based labels; Figure 2's
+routers ``1..8`` are our ``0..7``).  Local links
 ``(i, i+1)`` are always implicitly present; ``express_links`` holds only
 the extra links ``(i, j)`` with ``j >= i + 2``.
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Tuple
+
+import numpy as np
 
 from repro.util.errors import InvalidPlacementError
 
@@ -311,3 +315,86 @@ class RowPlacement:
         work.
         """
         return (self.n, self.mirror_min_links())
+
+
+@dataclass(frozen=True, eq=False)
+class LinkBlock:
+    """A population of placements on one row as flat express-link arrays.
+
+    Member ``b`` of the ``count`` members holds the express links
+    ``(starts[k], ends[k])`` for every ``k`` with ``owner[k] == b``;
+    ``owner`` is ascending, so each member's links are one contiguous
+    run and a member without express links (the mesh) owns none.  The
+    exact search prices its enumerated classes in this form, so the
+    stack builder scatters them straight into the weight matrices
+    (:func:`~repro.routing.shortest_path.weight_stack_population`) and
+    only the winner becomes a :class:`RowPlacement`.
+
+    The block is a read-only sequence of its members: ``len``,
+    iteration and ``block[b]`` build :class:`RowPlacement` objects on
+    demand, so any code that walks a placement list walks a block too.
+    Links must be normalized and in range (``0 <= i``, ``i + 2 <= j
+    <= n - 1``) and distinct within a member -- the enumerator's and
+    :meth:`from_placements`' output is by construction.
+    """
+
+    n: int
+    count: int
+    owner: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def from_placements(cls, placements: Iterable[RowPlacement]) -> "LinkBlock":
+        """Flatten placements that share one row size into a block."""
+        placements = list(placements)
+        if not placements:
+            raise ValueError("population must contain at least one placement")
+        n = placements[0].n
+        for p in placements:
+            if p.n != n:
+                raise ValueError(
+                    f"population mixes row sizes: expected n={n}, got n={p.n}"
+                )
+        links = np.asarray(
+            [link for p in placements for link in p.express_links], dtype=np.intp
+        ).reshape(-1, 2)
+        owner = np.repeat(
+            np.arange(len(placements)), [len(p.express_links) for p in placements]
+        )
+        return cls(n, len(placements), owner, links[:, 0], links[:, 1])
+
+    @classmethod
+    def of(cls, population) -> "LinkBlock":
+        """``population`` itself if it is a block, else its flattening."""
+        if isinstance(population, cls):
+            return population
+        return cls.from_placements(population)
+
+    def chunks(self, size: int) -> Iterator["LinkBlock"]:
+        """Consecutive sub-blocks of ``size`` members (the last may be
+        shorter), in member order."""
+        firsts = range(0, self.count, size)
+        bounds = np.searchsorted(self.owner, np.arange(0, self.count + size, size))
+        for lo, a, b in zip(firsts, bounds.tolist(), bounds[1:].tolist()):
+            yield LinkBlock(
+                self.n, min(size, self.count - lo), self.owner[a:b] - lo,
+                self.starts[a:b], self.ends[a:b],
+            )
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, b: int) -> RowPlacement:
+        if not 0 <= b < self.count:
+            raise IndexError(f"member {b} out of range for {self.count}")
+        lo, hi = np.searchsorted(self.owner, (b, b + 1)).tolist()
+        return RowPlacement.from_normalized(self.n, frozenset(zip(
+            self.starts[lo:hi].tolist(), self.ends[lo:hi].tolist()
+        )))
+
+    def __iter__(self) -> Iterator[RowPlacement]:
+        links = list(zip(self.starts.tolist(), self.ends.tolist()))
+        bounds = np.searchsorted(self.owner, np.arange(self.count + 1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield RowPlacement.from_normalized(self.n, frozenset(links[lo:hi]))

@@ -1,16 +1,24 @@
 """Exact-solver tests: exhaustive enumeration vs branch and bound."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core import branch_bound
 from repro.core.annealing import MemoizedObjective
 from repro.core.branch_bound import (
     branch_and_bound,
     effective_link_limit,
     exhaustive_matrix_search,
 )
-from repro.core.connection_matrix import enumerate_matrices
+from repro.core.connection_matrix import (
+    enumerate_matrices,
+    iter_unique_blocks,
+    iter_unique_placements,
+)
 from repro.core.latency import RowObjective, mean_row_head_latency
+from repro.core.pareto import ParetoPricer, ParetoSpec, _VectorObjective
 from repro.routing.shortest_path import HopCostModel
 from repro.topology.row import RowPlacement
 
@@ -20,6 +28,16 @@ def _random_weights(n: int, seed: int):
     w = gen.random((n, n))
     np.fill_diagonal(w, 0.0)
     return tuple(map(tuple, w.tolist()))
+
+
+def _objectives(n: int):
+    """Uniform, traffic-weighted and non-integral-cost objectives; the
+    last two are not mirror-invariant, so their search is unfolded."""
+    return [
+        RowObjective(),
+        RowObjective(weights=_random_weights(n, n)),
+        RowObjective(cost=HopCostModel(2.7, 0.3, 0.1)),
+    ]
 
 
 class TestEffectiveLimit:
@@ -56,20 +74,83 @@ class TestExhaustive:
         result = exhaustive_matrix_search(8, 3, RowObjective())
         assert result.evaluations < result.states_visited
 
-    @pytest.mark.parametrize("n,c", [(8, 2), (8, 3), (6, 4)])
-    def test_batched_identical_to_scalar(self, n, c):
+    @pytest.mark.parametrize("n,c", [(8, 2), (8, 3), (6, 4), (9, 2), (7, 3)])
+    def test_batched_identical_to_scalar(self, n, c, monkeypatch):
         # Population batching is a kernel-launch optimization only:
         # placement, energy, evaluation count and state count must all
-        # match the scalar loop, for any batch size.
-        scalar = exhaustive_matrix_search(n, c, RowObjective(), batch_size=1)
-        for batch_size in (7, 128):
-            batched = exhaustive_matrix_search(
-                n, c, RowObjective(), batch_size=batch_size
-            )
-            assert batched.placement == scalar.placement
-            assert batched.energy == scalar.energy
-            assert batched.evaluations == scalar.evaluations
-            assert batched.states_visited == scalar.states_visited
+        # match the scalar loop (batch_size=1), for any chunk size and
+        # any code-block size -- blocks of 5 codes split the space, so
+        # chunks end at block boundaries -- under every objective kind.
+        split = functools.partial(iter_unique_blocks, block_size=5)
+        for objective in _objectives(n):
+            scalar = exhaustive_matrix_search(n, c, objective, batch_size=1)
+            runs = []
+            for blocks in (iter_unique_blocks, split):
+                monkeypatch.setattr(branch_bound, "iter_unique_blocks", blocks)
+                runs += [
+                    exhaustive_matrix_search(n, c, objective, batch_size=size)
+                    for size in (7, 128)
+                ]
+            for batched in runs:
+                assert batched.placement == scalar.placement
+                assert batched.energy == scalar.energy
+                assert batched.evaluations == scalar.evaluations
+                assert batched.states_visited == scalar.states_visited
+
+    @pytest.mark.parametrize("n,c", [(6, 2), (8, 3)])
+    def test_first_tied_optimum_wins_across_chunks(self, n, c):
+        # The chunk size puts the first optimal class last in its chunk
+        # and a tied class in a later chunk, so a `<=` comparison with
+        # the incumbent would hand the win to the later class.
+        objective = RowObjective()
+        classes = list(iter_unique_placements(n, c))
+        energies = [objective(p) for p in classes]
+        ties = [k for k, e in enumerate(energies) if e == min(energies)]
+        batch_size = ties[0] + 1
+        assert len(ties) >= 2 and ties[1] >= batch_size
+        for size in (batch_size, 1):
+            result = exhaustive_matrix_search(n, c, objective, batch_size=size)
+            assert result.placement == classes[ties[0]] != classes[ties[1]]
+            assert result.energy == energies[ties[0]]
+
+    def test_objectives_without_array_pricing_get_placements(self):
+        # A wrapper with its own evaluate_many but no link-block pricing
+        # (the Fig. 7 bench's full-FW wrapper) is handed placements.
+        handed = []
+
+        class Wrapper:
+            def __init__(self):
+                self.inner = RowObjective()
+
+            def __call__(self, placement):
+                return self.inner(placement)
+
+            def evaluate_many(self, placements, folded=False):
+                handed.append(type(placements))
+                return self.inner.evaluate_many(placements, folded=folded)
+
+        assert not MemoizedObjective(Wrapper()).prices_link_blocks()
+        assert MemoizedObjective(MemoizedObjective(RowObjective())).prices_link_blocks()
+        wrapped = exhaustive_matrix_search(8, 3, Wrapper(), batch_size=7)
+        plain = exhaustive_matrix_search(8, 3, RowObjective(), batch_size=7)
+        assert set(handed) == {list}
+        assert (wrapped.placement, wrapped.energy, wrapped.evaluations) == (
+            plain.placement, plain.energy, plain.evaluations
+        )
+
+    def test_pareto_exact_solve_archives_every_class(self):
+        # The vector objective prices placement by placement, so its
+        # archive holds every class the search enumerated.
+        pricer = ParetoPricer(
+            ParetoSpec(n=6, link_limit=3, objectives=("latency", "power"))
+        )
+        objective = _VectorObjective(pricer, 1)
+        assert not objective.mirror_invariant()
+        result = exhaustive_matrix_search(6, 3, objective)
+        classes = list(iter_unique_placements(6, 3, fold=False))
+        assert result.evaluations == pricer.evaluations == len(classes)
+        assert set(pricer.archive) == {p.canonical_bytes() for p in classes}
+        assert result.energy == min(v[1] for v in pricer.archive.values())
 
 
 class TestMirrorFold:

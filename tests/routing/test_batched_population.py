@@ -4,7 +4,9 @@ The batched kernels (`weight_stack_population`, `batched_mean_distances`,
 ``RowObjective.evaluate_many``) exist purely for throughput -- the exact
 searches and the serving layer's ``/evaluate`` batcher price whole
 populations with them: one ``(B, n, n)`` left-to-right row stack
-instead of ``B`` single-placement passes.  Min-plus relaxation is
+instead of ``B`` single-placement passes.  A population is a placement
+list or a ``LinkBlock`` (the exact search's link arrays); both go
+through the same builder.  Min-plus relaxation is
 elementwise per slice and the final reduction runs over each slice's
 contiguous row, so the
 contract is *bit-identical* results -- strict ``==`` on floats, byte
@@ -27,6 +29,7 @@ from repro.core.branch_bound import validated_link_limit
 from repro.core.connection_matrix import (
     ConnectionMatrix,
     enumerate_matrices,
+    iter_unique_blocks,
     iter_unique_placements,
 )
 from repro.core.latency import RowObjective
@@ -37,12 +40,13 @@ from repro.routing.impls import available_impls
 from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
+    combine_directions,
     floyd_warshall_distances_batch,
     row_distances_batch,
     weight_stack,
     weight_stack_population,
 )
-from repro.topology.row import RowPlacement
+from repro.topology.row import LinkBlock, RowPlacement
 from repro.util.errors import ConfigurationError
 
 #: Integral and deliberately non-integral hop costs: the fold/dedup
@@ -92,6 +96,39 @@ def test_weight_stack_population_matches_scalar_stacks(pop):
             assert np.array_equal(single[1], single[0].T)
 
 
+@settings(max_examples=40, deadline=None)
+@given(populations(), st.integers(1, 9))
+def test_link_block_round_trips_placements(pop, size):
+    _, batch = pop
+    block = LinkBlock.from_placements(batch)
+    assert len(block) == len(batch)
+    assert list(block) == batch
+    assert [block[b] for b in range(len(batch))] == batch
+    chunks = list(block.chunks(size))
+    assert [len(c) for c in chunks] == [
+        min(size, len(batch) - lo) for lo in range(0, len(batch), size)
+    ]
+    assert [p for c in chunks for p in c] == batch
+
+
+def test_link_block_edges():
+    mesh = RowPlacement.mesh(5)
+    block = LinkBlock.from_placements([mesh, mesh])
+    assert len(block.owner) == 0 and list(block) == [mesh, mesh]
+    with pytest.raises(IndexError):
+        block[2]
+    with pytest.raises(ValueError, match="at least one"):
+        LinkBlock.from_placements([])
+    with pytest.raises(ValueError, match="mixes row sizes"):
+        LinkBlock.from_placements([mesh, RowPlacement.mesh(6)])
+    # One code per block: a code whose mirror comes first keeps nothing.
+    blocks = list(iter_unique_blocks(6, 2, block_size=1))
+    empty = [b for b in blocks if len(b) == 0]
+    assert len(blocks) == 16 and empty
+    assert all(list(b) == [] and list(b.chunks(4)) == [] for b in empty)
+    assert [p for b in blocks for p in b] == list(iter_unique_placements(6, 2))
+
+
 @pytest.mark.parametrize("impl", AVAILABLE_IMPLS)
 @settings(max_examples=40, deadline=None)
 @given(pop=populations())
@@ -136,6 +173,15 @@ def test_batched_distances_equal_per_placement_passes(impl):
         single = floyd_warshall_distances_batch(weight_stack(placement, COSTS[1]))
         assert np.array_equal(stacked[b], single[0])
         assert np.array_equal(stacked[b].T, single[1])
+    # The combined matrix: upper triangle as is, the lower one from the
+    # transpose (the right-to-left pass), zero diagonal.
+    n = stacked.shape[-1]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    expected = np.where(upper, stacked, stacked.swapaxes(1, 2))
+    expected[:, np.arange(n), np.arange(n)] = 0.0
+    combined = combine_directions(stacked)
+    assert combined.flags.c_contiguous and not np.shares_memory(combined, stacked)
+    assert np.array_equal(combined, expected)
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +235,24 @@ def test_memoized_evaluate_many_accounting_matches_scalar(pop):
     assert batched.hits == scalar.hits
     assert scalar.hits == scalar_hits + len(batch)
     assert batched.evaluations == scalar.evaluations
+
+
+def test_memoized_block_pricing_counts_like_the_scalar_loop():
+    # The exact search's flush: a fresh memo (or the D&C base case's
+    # memo of a memo) bulk-counts a link block as misses.
+    block = next(iter_unique_blocks(8, 3, fold=False))
+    scalar = MemoizedObjective(RowObjective())
+    expected = [scalar(p) for p in block]
+    inner = MemoizedObjective(RowObjective())
+    for memo in (MemoizedObjective(RowObjective()), MemoizedObjective(inner)):
+        assert memo.prices_link_blocks()
+        got = memo.evaluate_many(block, folded=True)
+        assert [float(v) for v in got] == expected
+        assert (memo.calls, memo.misses, memo.evaluations) == (
+            scalar.calls, scalar.misses, scalar.evaluations
+        )
+    assert inner.evaluations == scalar.evaluations
+    assert not MemoizedObjective(RowObjective().__call__).prices_link_blocks()
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +311,61 @@ def test_iter_unique_placements_block_size_invariant():
                 n, limit, block_size=block_size, fold=fold
             ))
             _assert_same_sequence(tiny, full)
+
+
+# ----------------------------------------------------------------------
+# Block pricing: the exact search's link arrays, every class
+# ----------------------------------------------------------------------
+
+#: One- and multi-layer spaces, odd and even n, up to 12 bits.
+BLOCK_SPACES = [(4, 2), (7, 2), (10, 2), (5, 3), (8, 3), (5, 4), (6, 4)]
+
+
+def _objective_fields(kind, n):
+    if kind == "uniform":
+        return {}
+    if kind == "weighted":
+        gen = np.random.default_rng(n)
+        w = gen.random((n, n))
+        np.fill_diagonal(w, 0.0)
+        return {"weights": tuple(map(tuple, w.tolist()))}
+    return {"cost": COSTS[1]}  # non-integral hop costs
+
+
+@pytest.mark.parametrize("kind", ["uniform", "weighted", "non_integral"])
+@pytest.mark.parametrize("n,limit", BLOCK_SPACES)
+def test_block_pricing_matches_scalar_objective(n, limit, kind):
+    # Every class of the space, folded and unfolded, priced from the
+    # enumerator's arrays on every fast tier: whole code blocks and
+    # chunks of 7, bit for bit against the scalar objective.
+    fields = _objective_fields(kind, n)
+    scalar = RowObjective(**fields)
+    for fold in (True, False):
+        priced = 0
+        for block in iter_unique_blocks(n, limit, block_size=37, fold=fold):
+            expected = [scalar(p) for p in block]
+            priced += len(expected)
+            for impl in FAST_IMPLS:
+                objective = RowObjective(**fields, impl=impl)
+                got = objective.evaluate_many(block, folded=True)
+                assert [float(v) for v in got] == expected
+                chunked = [
+                    float(v)
+                    for chunk in block.chunks(7)
+                    for v in batched_mean_distances(
+                        chunk, scalar.cost, objective._w, impl=impl
+                    )
+                ]
+                assert chunked == expected
+        assert priced == len(list(iter_unique_placements(n, limit, fold=fold)))
+
+
+def test_block_pricing_on_the_reference_tier():
+    block = next(iter_unique_blocks(6, 3, fold=False))
+    reference = RowObjective(cost=COSTS[1], impl="reference")
+    assert [float(v) for v in reference.evaluate_many(block)] == [
+        reference(p) for p in block
+    ]
 
 
 # ----------------------------------------------------------------------
