@@ -36,7 +36,6 @@ from repro.core import (
     RowObjective,
     SweepResult,
     anneal,
-    branch_and_bound,
     design_point,
     exhaustive_matrix_search,
     initial_solution,
@@ -78,14 +77,6 @@ from repro.traffic import (
 )
 from repro.power import power_report, router_static_power
 from repro.analysis import channel_loads
-from repro.io import (
-    load_placement,
-    load_sweep,
-    load_topology,
-    save_placement,
-    save_sweep,
-    save_topology,
-)
 
 __version__ = "1.0.0"
 
@@ -103,7 +94,6 @@ __all__ = [
     "RowObjective",
     "SweepResult",
     "anneal",
-    "branch_and_bound",
     "design_point",
     "exhaustive_matrix_search",
     "initial_solution",
@@ -142,11 +132,5 @@ __all__ = [
     "power_report",
     "router_static_power",
     "channel_loads",
-    "load_placement",
-    "load_sweep",
-    "load_topology",
-    "save_placement",
-    "save_sweep",
-    "save_topology",
     "__version__",
 ]

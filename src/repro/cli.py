@@ -233,10 +233,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     with _obs_session(args) as obs:
         cfg = SearchConfig.from_cli(args)
         mesh_space = cfg.space != "row"
-        if args.save and mesh_space:
-            print("error: --save stores row sweeps only (use --space row)",
-                  file=sys.stderr)
-            return 2
         ledger = _ledger_for(args)
         ledger_params = optimize_params(
             args.n, args.method, args.effort, cfg.space
@@ -256,10 +252,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         sweep = res.sweep
         wall = time.perf_counter() - start
         if args.save:
-            from repro.io import save_sweep
-
-            save_sweep(sweep, args.save)
-            print(f"sweep saved to {args.save}")
+            with open(args.save, "w", encoding="utf-8") as fh:
+                json.dump(res.to_json(), fh, indent=2)
+            print(f"result saved to {args.save}")
         rows = [
             [c, point.flit_bits, point.latency.head, point.latency.serialization,
              point.total_latency, len(point.placement.express_links)]
@@ -770,7 +765,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline,
-        batch_window_s=args.batch_window,
         default_effort=args.effort,
         default_seed=args.seed,
     )
@@ -896,7 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="sweep C and pick the best design")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--method", choices=("dc_sa", "only_sa"), default="dc_sa")
-    p.add_argument("--save", metavar="FILE", help="write the sweep as JSON")
+    p.add_argument(
+        "--save", metavar="FILE",
+        help="write the result as JSON (the document /place serves; "
+        "read it back with PlacementResult.from_json)",
+    )
     _add_run_flags(p, search=True)
     p.set_defaults(func=_cmd_optimize)
 
@@ -1035,10 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=60.0, metavar="S",
         help="default per-request deadline in seconds (overridable per "
         "request via deadline_s)",
-    )
-    p.add_argument(
-        "--batch-window", type=float, default=0.002, metavar="S",
-        help="/evaluate coalescing window in seconds",
     )
     p.add_argument(
         "--sweep", metavar="N,N,...", default=None,

@@ -1,35 +1,27 @@
-"""Exact solvers for small ``P~(n, C)`` instances (Section 5.6.3).
+"""Exact solver for small ``P~(n, C)`` instances (Section 5.6.3).
 
-Two independent exact methods are provided:
-
-* :func:`exhaustive_matrix_search` enumerates the complete connection
-  matrix space ``2^{(n-2)(C-1)}``, de-duplicating matrices that decode
-  to the same placement, so the expensive evaluation runs only once
-  per equivalence class.  It also folds the left-right mirror
-  symmetry when the objective declares itself reversal-invariant
-  (:meth:`~repro.core.latency.RowObjective.mirror_invariant`); a
-  traffic-weighted objective is searched over both mirror images.
-  The classes stay link arrays from the enumeration to the pricing
-  kernel; only the winner becomes a placement.
-* :func:`branch_and_bound` searches over express-link *sets* directly
-  with depth-first branching and an admissible bound: head latency is
-  monotone non-increasing in the link set, so the energy of the current
-  partial set with *every* still-feasible link added bounds all of its
-  completions from below.  Subtrees whose bound cannot beat the
-  incumbent are pruned.
+:func:`exhaustive_matrix_search` enumerates the complete connection
+matrix space ``2^{(n-2)(C-1)}``, de-duplicating matrices that decode
+to the same placement, so the expensive evaluation runs only once per
+equivalence class.  It also folds the left-right mirror symmetry when
+the objective declares itself reversal-invariant
+(:meth:`~repro.core.latency.RowObjective.mirror_invariant`); a
+traffic-weighted objective is searched over both mirror images.  The
+classes stay link arrays from the enumeration to the pricing kernel;
+only the winner becomes a placement.
 
 The paper uses "exhaustive search algorithm with branch and bound" as
 the optimality reference for ``P(4,2)``, ``P(8,2)``, ``P(8,3)``,
-``P(8,4)`` and ``P(16,2)`` (Figure 12); both solvers here agree on all
-of those instances (tested), and the runtime ratio against D&C_SA is
-what the Figure 12 bench reports.
+``P(8,4)`` and ``P(16,2)`` (Figure 12).  Enumeration needs no bound
+to be exact; the tests check it against a brute-force minimum over
+every matrix, and the runtime ratio against D&C_SA is what the
+Figure 12 bench reports.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,93 +150,5 @@ def exhaustive_matrix_search(
         energy=best_energy,
         evaluations=memo.evaluations,
         states_visited=states,
-        wall_time_s=time.perf_counter() - start,
-    )
-
-
-def _feasible_additions(
-    placement: RowPlacement,
-    candidates: List[Tuple[int, int]],
-    limit: int,
-) -> List[Tuple[int, int]]:
-    """Candidates that can still be added without breaking the limit."""
-    counts = list(placement.cross_section_counts())
-    out = []
-    for i, j in candidates:
-        if all(counts[k] + 1 <= limit for k in range(i, j)):
-            out.append((i, j))
-    return out
-
-
-def branch_and_bound(
-    n: int,
-    link_limit: int,
-    objective: Objective,
-    max_states: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> ExactResult:
-    """Optimal placement by DFS over link sets with monotone bounding.
-
-    Because adding a link can only shorten shortest paths, the energy
-    of ``partial + all still-feasible candidates`` (constraints
-    ignored) is an admissible lower bound for every completion of
-    ``partial``; branches whose bound does not beat the incumbent are
-    cut.  ``max_states`` optionally aborts runaway searches (used only
-    by stress tests).
-
-    Bounds stay scalar (each depends on the incumbent the previous
-    branch produced), but the child frontier of every node is
-    pre-priced with one batched kernel call: each child is evaluated at
-    the top of its own visit anyway, so warming the memo in a batch
-    changes no trajectory and no evaluation count -- it only swaps K
-    kernel launches for one.  Disabled when ``max_states`` truncates
-    the search (a pre-priced child the abort would have skipped would
-    otherwise inflate ``evaluations``) or ``batch_size <= 1``.
-    """
-    limit = effective_link_limit(n, link_limit)
-    memo = MemoizedObjective(objective)
-    start = time.perf_counter()
-    all_candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
-    batch_frontiers = batch_size > 1 and max_states is None
-
-    best: Dict[str, object] = {
-        "placement": RowPlacement.mesh(n),
-        "energy": memo(RowPlacement.mesh(n)),
-    }
-    states = {"count": 0}
-
-    def visit(placement: RowPlacement, remaining: List[Tuple[int, int]]) -> None:
-        states["count"] += 1
-        if max_states is not None and states["count"] > max_states:
-            return
-        energy = memo(placement)
-        if energy < best["energy"]:
-            best["energy"] = energy
-            best["placement"] = placement
-        feasible = _feasible_additions(placement, remaining, limit)
-        if not feasible:
-            return
-        # Admissible bound: all feasible links added at once.
-        relaxed = RowPlacement(n, placement.express_links | set(feasible))
-        if memo(relaxed) >= best["energy"]:
-            return
-        children = []
-        for idx, link in enumerate(feasible):
-            nxt = placement.with_link(*link)
-            if not nxt.satisfies_limit(limit):
-                continue
-            # Only branch on links after `link` to avoid permutations.
-            children.append((nxt, feasible[idx + 1:]))
-        if batch_frontiers and len(children) > 1:
-            memo.evaluate_many([child for child, _ in children])
-        for child, rest in children:
-            visit(child, rest)
-
-    visit(RowPlacement.mesh(n), all_candidates)
-    return ExactResult(
-        placement=best["placement"],  # type: ignore[arg-type]
-        energy=float(best["energy"]),  # type: ignore[arg-type]
-        evaluations=memo.evaluations,
-        states_visited=states["count"],
         wall_time_s=time.perf_counter() - start,
     )

@@ -60,7 +60,10 @@ from repro.api import (
     SearchConfig,
     _check_schema,
     _float_hex,
-    _float_unhex,
+    _json_choice,
+    _json_field,
+    _json_int,
+    _json_list,
 )
 from repro.analysis.channel_load import channel_loads
 from repro.core.annealing import AnnealingParams
@@ -535,36 +538,51 @@ class ParetoFront:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ParetoFront":
-        """Rebuild a front from :meth:`to_json` output (bit-exact)."""
+        """Rebuild a front from :meth:`to_json` output (bit-exact).
+
+        A missing or mistyped field raises :class:`ConfigurationError`
+        naming it, as does a point whose placement is not ``n`` routers
+        wide or whose values do not match the axes one for one.
+        """
         _check_schema(data, "pareto_front")
-        objectives = tuple(data["objectives"])
-        unknown = [o for o in objectives if o not in OBJECTIVES]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown objective(s) {unknown} in pareto_front"
+
+        def field(name, convert, *default):
+            return _json_field(data, "pareto_front", name, convert, *default)
+
+        def axes(value):
+            names = _json_list(value, _json_choice(OBJECTIVES))
+            if not names or len(set(names)) != len(names):
+                raise ValueError(
+                    f"expected one or more distinct axes, got {value!r}"
+                )
+            return names
+
+        def point(value):
+            if not isinstance(value, Mapping):
+                raise TypeError(f"expected an object, got {value!r}")
+            placement = RowPlacement.from_canonical_bytes(
+                bytes.fromhex(value.get("placement"))
             )
-        if data["driver"] not in PARETO_DRIVERS:
-            raise ConfigurationError(
-                f"unknown pareto driver {data['driver']!r} in pareto_front"
-            )
-        points = tuple(
-            ParetoPoint(
-                placement=RowPlacement.from_canonical_bytes(
-                    bytes.fromhex(p["placement"])
-                ),
-                values=tuple(_float_unhex(v) for v in p["values"]),
-            )
-            for p in data["points"]
-        )
+            if placement.n != n:
+                raise ValueError(f"a placement of {placement.n} routers "
+                                 f"on a front of n={n}")
+            values = _json_list(value.get("values"), float.fromhex)
+            if len(values) != len(objectives):
+                raise ValueError(f"{len(values)} values on a front of "
+                                 f"{len(objectives)} axes")
+            return ParetoPoint(placement=placement, values=values)
+
+        n = field("n", _json_int(2))
+        objectives = field("objectives", axes)
         return cls(
-            n=data["n"],
-            link_limit=data["link_limit"],
+            n=n,
+            link_limit=field("link_limit", _json_int(1)),
             objectives=objectives,
-            driver=data["driver"],
-            method=data["method"],
-            points=points,
-            evaluations=data["evaluations"],
-            seed=data.get("seed"),
+            driver=field("driver", _json_choice(PARETO_DRIVERS)),
+            method=field("method", _json_choice(METHODS)),
+            points=field("points", lambda v: _json_list(v, point)),
+            evaluations=field("evaluations", _json_int(0)),
+            seed=field("seed", _json_int(0, optional=True), None),
         )
 
 

@@ -1,20 +1,21 @@
 """Request batching: coalesce concurrent ``/evaluate`` calls.
 
-Evaluation requests that arrive within one short window are priced by a
-single :meth:`~repro.core.latency.RowObjective.evaluate_many` call --
-the population Floyd-Warshall kernel from PR 5 -- instead of one O(n^3)
-solve each.  ``evaluate_many`` is bit-identical to the scalar path by
-the batched-population parity contract, and each request is finished
+Evaluation requests that are pending together are priced by a single
+:meth:`~repro.core.latency.RowObjective.evaluate_many` call -- the
+population Floyd-Warshall kernel -- instead of one O(n^3) solve each.
+``evaluate_many`` is bit-identical to the scalar path by the
+batched-population parity contract, and each request is finished
 through :func:`repro.api.eval_result_from_row` (the exact tail of
 :func:`repro.api.evaluate_placement`), so a batched response is
 byte-identical to an unbatched one.
 
-The batcher is single-flush: the first request to arrive arms a timer
-task; every request that lands within ``window_s`` joins the same
-batch; the flush prices the whole batch in the worker pool and
-resolves each request's future.  Requests are grouped by
-``(n, weights)`` inside one flush since one kernel call prices one
-population shape.
+There is no timer: the first request to arrive starts a flush task,
+which yields one event-loop turn (so requests already scheduled join)
+and then prices everything pending in the worker pool.  Requests that
+queue while a batch is being priced form the next batch, so batches
+still grow whenever the pool is busy, and a lone request waits for
+nothing.  Requests are grouped by ``(n, weights)`` inside one batch
+since one kernel call prices one population shape.
 """
 
 from __future__ import annotations
@@ -39,14 +40,8 @@ class _Pending:
 class EvaluateBatcher:
     """Coalesces concurrent evaluation requests into population calls."""
 
-    def __init__(
-        self,
-        registry: Any = None,
-        window_s: float = 0.002,
-        executor: Any = None,
-    ) -> None:
+    def __init__(self, registry: Any = None, executor: Any = None) -> None:
         self.registry = registry
-        self.window_s = window_s
         self.executor = executor
         self._pending: List[_Pending] = []
         self._flush_task: Optional[asyncio.Task] = None
@@ -57,12 +52,12 @@ class EvaluateBatcher:
         link_limit: Optional[int] = None,
         weights: Optional[Tuple[Tuple[float, ...], ...]] = None,
     ) -> EvalResult:
-        """Price one placement; joins the current batch window."""
+        """Price one placement; joins the next batch to be priced."""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[EvalResult]" = loop.create_future()
         self._pending.append(_Pending(placement, link_limit, weights, future))
         if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush_after_window())
+            self._flush_task = loop.create_task(self._flush())
         return await future
 
     async def drain(self) -> None:
@@ -76,34 +71,30 @@ class EvaluateBatcher:
             else:  # pragma: no cover - pending with no armed task
                 await asyncio.sleep(0)
 
-    async def _flush_after_window(self) -> None:
-        await asyncio.sleep(self.window_s)
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        if self.registry is not None:
-            self.registry.counter("serve.evaluate.batches").inc()
-            self.registry.counter("serve.evaluate.requests").inc(len(batch))
-            self.registry.histogram(
-                "serve.evaluate.batch_size", (1, 2, 4, 8, 16, 32, 64)
-            ).observe(len(batch))
+    async def _flush(self) -> None:
+        await asyncio.sleep(0)
         loop = asyncio.get_running_loop()
-        try:
-            results = await loop.run_in_executor(
-                self.executor, _price_batch, batch
-            )
-        except Exception as exc:  # kernel-level failure: fail the batch
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(exc)
-            return
-        for item, outcome in zip(batch, results):
-            if item.future.done():  # request timed out mid-flight
-                continue
-            if isinstance(outcome, Exception):
-                item.future.set_exception(outcome)
-            else:
-                item.future.set_result(outcome)
+        while self._pending:
+            batch, self._pending = self._pending, []
+            if self.registry is not None:
+                self.registry.counter("serve.evaluate.batches").inc()
+                self.registry.counter("serve.evaluate.requests").inc(len(batch))
+                self.registry.histogram(
+                    "serve.evaluate.batch_size", (1, 2, 4, 8, 16, 32, 64)
+                ).observe(len(batch))
+            try:
+                results = await loop.run_in_executor(
+                    self.executor, _price_batch, batch
+                )
+            except Exception as exc:  # kernel-level failure: fail the batch
+                results = [exc] * len(batch)
+            for item, outcome in zip(batch, results):
+                if item.future.done():  # request timed out mid-flight
+                    continue
+                if isinstance(outcome, Exception):
+                    item.future.set_exception(outcome)
+                else:
+                    item.future.set_result(outcome)
 
 
 def _price_batch(batch: List[_Pending]) -> List[Any]:

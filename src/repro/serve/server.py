@@ -141,7 +141,6 @@ class ServeApp:
         queue_limit: int = 256,
         default_deadline_s: float = 60.0,
         max_deadline_s: float = 600.0,
-        batch_window_s: float = 0.002,
         default_effort: str = "paper",
         default_seed: Optional[int] = 2019,
         workers: Optional[int] = None,
@@ -161,9 +160,7 @@ class ServeApp:
             max_workers=workers or max(2, capacity),
             thread_name_prefix="repro-serve",
         )
-        self.batcher = EvaluateBatcher(
-            self.metrics, window_s=batch_window_s, executor=self.executor
-        )
+        self.batcher = EvaluateBatcher(self.metrics, executor=self.executor)
         self.draining = False
         self._active = 0
         self._inflight: Dict[str, asyncio.Task] = {}

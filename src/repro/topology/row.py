@@ -91,7 +91,7 @@ class RowPlacement:
     Notes
     -----
     The placement is immutable and hashable so it can serve as a cache
-    key during annealing and branch-and-bound searches.
+    key during annealing and exact searches.
     """
 
     n: int

@@ -1,4 +1,5 @@
-"""Exact-solver tests: exhaustive enumeration vs branch and bound."""
+"""Exact-solver tests: the exhaustive search against a brute-force
+minimum over every matrix, and its batched path against the scalar one."""
 
 import functools
 
@@ -7,11 +8,7 @@ import pytest
 
 from repro.core import branch_bound
 from repro.core.annealing import MemoizedObjective
-from repro.core.branch_bound import (
-    branch_and_bound,
-    effective_link_limit,
-    exhaustive_matrix_search,
-)
+from repro.core.branch_bound import effective_link_limit, exhaustive_matrix_search
 from repro.core.connection_matrix import (
     enumerate_matrices,
     iter_unique_blocks,
@@ -168,6 +165,17 @@ class TestMirrorFold:
         assert result.energy == brute
         result.placement.validate(c)
 
+    @pytest.mark.parametrize("n,c", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 2)])
+    def test_uniform_optimum_equals_brute_force(self, n, c):
+        # The folded search prices one class per mirror pair; the brute
+        # force decodes and prices every matrix of the space.
+        objective = RowObjective()
+        assert objective.mirror_invariant()
+        result = exhaustive_matrix_search(n, c, objective)
+        brute = min(objective(m.decode()) for m in enumerate_matrices(n, c))
+        assert result.energy == brute
+        result.placement.validate(c)
+
     def test_weighted_search_prices_both_mirror_images(self):
         folded = exhaustive_matrix_search(7, 2, RowObjective())
         weighted = exhaustive_matrix_search(
@@ -189,24 +197,6 @@ class TestMirrorFold:
         assert MemoizedObjective(MemoizedObjective(RowObjective())).mirror_invariant()
         # An objective that declares nothing keeps the documented fold.
         assert MemoizedObjective(RowObjective().__call__).mirror_invariant()
-
-
-class TestBranchAndBound:
-    @pytest.mark.parametrize("n,c", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 2)])
-    def test_agrees_with_exhaustive(self, n, c):
-        obj = RowObjective()
-        exact = exhaustive_matrix_search(n, c, obj)
-        bb = branch_and_bound(n, c, obj)
-        assert bb.energy == pytest.approx(exact.energy)
-
-    def test_valid_result(self):
-        result = branch_and_bound(8, 3, RowObjective())
-        result.placement.validate(3)
-
-    def test_max_states_aborts_gracefully(self):
-        result = branch_and_bound(8, 4, RowObjective(), max_states=10)
-        # Still returns *a* valid placement, possibly suboptimal.
-        result.placement.validate(4)
 
 
 class TestFigure12Instances:

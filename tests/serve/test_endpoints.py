@@ -29,7 +29,6 @@ def app(tmp_path):
         DesignStore(str(tmp_path / "designs")),
         capacity=4,
         default_effort="smoke",
-        batch_window_s=0.001,
     )
     yield application
     application.executor.shutdown(wait=True)

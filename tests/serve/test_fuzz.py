@@ -1,7 +1,8 @@
 """Malformed input never escapes as a traceback or an HTTP 500.
 
-Hypothesis drives the three ``from_json`` readers -- what the design
-store and the ledger read back -- and the three POST bodies of the
+Hypothesis drives the four ``from_json`` readers -- what the design
+store, the ledger and ``repro optimize --save`` write, and the Pareto
+fronts ``repro pareto`` writes -- and the three POST bodies of the
 server.  Every input either parses/serves or fails with a
 :class:`ConfigurationError` (a 400 over HTTP) that names the field.
 The server's search, pricing and campaign work is stubbed out: only
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.api import EvalResult, PlacementResult, SearchConfig, evaluate_placement
 from repro.core.annealing import AnnealingParams
 from repro.core.optimizer import optimize
+from repro.core.pareto import ParetoFront, pareto_front
 from repro.serve.server import ServeApp
 from repro.serve.store import DesignStore
 from repro.topology.row import RowPlacement
@@ -41,6 +43,8 @@ field_values = st.sampled_from(ADVERSARIAL) | json_values
 
 _PLACEMENT = optimize(4, params=SMOKE, config=SearchConfig(seed=1))
 _EVAL = evaluate_placement(RowPlacement(6, frozenset({(0, 3)})), link_limit=2)
+_FRONT = pareto_front(6, 2, objectives=("latency", "power"), points=1,
+                      params=SMOKE, config=SearchConfig(seed=1))
 
 
 def _mutations(valid: dict):
@@ -80,6 +84,11 @@ class TestFromJson:
     @settings(max_examples=150, deadline=None)
     def test_search_config(self, data):
         _parses_or_names_the_error(SearchConfig.from_json, data)
+
+    @given(data=_mutations(_FRONT.to_json()))
+    @settings(max_examples=150, deadline=None)
+    def test_pareto_front(self, data):
+        _parses_or_names_the_error(ParetoFront.from_json, data)
 
     @pytest.mark.parametrize("field", [
         "energy", "head_latency", "serialization_latency", "total_latency",
@@ -138,6 +147,29 @@ class TestFromJson:
             EvalResult.from_json(data)
         assert repr(field) in str(exc.value)
 
+    @pytest.mark.parametrize("field,changes", [
+        ("n", {"n": 8.5}),
+        ("n", {"n": "8"}),
+        ("n", {"n": 1}),
+        ("method", {"method": "banana"}),
+        ("evaluations", {"evaluations": -5}),
+        ("link_limit", {"link_limit": 0}),
+        ("objectives", {"objectives": ["latency", "latency"]}),
+        ("objectives", {"objectives": []}),
+        ("driver", {"driver": "weighted-sum"}),
+        ("seed", {"seed": "1"}),
+        # Two values per point on a one-axis front.
+        ("points", {"objectives": ["latency"]}),
+        # Points of 6 routers on a front that says n=8.
+        ("points", {"n": 8}),
+    ])
+    def test_pareto_front_field_is_named(self, field, changes):
+        """Well-typed JSON no front search could have written is refused
+        with the field named, as are the mistyped scalars."""
+        with pytest.raises(ConfigurationError) as exc:
+            ParetoFront.from_json(dict(_FRONT.to_json(), **changes))
+        assert repr(field) in str(exc.value)
+
     @pytest.mark.parametrize("field,value", [
         ("trace_out", 5), ("trace_out", ["t.jsonl"]), ("ledger", 3.5),
         ("ledger", True), ("profile", "yes"), ("profile", 1),
@@ -165,7 +197,7 @@ def stubbed_app(tmp_path, monkeypatch):
     monkeypatch.setattr(batcher, "_price_batch",
                         lambda batch: [_EVAL for _ in batch])
     app = ServeApp(DesignStore(str(tmp_path / "designs")), capacity=4,
-                   default_effort="smoke", batch_window_s=0.0)
+                   default_effort="smoke")
     yield app
     app.executor.shutdown(wait=True)
 

@@ -56,7 +56,6 @@ def app(tmp_path):
     application = ServeApp(
         DesignStore(str(tmp_path / "designs")),
         default_effort="smoke",
-        batch_window_s=0.001,
     )
     yield application
     application.executor.shutdown(wait=True)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.optimizer import optimize
 
 SWEEP_GOLDEN = os.path.join(
     os.path.dirname(__file__), "sim", "simulate_sweep_golden.out"
@@ -123,14 +124,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "binding bound" in out
 
-    def test_optimize_save(self, capsys, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        assert (
-            main(["optimize", "--n", "4", "--effort", "smoke", "--save", path]) == 0
-        )
-        from repro.io import load_sweep
+    @pytest.mark.parametrize("space", ["row", "hetero", "grid2d"])
+    def test_optimize_save(self, capsys, tmp_path, monkeypatch, space):
+        import json
 
-        assert load_sweep(path).n == 4
+        import repro.cli as cli
+        from repro.api import PlacementResult
+
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(optimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "optimize", recorded)
+        path = tmp_path / "result.json"
+        assert main([
+            "optimize", "--n", "4", "--effort", "smoke", "--seed", "1",
+            "--space", space, "--save", str(path),
+        ]) == 0
+        with open(path, encoding="utf-8") as fh:
+            saved = PlacementResult.from_json(json.load(fh))
+        assert saved == runs[0]
+        assert saved.space == space
 
     def test_simulate_sweep_jobs_invariance(self, capsys):
         argv = [
