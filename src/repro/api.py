@@ -4,7 +4,7 @@ The solver surface grew keyword-by-keyword across iterations
 (``optimize(..., rng=, restarts=, jobs=, max_evaluations=, ...)``).
 This module is the deliberate redesign: one frozen
 :class:`SearchConfig` carries every knob that shapes *how* a search
-runs (seed, restarts, jobs, trace settings), and
+runs (seed, restarts, jobs, evaluation cap, search space), and
 every search entry point -- :func:`repro.optimize`,
 :func:`repro.solve_row_problem`, :func:`place_express_links`, across
 all search spaces -- returns one frozen result type:
@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, ReproError
+from repro.util.rngtools import fresh_entropy
 
 __all__ = [
     "SEARCH_SPACES",
@@ -100,13 +101,13 @@ SEARCH_SPACES = ("row", "hetero", "grid2d")
 #: Pareto objective axes a placement can be priced on (all minimized):
 #: traffic-weighted mean row head latency, the static+dynamic power
 #: proxy, total router area, and the worst-case channel-load saturation
-#: bound.  Defined here (not in :mod:`repro.core.pareto`) so
-#: :class:`SearchConfig` can validate without importing the front-search
-#: stack.
+#: bound.  Defined here (not in :mod:`repro.core.pareto`) so the
+#: facade names them without importing the front-search stack.
 OBJECTIVES = ("latency", "power", "area", "channel_load")
 
-#: Front-search drivers: the ε-constraint sweep over the scalar
-#: backends and the NSGA-II-style population loop.
+#: Front-search drivers (:func:`repro.pareto_front`'s ``driver=``):
+#: the ε-constraint sweep over the scalar backends and the NSGA-II-style
+#: population loop.
 PARETO_DRIVERS = ("epsilon", "nsga2")
 
 #: Row solvers: the paper's D&C-seeded annealing, annealing from a
@@ -207,9 +208,11 @@ class SearchConfig:
     Attributes
     ----------
     seed:
-        Integer base seed, or ``None`` for fresh entropy.  Every search
-        derives one independent stream per ``(C, restart)`` task from
-        it (:func:`repro.util.rngtools.derived_rng`).
+        Integer base seed (``>= 0``), or ``None`` for fresh entropy,
+        drawn once per search (:meth:`seeded`) and recorded in the
+        result's config.  Every search derives one independent stream
+        per ``(C, restart)`` task from it
+        (:func:`repro.util.rngtools.derived_rng`).
     restarts:
         Independent SA chains per ``C``; the best chain wins (ties go
         to the lowest restart index).
@@ -223,15 +226,10 @@ class SearchConfig:
     max_evaluations:
         Optional cap (``>= 1``) on unique objective evaluations per
         chain.
-    trace_out / metrics_every / profile:
-        Observability: JSONL event trace path, periodic progress event
-        interval, and span-profile printing (CLI flags of the same
-        names).
-    ledger:
-        Run-ledger root directory (``--ledger``): record the run as a
-        content-addressed manifest under ``<ledger>/<run_id>/`` (see
-        :mod:`repro.obs.ledger`).  ``None`` disables recording; like
-        the other observability knobs it never affects results.
+    metrics_every:
+        Periodic SA progress-event interval (``--metrics-every``; 0
+        disables).  Like ``jobs`` it never affects results, so neither
+        enters the run identity (:mod:`repro.obs.ledger`).
     space:
         Placement search space (``--space``): ``"row"`` is the paper's
         replicated-row reduction; ``"hetero"`` searches one placement
@@ -240,51 +238,24 @@ class SearchConfig:
         budget ``n * C`` (see :mod:`repro.core.search_space`).  Every
         space runs through the same search runner, so ``restarts`` and
         ``jobs`` apply to all of them.
-    objectives:
-        Pareto objective axes for :func:`repro.pareto_front` (subset of
-        :data:`OBJECTIVES`, order defines the value-vector layout).
-        Empty for scalar searches.
-    pareto:
-        Front-search driver (one of :data:`PARETO_DRIVERS`): the
-        ε-constraint sweep or the NSGA-II-style population loop.
-        Requires ``objectives`` and the row space.
     """
 
     seed: Optional[int] = None
     restarts: int = 1
     jobs: int = 1
     max_evaluations: Optional[int] = None
-    trace_out: Optional[str] = None
     metrics_every: int = 0
-    profile: bool = False
-    ledger: Optional[str] = None
     space: str = "row"
-    objectives: Tuple[str, ...] = ()
-    pareto: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.objectives, (list, tuple)):
-            raise ConfigurationError(
-                f"objectives must be a list of axis names, got "
-                f"{self.objectives!r}"
-            )
-        # JSON round-trips deliver lists; normalize before validating
-        # so equality with a freshly-built config holds.
-        object.__setattr__(self, "objectives", tuple(self.objectives))
-        self._require_int("seed", "an integer or None", optional=True)
+        self._require_int("seed", "an integer >= 0 or None", optional=True)
         for name in ("restarts", "jobs", "metrics_every"):
             self._require_int(name, "an integer")
         self._require_int("max_evaluations", "an integer >= 1 or None",
                           optional=True)
-        for name in ("trace_out", "ledger"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigurationError(
-                    f"{name} must be a path string or None, got {value!r}"
-                )
-        if not isinstance(self.profile, bool):
+        if self.seed is not None and self.seed < 0:
             raise ConfigurationError(
-                f"profile must be a bool, got {self.profile!r}"
+                f"seed must be an integer >= 0 or None, got {self.seed}"
             )
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
@@ -303,32 +274,6 @@ class SearchConfig:
                 f"unknown search space {self.space!r}; expected one of "
                 f"{SEARCH_SPACES}"
             )
-        unknown_axes = [o for o in self.objectives if o not in OBJECTIVES]
-        if unknown_axes:
-            raise ConfigurationError(
-                f"unknown objective(s) {unknown_axes}; expected a subset "
-                f"of {OBJECTIVES}"
-            )
-        if len(set(self.objectives)) != len(self.objectives):
-            raise ConfigurationError(
-                f"duplicate objectives in {self.objectives}"
-            )
-        if self.pareto is not None:
-            if self.pareto not in PARETO_DRIVERS:
-                raise ConfigurationError(
-                    f"unknown pareto driver {self.pareto!r}; expected one "
-                    f"of {PARETO_DRIVERS}"
-                )
-            if not self.objectives:
-                raise ConfigurationError(
-                    "pareto searches need at least one objective axis "
-                    f"(objectives=, from {OBJECTIVES})"
-                )
-            if self.space != "row":
-                raise ConfigurationError(
-                    "pareto front search is row-space only: the mesh "
-                    "axes price replicated-row designs"
-                )
 
     def _require_int(self, name: str, expected: str,
                       optional: bool = False) -> None:
@@ -357,17 +302,20 @@ class SearchConfig:
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **changes)
 
+    def seeded(self) -> "SearchConfig":
+        """This config, with a ``None`` seed replaced by fresh entropy.
+
+        Every search entry point draws here, once, so the result records
+        the base seed its derived streams came from and replays exactly.
+        """
+        if self.seed is not None:
+            return self
+        return replace(self, seed=fresh_entropy())
+
     # -- JSON schema ---------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        """This config as a plain JSON-safe dict.
-
-        ``objectives`` serializes as a list (JSON has no tuples), so a
-        dict that made a round trip through real JSON compares equal
-        to a freshly-produced one; ``from_json`` re-coerces it.
-        """
-        data = asdict(self)
-        data["objectives"] = list(data["objectives"])
-        return data
+        """This config as a plain JSON-safe dict."""
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SearchConfig":

@@ -348,13 +348,9 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.obs.ledger import digest_parts, pareto_params
     from repro.traffic.parsec import PARSEC_WORKLOADS, workload_gamma
 
-    # SearchConfig.from_cli reads args.objectives / args.pareto
-    # verbatim: turn the CSV flag into the axis tuple and alias the
-    # driver flag before the config is built (validation happens there).
-    args.objectives = tuple(
+    objectives = tuple(
         s.strip() for s in args.objectives.split(",") if s.strip()
     )
-    args.pareto = args.driver
     try:
         limits = tuple(int(s) for s in str(args.c).split(",") if s.strip())
     except ValueError:
@@ -372,11 +368,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             )
             return 2
     with _obs_session(args) as obs:
-        try:
-            cfg = SearchConfig.from_cli(args)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        cfg = SearchConfig.from_cli(args)
         ledger = _ledger_for(args)
         scenarios = []
         for traffic in traffics:
@@ -387,7 +379,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             for c in limits:
                 ledger_params = pareto_params(
                     args.n, c, args.method, args.effort, args.driver,
-                    cfg.objectives, traffic,
+                    objectives, traffic,
                 )
                 run_id = None
                 if ledger is not None:
@@ -399,6 +391,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 start = time.perf_counter()
                 front = pareto_front(
                     args.n, c,
+                    objectives=objectives,
+                    driver=args.driver,
                     gamma=gamma,
                     method=args.method,
                     params=EFFORTS[args.effort],
@@ -449,7 +443,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 "kind": "pareto_fronts",
                 "n": args.n,
                 "driver": args.driver,
-                "objectives": list(cfg.objectives),
+                "objectives": list(objectives),
                 "scenarios": scenarios,
             }
             with open(args.out, "w", encoding="utf-8") as fh:

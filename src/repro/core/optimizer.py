@@ -129,7 +129,9 @@ def solve_row_problem(
     ``jobs`` value.  ``config.space`` picks the search space; in the
     mesh spaces ``objective``, if given, must be a
     :class:`~repro.core.search_space.MeshObjective`.  The winning
-    :class:`RowSolution` stays reachable as ``result.solution``.
+    :class:`RowSolution` stays reachable as ``result.solution``.  An
+    unseeded config draws its base seed once, and ``result.config``
+    records it.
 
     ``obs`` flows into the D&C seeder, the annealer and the
     Floyd-Warshall evaluator of every task, so a single
@@ -140,7 +142,7 @@ def solve_row_problem(
 
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
-    config = config or SearchConfig()
+    config = (config or SearchConfig()).seeded()
     solution, energies = solve_limit(
         n, link_limit, space=config.space, method=method,
         objective=SPACES[config.space].objective_for(objective),
@@ -378,14 +380,15 @@ def optimize(
     per-``(C, restart)`` derived seeds, best chain kept, on up to
     ``config.jobs`` processes -- bit-identical results for every
     ``jobs`` value at a fixed seed.  ``config.space`` picks the search
-    space; ``C = 1`` is the plain mesh in every space.
+    space; ``C = 1`` is the plain mesh in every space.  An unseeded
+    config draws its base seed once, and ``result.config`` records it.
     """
     from repro.core.parallel import sweep_limits
     from repro.core.search_space import SPACES
 
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
-    config = config or SearchConfig()
+    config = (config or SearchConfig()).seeded()
     start = time.perf_counter()
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()

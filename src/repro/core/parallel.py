@@ -47,7 +47,7 @@ from repro.obs.instrument import Instrumentation, ensure_obs
 from repro.obs.sinks import MemorySink
 from repro.obs.spans import SpanStats
 from repro.util.errors import ConfigurationError
-from repro.util.rngtools import derived_rng, fresh_entropy
+from repro.util.rngtools import derived_rng
 
 #: ``(best solution, per-restart final energies in restart order)``.
 Solved = Tuple[RowSolution, Tuple[float, ...]]
@@ -213,7 +213,7 @@ def _run_grid(
     """Run ``config.restarts`` tasks for every (validated) limit."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    base_seed = fresh_entropy() if config.seed is None else config.seed
+    base_seed = config.seed
     stripped = _with_obs(objective, None)
     tasks = [
         SearchTask(
@@ -264,11 +264,13 @@ def solve_limit(
     space: str,
     method: str,
     objective,
+    config: SearchConfig,
     params: Optional[AnnealingParams] = None,
-    config: Optional[SearchConfig] = None,
     obs: Optional[Instrumentation] = None,
 ) -> Solved:
     """Solve one ``P~(n, C)`` with ``config.restarts`` tasks; keep the best.
+
+    ``config`` carries the base seed (:meth:`SearchConfig.seeded`).
 
     ``C`` is validated once here (:func:`validated_link_limit`): an
     oversized limit is clamped to ``C_full`` with a ``config.clamp``
@@ -279,7 +281,7 @@ def solve_limit(
     limit = validated_link_limit(n, link_limit, obs)
     return _run_grid(
         n, [limit], space=space, method=method, objective=objective,
-        params=params, config=config or SearchConfig(), obs=obs,
+        params=params, config=config, obs=obs,
     )[limit]
 
 
@@ -290,11 +292,11 @@ def sweep_limits(
     space: str,
     method: str,
     objective,
+    config: SearchConfig,
     params: Optional[AnnealingParams] = None,
-    config: Optional[SearchConfig] = None,
     obs: Optional[Instrumentation] = None,
 ) -> Dict[int, Solved]:
-    """Solve every ``C`` of a sweep, in limit order.
+    """Solve every ``C`` of a sweep, in limit order (``config`` seeded).
 
     Limits are validated and de-duplicated once, before any task runs.
     ``C = 1`` admits only the plain mesh, so it is priced directly (one
@@ -304,8 +306,7 @@ def sweep_limits(
     limits = tuple(dict.fromkeys(validated_link_limit(n, c, obs) for c in link_limits))
     solved = _run_grid(
         n, [c for c in limits if c > 1], space=space, method=method,
-        objective=objective, params=params, config=config or SearchConfig(),
-        obs=obs,
+        objective=objective, params=params, config=config, obs=obs,
     )
     if 1 in limits:
         mesh = _mesh_solution(n, space, method, objective)

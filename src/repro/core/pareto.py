@@ -82,7 +82,7 @@ from repro.sim.config import SimConfig
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
-from repro.util.rngtools import derived_rng, fresh_entropy
+from repro.util.rngtools import derived_rng
 
 __all__ = [
     "ParetoFront",
@@ -847,8 +847,8 @@ def _nsga_front(
 def pareto_front(
     n: int,
     link_limit: int,
-    objectives: Optional[Sequence[str]] = None,
-    driver: Optional[str] = None,
+    objectives: Sequence[str] = ("latency", "power"),
+    driver: str = "epsilon",
     gamma: Optional[np.ndarray] = None,
     method: str = "dc_sa",
     params: Optional[AnnealingParams] = None,
@@ -863,24 +863,37 @@ def pareto_front(
 ) -> ParetoFront:
     """Search the Pareto front of ``P~(n, C)`` on the chosen axes.
 
-    ``objectives`` / ``driver`` default to ``config.objectives`` /
-    ``config.pareto`` (then ``("latency", "power")`` / ``"epsilon"``).
-    ``gamma`` weights the latency axis and drives the channel-load
-    axis; ``None`` means uniform traffic.  ``points`` sets the ε levels
+    ``objectives`` is an ordered subset of :data:`~repro.api.OBJECTIVES`
+    (the value-vector layout); ``driver`` is one of
+    :data:`~repro.api.PARETO_DRIVERS`.  From ``config`` the search reads
+    the seed, ``jobs`` and ``max_evaluations``; fronts are row-space
+    searches of one chain per task, so ``config.space`` must be
+    ``"row"`` and ``config.restarts`` 1.  An unseeded config draws its
+    base seed once, and ``front.seed`` records it.  ``gamma`` weights
+    the latency axis and drives the channel-load axis; ``None`` means
+    uniform traffic.  ``points`` sets the ε levels
     per secondary axis; ``population`` / ``generations`` size the NSGA
     loop.  A single-objective ``latency`` call degenerates to the exact
     scalar solve -- bitwise-identical to
     :func:`repro.core.optimizer.solve_row_problem` at the same seed.
     """
-    config = config or SearchConfig()
-    chosen = tuple(
-        objectives
-        if objectives is not None
-        else (config.objectives or ("latency", "power"))
-    )
-    chosen_driver = driver or config.pareto or "epsilon"
-    # Reuse SearchConfig's validation for axes/driver/space coherence.
-    config = config.with_updates(objectives=chosen, pareto=chosen_driver)
+    config = (config or SearchConfig()).seeded()
+    objectives = tuple(objectives)
+    if driver not in PARETO_DRIVERS:
+        raise ConfigurationError(
+            f"unknown pareto driver {driver!r}; expected one of "
+            f"{PARETO_DRIVERS}"
+        )
+    if config.space != "row":
+        raise ConfigurationError(
+            f"space must be 'row' for a pareto front search (the axes "
+            f"price replicated-row designs), got {config.space!r}"
+        )
+    if config.restarts != 1:
+        raise ConfigurationError(
+            f"restarts must be 1 for a pareto front search (each front "
+            f"task runs one chain), got {config.restarts}"
+        )
     if method not in METHODS:
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}"
@@ -907,30 +920,30 @@ def pareto_front(
     spec = ParetoSpec(
         n=n,
         link_limit=link_limit,
-        objectives=chosen,
+        objectives=objectives,
         weights=weights,
         gamma=checked_gamma,
         cost=cost,
         base_flit_bits=bandwidth.base_flit_bits,
         mix=mix,
     )
-    base_seed = config.seed if config.seed is not None else fresh_entropy()
+    base_seed = config.seed
     pricer = ParetoPricer(spec)
     if obs.enabled:
         obs.emit(
             "pareto.start",
             n=n,
             link_limit=link_limit,
-            driver=chosen_driver,
-            objectives=",".join(chosen),
+            driver=driver,
+            objectives=",".join(objectives),
         )
 
-    if len(chosen) == 1:
+    if len(objectives) == 1:
         # Degenerate single-axis front: the scalar solve itself, on the
         # stream of solve_row_problem's restart 0 -- the bitwise
         # endpoint-agreement contract both drivers share.
         rng = derived_rng(base_seed, effective_link_limit(n, link_limit), 0)
-        if chosen[0] == "latency":
+        if objectives[0] == "latency":
             solution = _solve_row(
                 n,
                 link_limit,
@@ -966,7 +979,7 @@ def pareto_front(
             for o in endpoint_outcomes
         ]
         endpoint_values = pricer.price_many(endpoint_placements, config.jobs)
-        if chosen_driver == "epsilon":
+        if driver == "epsilon":
             tasks = _epsilon_tasks(
                 spec, endpoint_values, method, params, base_seed, points,
                 config.max_evaluations,
@@ -998,8 +1011,8 @@ def pareto_front(
     front = ParetoFront(
         n=n,
         link_limit=link_limit,
-        objectives=chosen,
-        driver=chosen_driver,
+        objectives=objectives,
+        driver=driver,
         method=method,
         points=front_points,
         evaluations=pricer.evaluations,

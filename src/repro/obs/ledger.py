@@ -14,11 +14,11 @@ parameters, the result-shaping execution knobs and the seed -- so it is
 computable **before** the run (it stamps the trace context via
 ``obs.set_context(run_id=...)``) and identical runs overwrite the same
 manifest (idempotent, cache-friendly).  The wall-clock knob ``jobs``
-and the observability knobs (``trace_out``, ``profile``,
-``metrics_every``, ``ledger``) are excluded from the identity because
-the engines guarantee they cannot change results.  The kernel tier is
-no knob at all: it is the machine's, recorded in the manifest's
-``environment`` block as ``kernel_tier``.
+and the progress-event interval ``metrics_every`` are excluded from the
+identity because the engines guarantee they cannot change results; the
+trace, profile and ledger flags are the CLI's, never a config field.
+The kernel tier is no knob at all: it is the machine's, recorded in
+the manifest's ``environment`` block as ``kernel_tier``.
 
 The *outcome* is recorded separately: a ``result_digest`` over the
 canonical result bytes (placement bytes + ``float.hex`` energies, or
@@ -47,12 +47,10 @@ from repro.util.errors import ConfigurationError
 #: Default ledger root, relative to the working directory.
 LEDGER_ROOT = os.path.join(".repro", "runs")
 
-#: SearchConfig/SimConfig fields excluded from the run identity: pure
-#: wall-clock knobs (results are bit-identical for every value) and
-#: observability settings (never touch any RNG stream).
-NON_IDENTITY_FIELDS = frozenset({
-    "jobs", "trace_out", "metrics_every", "profile", "ledger",
-})
+#: SearchConfig fields excluded from the run identity: the wall-clock
+#: knob (results are bit-identical for every value) and the progress
+#: interval (never touches any RNG stream).
+NON_IDENTITY_FIELDS = frozenset({"jobs", "metrics_every"})
 
 
 def canonical_json(value: Any) -> str:

@@ -277,11 +277,12 @@ class ServeApp:
             config = {}
         if not isinstance(config, dict):
             raise RequestError(f"config must be a JSON object, got {config!r}")
-        # jobs is validated but not honoured: a served search never
-        # forks, and results (and the store key) never depend on it.
+        # jobs and metrics_every are validated but not honoured: a
+        # served search never forks or traces, and neither results nor
+        # the store key depend on them, so one key serves one document.
         cfg = SearchConfig.from_json(
             {"seed": self.default_seed, **config}
-        ).with_updates(jobs=1)
+        ).with_updates(jobs=1, metrics_every=0)
         link_limits = _list_field(body, "link_limits", None,
                                   lambda c: _is_int(c, 1), "integers >= 1")
         params = optimize_params(n, method, effort, cfg.space)

@@ -275,11 +275,24 @@ class TestFrontSearch:
         assert all(f.points for f in fronts.values())
 
     def test_config_defaults_used(self):
-        cfg = CFG.with_updates(objectives=("latency", "power"),
-                               pareto="epsilon")
-        front = pareto_front(6, 2, params=SMOKE, config=cfg, points=1)
+        # The axes and driver are pareto_front's own arguments; a
+        # config names neither.
+        front = pareto_front(6, 2, params=SMOKE, config=CFG, points=1)
         assert front.objectives == ("latency", "power")
         assert front.driver == "epsilon"
+
+    @pytest.mark.parametrize("changes", [{"restarts": 2}, {"space": "hetero"}])
+    def test_config_a_front_cannot_honour_refused(self, changes):
+        (field,) = changes
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            front_for(8, 2, config=CFG.with_updates(**changes))
+
+    def test_unseeded_front_records_its_seed(self):
+        first = pareto_front(6, 2, params=SMOKE, points=1)
+        assert isinstance(first.seed, int)
+        again = pareto_front(6, 2, params=SMOKE, points=1,
+                             config=SearchConfig(seed=first.seed))
+        assert again.to_json() == first.to_json()
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ConfigurationError):

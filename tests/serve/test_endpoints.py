@@ -102,6 +102,23 @@ class TestPlace:
             del data["wall_time_s"], data["config"]["jobs"]
         assert served == direct
 
+    def test_one_key_serves_one_document(self, app):
+        # Neither jobs nor metrics_every enters the key and a served
+        # search honours neither, so whichever request computed the
+        # design, the key serves one document: the six config fields a
+        # plain request records.
+        async def scenario():
+            first = await _request(app, "POST", "/place", dict(
+                PLACE, config={"jobs": 2, "metrics_every": 5}))
+            second = await _request(app, "POST", "/place", PLACE)
+            return first, second
+
+        (s1, b1, _), (s2, b2, _) = asyncio.run(scenario())
+        assert (s1, s2) == (200, 200)
+        assert (b1["cache"], b2["cache"]) == ("miss", "hit")
+        assert b1["result"] == b2["result"]
+        assert b2["result"]["config"] == SearchConfig(seed=2019).to_json()
+
     def test_single_flight_computes_once(self, app):
         async def scenario():
             return await asyncio.gather(
@@ -255,6 +272,7 @@ class TestPlace:
         ("seed", "abc"),
         ("seed", 1.5),
         ("seed", True),
+        ("seed", -1),
         ("restarts", "2"),
         ("jobs", None),
         ("max_evaluations", "10"),
@@ -327,7 +345,7 @@ class TestPlace:
         ({"n": 6, "config": {"incremental": True}},
          "unknown SearchConfig field"),
         ({"n": 6, "config": [1]}, "config must be a JSON object"),
-        ({"n": 6, "config": {"objectives": 5}}, "objectives must be"),
+        ({"n": 6, "config": {"objectives": 5}}, "'objectives'"),
         ({"n": 6, "config": {"impl": "native"}}, "'impl'"),
         ({"n": 6, "warm": "no"}, "unknown /place field(s) ['warm']"),
         ({"n": 6, "deadline_s": float("nan")}, "deadline_s must be positive"),
@@ -337,6 +355,18 @@ class TestPlace:
         ({"n": 6, "link_limits": [1.0]}, "link_limits must be"),
         ({"n": 6, "deadline_s": True}, "deadline_s must be a number"),
         ({"n": 6, "deadline_s": "7"}, "deadline_s must be a number"),
+        # Names no search reads: refused before they can reach a stored
+        # document or open a second key for one design.
+        ({"n": 6, "config": {"trace_out": "/home/alice/secret.jsonl"}},
+         "unknown SearchConfig field(s) ['trace_out']"),
+        ({"n": 6, "config": {"ledger": ".repro/runs"}},
+         "unknown SearchConfig field(s) ['ledger']"),
+        ({"n": 6, "config": {"profile": True}},
+         "unknown SearchConfig field(s) ['profile']"),
+        ({"n": 6, "config": {"objectives": ["power"]}},
+         "unknown SearchConfig field(s) ['objectives']"),
+        ({"n": 6, "config": {"objectives": ["latency"], "pareto": "nsga2"}},
+         "unknown SearchConfig field(s) ['objectives', 'pareto']"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(

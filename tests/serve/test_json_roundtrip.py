@@ -39,10 +39,7 @@ def search_configs(draw):
         restarts=draw(st.integers(1, 4)),
         jobs=draw(st.integers(1, 4)),
         max_evaluations=draw(st.one_of(st.none(), st.integers(1, 10**6))),
-        trace_out=draw(st.one_of(st.none(), st.just("trace.jsonl"))),
         metrics_every=draw(st.integers(0, 100)),
-        profile=draw(st.booleans()),
-        ledger=draw(st.one_of(st.none(), st.just(".repro/runs"))),
         space=draw(st.sampled_from(("row", "hetero", "grid2d"))),
     )
 
@@ -103,7 +100,9 @@ class TestSearchConfigRoundTrip:
 
     def test_unknown_field_rejected(self):
         # A typo, and the retired knobs old clients may send.
-        for field in ("sead", "incremental", "resync_every", "chains"):
+        for field in ("sead", "incremental", "resync_every", "chains",
+                      "trace_out", "profile", "ledger", "objectives",
+                      "pareto"):
             with pytest.raises(ConfigurationError, match="unknown SearchConfig"):
                 SearchConfig.from_json({"seed": 1, field: 2})
 

@@ -43,8 +43,7 @@ class TestIdentity:
 
     def test_key_ignores_observability_knobs(self, store):
         params, cfg, _ = _solve()
-        noisy = cfg.with_updates(trace_out="t.jsonl", metrics_every=5,
-                                 profile=True, ledger="runs")
+        noisy = cfg.with_updates(jobs=4, metrics_every=5)
         assert (store.key_for("optimize", params, cfg, cfg.seed)
                 == store.key_for("optimize", params, noisy, noisy.seed))
 

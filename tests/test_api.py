@@ -1,6 +1,8 @@
 """The public facade: SearchConfig, results, retired keywords."""
 
 import dataclasses
+import inspect
+import json
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro import (
     solve_row_problem,
 )
 from repro.core.annealing import AnnealingParams
+from repro.core.pareto import pareto_front
+from repro.harness.designs import EFFORTS
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
 
@@ -63,18 +67,35 @@ class TestSearchConfig:
         ns.seed = 2019
         ns.restarts = 4
         ns.jobs = 2
-        ns.trace_out = "t.jsonl"
         ns.metrics_every = 100
+        # The trace, profile and ledger flags stay on args: the CLI
+        # reads them there, and no config field carries them.
+        ns.trace_out = "t.jsonl"
         ns.profile = True
+        ns.ledger = ".repro/runs"
         cfg = SearchConfig.from_cli(ns)
         assert cfg == SearchConfig(
-            seed=2019, restarts=4, jobs=2,
-            trace_out="t.jsonl", metrics_every=100, profile=True,
+            seed=2019, restarts=4, jobs=2, metrics_every=100,
         )
 
     def test_from_cli_missing_flags_default(self):
         ns = type("Args", (), {"seed": 5})()
         assert SearchConfig.from_cli(ns) == SearchConfig(seed=5)
+
+    def test_unseeded_search_records_its_seed(self):
+        # The drawn base seed lands in the document, which then replays.
+        def document(result):
+            return {k: v for k, v in result.to_json().items()
+                    if k != "wall_time_s"}
+
+        for search in (lambda cfg: optimize(6, params=EFFORTS["smoke"],
+                                            config=cfg),
+                       lambda cfg: solve_row_problem(6, 2, params=SMOKE,
+                                                     config=cfg)):
+            first = search(None)
+            assert isinstance(first.config.seed, int)
+            again = search(SearchConfig(seed=first.config.seed))
+            assert document(again) == document(first)
 
     def test_impl_none_resolves_to_default(self):
         # Searches build their objectives with impl=None: the machine's
@@ -213,45 +234,62 @@ class TestEvaluatePlacement:
 
 
 class TestSearchConfigObjectives:
+    """The front-search axes and driver are :func:`pareto_front`'s own
+    arguments; no SearchConfig field selects them."""
+
     def test_defaults_off(self):
-        cfg = SearchConfig()
-        assert cfg.objectives == ()
-        assert cfg.pareto is None
+        names = {f.name for f in dataclasses.fields(SearchConfig)}
+        assert not names & {"objectives", "pareto"}
+        params = inspect.signature(pareto_front).parameters
+        assert params["objectives"].default == ("latency", "power")
+        assert params["driver"].default == "epsilon"
 
     def test_list_coerced_to_tuple(self):
-        cfg = SearchConfig(objectives=["latency", "power"])
-        assert cfg.objectives == ("latency", "power")
+        front = pareto_front(6, 2, objectives=["latency", "power"],
+                             params=SMOKE, config=SearchConfig(seed=1),
+                             points=1)
+        assert front.objectives == ("latency", "power")
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"objectives": ("latency", "speed")},
             {"objectives": ("latency", "latency")},
-            {"objectives": ("latency",), "pareto": "weighted-sum"},
-            {"pareto": "epsilon"},  # driver without axes
-            {"objectives": ("latency",), "pareto": "epsilon", "space": "hetero"},
+            {"objectives": ("latency",), "driver": "weighted-sum"},
+            {"objectives": ()},  # a driver without axes
+            {"objectives": ("latency",),
+             "config": SearchConfig(space="hetero")},
         ],
     )
     def test_validation(self, kwargs):
+        # The axis/driver checks SearchConfig made are pareto_front's,
+        # run before any search.
         with pytest.raises(ConfigurationError):
-            SearchConfig(**kwargs)
+            pareto_front(8, 2, **kwargs)
 
     def test_json_round_trip(self):
-        cfg = SearchConfig(
-            seed=7, objectives=("latency", "power"), pareto="nsga2"
-        )
-        again = SearchConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.objectives == ("latency", "power")
+        cfg = SearchConfig(seed=7, restarts=2, max_evaluations=50,
+                           space="hetero")
+        data = cfg.to_json()
+        assert list(data) == ["seed", "restarts", "jobs", "max_evaluations",
+                              "metrics_every", "space"]
+        assert SearchConfig.from_json(data) == cfg
 
-    def test_from_cli_reads_pareto_flags(self):
-        ns = type("Args", (), {})()
-        ns.seed = 1
-        ns.objectives = ("latency", "area")
-        ns.pareto = "epsilon"
-        cfg = SearchConfig.from_cli(ns)
-        assert cfg.objectives == ("latency", "area")
-        assert cfg.pareto == "epsilon"
+    def test_from_cli_reads_pareto_flags(self, tmp_path, capsys):
+        # --objectives / --driver reach pareto_front, not the config.
+        from repro.cli import main
+
+        ns = type("Args", (), {"seed": 1, "objectives": "latency,area",
+                               "driver": "nsga2"})()
+        assert SearchConfig.from_cli(ns) == SearchConfig(seed=1)
+        out = tmp_path / "fronts.json"
+        assert main(["pareto", "--n", "6", "--c", "2", "--effort", "smoke",
+                     "--objectives", "latency,area", "--driver", "epsilon",
+                     "--points", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        (scenario,) = json.loads(out.read_text())["scenarios"]
+        assert scenario["front"]["objectives"] == ["latency", "area"]
+        assert scenario["front"]["driver"] == "epsilon"
 
     def test_lazy_pareto_exports(self):
         import repro.api as api

@@ -292,6 +292,19 @@ class TestPareto:
         ]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--restarts", "2"], "restarts"),
+        (["--space", "hetero"], "space"),
+    ])
+    def test_pareto_refuses_config_it_cannot_honour(self, capsys, flags,
+                                                     field):
+        # A front runs one row-space chain per task: a flag it would
+        # ignore is refused instead, naming the field.
+        assert main([
+            "pareto", "--n", "6", "--c", "2", "--effort", "smoke", *flags,
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
     def test_pareto_ledger_records_runs(self, tmp_path, capsys):
         assert main([
             "pareto", "--n", "6", "--c", "2", "--effort", "smoke",
