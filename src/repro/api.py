@@ -226,10 +226,6 @@ class SearchConfig:
     max_evaluations:
         Optional cap (``>= 1``) on unique objective evaluations per
         chain.
-    metrics_every:
-        Periodic SA progress-event interval (``--metrics-every``; 0
-        disables).  Like ``jobs`` it never affects results, so neither
-        enters the run identity (:mod:`repro.obs.ledger`).
     space:
         Placement search space (``--space``): ``"row"`` is the paper's
         replicated-row reduction; ``"hetero"`` searches one placement
@@ -244,12 +240,11 @@ class SearchConfig:
     restarts: int = 1
     jobs: int = 1
     max_evaluations: Optional[int] = None
-    metrics_every: int = 0
     space: str = "row"
 
     def __post_init__(self) -> None:
         self._require_int("seed", "an integer >= 0 or None", optional=True)
-        for name in ("restarts", "jobs", "metrics_every"):
+        for name in ("restarts", "jobs"):
             self._require_int(name, "an integer")
         self._require_int("max_evaluations", "an integer >= 1 or None",
                           optional=True)
@@ -264,10 +259,6 @@ class SearchConfig:
         if self.max_evaluations is not None and self.max_evaluations < 1:
             raise ConfigurationError(
                 f"max_evaluations must be >= 1 or None, got {self.max_evaluations}"
-            )
-        if self.metrics_every < 0:
-            raise ConfigurationError(
-                f"metrics_every must be >= 0, got {self.metrics_every}"
             )
         if self.space not in SEARCH_SPACES:
             raise ConfigurationError(

@@ -33,11 +33,11 @@ is byte-identical for every ``--jobs`` value at a fixed seed.
 placements / pooled-budget 2D chords) instead of the paper's
 replicated row, with the same ``--restarts`` / ``--jobs`` knobs.
 
-Observability flags (``optimize`` / ``solve`` / ``simulate``):
-``--trace-out PATH`` streams structured events as JSON Lines,
-``--metrics-every N`` sets the periodic sample interval (simulator
-heartbeats, SA progress events), ``--profile`` prints the span profile
-and metrics summary after the run.
+Observability flags (the five run commands, ``optimize`` to
+``simulate-sweep``): ``--trace-out PATH`` streams structured events as
+JSON Lines, ``--profile`` prints the span profile and metrics summary
+after the run, ``--ledger`` records it.  ``simulate`` alone takes
+``--metrics-every N``, its heartbeat interval in cycles.
 """
 
 from __future__ import annotations
@@ -52,15 +52,18 @@ from typing import List, Optional
 from repro.api import SEARCH_SPACES, SearchConfig
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.optimizer import optimize, solve_row_problem
-from repro.harness.designs import EFFORTS, hfb_design, mesh_design
+from repro.harness.designs import EFFORTS, SCHEME_NAMES, design_for, mesh_design
 from repro.harness.tables import pct_change, render_table
 from repro.obs import Instrumentation, JsonlSink, report_file
 from repro.obs.ledger import (
     LEDGER_ROOT,
     RunLedger,
+    compute_run_id,
     diff_manifests,
     optimize_params,
+    optimize_summary,
     render_runs_table,
+    simulation_digest,
     solution_digest,
     solve_params,
     sweep_digest,
@@ -76,14 +79,15 @@ from repro.traffic.patterns import PATTERNS, make_pattern
 
 def _add_run_flags(
     p: argparse.ArgumentParser, *, obs: bool = True, search: bool = False,
-) -> None:
+) -> argparse._ArgumentGroup:
     """The one shared option group for run/search/observability flags.
 
     Every subcommand builds its common surface here -- ``optimize`` /
     ``solve`` / ``simulate`` cannot drift apart in flag names, defaults
     or help text.  ``search=True`` adds the flags that feed
     :meth:`repro.api.SearchConfig.from_cli`; ``obs=False`` trims the
-    group to seed + effort for commands that never trace.
+    group to seed + effort for commands that never trace.  Returns the
+    group, for a command's own run options.
     """
     g = p.add_argument_group("run options")
     g.add_argument("--seed", type=int, default=2019)
@@ -111,10 +115,6 @@ def _add_run_flags(
             help="write structured events to PATH as JSON Lines",
         )
         g.add_argument(
-            "--metrics-every", type=int, default=500, metavar="N",
-            help="periodic sample interval (simulator cycles / SA moves)",
-        )
-        g.add_argument(
             "--profile", action="store_true",
             help="time spans and print the profile + metrics summary",
         )
@@ -124,133 +124,96 @@ def _add_run_flags(
             help="record the run as a content-addressed manifest under DIR "
             f"(default {LEDGER_ROOT}; query with 'repro runs')",
         )
+    return g
 
 
-def _make_obs(args: argparse.Namespace) -> Optional[Instrumentation]:
-    """Build the run's instrumentation from CLI flags (None if unused).
+class _Recorder:
+    """One command's instrumentation and run recording, as a context.
 
-    ``--ledger`` alone creates a sink-less bundle: no events are built
+    Built from the ``--trace-out`` / ``--profile`` / ``--ledger`` flags.
+    ``--ledger`` alone makes a sink-less bundle: no events are built
     (``enabled`` stays False, results stay bit-identical) but the
     metrics registry fills so the manifest can record the run summary.
-    """
-    ledger = getattr(args, "ledger", None)
-    if not (args.trace_out or args.profile or ledger):
-        return None
-    sinks = []
-    if args.trace_out:
-        try:  # fail fast, before the run, if the path is unwritable
-            open(args.trace_out, "w", encoding="utf-8").close()
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace_out}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2) from exc
-        sinks.append(JsonlSink(args.trace_out))
-    return Instrumentation(sinks=sinks, profile=args.profile)
-
-
-@contextmanager
-def _obs_session(args: argparse.Namespace):
-    """The run's instrumentation with guaranteed sink teardown.
-
     Sinks flush and close even when the command raises, so a JSONL
     trace written up to a crash stays readable by ``repro
-    trace-report``; the exception still propagates.
+    trace-report``; the profile and trace summaries print only after a
+    clean run.
     """
-    obs = _make_obs(args)
-    try:
-        yield obs
-    finally:
-        if obs is not None:
-            obs.close()
 
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.ledger = RunLedger(args.ledger) if args.ledger else None
+        self.obs: Optional[Instrumentation] = None
+        self._run: dict = {}
+        if args.trace_out or args.profile or self.ledger is not None:
+            sinks = []
+            if args.trace_out:
+                try:  # fail fast, before the run, if the path is unwritable
+                    open(args.trace_out, "w", encoding="utf-8").close()
+                except OSError as exc:
+                    print(f"error: cannot write trace to {args.trace_out}: "
+                          f"{exc}", file=sys.stderr)
+                    raise SystemExit(2) from exc
+                sinks.append(JsonlSink(args.trace_out))
+            self.obs = Instrumentation(sinks=sinks, profile=args.profile)
 
-def _finish_obs(obs: Optional[Instrumentation], args: argparse.Namespace) -> None:
-    """Print requested end-of-run summaries (teardown is _obs_session's)."""
-    if obs is None:
-        return
-    obs.close()
-    if args.profile:
-        print()
-        print(obs.profile_table())
-        print(obs.metrics_summary())
-    if args.trace_out:
-        print(f"\ntrace written to {args.trace_out} "
-              f"(summarize with: repro trace-report {args.trace_out})")
+    def __enter__(self) -> "_Recorder":
+        return self
 
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.obs is None:
+            return
+        self.obs.close()
+        if exc_type is not None:
+            return
+        if self.args.profile:
+            print()
+            print(self.obs.profile_table())
+            print(self.obs.metrics_summary())
+        if self.args.trace_out:
+            print(f"\ntrace written to {self.args.trace_out} "
+                  f"(summarize with: repro trace-report {self.args.trace_out})")
 
-def _ledger_for(args: argparse.Namespace) -> Optional[RunLedger]:
-    path = getattr(args, "ledger", None)
-    return RunLedger(path) if path else None
+    @contextmanager
+    def timed(self, kind: str, params: dict, config, seed):
+        """Time one run's computation, its events stamped with its id."""
+        run_id = None
+        if self.ledger is not None:
+            run_id = compute_run_id(kind, params, config, seed)
+            self.obs.set_context(run_id=run_id)
+        start = time.perf_counter()
+        yield
+        self._run = dict(kind=kind, params=params, config=config, seed=seed,
+                         run_id=run_id,
+                         wall_time_s=time.perf_counter() - start)
 
-
-def _record_run(
-    ledger: Optional[RunLedger],
-    obs: Optional[Instrumentation],
-    run_id: Optional[str],
-    kind: str,
-    params: dict,
-    config,
-    seed,
-    wall_time_s: float,
-    results: dict,
-    result_digest: str,
-) -> None:
-    """Write the manifest and tell the user where it went."""
-    if ledger is None:
-        return
-    metrics_summary: dict = {}
-    metrics: dict = {}
-    if obs is not None:
-        metrics_summary = obs.metrics.deterministic_summary()
-        metrics = obs.metrics.snapshot()
-    record = ledger.record(
-        kind=kind, params=params, config=config, seed=seed,
-        wall_time_s=wall_time_s, results=results,
-        result_digest=result_digest, metrics_summary=metrics_summary,
-        metrics=metrics, run_id=run_id,
-    )
-    print(f"\nrun recorded: {record.run_id} "
-          f"({ledger.manifest_path(record.run_id)})")
-
-
-def _run_result_digest(*runs) -> str:
-    """Fingerprint of simulator run results (exact float hex)."""
-    from repro.obs.ledger import digest_parts
-
-    parts = []
-    for run in runs:
-        s = run.summary
-        parts.extend([
-            run.cycles_run, s.packets,
-            float(s.avg_network_latency).hex(),
-            float(s.avg_head_latency).hex(),
-            float(s.avg_serialization_latency).hex(),
-        ])
-    return digest_parts(*parts)
+    def record(self, results: dict, result_digest: str) -> None:
+        """Write the last timed run's manifest and say where it went."""
+        if self.ledger is None:
+            return
+        record = self.ledger.record(
+            **self._run, results=results, result_digest=result_digest,
+            metrics_summary=self.obs.metrics.deterministic_summary(),
+            metrics=self.obs.metrics.snapshot(),
+        )
+        print(f"\nrun recorded: {record.run_id} "
+              f"({self.ledger.manifest_path(record.run_id)})")
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    with _obs_session(args) as obs:
-        cfg = SearchConfig.from_cli(args)
-        mesh_space = cfg.space != "row"
-        ledger = _ledger_for(args)
-        ledger_params = optimize_params(
-            args.n, args.method, args.effort, cfg.space
-        )
-        run_id = None
-        if ledger is not None:
-            run_id = ledger.run_id_for(
-                "optimize", ledger_params, cfg, cfg.seed
+    cfg = SearchConfig.from_cli(args)
+    mesh_space = cfg.space != "row"
+    with _Recorder(args) as recorder:
+        with recorder.timed(
+            "optimize",
+            optimize_params(args.n, args.method, args.effort, cfg.space),
+            cfg, cfg.seed,
+        ):
+            res = optimize(
+                args.n, method=args.method, params=EFFORTS[args.effort],
+                obs=recorder.obs, config=cfg,
             )
-            if obs is not None:
-                obs.set_context(run_id=run_id)
-        start = time.perf_counter()
-        res = optimize(
-            args.n, method=args.method, params=EFFORTS[args.effort],
-            obs=obs, config=cfg,
-        )
         sweep = res.sweep
-        wall = time.perf_counter() - start
         if args.save:
             with open(args.save, "w", encoding="utf-8") as fh:
                 json.dump(res.to_json(), fh, indent=2)
@@ -280,44 +243,27 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             print(f"search: {cfg.restarts} restart(s) x {len(sweep.points)} "
                   f"limits; best-C restart energies: "
                   f"{[round(e, 4) for e in spread]}")
-        _record_run(
-            ledger, obs, run_id, "optimize", ledger_params, cfg, cfg.seed,
-            wall,
-            results={
-                "best_link_limit": best.link_limit,
-                "best_flit_bits": best.flit_bits,
-                "best_total_latency": best.total_latency,
-                "express_links": len(best.placement.express_links),
-            },
-            result_digest=sweep_digest(sweep),
-        )
-        _finish_obs(obs, args)
+        recorder.record(optimize_summary(res), sweep_digest(sweep))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    with _obs_session(args) as obs:
-        cfg = SearchConfig.from_cli(args)
-        mesh_space = cfg.space != "row"
-        ledger = _ledger_for(args)
-        ledger_params = solve_params(
-            args.n, args.c, args.method, args.effort, cfg.space
-        )
-        run_id = None
-        if ledger is not None:
-            run_id = ledger.run_id_for("solve", ledger_params, cfg, cfg.seed)
-            if obs is not None:
-                obs.set_context(run_id=run_id)
-        start = time.perf_counter()
-        sol = solve_row_problem(
-            args.n,
-            args.c,
-            method=args.method,
-            params=EFFORTS[args.effort],
-            obs=obs,
-            config=cfg,
-        )
-        wall = time.perf_counter() - start
+    cfg = SearchConfig.from_cli(args)
+    mesh_space = cfg.space != "row"
+    with _Recorder(args) as recorder:
+        with recorder.timed(
+            "solve",
+            solve_params(args.n, args.c, args.method, args.effort, cfg.space),
+            cfg, cfg.seed,
+        ):
+            sol = solve_row_problem(
+                args.n,
+                args.c,
+                method=args.method,
+                params=EFFORTS[args.effort],
+                obs=recorder.obs,
+                config=cfg,
+            )
         tag = f"{args.method}, space={cfg.space}" if mesh_space else args.method
         print(f"P~({args.n},{args.c}) [{tag}]")
         # The energy line is format-identical across spaces on purpose:
@@ -330,16 +276,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if cfg.restarts > 1:
             energies = sol.restart_energies[0][1]
             print(f"  restarts: {[round(e, 4) for e in energies]}")
-        _record_run(
-            ledger, obs, run_id, "solve", ledger_params, cfg, cfg.seed, wall,
-            results={
+        recorder.record(
+            {
                 "energy": sol.energy,
                 "express_links": len(sol.express_links),
                 "evaluations": sol.evaluations,
             },
-            result_digest=solution_digest(sol),
+            solution_digest(sol),
         )
-        _finish_obs(obs, args)
     return 0
 
 
@@ -367,9 +311,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    with _obs_session(args) as obs:
-        cfg = SearchConfig.from_cli(args)
-        ledger = _ledger_for(args)
+    cfg = SearchConfig.from_cli(args)
+    with _Recorder(args) as recorder:
         scenarios = []
         for traffic in traffics:
             gamma = (
@@ -377,32 +320,25 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 else workload_gamma(PARSEC_WORKLOADS[traffic], args.n)
             )
             for c in limits:
-                ledger_params = pareto_params(
-                    args.n, c, args.method, args.effort, args.driver,
-                    objectives, traffic,
-                )
-                run_id = None
-                if ledger is not None:
-                    run_id = ledger.run_id_for(
-                        "pareto", ledger_params, cfg, cfg.seed
+                with recorder.timed(
+                    "pareto",
+                    pareto_params(args.n, c, args.method, args.effort,
+                                  args.driver, objectives, traffic),
+                    cfg, cfg.seed,
+                ):
+                    front = pareto_front(
+                        args.n, c,
+                        objectives=objectives,
+                        driver=args.driver,
+                        gamma=gamma,
+                        method=args.method,
+                        params=EFFORTS[args.effort],
+                        config=cfg,
+                        points=args.points,
+                        population=args.population,
+                        generations=args.generations,
+                        obs=recorder.obs,
                     )
-                    if obs is not None:
-                        obs.set_context(run_id=run_id)
-                start = time.perf_counter()
-                front = pareto_front(
-                    args.n, c,
-                    objectives=objectives,
-                    driver=args.driver,
-                    gamma=gamma,
-                    method=args.method,
-                    params=EFFORTS[args.effort],
-                    config=cfg,
-                    points=args.points,
-                    population=args.population,
-                    generations=args.generations,
-                    obs=obs,
-                )
-                wall = time.perf_counter() - start
                 front_json = front.to_json()
                 hv = front.hypervolume()
                 scenarios.append(
@@ -425,17 +361,13 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 print(f"  {len(front.points)} nondominated point(s) from "
                       f"{front.evaluations} priced design(s); "
                       f"hypervolume {hv:.6g}")
-                _record_run(
-                    ledger, obs, run_id, "pareto", ledger_params, cfg,
-                    cfg.seed, wall,
-                    results={
+                recorder.record(
+                    {
                         "front_size": len(front.points),
                         "evaluations": front.evaluations,
                         "hypervolume": hv,
                     },
-                    result_digest=digest_parts(
-                        json.dumps(front_json, sort_keys=True)
-                    ),
+                    digest_parts(json.dumps(front_json, sort_keys=True)),
                 )
         if args.out:
             payload = {
@@ -450,13 +382,12 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"\nfronts written to {args.out}")
-        _finish_obs(obs, args)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with _obs_session(args) as obs:
-        design = _design_for(args.scheme, args.n, args.seed, args.effort)
+    with _Recorder(args) as recorder:
+        design = design_for(args.scheme, args.n, args.seed, args.effort)
         cfg = SimConfig(
             flit_bits=design.point.flit_bits,
             warmup_cycles=args.warmup,
@@ -464,18 +395,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             max_cycles=max(50_000, 20 * (args.warmup + args.measure)),
             seed=args.seed,
         )
-        ledger = _ledger_for(args)
-        ledger_params = {
+        params = {
             "n": args.n, "scheme": args.scheme, "workload": args.workload,
             "rate": args.rate, "effort": args.effort,
         }
-        run_id = None
-        if ledger is not None:
-            run_id = ledger.run_id_for(
-                "simulate", ledger_params, cfg, args.seed
-            )
-            if obs is not None:
-                obs.set_context(run_id=run_id)
         if args.workload in PARSEC_NAMES:
             traffic = parsec_traffic(args.workload, args.n, rng=args.seed)
         else:
@@ -484,11 +407,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 rate=args.rate,
                 rng=args.seed,
             )
-        start = time.perf_counter()
-        result = Simulator(
-            design.topology, cfg, traffic, obs=obs, metrics_every=args.metrics_every,
-        ).run()
-        wall = time.perf_counter() - start
+        with recorder.timed("simulate", params, cfg, args.seed):
+            result = Simulator(
+                design.topology, cfg, traffic, obs=recorder.obs,
+                metrics_every=args.metrics_every,
+            ).run()
         s = result.summary
         print(f"{design.name} on {args.n}x{args.n}, workload={args.workload}")
         print(f"  packets measured: {s.packets} (drained: {result.drained})")
@@ -496,75 +419,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  avg head latency:    {s.avg_head_latency:.2f} cycles")
         print(f"  avg serialization:   {s.avg_serialization_latency:.2f} cycles")
         print(f"  throughput:          {s.throughput_packets_per_cycle:.3f} packets/cycle")
-        _record_run(
-            ledger, obs, run_id, "simulate", ledger_params, cfg, args.seed,
-            wall,
-            results={
+        recorder.record(
+            {
                 "packets": s.packets,
                 "drained": result.drained,
                 "cycles_run": result.cycles_run,
                 "avg_network_latency": s.avg_network_latency,
                 "throughput_packets_per_cycle": s.throughput_packets_per_cycle,
             },
-            result_digest=_run_result_digest(result),
+            simulation_digest(result),
         )
-        _finish_obs(obs, args)
     return 0
-
-
-SCHEMES = ("mesh", "hfb", "dc_sa")
-
-
-def _design_for(scheme: str, n: int, seed: int, effort: str):
-    if scheme not in SCHEMES:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}"
-        )
-    if n < 2:
-        raise ConfigurationError(f"n must be >= 2, got {n}")
-    if scheme == "mesh":
-        return mesh_design(n)
-    if scheme == "hfb":
-        return hfb_design(n)
-    from repro.harness.designs import dc_sa_design
-
-    return dc_sa_design(n, seed=seed, effort=effort)
 
 
 def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
     from repro.sim.campaign import campaign_grid, run_campaign
 
-    with _obs_session(args) as obs:
+    patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
+    try:
+        rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    except ValueError as exc:
+        print(f"error: bad --rates value: {exc}", file=sys.stderr)
+        return 2
+    with _Recorder(args) as recorder:
         designs = [
-            _design_for(s.strip(), args.n, args.seed, args.effort)
+            design_for(s.strip(), args.n, args.seed, args.effort)
             for s in args.schemes.split(",") if s.strip()
         ]
-        patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
-        try:
-            rates = [float(r) for r in args.rates.split(",") if r.strip()]
-        except ValueError as exc:
-            print(f"error: bad --rates value: {exc}", file=sys.stderr)
-            return 2
-        ledger = _ledger_for(args)
-        ledger_params = {
+        params = {
             "n": args.n, "schemes": args.schemes, "patterns": args.patterns,
             "rates": args.rates, "seeds": args.seeds, "warmup": args.warmup,
             "measure": args.measure, "effort": args.effort,
         }
-        run_id = None
-        if ledger is not None:
-            run_id = ledger.run_id_for(
-                "campaign", ledger_params, None, args.seed
-            )
-            if obs is not None:
-                obs.set_context(run_id=run_id)
         grid = campaign_grid(
             designs, patterns, rates, base_seed=args.seed,
             seeds_per_point=args.seeds, warmup=args.warmup, measure=args.measure,
         )
-        start = time.perf_counter()
-        campaign = run_campaign(grid, jobs=args.jobs, obs=obs)
-        wall = time.perf_counter() - start
+        with recorder.timed("campaign", params, None, args.seed):
+            campaign = run_campaign(grid, jobs=args.jobs, obs=recorder.obs)
         rows = []
         for job, res in zip(campaign.jobs, campaign.results):
             scheme, pattern, rate, seed_i = job.key
@@ -585,18 +477,13 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
         ))
         print(f"\n{len(grid)} runs on {args.jobs} job(s) "
               "(results identical for every --jobs value)")
-        _record_run(
-            ledger, obs, run_id, "campaign", ledger_params, None, args.seed,
-            wall,
-            results={
+        recorder.record(
+            {
                 "runs": len(grid),
                 "drained": all(r.run.drained for r in campaign.results),
             },
-            result_digest=_run_result_digest(
-                *(r.run for r in campaign.results)
-            ),
+            simulation_digest(*(r.run for r in campaign.results)),
         )
-        _finish_obs(obs, args)
     return 0
 
 
@@ -717,7 +604,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.channel_load import channel_loads, load_balance_stats
     from repro.routing.tables import RoutingTables
 
-    design = _design_for(args.scheme, args.n, args.seed, args.effort)
+    design = design_for(args.scheme, args.n, args.seed, args.effort)
     tables = RoutingTables.build(design.topology)
     report = channel_loads(tables, flit_bits=design.point.flit_bits)
     stats = load_balance_stats(report)
@@ -896,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="channel-load throughput bounds for a scheme"
     )
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--scheme", choices=SCHEMES, default="dc_sa")
+    p.add_argument("--scheme", choices=SCHEME_NAMES, default="dc_sa")
     _add_run_flags(p, obs=False)
     p.set_defaults(func=_cmd_analyze)
 
@@ -952,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cycle-accurate simulation of a scheme")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--scheme", choices=SCHEMES, default="dc_sa")
+    p.add_argument("--scheme", choices=SCHEME_NAMES, default="dc_sa")
     p.add_argument(
         "--workload",
         default="uniform_random",
@@ -962,7 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.02, help="packets/node/cycle")
     p.add_argument("--warmup", type=int, default=500)
     p.add_argument("--measure", type=int, default=2_000)
-    _add_run_flags(p)
+    _add_run_flags(p).add_argument(
+        "--metrics-every", type=int, default=500, metavar="N",
+        help="heartbeat interval in simulator cycles (with --trace-out)",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(

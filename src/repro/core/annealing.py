@@ -439,9 +439,7 @@ def anneal(
     params: AnnealingParams | None = None,
     rng=None,
     max_evaluations: Optional[int] = None,
-    trace_every: int = 1,
     obs: Optional[Instrumentation] = None,
-    progress_every: int = 0,
 ) -> AnnealingResult:
     """Run simulated annealing from ``initial`` and return the best state.
 
@@ -473,8 +471,6 @@ def anneal(
         Optional hard cap on *unique* objective evaluations -- the
         budget knob used to compare OnlySA and D&C_SA at equal runtime
         (Section 5.3).
-    trace_every:
-        Record the best-so-far energy every this many moves.
     obs:
         Optional :class:`~repro.obs.Instrumentation`.  With a sink
         attached the run emits ``sa.start``, one ``sa.stage`` per
@@ -482,9 +478,9 @@ def anneal(
         ratio), ``sa.best`` on every improvement and a final ``sa.end``.
         Instrumentation never touches the RNG stream, so results are
         identical with or without it.
-    progress_every:
-        With ``obs`` attached, additionally emit a ``sa.progress``
-        event every this many moves (0 disables).
+
+    The result's ``trace`` records ``(evaluations, best energy)`` at the
+    start, after every move and, once a move ran, at the end.
     """
     params = params or AnnealingParams()
     gen = ensure_rng(rng)
@@ -594,13 +590,7 @@ def anneal(
                     best_energy, best_placement = repaired, walk.placement
         else:
             walk.reject(site)
-        if move % trace_every == 0:
-            trace.append((memo.evaluations, best_energy))
-        if progress_every and obs.enabled and move % progress_every == 0:
-            obs.emit("sa.progress", move=move,
-                     current_energy=current_energy, best_energy=best_energy,
-                     evaluations=memo.evaluations,
-                     memo_hit_ratio=memo.hit_ratio)
+        trace.append((memo.evaluations, best_energy))
 
     trace.append((memo.evaluations, best_energy))
     if obs.enabled:

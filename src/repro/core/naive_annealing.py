@@ -96,7 +96,6 @@ def naive_anneal(
     rng=None,
     initial: RowPlacement | None = None,
     max_evaluations: Optional[int] = None,
-    trace_every: int = 1,
 ) -> NaiveAnnealingResult:
     """Simulated annealing with the naive link-move generator.
 
@@ -132,8 +131,7 @@ def naive_anneal(
             accepted += 1
             if energy < best_energy:
                 best, best_energy = candidate, energy
-        if move % trace_every == 0:
-            trace.append((memo.evaluations, best_energy))
+        trace.append((memo.evaluations, best_energy))
 
     trace.append((memo.evaluations, best_energy))
     return NaiveAnnealingResult(

@@ -164,7 +164,6 @@ def _solve_row(
     rng=None,
     max_evaluations: Optional[int] = None,
     obs: Optional[Instrumentation] = None,
-    progress_every: int = 0,
 ) -> RowSolution:
     """Single-chain ``P~(n, C)`` solve in ``space``: one task of the search runner.
 
@@ -217,7 +216,6 @@ def _solve_row(
             rng=gen,
             max_evaluations=max_evaluations,
             obs=obs,
-            progress_every=progress_every,
         )
     placement, energy = sa.best_placement, sa.best_energy
     if seed is not None and seed.energy < energy:

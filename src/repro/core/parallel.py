@@ -74,7 +74,6 @@ class SearchTask:
     params: AnnealingParams
     base_seed: int
     max_evaluations: Optional[int]
-    progress_every: int
     observe: bool
     capture_events: bool
     profile: bool
@@ -132,7 +131,6 @@ def _run_task(task: SearchTask) -> TaskResult:
         rng=derived_rng(task.base_seed, task.link_limit, task.restart),
         max_evaluations=task.max_evaluations,
         obs=obs,
-        progress_every=task.progress_every,
     )
     return TaskResult(
         link_limit=task.link_limit,
@@ -220,8 +218,8 @@ def _run_grid(
             n=n, link_limit=limit, restart=restart, space=space, method=method,
             objective=stripped, params=params or AnnealingParams(),
             base_seed=base_seed, max_evaluations=config.max_evaluations,
-            progress_every=config.metrics_every, observe=not obs.is_null,
-            capture_events=obs.enabled, profile=obs.profiling,
+            observe=not obs.is_null, capture_events=obs.enabled,
+            profile=obs.profiling,
         )
         for limit in limits
         for restart in range(config.restarts)

@@ -23,6 +23,7 @@ from repro.topology.flattened_butterfly import (
 )
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
+from repro.util.errors import ConfigurationError
 
 #: Scheme labels in paper order.
 SCHEMES = ("Mesh", "HFB", "OnlySA", "D&C_SA")
@@ -115,3 +116,23 @@ def reference_designs(
     if include_only_sa:
         designs.insert(2, only_sa_design(n, seed, effort))
     return tuple(designs)
+
+
+#: The scheme names ``design_for`` builds: the CLI's ``--scheme`` /
+#: ``--schemes`` choices and a ``/campaign`` request's ``schemes``.
+SCHEME_NAMES = ("mesh", "hfb", "dc_sa")
+
+
+def design_for(scheme: str, n: int, seed: int, effort: str) -> SchemeDesign:
+    """The design a simulation of ``scheme`` at size ``n`` runs on."""
+    if scheme not in SCHEME_NAMES:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_NAMES)}"
+        )
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2, got {n}")
+    if scheme == "mesh":
+        return mesh_design(n)
+    if scheme == "hfb":
+        return hfb_design(n)
+    return dc_sa_design(n, seed=seed, effort=effort)

@@ -13,10 +13,10 @@ The ``run_id`` is a digest of the run's *identity* -- kind, problem
 parameters, the result-shaping execution knobs and the seed -- so it is
 computable **before** the run (it stamps the trace context via
 ``obs.set_context(run_id=...)``) and identical runs overwrite the same
-manifest (idempotent, cache-friendly).  The wall-clock knob ``jobs``
-and the progress-event interval ``metrics_every`` are excluded from the
-identity because the engines guarantee they cannot change results; the
-trace, profile and ledger flags are the CLI's, never a config field.
+manifest (idempotent, cache-friendly).  The wall-clock knob ``jobs`` is
+excluded from the identity because the engines guarantee it cannot
+change results; the trace, profile and ledger flags are the CLI's,
+never a config field.
 The kernel tier is no knob at all: it is the machine's, recorded in
 the manifest's ``environment`` block as ``kernel_tier``.
 
@@ -32,6 +32,7 @@ different ``result_digest`` is a determinism bug by definition --
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,9 +49,8 @@ from repro.util.errors import ConfigurationError
 LEDGER_ROOT = os.path.join(".repro", "runs")
 
 #: SearchConfig fields excluded from the run identity: the wall-clock
-#: knob (results are bit-identical for every value) and the progress
-#: interval (never touches any RNG stream).
-NON_IDENTITY_FIELDS = frozenset({"jobs", "metrics_every"})
+#: knob, for whose every value results are bit-identical.
+NON_IDENTITY_FIELDS = frozenset({"jobs"})
 
 
 def canonical_json(value: Any) -> str:
@@ -197,8 +197,46 @@ def solution_digest(sol) -> str:
     )
 
 
+def simulation_digest(*runs) -> str:
+    """Fingerprint of simulator runs' outcomes (exact float hex).
+
+    The ``result_digest`` of ``repro simulate`` and of a campaign grid,
+    whether run by ``repro simulate-sweep`` or served by ``/campaign``.
+    """
+    parts = []
+    for run in runs:
+        s = run.summary
+        parts.extend([
+            run.cycles_run, s.packets,
+            float(s.avg_network_latency).hex(),
+            float(s.avg_head_latency).hex(),
+            float(s.avg_serialization_latency).hex(),
+        ])
+    return digest_parts(*parts)
+
+
+def optimize_summary(result) -> Dict:
+    """The results summary of an ``optimize`` manifest.
+
+    ``result`` is the sweep's :class:`~repro.api.PlacementResult`; the
+    CLI and a served ``/place`` record the same summary for one key.
+    """
+    return {
+        "best_link_limit": result.link_limit,
+        "best_flit_bits": result.flit_bits,
+        "best_total_latency": result.total_latency,
+        "express_links": len(result.express_links),
+    }
+
+
+@functools.lru_cache(maxsize=None)
 def git_sha() -> Optional[str]:
-    """The current commit, or ``None`` outside a git checkout."""
+    """The current commit, or ``None`` outside a git checkout.
+
+    Asked once per process: the code a process runs is the code it
+    loaded, whatever the checkout moves to while it runs (a server
+    records a manifest for every miss).
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -256,13 +294,6 @@ class RunLedger:
     def __init__(self, root: str = LEDGER_ROOT) -> None:
         self.root = root
 
-    # -- identity ------------------------------------------------------
-    def run_id_for(
-        self, kind: str, params: Dict, config: Any = None,
-        seed: Optional[int] = None,
-    ) -> str:
-        return compute_run_id(kind, params, config, seed)
-
     def manifest_path(self, run_id: str) -> str:
         return os.path.join(self.root, run_id, "manifest.json")
 
@@ -281,7 +312,7 @@ class RunLedger:
         run_id: Optional[str] = None,
     ) -> RunRecord:
         """Write (or idempotently overwrite) one run's manifest."""
-        run_id = run_id or self.run_id_for(kind, params, config, seed)
+        run_id = run_id or compute_run_id(kind, params, config, seed)
         record = RunRecord(
             run_id=run_id,
             kind=kind,

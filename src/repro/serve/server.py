@@ -56,8 +56,10 @@ from repro.api import SearchConfig
 from repro.core.optimizer import METHODS, optimize
 from repro.obs.ledger import (
     RunLedger,
-    digest_parts,
+    compute_run_id,
     optimize_params,
+    optimize_summary,
+    simulation_digest,
     sweep_digest,
 )
 from repro.obs.metrics import MetricsRegistry, render_prometheus
@@ -256,7 +258,12 @@ class ServeApp:
         return float(min(deadline, self.max_deadline_s))
 
     # -- /place --------------------------------------------------------
-    def _place_spec(self, body: Dict) -> Dict:
+    def _place_spec(self, body: Dict) -> Tuple[str, Dict]:
+        """The store key and the validated search of a ``/place`` body.
+
+        The sweeper files its grid points through here too, so a
+        pre-populated point and a request for it share one key.
+        """
         known = {"n", "method", "effort", "config",
                  "link_limits"} | _COMMON_FIELDS
         unknown = sorted(set(body) - known)
@@ -277,19 +284,22 @@ class ServeApp:
             config = {}
         if not isinstance(config, dict):
             raise RequestError(f"config must be a JSON object, got {config!r}")
-        # jobs and metrics_every are validated but not honoured: a
-        # served search never forks or traces, and neither results nor
-        # the store key depend on them, so one key serves one document.
+        # jobs is validated but not honoured: a served search never
+        # forks, and neither results nor the store key depend on it, so
+        # one key serves one document.  A null seed is drawn here,
+        # before the key: the entry names the seed its search ran from,
+        # and no later unseeded request is served this one's draw.
         cfg = SearchConfig.from_json(
             {"seed": self.default_seed, **config}
-        ).with_updates(jobs=1, metrics_every=0)
+        ).with_updates(jobs=1).seeded()
         link_limits = _list_field(body, "link_limits", None,
                                   lambda c: _is_int(c, 1), "integers >= 1")
         params = optimize_params(n, method, effort, cfg.space)
         if link_limits is not None:
             params["link_limits"] = list(link_limits)
             link_limits = tuple(link_limits)
-        return {
+        key = compute_run_id("optimize", params, cfg, cfg.seed)
+        return key, {
             "n": n, "method": method, "effort": effort, "config": cfg,
             "link_limits": link_limits, "params": params,
         }
@@ -306,9 +316,7 @@ class ServeApp:
 
     async def _handle_place(self, body: Dict) -> Response:
         deadline = self._deadline(body)
-        spec = self._place_spec(body)
-        cfg: SearchConfig = spec["config"]
-        key = self.store.key_for("optimize", spec["params"], cfg, cfg.seed)
+        key, spec = self._place_spec(body)
         try:
             cached = self.store.get(key)
         except ConfigurationError:
@@ -378,12 +386,7 @@ class ServeApp:
                 self.ledger.record(
                     kind="optimize", params=spec["params"], config=cfg,
                     seed=cfg.seed, wall_time_s=wall,
-                    results={
-                        "best_link_limit": result.link_limit,
-                        "best_flit_bits": result.flit_bits,
-                        "best_total_latency": result.total_latency,
-                        "express_links": len(result.express_links),
-                    },
+                    results=optimize_summary(result),
                     result_digest=digest, run_id=key,
                 )
             return entry
@@ -519,7 +522,7 @@ class ServeApp:
 
     def _campaign_spec(self, body: Dict) -> Dict:
         """The validated campaign grid of a ``/campaign`` body."""
-        from repro.cli import SCHEMES
+        from repro.harness.designs import SCHEME_NAMES
         from repro.traffic.patterns import PATTERNS
 
         n = _int_field(body, "n", None, 2, MAX_N)
@@ -533,8 +536,9 @@ class ServeApp:
 
         spec = {
             "n": n,
-            "schemes": _list_field(body, "schemes", ["mesh"], known(SCHEMES),
-                                   f"scheme names ({', '.join(SCHEMES)})"),
+            "schemes": _list_field(
+                body, "schemes", ["mesh"], known(SCHEME_NAMES),
+                f"scheme names ({', '.join(SCHEME_NAMES)})"),
             "patterns": _list_field(body, "patterns", ["uniform_random"],
                                     known(PATTERNS), "pattern names"),
             "rates": [float(r) for r in _list_field(
@@ -578,12 +582,12 @@ class ServeApp:
 
 def _run_campaign_grid(spec: Dict) -> Dict:
     """Build and run one validated campaign grid, in-process (worker
-    thread)."""
-    from repro.cli import _design_for
+    thread); its digest is the one ``repro simulate-sweep`` records."""
+    from repro.harness.designs import design_for
     from repro.sim.campaign import campaign_grid, run_campaign
 
     designs = [
-        _design_for(s, spec["n"], spec["seed"], spec["effort"])
+        design_for(s, spec["n"], spec["seed"], spec["effort"])
         for s in spec["schemes"]
     ]
     grid = campaign_grid(
@@ -597,7 +601,6 @@ def _run_campaign_grid(spec: Dict) -> Dict:
     )
     campaign = run_campaign(grid)
     rows: List[Dict] = []
-    digest_fields: List[Any] = []
     for job, res in zip(campaign.jobs, campaign.results):
         scheme, pattern, rate, seed_i = job.key
         summary = res.run.summary
@@ -610,14 +613,12 @@ def _run_campaign_grid(spec: Dict) -> Dict:
             "cycles": res.run.cycles_run,
             "drained": res.run.drained,
         })
-        digest_fields.extend([
-            res.run.cycles_run, summary.packets,
-            float(summary.avg_network_latency).hex(),
-        ])
     return {
         "runs": len(rows),
         "results": rows,
-        "result_digest": digest_parts(*digest_fields),
+        "result_digest": simulation_digest(
+            *(res.run for res in campaign.results)
+        ),
     }
 
 

@@ -76,14 +76,6 @@ class DesignStore:
     def __init__(self, root: str = STORE_ROOT) -> None:
         self.root = root
 
-    # -- identity ------------------------------------------------------
-    def key_for(
-        self, kind: str, params: Dict, config: Any = None,
-        seed: Optional[int] = None,
-    ) -> str:
-        """The content-addressed key (== the ledger ``run_id``)."""
-        return compute_run_id(kind, params, config, seed)
-
     def entry_path(self, key: str) -> str:
         return os.path.join(self.root, key, "result.json")
 
@@ -153,7 +145,7 @@ class DesignStore:
         key: Optional[str] = None,
     ) -> StoreEntry:
         """Write one entry atomically and return it."""
-        key = key or self.key_for(kind, params, config, seed)
+        key = key or compute_run_id(kind, params, config, seed)
         from dataclasses import asdict, is_dataclass
 
         entry = StoreEntry(

@@ -21,9 +21,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import SearchConfig
 from repro.core.latency import BandwidthConfig
-from repro.obs.ledger import optimize_params
 from repro.serve.server import ServeApp
 
 
@@ -70,23 +68,6 @@ class Sweeper:
         self.populated = 0
         self.skipped = 0
 
-    def _key_and_spec(self, spec: Dict) -> Dict:
-        cfg = SearchConfig(seed=spec["seed"])
-        params = optimize_params(
-            spec["n"], spec["method"], spec["effort"], cfg.space
-        )
-        if spec["link_limits"] is not None:
-            params["link_limits"] = list(spec["link_limits"])
-        key = self.app.store.key_for("optimize", params, cfg, cfg.seed)
-        return {
-            "key": key,
-            "spec": {
-                "n": spec["n"], "method": spec["method"],
-                "effort": spec["effort"], "config": cfg,
-                "link_limits": spec["link_limits"], "params": params,
-            },
-        }
-
     async def run(self) -> int:
         """Fill the grid; returns the number of entries populated.
 
@@ -100,8 +81,11 @@ class Sweeper:
                 await asyncio.sleep(self.idle_poll_s)
             if self.app.draining:
                 return self.populated
-            plan = self._key_and_spec(spec)
-            key = plan["key"]
+            body = {"n": spec["n"], "method": spec["method"],
+                    "effort": spec["effort"], "config": {"seed": spec["seed"]}}
+            if spec["link_limits"] is not None:
+                body["link_limits"] = list(spec["link_limits"])
+            key, plan = self.app._place_spec(body)
             if key in self.app.store:
                 self.skipped += 1
                 continue
@@ -111,7 +95,7 @@ class Sweeper:
                 self.skipped += 1
                 continue
             task = asyncio.get_running_loop().create_task(
-                self.app._compute_place(key, plan["spec"])
+                self.app._compute_place(key, plan)
             )
             self.app._inflight[key] = task
             await asyncio.shield(task)

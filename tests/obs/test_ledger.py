@@ -34,19 +34,14 @@ class TestRunId:
         assert compute_run_id("optimize", {"n": 6}, SearchConfig(seed=1), 1) != base
 
     def test_wall_clock_and_obs_knobs_excluded(self):
-        # jobs and the progress interval cannot change results, so
-        # they must not change the identity either; the trace, profile
-        # and ledger flags are no config fields at all.
+        # jobs cannot change results, so it must not change the
+        # identity either; the trace, profile and ledger flags are no
+        # config fields at all.
         base = SearchConfig(seed=1)
-        for variant in (
-            SearchConfig(seed=1, jobs=8),
-            SearchConfig(seed=1, metrics_every=10),
-            SearchConfig(seed=1, jobs=8, metrics_every=10),
-        ):
-            assert (
-                compute_run_id("solve", {"n": 6}, variant, 1)
-                == compute_run_id("solve", {"n": 6}, base, 1)
-            )
+        assert (
+            compute_run_id("solve", {"n": 6}, SearchConfig(seed=1, jobs=8), 1)
+            == compute_run_id("solve", {"n": 6}, base, 1)
+        )
         assert sorted(config_identity(base)) == [
             "max_evaluations", "restarts", "seed", "space",
         ]
@@ -125,6 +120,27 @@ class TestRunLedger:
 
     def test_list_empty_root(self, tmp_path):
         assert RunLedger(str(tmp_path / "missing")).list() == []
+
+    def test_git_asked_once_per_process(self, tmp_path, monkeypatch):
+        # Every manifest names the commit, but only the first record
+        # of a process spawns git for it.
+        import subprocess
+
+        from repro.obs import ledger as ledger_module
+
+        spawned = []
+        run = subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            spawned.append(argv)
+            return run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        ledger_module.git_sha.cache_clear()
+        _, first = self.record_one(tmp_path / "a", seed=1)
+        _, second = self.record_one(tmp_path / "b", seed=2)
+        assert spawned == [["git", "rev-parse", "HEAD"]]
+        assert first.environment["git_sha"] == second.environment["git_sha"]
 
     def test_diff_manifests(self, tmp_path):
         _, a = self.record_one(tmp_path / "a", seed=1, digest="d1")

@@ -19,7 +19,7 @@ import pytest
 from repro.api import SearchConfig
 from repro.core.optimizer import optimize
 from repro.harness.designs import EFFORTS
-from repro.obs.ledger import optimize_params, sweep_digest
+from repro.obs.ledger import compute_run_id, optimize_params, sweep_digest
 from repro.serve.server import ServeApp
 from repro.serve.store import DesignStore
 
@@ -55,7 +55,7 @@ class TestExactHitIdentity:
         direct = optimize(6, params=SMOKE, config=cfg)
         # Identity key agreement (store key == ledger run_id) ...
         params = optimize_params(6, "dc_sa", "smoke", cfg.space)
-        assert served["key"] == app.store.key_for(
+        assert served["key"] == compute_run_id(
             "optimize", params, cfg, cfg.seed
         )
         # ... and full result agreement, wall time excepted (it is not

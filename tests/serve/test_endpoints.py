@@ -16,7 +16,7 @@ import pytest
 from repro.api import SearchConfig, evaluate_placement
 from repro.core.optimizer import optimize
 from repro.harness.designs import EFFORTS
-from repro.obs.ledger import RunLedger, optimize_params
+from repro.obs.ledger import RunLedger, compute_run_id, optimize_params
 from repro.serve.server import JSON, TEXT, ServeApp
 from repro.serve.store import DesignStore
 from repro.topology.row import RowPlacement
@@ -76,7 +76,7 @@ class TestPlace:
         assert status == 200
         cfg = SearchConfig(seed=2019)
         params = optimize_params(6, "dc_sa", "smoke", cfg.space)
-        assert body["key"] == app.store.key_for(
+        assert body["key"] == compute_run_id(
             "optimize", params, cfg, cfg.seed
         )
 
@@ -103,13 +103,13 @@ class TestPlace:
         assert served == direct
 
     def test_one_key_serves_one_document(self, app):
-        # Neither jobs nor metrics_every enters the key and a served
-        # search honours neither, so whichever request computed the
-        # design, the key serves one document: the six config fields a
-        # plain request records.
+        # jobs does not enter the key and a served search does not
+        # honour it, so whichever request computed the design, the key
+        # serves one document: the five config fields a plain request
+        # records.
         async def scenario():
             first = await _request(app, "POST", "/place", dict(
-                PLACE, config={"jobs": 2, "metrics_every": 5}))
+                PLACE, config={"jobs": 2}))
             second = await _request(app, "POST", "/place", PLACE)
             return first, second
 
@@ -118,6 +118,29 @@ class TestPlace:
         assert (b1["cache"], b2["cache"]) == ("miss", "hit")
         assert b1["result"] == b2["result"]
         assert b2["result"]["config"] == SearchConfig(seed=2019).to_json()
+
+    def test_unseeded_requests_draw_their_own_seeds(self, app):
+        # A null seed is drawn before the key is computed: two unseeded
+        # requests are two searches under two keys, and each entry
+        # names the seed its search ran from.
+        body = {"n": 4, "effort": "smoke", "config": {"seed": None}}
+
+        async def scenario():
+            first = await _request(app, "POST", "/place", body)
+            second = await _request(app, "POST", "/place", body)
+            return first, second
+
+        (s1, b1, _), (s2, b2, _) = asyncio.run(scenario())
+        assert (s1, s2) == (200, 200)
+        assert (b1["cache"], b2["cache"]) == ("miss", "miss")
+        assert b1["key"] != b2["key"]
+        for served in (b1, b2):
+            with open(app.store.entry_path(served["key"])) as fh:
+                entry = json.load(fh)
+            seed = entry["result"]["config"]["seed"]
+            assert isinstance(seed, int)
+            assert entry["seed"] == entry["config"]["seed"] == seed
+            assert served["result"]["config"]["seed"] == seed
 
     def test_single_flight_computes_once(self, app):
         async def scenario():
@@ -166,8 +189,8 @@ class TestPlace:
         params = optimize_params(6, "dc_sa", "smoke", cfg.space)
         old_config = dict(cfg.to_json(), incremental=False,
                           resync_every=1_000)
-        old_key = app.store.key_for("optimize", params, old_config, 2019)
-        new_key = app.store.key_for("optimize", params, cfg, 2019)
+        old_key = compute_run_id("optimize", params, old_config, 2019)
+        new_key = compute_run_id("optimize", params, cfg, 2019)
         assert old_key != new_key
         # Rewrite a freshly served entry into the old layout.
         status, fresh, _ = asyncio.run(_request(app, "POST", "/place", PLACE))
@@ -367,6 +390,8 @@ class TestPlace:
          "unknown SearchConfig field(s) ['objectives']"),
         ({"n": 6, "config": {"objectives": ["latency"], "pareto": "nsga2"}},
          "unknown SearchConfig field(s) ['objectives', 'pareto']"),
+        ({"n": 6, "config": {"metrics_every": 0}},
+         "unknown SearchConfig field(s) ['metrics_every']"),
     ])
     def test_bad_requests_400(self, app, body, fragment):
         status, parsed, _ = asyncio.run(
@@ -576,6 +601,29 @@ class TestCampaign:
         assert row["pattern"] == "uniform_random"
         assert row["packets"] > 0
         assert body["result_digest"]
+
+    def test_digest_is_the_cli_manifest_digest(self, app, tmp_path, capsys):
+        # A served campaign and `repro simulate-sweep --ledger` of one
+        # grid report one result digest.
+        from repro.cli import main
+
+        status, body, _ = asyncio.run(_request(app, "POST", "/campaign", {
+            "n": 4, "schemes": ["mesh", "hfb"],
+            "patterns": ["uniform_random"], "rates": [1.0, 2.0],
+            "warmup": 50, "measure": 100, "seed": 7, "effort": "smoke",
+        }))
+        assert status == 200
+        ledger_dir = str(tmp_path / "runs")
+        assert main([
+            "simulate-sweep", "--n", "4", "--schemes", "mesh,hfb",
+            "--patterns", "uniform_random", "--rates", "1.0,2.0",
+            "--warmup", "50", "--measure", "100", "--seed", "7",
+            "--effort", "smoke", "--ledger", ledger_dir,
+        ]) == 0
+        capsys.readouterr()
+        (run_id,) = os.listdir(ledger_dir)
+        manifest = RunLedger(ledger_dir).load(run_id)
+        assert body["result_digest"] == manifest["result_digest"]
 
     def test_unknown_field_400(self, app):
         status, body, _ = asyncio.run(_request(

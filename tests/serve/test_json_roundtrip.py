@@ -39,7 +39,6 @@ def search_configs(draw):
         restarts=draw(st.integers(1, 4)),
         jobs=draw(st.integers(1, 4)),
         max_evaluations=draw(st.one_of(st.none(), st.integers(1, 10**6))),
-        metrics_every=draw(st.integers(0, 100)),
         space=draw(st.sampled_from(("row", "hetero", "grid2d"))),
     )
 
@@ -102,7 +101,7 @@ class TestSearchConfigRoundTrip:
         # A typo, and the retired knobs old clients may send.
         for field in ("sead", "incremental", "resync_every", "chains",
                       "trace_out", "profile", "ledger", "objectives",
-                      "pareto"):
+                      "pareto", "metrics_every"):
             with pytest.raises(ConfigurationError, match="unknown SearchConfig"):
                 SearchConfig.from_json({"seed": 1, field: 2})
 

@@ -34,27 +34,31 @@ def _solve(n=6, seed=2019):
     return params, cfg, result
 
 
+def _put(store, params, cfg, result):
+    """Store ``result`` under the key ``put`` computes for it."""
+    return store.put("optimize", params, cfg, cfg.seed, result,
+                     sweep_digest(result.sweep)).key
+
+
 class TestIdentity:
     def test_key_is_the_ledger_run_id(self, store):
-        params, cfg, _ = _solve()
-        key = store.key_for("optimize", params, cfg, cfg.seed)
+        params, cfg, result = _solve()
+        key = _put(store, params, cfg, result)
         assert key == compute_run_id("optimize", params, cfg, cfg.seed)
         assert len(key) == 16
 
     def test_key_ignores_observability_knobs(self, store):
-        params, cfg, _ = _solve()
-        noisy = cfg.with_updates(jobs=4, metrics_every=5)
-        assert (store.key_for("optimize", params, cfg, cfg.seed)
-                == store.key_for("optimize", params, noisy, noisy.seed))
+        params, cfg, result = _solve()
+        noisy = cfg.with_updates(jobs=4)
+        assert (_put(store, params, cfg, result)
+                == _put(store, params, noisy, result))
+        assert len(store) == 1
 
     def test_key_changes_with_seed_and_params(self, store):
-        params, cfg, _ = _solve()
-        other_cfg = cfg.with_updates(seed=7)
-        assert (store.key_for("optimize", params, cfg, cfg.seed)
-                != store.key_for("optimize", params, other_cfg, 7))
-        other_params = dict(params, effort="paper")
-        assert (store.key_for("optimize", params, cfg, cfg.seed)
-                != store.key_for("optimize", other_params, cfg, cfg.seed))
+        params, cfg, result = _solve()
+        key = _put(store, params, cfg, result)
+        assert key != _put(store, params, cfg.with_updates(seed=7), result)
+        assert key != _put(store, dict(params, effort="paper"), cfg, result)
 
 
 class TestRoundTrip:
@@ -100,12 +104,11 @@ class TestRoundTrip:
     def test_overwrite_idempotent(self, store):
         params, cfg, result = _solve()
         digest = sweep_digest(result.sweep)
+        key = compute_run_id("optimize", params, cfg, cfg.seed)
         store.put("optimize", params, cfg, cfg.seed, result, digest)
-        before = open(store.entry_path(
-            store.key_for("optimize", params, cfg, cfg.seed))).read()
+        before = open(store.entry_path(key)).read()
         store.put("optimize", params, cfg, cfg.seed, result, digest)
-        after = open(store.entry_path(
-            store.key_for("optimize", params, cfg, cfg.seed))).read()
+        after = open(store.entry_path(key)).read()
         assert before == after
         assert len(store) == 1
 

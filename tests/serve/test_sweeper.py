@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import SearchConfig
 from repro.core.latency import BandwidthConfig
-from repro.obs.ledger import optimize_params
+from repro.obs.ledger import compute_run_id, optimize_params
 from repro.serve.server import ServeApp
 from repro.serve.store import DesignStore
 from repro.serve.sweeper import Sweeper, sweep_grid
@@ -38,20 +38,18 @@ class TestSweepGrid:
         assert all(s["link_limits"] is None for s in specs)
 
     def test_full_sweep_key_matches_plain_request_key(self, app):
-        specs = sweep_grid([6], effort="smoke")
-        sweeper = Sweeper(app, specs)
-        plan = sweeper._key_and_spec(specs[0])
+        specs = sweep_grid([4], effort="smoke", per_limit=False)
+        asyncio.run(Sweeper(app, specs, idle_poll_s=0.01).run())
         cfg = SearchConfig(seed=2019)
-        params = optimize_params(6, "dc_sa", "smoke", cfg.space)
-        assert plan["key"] == app.store.key_for(
-            "optimize", params, cfg, cfg.seed
-        )
+        params = optimize_params(4, "dc_sa", "smoke", cfg.space)
+        assert app.store.keys() == [
+            compute_run_id("optimize", params, cfg, cfg.seed)
+        ]
 
     def test_per_limit_keys_never_collide_with_full_sweep(self, app):
-        specs = sweep_grid([6], effort="smoke")
-        sweeper = Sweeper(app, specs)
-        keys = [sweeper._key_and_spec(s)["key"] for s in specs]
-        assert len(set(keys)) == len(keys)
+        specs = sweep_grid([4], effort="smoke")
+        populated = asyncio.run(Sweeper(app, specs, idle_poll_s=0.01).run())
+        assert populated == len(specs) == len(app.store)
 
 
 class TestSweeperRun:

@@ -43,7 +43,7 @@ class TestSearchConfig:
             {"jobs": -1},
             {"max_evaluations": 0},
             {"seed": "x"},
-            {"metrics_every": -5},
+            {"space": "torus"},
         ],
     )
     def test_validation(self, kwargs):
@@ -67,16 +67,15 @@ class TestSearchConfig:
         ns.seed = 2019
         ns.restarts = 4
         ns.jobs = 2
+        # The trace, profile and ledger flags (and simulate's heartbeat
+        # interval) stay on args: the CLI reads them there, and no
+        # config field carries them.
         ns.metrics_every = 100
-        # The trace, profile and ledger flags stay on args: the CLI
-        # reads them there, and no config field carries them.
         ns.trace_out = "t.jsonl"
         ns.profile = True
         ns.ledger = ".repro/runs"
         cfg = SearchConfig.from_cli(ns)
-        assert cfg == SearchConfig(
-            seed=2019, restarts=4, jobs=2, metrics_every=100,
-        )
+        assert cfg == SearchConfig(seed=2019, restarts=4, jobs=2)
 
     def test_from_cli_missing_flags_default(self):
         ns = type("Args", (), {"seed": 5})()
@@ -272,7 +271,7 @@ class TestSearchConfigObjectives:
                            space="hetero")
         data = cfg.to_json()
         assert list(data) == ["seed", "restarts", "jobs", "max_evaluations",
-                              "metrics_every", "space"]
+                              "space"]
         assert SearchConfig.from_json(data) == cfg
 
     def test_from_cli_reads_pareto_flags(self, tmp_path, capsys):
