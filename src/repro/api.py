@@ -27,7 +27,7 @@ Python rejects them as unknown keywords.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "EvalResult",
     "place_express_links",
     "evaluate_placement",
-    "eval_result_from_row",
     # Simulation campaigns (lazily re-exported from repro.sim.campaign).
     "SimJob",
     "TrafficSpec",
@@ -217,9 +216,11 @@ class SearchConfig:
         Independent SA chains per ``C``; the best chain wins (ties go
         to the lowest restart index).
     jobs:
-        Worker processes; results are bit-identical for every value.
-        How each move is priced is not a knob either: every search runs
-        on the machine's Floyd-Warshall tier
+        Worker processes; results are bit-identical for every value, so
+        ``jobs`` is neither compared nor written by :meth:`to_json`: a
+        run's documents are the same at every ``jobs``.  How each move
+        is priced is not a knob either: every search runs on the
+        machine's Floyd-Warshall tier
         (:func:`repro.routing.impls.default_impl`), and
         :func:`repro.core.annealing.anneal` picks the O(n^2)
         incremental engine whenever it is bit-exact.
@@ -238,7 +239,7 @@ class SearchConfig:
 
     seed: Optional[int] = None
     restarts: int = 1
-    jobs: int = 1
+    jobs: int = field(default=1, compare=False)
     max_evaluations: Optional[int] = None
     space: str = "row"
 
@@ -305,8 +306,8 @@ class SearchConfig:
 
     # -- JSON schema ---------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        """This config as a plain JSON-safe dict."""
-        return asdict(self)
+        """This config's compared fields as a plain JSON-safe dict."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SearchConfig":
@@ -658,32 +659,15 @@ def evaluate_placement(
     in.  ``impl=None`` prices on the machine's tier; ``"reference"``
     re-prices against the pure-Python oracle.
     """
-    from repro.core.latency import mean_row_head_latency
-
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    row = mean_row_head_latency(placement, cost, w, impl=impl)
-    return eval_result_from_row(
-        placement, row, link_limit, bandwidth=bandwidth, mix=mix, cost=cost
+    from repro.core.latency import (
+        BandwidthConfig,
+        mean_row_head_latency,
+        network_average_latency,
+        network_worst_case_latency,
     )
 
-
-def eval_result_from_row(
-    placement: RowPlacement,
-    row_head_latency: float,
-    link_limit: Optional[int] = None,
-    bandwidth=None,
-    mix=None,
-    cost=None,
-) -> EvalResult:
-    """Finish an evaluation from a precomputed row head latency.
-
-    The seam the serving layer's request batcher uses: it prices many
-    placements' row energies with one
-    :meth:`~repro.core.latency.RowObjective.evaluate_many` call
-    (bit-identical to the scalar path by the PR 5 parity contract) and
-    completes each request here, so batched ``/evaluate`` responses are
-    byte-identical to :func:`evaluate_placement`.
-    """
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    row_head_latency = mean_row_head_latency(placement, cost, w, impl=impl)
     if link_limit is None:
         return EvalResult(
             n=placement.n,
@@ -695,12 +679,6 @@ def eval_result_from_row(
             total_latency=None,
             flit_bits=None,
         )
-    from repro.core.latency import (
-        BandwidthConfig,
-        network_average_latency,
-        network_worst_case_latency,
-    )
-
     bw = bandwidth or BandwidthConfig()
     breakdown = network_average_latency(placement, link_limit, bw, mix, cost)
     return EvalResult(

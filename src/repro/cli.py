@@ -14,7 +14,7 @@ Gives downstream users the paper's flow without writing Python:
 * ``inspect``  -- show a placement's structure, matrix and audits,
 * ``serve``    -- run the placement service: an HTTP/JSON server with a
   content-addressed design cache (every entry is what ``optimize``
-  prints for its key), request batching and an idle-time cache sweeper,
+  prints for its key),
 * ``experiments`` -- list the paper-figure regenerators,
 * ``trace-report`` -- summarize a JSONL trace written by ``--trace-out``
   (``--by-worker`` / ``--by-task`` add the correlation views),
@@ -288,6 +288,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
+    from repro.core.branch_bound import validated_link_limit
     from repro.core.pareto import pareto_front
     from repro.obs.ledger import digest_parts, pareto_params
     from repro.traffic.parsec import PARSEC_WORKLOADS, workload_gamma
@@ -300,6 +301,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: bad --c list {args.c!r}", file=sys.stderr)
         return 2
+    for c in limits:  # every C is checked before any front runs
+        validated_link_limit(args.n, c)
     traffics = tuple(
         s.strip() for s in args.traffic.split(",") if s.strip()
     ) or ("uniform",)
@@ -623,21 +626,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serve import (
-        DesignStore,
-        HttpServer,
-        ServeApp,
-        Sweeper,
-        sweep_grid,
-    )
+    from repro.serve import DesignStore, HttpServer, ServeApp
 
-    sizes = []
-    if args.sweep:
-        try:
-            sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
-        except ValueError as exc:
-            print(f"error: bad --sweep value: {exc}", file=sys.stderr)
-            return 2
     store = DesignStore(args.store) if args.store else DesignStore()
     ledger = RunLedger(args.ledger) if args.ledger else None
     app = ServeApp(
@@ -668,21 +658,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(store: {store.root}, {len(store)} cached design(s))",
             flush=True,
         )
-        sweep_task = None
-        if args.sweep:
-            sweeper = Sweeper(app, sweep_grid(
-                sizes, effort=args.effort, seed=args.seed,
-            ))
-            sweep_task = loop.create_task(sweeper.run())
-            print(f"sweeper pre-populating {len(sweeper.specs)} grid "
-                  f"point(s) for n in {sizes} during idle time", flush=True)
         try:
             await serving
         except asyncio.CancelledError:
             pass
         finally:
-            if sweep_task is not None:
-                sweep_task.cancel()
             await server.close()
 
     try:
@@ -911,17 +891,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--queue-limit", type=int, default=256, metavar="K",
-        help="max queued /evaluate requests before 429",
+        help="max in-flight /evaluate requests before 429",
     )
     p.add_argument(
         "--deadline", type=float, default=60.0, metavar="S",
         help="default per-request deadline in seconds (overridable per "
         "request via deadline_s)",
-    )
-    p.add_argument(
-        "--sweep", metavar="N,N,...", default=None,
-        help="pre-populate the design cache for these mesh sizes during "
-        "idle time (background sweeper)",
     )
     _add_run_flags(p, obs=False)
     g = p.add_argument_group("service observability")

@@ -68,7 +68,7 @@ from repro.api import (
 from repro.analysis.channel_load import channel_loads
 from repro.core.annealing import AnnealingParams
 from repro.core.application_aware import _check_gamma, _col_weights, _row_weights
-from repro.core.branch_bound import effective_link_limit
+from repro.core.branch_bound import effective_link_limit, validated_link_limit
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import BandwidthConfig, PacketMix, RowObjective
 from repro.core.optimizer import METHODS, _solve_row
@@ -898,6 +898,8 @@ def pareto_front(
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}"
         )
+    # Refuses C < 1 before any task runs; the spec keeps C as given.
+    validated_link_limit(n, link_limit)
     if points < 1:
         raise ConfigurationError(f"points must be >= 1, got {points}")
     if population < 2:

@@ -14,9 +14,9 @@ parameters, the result-shaping execution knobs and the seed -- so it is
 computable **before** the run (it stamps the trace context via
 ``obs.set_context(run_id=...)``) and identical runs overwrite the same
 manifest (idempotent, cache-friendly).  The wall-clock knob ``jobs`` is
-excluded from the identity because the engines guarantee it cannot
-change results; the trace, profile and ledger flags are the CLI's,
-never a config field.
+excluded from the identity, and from the manifest's ``config``, because
+the engines guarantee it cannot change results; the trace, profile and
+ledger flags are the CLI's, never a config field.
 The kernel tier is no knob at all: it is the machine's, recorded in
 the manifest's ``environment`` block as ``kernel_tier``.
 
@@ -317,9 +317,7 @@ class RunLedger:
             run_id=run_id,
             kind=kind,
             params=params,
-            config=(
-                asdict(config) if is_dataclass(config) else dict(config or {})
-            ),
+            config=config_identity(config),
             seed=seed,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             environment=environment_snapshot(),

@@ -24,7 +24,7 @@ Distances need only one of the two passes, and only a triangle of it:
 
 Both identities hold for any nonnegative hop costs, integral or not.
 The row pricing paths -- :func:`batched_mean_distances` (exact search,
-the D&C combine step, the serve batcher), :func:`directional_distances`
+the D&C combine step), :func:`directional_distances`
 and the incremental engine -- all run that one kernel over
 left-to-right ``(B, n, n)`` stacks.  Next-hop tables are not a
 transpose (the transpose of a left-to-right *first* hop is a

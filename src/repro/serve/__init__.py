@@ -1,4 +1,4 @@
-"""Placement-as-a-service: async server, design cache, batching, sweeper.
+"""Placement-as-a-service: async server and design cache.
 
 The serving layer exposes the frozen public facade
 (:class:`repro.SearchConfig` in, :class:`repro.PlacementResult` out)
@@ -14,18 +14,13 @@ See ``docs/serving.md`` for the endpoint reference and operational
 semantics (cache classes, deadlines, backpressure, drain).
 """
 
-from repro.serve.batcher import EvaluateBatcher
 from repro.serve.server import HttpServer, ServeApp
 from repro.serve.store import STORE_ROOT, DesignStore, StoreEntry
-from repro.serve.sweeper import Sweeper, sweep_grid
 
 __all__ = [
     "DesignStore",
-    "EvaluateBatcher",
     "HttpServer",
     "STORE_ROOT",
     "ServeApp",
     "StoreEntry",
-    "Sweeper",
-    "sweep_grid",
 ]

@@ -15,8 +15,8 @@ Endpoints
     exactly what ``repro optimize`` computes for the same key, whatever
     else the store holds.
 ``POST /evaluate``
-    Price one placement; concurrent requests coalesce into one
-    population kernel call (:mod:`repro.serve.batcher`).
+    Price one placement (:func:`repro.api.evaluate_placement`) in the
+    worker pool, as soon as the request arrives.
 ``POST /campaign``
     A simulation campaign grid (:mod:`repro.sim.campaign`).
 ``GET /runs/<id>``
@@ -50,7 +50,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.api import SearchConfig
 from repro.core.optimizer import METHODS, optimize
@@ -64,7 +64,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.routing.shortest_path import HopCostModel
-from repro.serve.batcher import EvaluateBatcher
+from repro.serve import batcher
 from repro.serve.store import DesignStore, StoreEntry
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
@@ -77,6 +77,9 @@ _COMMON_FIELDS = {"deadline_s"}
 #: ``n`` is a memory and CPU exhaustion vector (the canonical placement
 #: encoding itself stops at 65535).
 MAX_N = 1024
+
+#: Longest deadline a request may ask for (``deadline_s``), in seconds.
+MAX_DEADLINE_S = 600.0
 
 JSON = "application/json"
 TEXT = "text/plain; version=0.0.4; charset=utf-8"
@@ -136,47 +139,33 @@ class ServeApp:
     def __init__(
         self,
         store: Optional[DesignStore] = None,
-        registry: Optional[MetricsRegistry] = None,
         ledger: Optional[RunLedger] = None,
         *,
         capacity: int = 4,
         queue_limit: int = 256,
         default_deadline_s: float = 60.0,
-        max_deadline_s: float = 600.0,
         default_effort: str = "paper",
         default_seed: Optional[int] = 2019,
-        workers: Optional[int] = None,
     ) -> None:
         # Explicit None check: DesignStore has __len__, so an *empty*
         # store is falsy and `store or DesignStore()` would discard it.
         self.store = store if store is not None else DesignStore()
-        self.metrics = registry or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.ledger = ledger
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.default_deadline_s = default_deadline_s
-        self.max_deadline_s = max_deadline_s
         self.default_effort = default_effort
         self.default_seed = default_seed
         self.executor = ThreadPoolExecutor(
-            max_workers=workers or max(2, capacity),
-            thread_name_prefix="repro-serve",
+            max_workers=max(2, capacity), thread_name_prefix="repro-serve",
         )
-        self.batcher = EvaluateBatcher(self.metrics, executor=self.executor)
         self.draining = False
         self._active = 0
         self._inflight: Dict[str, asyncio.Task] = {}
+        self._evaluations: Set[asyncio.Future] = set()
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def idle(self) -> bool:
-        """True when no search or evaluation work is in flight."""
-        return (
-            self._active == 0
-            and not self._inflight
-            and not self.batcher._pending
-        )
-
     async def shutdown(self) -> None:
         """Drain in-flight work, then release the worker pool.
 
@@ -185,10 +174,9 @@ class ServeApp:
         lands in the cache/ledger) before the pool closes.
         """
         self.draining = True
-        tasks = list(self._inflight.values())
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        await self.batcher.drain()
+        work = [*self._inflight.values(), *self._evaluations]
+        if work:
+            await asyncio.gather(*work, return_exceptions=True)
         self.executor.shutdown(wait=True)
 
     # -- routing -------------------------------------------------------
@@ -255,15 +243,11 @@ class ServeApp:
                                f"{deadline!r}")
         if not deadline > 0:  # also rejects NaN
             raise RequestError(f"deadline_s must be positive, got {deadline}")
-        return float(min(deadline, self.max_deadline_s))
+        return float(min(deadline, MAX_DEADLINE_S))
 
     # -- /place --------------------------------------------------------
     def _place_spec(self, body: Dict) -> Tuple[str, Dict]:
-        """The store key and the validated search of a ``/place`` body.
-
-        The sweeper files its grid points through here too, so a
-        pre-populated point and a request for it share one key.
-        """
+        """The store key and the validated search of a ``/place`` body."""
         known = {"n", "method", "effort", "config",
                  "link_limits"} | _COMMON_FIELDS
         unknown = sorted(set(body) - known)
@@ -476,16 +460,24 @@ class ServeApp:
             self.metrics.counter("serve.rejected.draining").inc()
             return self._error(503, "server is draining",
                                {"Retry-After": "5"})
-        if len(self.batcher._pending) >= self.queue_limit:
+        if len(self._evaluations) >= self.queue_limit:
             self.metrics.counter("serve.rejected.backpressure").inc()
             return self._error(
                 429,
                 f"evaluate queue full ({self.queue_limit} pending)",
                 {"Retry-After": "1"},
             )
-        result = await asyncio.wait_for(
-            self.batcher.evaluate(placement, link_limit, weights), deadline
+        # Shielded like a search: a 504 leaves the pricing running, and
+        # it counts against queue_limit (and shutdown waits) until done.
+        # _price_batch is read off its module per call, so a stub set on
+        # repro.serve.batcher is the one that runs.
+        priced = asyncio.get_running_loop().run_in_executor(
+            self.executor, batcher._price_batch,
+            [(placement, link_limit, weights)],
         )
+        self._evaluations.add(priced)
+        priced.add_done_callback(self._evaluations.discard)
+        (result,) = await asyncio.wait_for(asyncio.shield(priced), deadline)
         return (200, JSON, _json_bytes({
             "placement_row": placement.canonical_bytes().hex(),
             "result": result.to_json(),

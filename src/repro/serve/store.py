@@ -23,11 +23,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.api import PlacementResult
-from repro.obs.ledger import canonical_json, compute_run_id, write_atomic
+from repro.obs.ledger import (
+    canonical_json,
+    compute_run_id,
+    config_identity,
+    write_atomic,
+)
 from repro.util.errors import ConfigurationError
 
 #: Default store root, a sibling of the run-ledger root.
@@ -46,8 +51,6 @@ class StoreEntry:
     result_digest: str
     result: PlacementResult
     wall_time_s: float = 0.0
-    payload: Dict[str, Any] = field(repr=False, compare=False,
-                                    default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -109,7 +112,6 @@ class DesignStore:
             result_digest=payload["result_digest"],
             result=PlacementResult.from_json(payload["result"]),
             wall_time_s=payload.get("wall_time_s", 0.0),
-            payload=payload,
         )
         if payload.get("warm_from") is not None:
             raise ConfigurationError(
@@ -130,9 +132,6 @@ class DesignStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def __contains__(self, key: str) -> bool:
-        return os.path.isfile(self.entry_path(key))
-
     # -- write ---------------------------------------------------------
     def put(
         self,
@@ -146,15 +145,11 @@ class DesignStore:
     ) -> StoreEntry:
         """Write one entry atomically and return it."""
         key = key or compute_run_id(kind, params, config, seed)
-        from dataclasses import asdict, is_dataclass
-
         entry = StoreEntry(
             key=key,
             kind=kind,
             params=dict(params),
-            config=(
-                asdict(config) if is_dataclass(config) else dict(config or {})
-            ),
+            config=config_identity(config),
             seed=seed,
             result_digest=result_digest,
             result=result,

@@ -259,8 +259,17 @@ def campaign_grid(
     pattern_i, rate_i, seed_i)`` via ``SeedSequence`` spawn keys -- a
     pure function of the grid coordinates, so adding rows to any axis
     never perturbs the others.  Keys are the human-readable coordinates
-    ``(scheme, pattern, rate, seed_i)``.
+    ``(scheme, pattern, rate, seed_i)``.  An empty axis or
+    ``seeds_per_point < 1`` is refused: it would run nothing.
     """
+    for name, axis in (("designs", designs), ("patterns", patterns),
+                       ("rates", rates)):
+        if not axis:
+            raise ConfigurationError(f"campaign grid {name} must not be empty")
+    if seeds_per_point < 1:
+        raise ConfigurationError(
+            f"seeds_per_point must be >= 1, got {seeds_per_point}"
+        )
     grid: List[SimJob] = []
     for d_i, design in enumerate(designs):
         config = SimConfig(

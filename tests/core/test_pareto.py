@@ -294,6 +294,20 @@ class TestFrontSearch:
                              config=SearchConfig(seed=first.seed))
         assert again.to_json() == first.to_json()
 
+    @pytest.mark.parametrize("link_limit", [0, -3])
+    def test_limit_below_one_refused_before_any_task(self, monkeypatch,
+                                                     link_limit):
+        import repro.core.pareto as pareto
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a front task ran")
+
+        monkeypatch.setattr(pareto, "_solve_row", refuse)
+        monkeypatch.setattr(pareto, "parallel_map", refuse)
+        with pytest.raises(ConfigurationError,
+                           match=f"^link limit must be >= 1, got {link_limit}$"):
+            pareto_front(6, link_limit, params=SMOKE, config=CFG)
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ConfigurationError):
             pareto_front(8, 2, objectives=("latency",), driver="weighted-sum")

@@ -398,7 +398,7 @@ class TestSolveAndOptimize:
             cfg = SearchConfig(seed=4, restarts=restarts, jobs=jobs,
                                space=space, max_evaluations=80)
             data = entry(*args, config=cfg).to_json()
-            del data["wall_time_s"], data["config"]["jobs"]
+            del data["wall_time_s"]
             return json.dumps(data, sort_keys=True)
 
         for restarts in (1, 3):

@@ -204,6 +204,28 @@ class TestLedgerCli:
         assert m1["result_digest"] == m4["result_digest"]
         assert m1["metrics_summary"] == m4["metrics_summary"]
 
+    def test_jobs_write_one_document_and_manifest(self, tmp_path, capsys):
+        # A --jobs 2 run lands on the --jobs 1 run's key, so it writes
+        # the same saved document and the same manifest config there.
+        documents, configs = [], []
+        for jobs in ("1", "2"):
+            ledger_dir = str(tmp_path / f"j{jobs}")
+            saved = tmp_path / f"j{jobs}.json"
+            assert main([
+                "optimize", "--n", "6", "--effort", "smoke", "--seed", "2019",
+                "--jobs", jobs, "--save", str(saved), "--ledger", ledger_dir,
+            ]) == 0
+            document = json.loads(saved.read_text())
+            del document["wall_time_s"]
+            documents.append(document)
+            (run_id,) = os.listdir(ledger_dir)
+            with open(os.path.join(ledger_dir, run_id, "manifest.json")) as fh:
+                configs.append(json.load(fh)["config"])
+        capsys.readouterr()
+        assert documents[0] == documents[1]
+        assert configs[0] == configs[1]
+        assert "jobs" not in configs[0]
+
     def test_run_id_stamped_on_trace(self, tmp_path, capsys):
         trace = str(tmp_path / "t.jsonl")
         self.run_solve(tmp_path, 2019, extra=["--trace-out", trace])

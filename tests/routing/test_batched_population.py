@@ -2,8 +2,8 @@
 
 The batched kernels (`weight_stack_population`, `batched_mean_distances`,
 ``RowObjective.evaluate_many``) exist purely for throughput -- the exact
-searches and the serving layer's ``/evaluate`` batcher price whole
-populations with them: one ``(B, n, n)`` left-to-right row stack
+searches and the D&C combine step price whole populations with them:
+one ``(B, n, n)`` left-to-right row stack
 instead of ``B`` single-placement passes.  A population is a placement
 list or a ``LinkBlock`` (the exact search's link arrays); both go
 through the same builder.  Min-plus relaxation is

@@ -231,9 +231,10 @@ def _parallel_sweep(n, seed, restarts, jobs, **kwargs):
 
 
 def _result_bytes(result):
-    """A result's JSON minus the fields that may differ across jobs."""
+    """A result's JSON minus its wall time: the whole document,
+    ``config`` included, is the same for every ``jobs``."""
     data = result.to_json()
-    del data["wall_time_s"], data["config"]["jobs"]
+    del data["wall_time_s"]
     return json.dumps(data, sort_keys=True)
 
 

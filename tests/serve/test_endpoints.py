@@ -99,13 +99,13 @@ class TestPlace:
         ).to_json()
         served = dict(b2["result"])
         for data in (direct, served):
-            del data["wall_time_s"], data["config"]["jobs"]
+            del data["wall_time_s"]
         assert served == direct
 
     def test_one_key_serves_one_document(self, app):
         # jobs does not enter the key and a served search does not
         # honour it, so whichever request computed the design, the key
-        # serves one document: the five config fields a plain request
+        # serves one document: the four config fields a plain request
         # records.
         async def scenario():
             first = await _request(app, "POST", "/place", dict(
@@ -437,7 +437,7 @@ class TestEvaluate:
             placement, link_limit=2
         ).to_json()
 
-    def test_concurrent_requests_batch_once(self, app):
+    def test_concurrent_requests_match_evaluate_placement(self, app):
         placements = [
             RowPlacement(6, frozenset()),
             RowPlacement(6, frozenset({(0, 2)})),
@@ -457,9 +457,6 @@ class TestEvaluate:
             ))
 
         responses = asyncio.run(scenario())
-        counters = _counters(app)
-        assert counters["serve.evaluate.batches"] == 1
-        assert counters["serve.evaluate.requests"] == 5
         for p, (status, body, _) in zip(placements, responses):
             assert status == 200
             assert body["result"] == evaluate_placement(
@@ -583,6 +580,52 @@ class TestEvaluate:
         assert status == 503
         assert headers["Retry-After"] == "5"
 
+    def test_backpressure_429(self, tmp_path):
+        # queue_limit bounds the evaluations in flight; at 0 every
+        # request is refused before any pricing.
+        app = ServeApp(DesignStore(str(tmp_path / "d")), queue_limit=0)
+        try:
+            status, body, headers = asyncio.run(_request(
+                app, "POST", "/evaluate", {"n": 6, "express_links": []}
+            ))
+        finally:
+            app.executor.shutdown(wait=True)
+        assert status == 429
+        assert headers["Retry-After"] == "1"
+        assert "evaluate queue full" in body["error"]
+        assert _counters(app)["serve.rejected.backpressure"] == 1
+
+    def test_deadline_504_keeps_the_pricing_in_flight(self, app, monkeypatch):
+        # A 504 leaves the pricing running: it counts against
+        # queue_limit until it finishes, and shutdown waits for it.
+        import threading
+
+        import repro.serve.batcher as batcher
+
+        release = threading.Event()
+        price = batcher._price_batch
+
+        def held(requests):
+            release.wait(timeout=30)
+            return price(requests)
+
+        monkeypatch.setattr(batcher, "_price_batch", held)
+
+        async def scenario():
+            status, _, _ = await _request(app, "POST", "/evaluate", {
+                "n": 6, "express_links": [[0, 3]], "deadline_s": 1e-3,
+            })
+            in_flight = len(app._evaluations)
+            release.set()
+            await app.shutdown()
+            return status, in_flight
+
+        status, in_flight = asyncio.run(scenario())
+        assert status == 504
+        assert in_flight == 1
+        assert not app._evaluations
+        assert _counters(app)["serve.rejected.deadline"] == 1
+
 
 class TestCampaign:
     def test_small_grid(self, app):
@@ -690,7 +733,7 @@ class TestNoFork:
             PLACE, config={"seed": 7, "restarts": 2, "jobs": 64},
         )))
         assert status == 200, body
-        assert body["result"]["config"]["jobs"] == 1
+        assert "jobs" not in body["result"]["config"]
         assert body["result"]["config"]["restarts"] == 2
 
     def test_campaign_runs_in_process(self, app, no_pool):
@@ -778,4 +821,4 @@ class TestShutdown:
         status, body, _ = asyncio.run(scenario())
         assert status == 200
         assert len(app.store) == 1
-        assert app.idle
+        assert app._active == 0 and not app._inflight

@@ -98,7 +98,6 @@ class TestRoundTrip:
 
     def test_miss_returns_none(self, store):
         assert store.get("0" * 16) is None
-        assert "0" * 16 not in store
         assert len(store) == 0
 
     def test_overwrite_idempotent(self, store):

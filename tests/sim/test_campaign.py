@@ -65,6 +65,18 @@ class TestGridBuilder:
         )
         assert grid[0].config.flit_bits == hfb_design(4).point.flit_bits
 
+    @pytest.mark.parametrize("changes,name", [
+        ({"designs": []}, "designs"),
+        ({"patterns": []}, "patterns"),
+        ({"rates": []}, "rates"),
+        ({"seeds_per_point": 0}, "seeds_per_point"),
+    ])
+    def test_empty_grid_refused(self, changes, name):
+        grid = dict(designs=[mesh_design(4)], patterns=["uniform_random"],
+                    rates=[1.0], base_seed=1)
+        with pytest.raises(ConfigurationError, match=name):
+            campaign_grid(**{**grid, **changes})
+
 
 class TestTrafficSpec:
     def test_synthetic_rate_split(self):

@@ -270,8 +270,8 @@ class TestSearchConfigObjectives:
         cfg = SearchConfig(seed=7, restarts=2, max_evaluations=50,
                            space="hetero")
         data = cfg.to_json()
-        assert list(data) == ["seed", "restarts", "jobs", "max_evaluations",
-                              "space"]
+        # jobs never changes a result, so a document does not record it.
+        assert list(data) == ["seed", "restarts", "max_evaluations", "space"]
         assert SearchConfig.from_json(data) == cfg
 
     def test_from_cli_reads_pareto_flags(self, tmp_path, capsys):

@@ -221,6 +221,26 @@ class TestCommands:
             "error: unknown scheme 'bogus'; expected one of mesh, hfb, dc_sa\n"
         )
 
+    @pytest.mark.parametrize("flags,axis", [
+        (["--seeds", "0"], "seeds_per_point"),
+        (["--rates", ","], "rates"),
+        (["--patterns", ","], "patterns"),
+        (["--schemes", ","], "designs"),
+    ])
+    def test_simulate_sweep_refuses_empty_grid(self, tmp_path, capsys, flags,
+                                               axis):
+        # An empty grid would run nothing, print an empty table and
+        # record an empty run; it is refused before any of that.
+        ledger = tmp_path / "ledger"
+        assert main([
+            "simulate-sweep", "--n", "4", "--warmup", "10", "--measure", "30",
+            "--ledger", str(ledger), *flags,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and axis in captured.err
+        assert captured.out == ""
+        assert not ledger.exists() or not os.listdir(ledger)
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--n", "1", "--effort", "smoke"],
         ["solve", "--n", "1", "--c", "2", "--effort", "smoke"],
@@ -304,6 +324,17 @@ class TestPareto:
             "pareto", "--n", "6", "--c", "2", "--effort", "smoke", *flags,
         ]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("limits", ["0", "-1", "2,0"])
+    def test_pareto_refuses_limit_below_one(self, capsys, limits):
+        # Refused before any front runs, so "2,0" prints no C=2 front.
+        assert main([
+            "pareto", "--n", "6", "--c", limits, "--effort", "smoke",
+            "--points", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: link limit must be >= 1, got ")
+        assert captured.out == ""
 
     def test_pareto_ledger_records_runs(self, tmp_path, capsys):
         assert main([
