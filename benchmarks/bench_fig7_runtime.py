@@ -117,7 +117,7 @@ class FullFloydWarshall:
     """``RowObjective`` without its incremental evaluator: ``anneal``
     then decodes every candidate and prices each memo miss with a full
     Floyd-Warshall pass (the paper's walk).  ``evaluate_many`` is kept,
-    so the D&C seed costs the same on both sides."""
+    so the D&C seed is priced in stacks on both sides."""
 
     def __init__(self, objective):
         self._objective = objective
@@ -125,8 +125,8 @@ class FullFloydWarshall:
     def __call__(self, placement):
         return self._objective(placement)
 
-    def evaluate_many(self, placements, folded=False):
-        return self._objective.evaluate_many(placements, folded=folded)
+    def evaluate_many(self, placements):
+        return self._objective.evaluate_many(placements)
 
 
 def _timed_walk_sweep(n, params, objective):
@@ -199,10 +199,11 @@ def test_fig7_batched_divide_conquer(capsys):
     placement, >= 3x throughput at the paper's n=16 bridging step.
 
     The combine step prices the base and all O(n^2) bridging
-    candidates in one Floyd-Warshall stack; the scalar baseline
-    (``batch_size=1``) prices them one by one.  Equal placement,
-    energy and evaluation count make the speedup purely a kernel-launch
-    economy.  Quick effort checks parity only.
+    candidates in Floyd-Warshall stacks of at most 128 (one stack at
+    n=16); the scalar baseline (``batch_size=1``) prices them one by
+    one.  Equal placement, energy and evaluation count make the
+    speedup purely a kernel-launch economy.  Quick effort checks
+    parity only.
     """
     paper = sa_effort() == "paper"
     n, c = (16, 4) if paper else (8, 4)

@@ -47,49 +47,7 @@ __all__ = [
     "EvalResult",
     "place_express_links",
     "evaluate_placement",
-    # Simulation campaigns (lazily re-exported from repro.sim.campaign).
-    "SimJob",
-    "TrafficSpec",
-    "CampaignResult",
-    "JobResult",
-    "run_campaign",
-    "run_until",
-    "campaign_grid",
-    # Pareto co-design (lazily re-exported from repro.core.pareto).
-    "ParetoFront",
-    "ParetoPoint",
-    "pareto_front",
-    "hypervolume",
 ]
-
-#: Campaign API names re-exported from :mod:`repro.sim.campaign`.
-#: Resolved lazily (PEP 562): the campaign engine imports the core
-#: parallel machinery, which imports this module for
-#: :class:`SearchConfig` -- a top-level import here would be a cycle.
-_CAMPAIGN_EXPORTS = frozenset({
-    "SimJob", "TrafficSpec", "CampaignResult", "JobResult",
-    "run_campaign", "run_until", "campaign_grid",
-})
-
-#: Pareto co-design names re-exported from :mod:`repro.core.pareto`,
-#: lazily for the same reason: the front-search drivers ride the
-#: search stack, which imports this module for :class:`SearchConfig`.
-_PARETO_EXPORTS = frozenset({
-    "ParetoFront", "ParetoPoint", "pareto_front", "hypervolume",
-})
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.sim import campaign
-
-        return getattr(campaign, name)
-    if name in _PARETO_EXPORTS:
-        from repro.core import pareto
-
-        return getattr(pareto, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Placement search spaces: the paper's replicated row, heterogeneous
 #: per-row placements, and pooled-budget 2D chords.  Defined here (not
@@ -656,40 +614,47 @@ def evaluate_placement(
     Without ``link_limit`` only the head-latency terms are computed;
     with it the placement is validated against ``C`` and the full
     Eq. 2 breakdown (flit width, serialization, worst case) is filled
-    in.  ``impl=None`` prices on the machine's tier; ``"reference"``
-    re-prices against the pure-Python oracle.
+    in.  The row is priced once, on ``impl``'s tier (``None``: the
+    machine's; ``"reference"`` re-prices against the pure-Python
+    oracle), and every field derives from that one distance matrix.
+    ``weights`` (an ``n x n`` traffic matrix) weight the row mean and
+    so ``head_latency = 2 * row_head_latency`` and ``total_latency``;
+    the worst case stays the maximum over all pairs (Table 2).
     """
     from repro.core.latency import (
         BandwidthConfig,
-        mean_row_head_latency,
-        network_average_latency,
-        network_worst_case_latency,
+        PacketMix,
+        row_head_latency_matrix,
+        row_mean,
     )
 
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    row_head_latency = mean_row_head_latency(placement, cost, w, impl=impl)
+    dist = row_head_latency_matrix(placement, cost, impl=impl)
+    row_head_latency = row_mean(dist, weights)
+    head_latency = 2.0 * row_head_latency
     if link_limit is None:
         return EvalResult(
             n=placement.n,
             link_limit=None,
             row_head_latency=row_head_latency,
-            head_latency=2.0 * row_head_latency,
+            head_latency=head_latency,
             worst_case_latency=None,
             serialization_latency=None,
             total_latency=None,
             flit_bits=None,
         )
-    bw = bandwidth or BandwidthConfig()
-    breakdown = network_average_latency(placement, link_limit, bw, mix, cost)
+    placement.validate(link_limit)
+    mix = mix or PacketMix.paper_default()
+    flit_bits = (bandwidth or BandwidthConfig()).flit_bits(link_limit)
+    serialization = mix.serialization_cycles(flit_bits)
     return EvalResult(
         n=placement.n,
         link_limit=link_limit,
         row_head_latency=row_head_latency,
-        head_latency=breakdown.head,
-        worst_case_latency=network_worst_case_latency(
-            placement, link_limit, bw, mix, cost
+        head_latency=head_latency,
+        worst_case_latency=(
+            2.0 * float(dist.max()) + mix.worst_serialization_cycles(flit_bits)
         ),
-        serialization_latency=breakdown.serialization,
-        total_latency=breakdown.total,
-        flit_bits=bw.flit_bits(link_limit),
+        serialization_latency=serialization,
+        total_latency=head_latency + serialization,
+        flit_bits=flit_bits,
     )

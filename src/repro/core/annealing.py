@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.topology.row import Link, LinkBlock, RowPlacement
+from repro.topology.row import Link, RowPlacement
 from repro.util.rngtools import ensure_rng
 
 Objective = Callable[[RowPlacement], float]
@@ -139,8 +139,7 @@ class MemoizedObjective:
         self.misses = 0
         self.overflows = 0
 
-    #: Sentinel returned by :meth:`lookup_key` on a cache miss (``None``
-    #: is reserved for in-batch placeholders inside :meth:`evaluate_many`).
+    #: Sentinel returned by :meth:`lookup_key` on a cache miss.
     MISS = object()
 
     def lookup_key(self, key):
@@ -198,88 +197,30 @@ class MemoizedObjective:
             return value
         return self.store_key(key, self._objective(placement))
 
-    def evaluate_many(
-        self,
-        placements: Sequence[RowPlacement],
-        folded: bool = False,
-    ) -> np.ndarray:
-        """Batch counterpart of calling the memo on each placement in order.
+    def evaluate_many(self, placements) -> np.ndarray:
+        """Price a batch of fresh, pairwise-distinct classes.
 
-        Every counter (``calls``/``hits``/``misses``/``evaluations``/
-        ``overflows``) and the final cache contents match the scalar
-        loop exactly: placements are walked in order, with misses
-        marked by in-cache placeholders so a duplicate later in the
-        batch registers as the hit it would have been.  All misses are
-        then priced together -- one ``objective.evaluate_many`` call
-        when the wrapped objective supports it, a scalar loop otherwise
-        (a key missed twice around a wholesale clear still counts two
-        evaluations but shares one kernel slice; the objective is
-        deterministic, so the values agree).
-
-        ``folded=True`` asserts the caller already reduced the batch to
-        placements pairwise distinct under the objective's dedup key
-        (one per mirror pair when it is mirror-invariant) that are
-        also disjoint from everything previously priced through this
-        memo (the exact enumerators' flush pattern: fresh memo,
-        globally unique stream).  The memo then bulk-counts the batch
-        as misses and skips both the per-placement cache probe and the
-        store -- the keying bytes are never computed and the values are
-        *not* cached -- while the objective skips its own dedup pass.
-        Values and every counter are identical to the scalar loop under
-        that contract.  Under ``folded=True`` a
-        :class:`~repro.topology.row.LinkBlock` batch reaches the
-        objective as it is (for one that :meth:`prices_link_blocks`);
-        otherwise a block is walked as its placements.
+        The population scan's path
+        (:func:`~repro.core.branch_bound.first_minimum`): its members
+        are distinct and new to this memo, so each counts as one call,
+        one miss and one evaluation, exactly as the scalar loop counts
+        it, and none is cached (its key is never computed).  The batch
+        -- a list of placements, or a
+        :class:`~repro.topology.row.LinkBlock` for an objective that
+        :meth:`prices_link_blocks` -- goes to the objective's
+        ``evaluate_many`` as it is, or through a scalar loop for an
+        objective without one.
         """
-        if not isinstance(placements, LinkBlock):
-            placements = list(placements)
-        if folded:
-            count = len(placements)
-            self.calls += count
-            self.misses += count
-            self.evaluations += count
-            batched = getattr(self._objective, "evaluate_many", None)
-            if batched is None:
-                return np.asarray(
-                    [float(self._objective(p)) for p in placements], dtype=float
-                )
-            return np.asarray(batched(placements, folded=True), dtype=float)
-        out: List[Optional[float]] = [None] * len(placements)
-        pending: dict = {}
-        unresolved: List[Tuple[int, bytes]] = []
-        for idx, placement in enumerate(placements):
-            key = placement.canonical_bytes()
-            self.calls += 1
-            if key in self._cache:
-                self.hits += 1
-                value = self._cache[key]
-                if value is None:  # placeholder from this same batch
-                    unresolved.append((idx, key))
-                else:
-                    out[idx] = value
-                continue
-            self.misses += 1
-            if len(self._cache) >= self.max_size:
-                self._cache.clear()
-                self.overflows += 1
-            self._cache[key] = None
-            self.evaluations += 1
-            pending[key] = placement
-            unresolved.append((idx, key))
-        if pending:
-            batched = getattr(self._objective, "evaluate_many", None)
-            reps = list(pending.values())
-            if batched is None:
-                values = [float(self._objective(p)) for p in reps]
-            else:
-                values = [float(v) for v in batched(reps)]
-            by_key = dict(zip(pending.keys(), values))
-            for key, value in by_key.items():
-                if key in self._cache and self._cache[key] is None:
-                    self._cache[key] = value
-            for idx, key in unresolved:
-                out[idx] = by_key[key]
-        return np.asarray(out, dtype=float)
+        count = len(placements)
+        self.calls += count
+        self.misses += count
+        self.evaluations += count
+        batched = getattr(self._objective, "evaluate_many", None)
+        if batched is None:
+            return np.asarray(
+                [float(self._objective(p)) for p in placements], dtype=float
+            )
+        return np.asarray(batched(placements), dtype=float)
 
     @property
     def hit_ratio(self) -> float:

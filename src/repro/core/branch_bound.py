@@ -8,7 +8,9 @@ the objective declares itself reversal-invariant
 (:meth:`~repro.core.latency.RowObjective.mirror_invariant`); a
 traffic-weighted objective is searched over both mirror images.  The
 classes stay link arrays from the enumeration to the pricing kernel;
-only the winner becomes a placement.
+only the winner becomes a placement.  That pricing loop,
+:func:`first_minimum`, is also the one the divide-and-conquer combine
+step runs over its bridging candidates.
 
 The paper uses "exhaustive search algorithm with branch and bound" as
 the optimality reference for ``P(4,2)``, ``P(8,2)``, ``P(8,3)``,
@@ -22,17 +24,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.core.annealing import MemoizedObjective, Objective
-from repro.core.connection_matrix import (
-    ConnectionMatrix,
-    iter_unique_blocks,
-    iter_unique_placements,
-)
+from repro.core.connection_matrix import ConnectionMatrix, iter_unique_blocks
 from repro.core.latency import full_connectivity_limit
-from repro.topology.row import RowPlacement
+from repro.topology.row import LinkBlock, RowPlacement
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,52 @@ def validated_link_limit(n: int, link_limit: int, obs=None) -> int:
 DEFAULT_BATCH_SIZE = 128
 
 
+def first_minimum(
+    blocks: Iterable[LinkBlock],
+    memo: MemoizedObjective,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> Tuple[RowPlacement, float]:
+    """The first strict minimum of ``memo`` over the members of ``blocks``.
+
+    The one population scan of both exact pricing loops: the exact
+    search's equivalence classes and the D&C combine step's bridging
+    candidates.  Each block is priced in chunks of at most
+    ``batch_size`` members, one ``memo.evaluate_many`` call each, which
+    is bit-identical to -- and several times faster than -- the scalar
+    loop.  An objective that
+    :meth:`~repro.core.annealing.MemoizedObjective.prices_link_blocks`
+    takes the chunk's arrays as they are; any other is handed the
+    chunk's placements, built in order (the Pareto pricer's archive
+    sees every member).  The chunk's first minimum (``np.argmin``)
+    replaces the incumbent only if strictly lower, so the winner is the
+    first minimum in member order that the scalar loop finds, and it is
+    the one member built from the arrays as a :class:`RowPlacement`.
+    ``batch_size <= 1`` walks the members one at a time through
+    ``memo(p)``, the scalar reference.  The population must be
+    non-empty, its members pairwise distinct and new to ``memo``, which
+    counts each as a miss either way.  Returns the winner and its
+    energy.
+    """
+    best = None
+    best_energy = float("inf")
+    if batch_size <= 1:
+        for block in blocks:
+            for placement in block:
+                energy = memo(placement)
+                if best is None or energy < best_energy:
+                    best, best_energy = placement, energy
+        return best, best_energy
+    arrays = memo.prices_link_blocks()
+    for block in blocks:
+        for chunk in block.chunks(batch_size):
+            energies = memo.evaluate_many(chunk if arrays else list(chunk))
+            k = int(np.argmin(energies))
+            if best is None or energies[k] < best_energy:
+                best, best_energy = (chunk, k), float(energies[k])
+    chunk, k = best
+    return chunk[k], best_energy
+
+
 def exhaustive_matrix_search(
     n: int,
     link_limit: int,
@@ -103,52 +148,21 @@ def exhaustive_matrix_search(
     is mirror-invariant (an objective that declares nothing is folded),
     one per placement otherwise.  The enumerator hands over each code
     block's classes as link arrays
-    (:func:`~repro.core.connection_matrix.iter_unique_blocks`), and
-    each chunk of at most ``batch_size`` of them is priced with a
-    single batched Floyd-Warshall stack
-    (``MemoizedObjective.evaluate_many``), which is bit-identical to --
-    and several times faster than -- the scalar loop.  An objective
-    that :meth:`~repro.core.annealing.MemoizedObjective.prices_link_blocks`
-    takes the arrays as they are; any other is handed the chunk's
-    placements, built in order (the Pareto pricer's archive sees every
-    class).  The chunk's first minimum (``np.argmin``) replaces the
-    incumbent only if strictly lower, so the winner is the same first
-    minimum in enumeration order the sequential path finds, and it is
-    the one class built from the arrays as a :class:`RowPlacement`.
-    ``batch_size=1`` walks the placements one at a time through the
-    scalar kernel (the benchmark baseline).
+    (:func:`~repro.core.connection_matrix.iter_unique_blocks`), in
+    enumeration order, and :func:`first_minimum` prices them and keeps
+    the first optimum (``batch_size=1``: the scalar kernel, the
+    benchmark baseline).
     """
     limit = effective_link_limit(n, link_limit)
     memo = MemoizedObjective(objective)
     start = time.perf_counter()
-    # The all-zero matrix decodes to the mesh, so the first enumerated
-    # placement prices the incumbent -- no upfront scalar evaluation.
-    best_placement = RowPlacement.mesh(n)
-    best_energy = float("inf")
     shape = ConnectionMatrix.shape(n, limit)
-    states = 1 << (shape[0] * shape[1])
-    fold = memo.mirror_invariant()
-    if batch_size <= 1:
-        for placement in iter_unique_placements(n, limit, fold=fold):
-            energy = memo(placement)
-            if energy < best_energy:
-                best_energy = energy
-                best_placement = placement
-    else:
-        arrays = memo.prices_link_blocks()
-        for block in iter_unique_blocks(n, limit, fold=fold):
-            for chunk in block.chunks(batch_size):
-                energies = memo.evaluate_many(
-                    chunk if arrays else list(chunk), folded=True
-                )
-                k = int(np.argmin(energies))
-                if energies[k] < best_energy:
-                    best_energy = float(energies[k])
-                    best_placement = chunk[k]
+    blocks = iter_unique_blocks(n, limit, fold=memo.mirror_invariant())
+    placement, energy = first_minimum(blocks, memo, batch_size)
     return ExactResult(
-        placement=best_placement,
-        energy=best_energy,
+        placement=placement,
+        energy=energy,
         evaluations=memo.evaluations,
-        states_visited=states,
+        states_visited=1 << (shape[0] * shape[1]),
         wall_time_s=time.perf_counter() - start,
     )

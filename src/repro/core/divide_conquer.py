@@ -27,14 +27,17 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.annealing import MemoizedObjective, Objective
 from repro.core.branch_bound import (
     DEFAULT_BATCH_SIZE,
     effective_link_limit,
     exhaustive_matrix_search,
+    first_minimum,
 )
 from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.topology.row import RowPlacement
+from repro.topology.row import LinkBlock, RowPlacement
 
 #: Upper bounds for the recursion-depth histogram.
 DC_DEPTH_BUCKETS = (1, 2, 3, 4, 6, 8)
@@ -77,10 +80,10 @@ def initial_solution(
     ``dc.solve`` span and emits a ``dc.node`` event carrying its slice
     and depth; depths also feed a ``dc.depth`` histogram.
 
-    ``batch_size`` controls population batching in the base-case
-    enumeration and the combine step (all ``O(n^2)`` bridging
-    candidates priced by one Floyd-Warshall stack); ``batch_size=1``
-    forces the scalar kernels.  Results are bit-identical either way.
+    ``batch_size`` bounds the population priced per Floyd-Warshall
+    stack in the base-case enumeration and the combine step (the
+    ``O(n^2)`` bridging candidates, in chunks); ``batch_size=1`` forces
+    the scalar kernels.  Results are bit-identical either way.
     """
     start = time.perf_counter()
     obs = ensure_obs(obs)
@@ -92,8 +95,7 @@ def initial_solution(
         )
         limit = effective_link_limit(n, link_limit)
         placement.validate(limit)
-        memo = MemoizedObjective(_slice_objective(objective, 0, n))
-        energy = memo(placement)
+        energy = _slice_objective(objective, 0, n)(placement)
     if obs.enabled:
         obs.emit("dc.done", n=n, link_limit=link_limit, energy=energy,
                  evaluations=counter["evaluations"],
@@ -103,6 +105,40 @@ def initial_solution(
         energy=energy,
         evaluations=counter["evaluations"],
         wall_time_s=time.perf_counter() - start,
+    )
+
+
+def _bridging_block(base: RowPlacement, left_n: int, link_limit: int) -> LinkBlock:
+    """The combine step's population as one block of link arrays.
+
+    Member 0 is ``base``; member ``k`` is ``base`` plus the ``k``-th
+    feasible bridge ``(i, j)`` (``i < left_n <= j``, ``j - i >= 2``;
+    an adjacent pair is bridged by its local link) in ``(i, j)`` order.
+    Adding ``(i, j)`` raises cross-sections ``i .. j-1`` by one, so
+    feasibility is arithmetic on the base's counts: a bridge is kept
+    when no cross-section it spans is already at ``link_limit``.  (Both
+    halves were solved with ``link_limit - 1``, so every bridge passes;
+    the check guards the invariant, not the common case.)
+    """
+    n = base.n
+    i, j = np.meshgrid(np.arange(left_n), np.arange(left_n, n), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+    # full[t]: cross-sections below t already at the limit.
+    at_limit = np.asarray(base.cross_section_counts()) >= link_limit
+    full = np.concatenate(([0], np.cumsum(at_limit)))
+    keep = (j - i >= 2) & (full[j] == full[i])
+    i, j = i[keep], j[keep]
+    links = np.asarray(sorted(base.express_links), dtype=np.intp).reshape(-1, 2)
+    m, bridges = len(links), len(i)
+    starts = np.empty((bridges, m + 1), dtype=np.intp)
+    ends = np.empty((bridges, m + 1), dtype=np.intp)
+    starts[:, :m], starts[:, m] = links[:, 0], i
+    ends[:, :m], ends[:, m] = links[:, 1], j
+    owner = np.repeat(np.arange(bridges + 1), [m] + [m + 1] * bridges)
+    return LinkBlock(
+        n, bridges + 1, owner,
+        np.concatenate((links[:, 0], starts.ravel())),
+        np.concatenate((links[:, 1], ends.ravel())),
     )
 
 
@@ -149,48 +185,8 @@ def _solve(
         )
 
         with obs.span("dc.combine"):
-            best = base  # the bridging local link (left_n - 1, left_n) always exists
-            candidates = []
-            # Adding (i, j) raises cross-sections i .. j-1 by one, so
-            # feasibility is arithmetic on the base's counts -- no
-            # per-candidate placement rebuild.  (Both halves were
-            # solved with limit - 1, so every candidate passes; the
-            # check guards the invariant, not the common case.)
-            counts = base.cross_section_counts()
-            tight = [k for k, c in enumerate(counts) if c + 1 > link_limit]
-            for i in range(left_n):
-                for j in range(left_n, n):
-                    if j - i < 2:
-                        continue  # adjacent pair: the local link already bridges
-                    if tight and any(i <= k < j for k in tight):
-                        continue
-                    # (i, j) is normalized by the loop structure and the
-                    # base's links are already validated.
-                    candidates.append(
-                        RowPlacement.from_normalized(
-                            n, base.express_links | {(i, j)}
-                        )
-                    )
-            # The base and all O(n^2) bridging candidates share one
-            # Floyd-Warshall stack; pricing the base as element 0 and
-            # scanning candidates in the original (i, j) order with
-            # strict < keeps both the memo's call sequence and the
-            # winner identical to the scalar loop.  The batch members
-            # differ pairwise by their bridging link, so the
-            # objective-level mirror-fold pass is skipped
-            # (``folded=True``) -- it could only map a placement to a
-            # sibling with the identical energy.
-            if batch_size > 1 and candidates:
-                batch = memo.evaluate_many([base] + candidates, folded=True)
-                best_energy = float(batch[0])
-                energies = batch[1:]
-            else:
-                best_energy = memo(base)
-                energies = [memo(candidate) for candidate in candidates]
-            for candidate, energy in zip(candidates, energies):
-                if energy < best_energy:
-                    best_energy = float(energy)
-                    best = candidate
-        return best
+            # The base is member 0: a bridge wins only by beating it.
+            block = _bridging_block(base, left_n, link_limit)
+            return first_minimum([block], memo, batch_size)[0]
     finally:
         counter["evaluations"] += memo.evaluations

@@ -83,6 +83,10 @@ class PacketMix:
             raise ConfigurationError(f"flit width must be positive, got {flit_bits}")
         return sum(frac * math.ceil(size / flit_bits) for size, frac in self.types)
 
+    def worst_serialization_cycles(self, flit_bits: int) -> int:
+        """``L_S`` of the longest packet: the worst case of Table 2."""
+        return max(math.ceil(size / flit_bits) for size in self.sizes())
+
     def flits_per_packet(self, flit_bits: int) -> Dict[int, int]:
         """Map packet size -> flit count at the given width."""
         return {size: math.ceil(size / flit_bits) for size, _ in self.types}
@@ -197,7 +201,17 @@ def mean_row_head_latency(
     ``weights`` (an ``n x n`` nonnegative matrix) the average is
     traffic-weighted as in Section 5.6.4.
     """
-    dist = row_head_latency_matrix(placement, cost, impl=impl)
+    return row_mean(row_head_latency_matrix(placement, cost, impl=impl), weights)
+
+
+def row_mean(dist: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """The mean of a row's all-pairs latency matrix ``dist``.
+
+    Every ordered pair counts, ``i == j`` included, as in
+    :func:`mean_row_head_latency`; with ``weights`` (an ``n x n``
+    nonnegative matrix of positive, finite sum) the mean is
+    traffic-weighted.
+    """
     if weights is None:
         return float(dist.mean())
     w = np.asarray(weights, dtype=float)
@@ -292,33 +306,28 @@ class RowObjective:
     def _evaluate(self, placement: RowPlacement) -> float:
         return mean_row_head_latency(placement, self.cost, self._w, impl=self.impl)
 
-    def evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
+    def evaluate_many(self, placements) -> np.ndarray:
         """Price a whole population in one batched Floyd-Warshall pass.
 
         Returns ``energies`` with ``energies[i] == self(placements[i])``
-        bit for bit.  Duplicate placements (by ``canonical_bytes``) are
-        priced once; when the objective is :meth:`mirror_invariant`, a
+        bit for bit.  A :class:`~repro.topology.row.LinkBlock` (the
+        population scan's chunks) goes to the stack builder as it is,
+        without building a placement or a dedup key.  In a list of
+        placements, duplicates (by ``canonical_bytes``) are priced
+        once, and when the objective is :meth:`mirror_invariant` a
         placement and its mirror image also share one kernel slice
-        (mirror-fold dedup).  ``folded=True`` asserts the batch is
-        already pairwise distinct under that dedup key (the exact
-        enumerators guarantee this) and skips the dedup pass -- it
-        would map every placement to itself, so the energies are
-        unchanged.  ``placements`` may also be a
-        :class:`~repro.topology.row.LinkBlock` (the exact search's
-        chunks); a block goes to the stack builder as it is, so it is
-        priced without building a placement or a dedup key, as if
-        ``folded``.  Under ``impl="reference"`` the population is priced
-        by the pure-Python oracle one placement at a time, preserving
-        the oracle contract at scalar speed.
+        (mirror-fold dedup).  Under ``impl="reference"`` the population
+        is priced by the pure-Python oracle one placement at a time,
+        preserving the oracle contract at scalar speed.
         """
         if not isinstance(placements, LinkBlock):
             placements = list(placements)
         if not len(placements):
             return np.empty(0, dtype=float)
         if self.obs is None:
-            return self._evaluate_many(placements, folded)
+            return self._evaluate_many(placements)
         with self.obs.span("latency.floyd_warshall"):
-            return self._evaluate_many(placements, folded)
+            return self._evaluate_many(placements)
 
     def _integral_costs(self) -> bool:
         """True when every hop cost is an integer: distances are then
@@ -348,11 +357,11 @@ class RowObjective:
         :class:`~repro.topology.row.LinkBlock` in bulk."""
         return True
 
-    def _evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
+    def _evaluate_many(self, placements) -> np.ndarray:
         if self.impl == "reference":
             return np.asarray([self._evaluate(p) for p in placements], dtype=float)
         w = self._w
-        if folded or isinstance(placements, LinkBlock):
+        if isinstance(placements, LinkBlock):
             return batched_mean_distances(placements, self.cost, w, impl=self.impl)
         fold = self.mirror_invariant()
         keys = [
@@ -486,6 +495,5 @@ def network_worst_case_latency(
     """Maximum zero-load packet latency (Table 2): worst pair + longest packet."""
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
-    b = bandwidth.flit_bits(link_limit)
-    worst_ser = max(math.ceil(size / b) for size in mix.sizes())
+    worst_ser = mix.worst_serialization_cycles(bandwidth.flit_bits(link_limit))
     return worst_case_head_latency_2d(placement, cost) + worst_ser

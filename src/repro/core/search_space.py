@@ -177,7 +177,7 @@ class MeshObjective:
             (c / R) * e for c, e in zip(counts, energies.tolist())
         ))
 
-    def evaluate_many(self, designs, folded: bool = False) -> np.ndarray:
+    def evaluate_many(self, designs) -> np.ndarray:
         """Price a population of whole designs, batching all distinct rows.
 
         Returns ``energies[i] == self(designs[i])`` bit for bit: every
@@ -186,11 +186,6 @@ class MeshObjective:
         the batched kernel are batch-composition-independent (each
         Floyd-Warshall slice is relaxed elementwise), so the per-design
         group combine sees the same floats as the scalar path.
-
-        ``folded`` is accepted for :class:`~repro.core.annealing
-        .MemoizedObjective` compatibility; mesh designs are already
-        keyed by their own canonical bytes, so the flag only asserts
-        the batch is pairwise distinct and never changes values.
         """
         designs = list(designs)
         if not designs:

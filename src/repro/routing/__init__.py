@@ -7,8 +7,6 @@ from repro.routing.shortest_path import (
     directional_distances,
     directional_hop_counts,
     directional_paths,
-    floyd_warshall_distances,
-    floyd_warshall,
     weight_matrix,
 )
 from repro.routing.incremental import IncrementalApspEngine
@@ -33,8 +31,6 @@ __all__ = [
     "directional_distances",
     "directional_hop_counts",
     "directional_paths",
-    "floyd_warshall_distances",
-    "floyd_warshall",
     "weight_matrix",
     "IncrementalApspEngine",
     "RoutingTables",

@@ -272,11 +272,13 @@ def floyd_warshall_batch(
 
     ``w`` has shape ``(B, n, n)``; every batch slice is relaxed through
     the same ``k`` loop with one broadcast per iteration.  Returns
-    ``(dist, next_hop)`` stacks of the same shape, with the per-slice
-    semantics of :func:`floyd_warshall` (strict ``<`` improvement, ties
-    keep the incumbent next hop, ``-1`` for unreachable pairs, ``j`` on
-    the diagonal).  The ``"native"`` tier runs the compiled in-place
-    pass (:mod:`repro.routing.native`), which is bit-identical on the
+    ``(dist, next_hop)`` stacks of the same shape.  Per slice,
+    ``next_hop[i, j]`` is the first router after ``i`` on a shortest
+    ``i -> j`` path (the routing-table content of Figure 3(b)), ``-1``
+    when ``j`` is unreachable and ``j`` on the diagonal; only a strict
+    ``<`` improves a cell, so ties keep the incumbent next hop.  The
+    ``"native"`` tier runs the compiled in-place pass
+    (:mod:`repro.routing.native`), which is bit-identical on the
     zero-diagonal nonnegative stacks the weight builders produce;
     other tiers use this NumPy loop (the batch kernels *are* the
     vectorized implementation -- the pure-Python oracle lives at the
@@ -322,57 +324,6 @@ def floyd_warshall_distances_batch(w: np.ndarray) -> np.ndarray:
     return dist
 
 
-def floyd_warshall(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Min-plus Floyd-Warshall with next-hop reconstruction.
-
-    Parameters
-    ----------
-    w:
-        Square weight matrix (``inf`` for missing edges, 0 diagonal).
-
-    Returns
-    -------
-    dist:
-        All-pairs shortest distances.
-    next_hop:
-        ``next_hop[i, j]`` is the first router after ``i`` on a
-        shortest ``i -> j`` path, or ``-1`` when ``j`` is unreachable
-        (and ``j`` itself when ``i == j``).  This is exactly the
-        routing-table content of Figure 3(b).
-    """
-    n = w.shape[0]
-    dist = w.copy()
-    next_hop = np.full((n, n), -1, dtype=np.int64)
-    reachable = np.isfinite(w)
-    cols = np.arange(n)
-    for i in range(n):
-        next_hop[i, reachable[i]] = cols[reachable[i]]
-        next_hop[i, i] = i
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        better = via < dist
-        if better.any():
-            dist = np.where(better, via, dist)
-            # First hop toward j via k is the first hop toward k.
-            next_hop = np.where(better, next_hop[:, k, None], next_hop)
-    return dist, next_hop
-
-
-def floyd_warshall_distances(w: np.ndarray) -> np.ndarray:
-    """Distance-only min-plus Floyd-Warshall (the annealing hot path).
-
-    Skipping next-hop bookkeeping roughly halves the cost of an
-    objective evaluation; the simulated annealing calls this tens of
-    thousands of times per solve, while the full
-    :func:`floyd_warshall` is only needed once per final placement to
-    populate routing tables.
-    """
-    dist = w.copy()
-    for k in range(w.shape[0]):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return dist
-
-
 def directional_distances(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
@@ -407,7 +358,7 @@ def directional_paths(
     Because every local link exists in both directions, all pairs are
     reachable and the result is finite.
 
-    Returns ``(dist, next_hop)`` as in :func:`floyd_warshall`.
+    Returns ``(dist, next_hop)`` as in :func:`floyd_warshall_batch`.
     ``impl`` is as in :func:`directional_distances`.
     """
     cost = cost or HopCostModel()

@@ -31,8 +31,9 @@ Robustness
 Every body field is type- and range-checked before any work is
 queued: a malformed field is a 400 that names it, never a 500.
 Per-request deadlines (``deadline_s`` in the body, capped by the
-server) return 504 while the underlying computation continues and
-still populates the cache; a bounded in-flight budget returns 429 with
+server) return 504 while the underlying computation continues; a late
+``/place`` search still populates the cache, a late evaluation or
+campaign is discarded.  A bounded in-flight budget returns 429 with
 ``Retry-After``; shutdown drains in-flight work behind 503s.  Searches
 and campaigns run in-process (``jobs`` is accepted but not honoured:
 results never depend on it), so ``capacity`` alone bounds the
@@ -80,6 +81,17 @@ MAX_N = 1024
 
 #: Longest deadline a request may ask for (``deadline_s``), in seconds.
 MAX_DEADLINE_S = 600.0
+
+#: The 504 body per route.  Each computation outlives its deadline, but
+#: only a ``/place`` search stores what it finds.
+DEADLINE_MESSAGES = {
+    "/place": "deadline exceeded; the computation continues and will "
+              "populate the cache",
+    "/evaluate": "deadline exceeded; the pricing continues but its "
+                 "result is discarded",
+    "/campaign": "deadline exceeded; the campaign continues but its "
+                 "result is discarded",
+}
 
 JSON = "application/json"
 TEXT = "text/plain; version=0.0.4; charset=utf-8"
@@ -214,8 +226,7 @@ class ServeApp:
             return self._error(400, str(exc))
         except asyncio.TimeoutError:
             self.metrics.counter("serve.rejected.deadline").inc()
-            return self._error(504, "deadline exceeded; the computation "
-                               "continues and will populate the cache")
+            return self._error(504, DEADLINE_MESSAGES[path])
         except Exception as exc:  # noqa: BLE001 - service must not die
             self.metrics.counter("serve.errors.internal").inc()
             return self._error(500, f"{type(exc).__name__}: {exc}")

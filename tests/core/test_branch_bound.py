@@ -122,9 +122,9 @@ class TestExhaustive:
             def __call__(self, placement):
                 return self.inner(placement)
 
-            def evaluate_many(self, placements, folded=False):
+            def evaluate_many(self, placements):
                 handed.append(type(placements))
-                return self.inner.evaluate_many(placements, folded=folded)
+                return self.inner.evaluate_many(placements)
 
         assert not MemoizedObjective(Wrapper()).prices_link_blocks()
         assert MemoizedObjective(MemoizedObjective(RowObjective())).prices_link_blocks()

@@ -1,13 +1,52 @@
 """Tests for the divide-and-conquer initial solution I(n, C)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.branch_bound import exhaustive_matrix_search
+import repro.core.latency as latency
+from repro.core.branch_bound import DEFAULT_BATCH_SIZE, exhaustive_matrix_search
 from repro.core.divide_conquer import initial_solution
 from repro.core.latency import RowObjective, mean_row_head_latency
 from repro.topology.row import RowPlacement
+
+
+def _objective(kind, n, c):
+    """The uniform objective, or one weighted by seeded random traffic."""
+    if kind == "uniform":
+        return RowObjective()
+    w = np.random.default_rng(n * 100 + c).random((n, n))
+    np.fill_diagonal(w, 0.0)
+    return RowObjective(weights=tuple(map(tuple, w.tolist())))
+
+
+#: I(n, C) per (n, C, objective kind): a sha256 prefix of the seed's
+#: canonical bytes, its energy as float hex and the evaluation count.
+#: Every batch size reproduces them bit for bit, the scalar loop
+#: (``batch_size=1``) included.
+PINNED_SEEDS = {
+    (8, 4, "uniform"): ("594c92586c9e80ff", "0x1.d400000000000p+2", 26),
+    (8, 4, "weighted"): ("4bc7fc1138b54f3d", "0x1.018c631ada0a3p+3", 30),
+    (13, 3, "uniform"): ("55d637c201f212cb", "0x1.8060f25deacb0p+3", 63),
+    (13, 3, "weighted"): ("55d637c201f212cb", "0x1.971a24d58778fp+3", 63),
+    (16, 4, "uniform"): ("503c9847d7be9e70", "0x1.b8c0000000000p+3", 108),
+    (16, 4, "weighted"): ("815a25c54060022d", "0x1.d839c08d45cfdp+3", 112),
+    (16, 8, "uniform"): ("d2346e5cff7b8e27", "0x1.8f80000000000p+3", 120),
+    (16, 8, "weighted"): ("86be7f267e44aa3f", "0x1.a5bd61b5ed2a1p+3", 128),
+    (24, 6, "uniform"): ("1a49d343e6b8125d", "0x1.231c71c71c71cp+4", 268),
+    (24, 6, "weighted"): ("7e4261583b57c8a1", "0x1.32ef612b1fa41p+4", 268),
+    (32, 8, "uniform"): ("45eb11bc862dde62", "0x1.5a30000000000p+4", 496),
+    (32, 8, "weighted"): ("8bc1b3f120c8a0ea", "0x1.5d1460eda0090p+4", 512),
+    (32, 16, "uniform"): ("45eb11bc862dde62", "0x1.5a30000000000p+4", 496),
+    (32, 16, "weighted"): ("47bceefda6aa90c9", "0x1.64190fbcfad6ep+4", 512),
+    (48, 12, "uniform"): ("9bf5df20dc0bec95", "0x1.f1e38e38e38e4p+4", 1112),
+    (48, 12, "weighted"): ("57041427d770ccf2", "0x1.f05540ad27583p+4", 1112),
+    (64, 16, "uniform"): ("1368ef54662c23e5", "0x1.2ad4000000000p+5", 2016),
+    (64, 16, "weighted"): ("d5c84980afe64483", "0x1.3164cbd4b46acp+5", 2048),
+}
 
 
 class TestBaseCases:
@@ -58,17 +97,45 @@ class TestRecursive:
         sol = initial_solution(8, 64, RowObjective())
         sol.placement.validate(16)  # C_full(8) = 16
 
-    @pytest.mark.parametrize("n,c", [(8, 4), (13, 3), (16, 4)])
+    @pytest.mark.parametrize("n,c", [(8, 4), (13, 3), (16, 4), (32, 8)])
     def test_batched_combine_identical_to_scalar(self, n, c):
         # The combine step prices the base + all bridging candidates in
-        # one Floyd-Warshall stack; results must match the scalar loop
-        # exactly, including the evaluation count.
-        scalar = initial_solution(n, c, RowObjective(), batch_size=1)
-        for batch_size in (2, 128):
-            batched = initial_solution(n, c, RowObjective(), batch_size=batch_size)
-            assert batched.placement == scalar.placement
-            assert batched.energy == scalar.energy
-            assert batched.evaluations == scalar.evaluations
+        # Floyd-Warshall stacks of at most batch_size; results must
+        # match the scalar loop exactly, including the evaluation count.
+        for kind in ("uniform", "weighted"):
+            objective = _objective(kind, n, c)
+            scalar = initial_solution(n, c, objective, batch_size=1)
+            for batch_size in (2, 128):
+                batched = initial_solution(n, c, objective, batch_size=batch_size)
+                assert batched.placement == scalar.placement
+                assert batched.energy == scalar.energy
+                assert batched.evaluations == scalar.evaluations
+
+    @pytest.mark.parametrize("batch_size", [7, DEFAULT_BATCH_SIZE])
+    def test_no_stack_exceeds_batch_size(self, monkeypatch, batch_size):
+        # The top combine of I(32, 8) prices 256 members, the base and
+        # 255 bridges: in chunks of batch_size, never in one stack.
+        sizes = []
+        kernel = latency.batched_mean_distances
+
+        def recording(placements, *args, **kwargs):
+            sizes.append(len(placements))
+            return kernel(placements, *args, **kwargs)
+
+        monkeypatch.setattr(latency, "batched_mean_distances", recording)
+        initial_solution(32, 8, RowObjective(), batch_size=batch_size)
+        assert max(sizes) == batch_size
+
+
+@pytest.mark.parametrize("n,c,kind", sorted(PINNED_SEEDS))
+def test_seed_matches_pinned(n, c, kind):
+    digest, energy, evaluations = PINNED_SEEDS[n, c, kind]
+    for batch_size in (1, 7, 128) if n <= 32 else (7, 128):
+        sol = initial_solution(n, c, _objective(kind, n, c), batch_size=batch_size)
+        got = hashlib.sha256(sol.placement.canonical_bytes()).hexdigest()[:16]
+        assert (got, sol.energy.hex(), sol.evaluations) == (
+            digest, energy, evaluations
+        )
 
 
 @settings(max_examples=10, deadline=None)

@@ -201,52 +201,16 @@ def test_evaluate_many_matches_scalar_calls(pop, impl):
         assert [float(v) for v in got] == expected
 
 
-@settings(max_examples=25, deadline=None)
-@given(populations())
-def test_evaluate_many_folded_flag_is_value_safe(pop):
-    # folded=True only skips the objective-level dedup; values must not
-    # move even when the caller's "already folded" claim is false.
-    _, batch = pop
-    for cost in COSTS:
-        objective = RowObjective(cost=cost)
-        plain = objective.evaluate_many(batch)
-        folded = objective.evaluate_many(batch, folded=True)
-        assert np.array_equal(plain, folded)
-
-
-@settings(max_examples=25, deadline=None)
-@given(populations())
-def test_memoized_evaluate_many_accounting_matches_scalar(pop):
-    _, batch = pop
-    scalar = MemoizedObjective(RowObjective())
-    batched = MemoizedObjective(RowObjective())
-    expected = [scalar(p) for p in batch]
-    got = batched.evaluate_many(batch)
-    assert [float(v) for v in got] == expected
-    # Unique-evaluation accounting is the Figure 7 x-axis: batching a
-    # population must count exactly like pricing it one by one.
-    assert batched.evaluations == scalar.evaluations
-    assert batched.calls == scalar.calls
-    # A second pass is all memo hits on both paths.
-    scalar_hits = scalar.hits
-    for p in batch:
-        scalar(p)
-    batched.evaluate_many(batch)
-    assert batched.hits == scalar.hits
-    assert scalar.hits == scalar_hits + len(batch)
-    assert batched.evaluations == scalar.evaluations
-
-
 def test_memoized_block_pricing_counts_like_the_scalar_loop():
-    # The exact search's flush: a fresh memo (or the D&C base case's
-    # memo of a memo) bulk-counts a link block as misses.
+    # The population scan's chunks: a fresh memo (or the D&C base
+    # case's memo of a memo) bulk-counts a link block as misses.
     block = next(iter_unique_blocks(8, 3, fold=False))
     scalar = MemoizedObjective(RowObjective())
     expected = [scalar(p) for p in block]
     inner = MemoizedObjective(RowObjective())
     for memo in (MemoizedObjective(RowObjective()), MemoizedObjective(inner)):
         assert memo.prices_link_blocks()
-        got = memo.evaluate_many(block, folded=True)
+        got = memo.evaluate_many(block)
         assert [float(v) for v in got] == expected
         assert (memo.calls, memo.misses, memo.evaluations) == (
             scalar.calls, scalar.misses, scalar.evaluations
@@ -347,7 +311,7 @@ def test_block_pricing_matches_scalar_objective(n, limit, kind):
             priced += len(expected)
             for impl in FAST_IMPLS:
                 objective = RowObjective(**fields, impl=impl)
-                got = objective.evaluate_many(block, folded=True)
+                got = objective.evaluate_many(block)
                 assert [float(v) for v in got] == expected
                 chunked = [
                     float(v)

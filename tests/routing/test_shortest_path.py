@@ -11,7 +11,7 @@ from repro.routing.shortest_path import (
     RIGHT_TO_LEFT,
     directional_hop_counts,
     directional_paths,
-    floyd_warshall,
+    floyd_warshall_batch,
     weight_matrix,
 )
 from repro.topology.row import RowPlacement
@@ -67,22 +67,25 @@ class TestWeightMatrix:
 
 
 class TestFloydWarshall:
+    """One directional graph through the batched kernel, as ``w[None]``."""
+
     def test_simple_chain(self):
         w = weight_matrix(RowPlacement.mesh(5), HopCostModel(), LEFT_TO_RIGHT)
-        dist, nxt = floyd_warshall(w)
+        (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert dist[0, 4] == 16.0  # 4 hops x 4 cycles
         assert nxt[0, 4] == 1
 
     def test_express_shortcut_used(self):
         p = RowPlacement(8, frozenset({(0, 6)}))
-        dist, nxt = floyd_warshall(weight_matrix(p, HopCostModel(), LEFT_TO_RIGHT))
+        w = weight_matrix(p, HopCostModel(), LEFT_TO_RIGHT)
+        (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert dist[0, 6] == 9.0  # one hop of length 6
         assert nxt[0, 6] == 6
         assert dist[0, 7] == 13.0  # express then local
 
     def test_unreachable_marked(self):
         w = weight_matrix(RowPlacement.mesh(3), HopCostModel(), LEFT_TO_RIGHT)
-        dist, nxt = floyd_warshall(w)
+        (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert np.isinf(dist[2, 0])
         assert nxt[2, 0] == -1
 

@@ -43,9 +43,7 @@ from repro.routing.shortest_path import (
     RIGHT_TO_LEFT,
     directional_distances,
     directional_paths,
-    floyd_warshall,
     floyd_warshall_batch,
-    floyd_warshall_distances,
     floyd_warshall_distances_batch,
     row_distances_batch,
     weight_matrix,
@@ -117,14 +115,13 @@ def test_batched_kernels_match_single_matrix_kernels(n, impl):
         assert np.array_equal(stack[1], w_rl)
 
         d_row = row_distances_batch(stack[:1], impl=impl)
-        assert np.array_equal(d_row[0], floyd_warshall_distances(w_lr))
-        assert np.array_equal(d_row[0].T, floyd_warshall_distances(w_rl))
+        assert np.array_equal(d_row[0], floyd_warshall_distances_batch(w_lr[None])[0])
+        assert np.array_equal(d_row[0].T, floyd_warshall_distances_batch(w_rl[None])[0])
 
         d_full, nh_full = floyd_warshall_batch(stack, impl=impl)
-        d0, nh0 = floyd_warshall(w_lr)
-        d1, nh1 = floyd_warshall(w_rl)
-        assert np.array_equal(d_full[0], d0) and np.array_equal(nh_full[0], nh0)
-        assert np.array_equal(d_full[1], d1) and np.array_equal(nh_full[1], nh1)
+        for k, w in enumerate((w_lr, w_rl)):
+            d, nh = ref.floyd_warshall_py(w.tolist())
+            assert np.array_equal(d_full[k], d) and np.array_equal(nh_full[k], nh)
 
 
 def test_batch_kernels_reject_non_stack_input():

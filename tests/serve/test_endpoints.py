@@ -330,7 +330,8 @@ class TestPlace:
 
         status, body = asyncio.run(scenario())
         assert status == 504
-        assert "continues" in body["error"]
+        assert body["error"] == ("deadline exceeded; the computation "
+                                 "continues and will populate the cache")
         assert len(app.store) == 1
         assert _counters(app)["serve.rejected.deadline"] == 1
 
@@ -493,6 +494,31 @@ class TestEvaluate:
             weights=weights,
         ).to_json()
 
+    @pytest.mark.parametrize("link_limit", [None, 2])
+    def test_weights_reach_head_and_total(self, app, link_limit):
+        # All traffic on pair (0, 3), one express hop: every mean field
+        # is weighted, not just the row mean.
+        weights = [[0.0] * 6 for _ in range(6)]
+        weights[0][3] = 1.0
+        request = {"n": 6, "express_links": [[0, 3]], "weights": weights}
+        if link_limit is not None:
+            request["link_limit"] = link_limit
+        status, body, _ = asyncio.run(_request(
+            app, "POST", "/evaluate", request
+        ))
+        assert status == 200
+        result = body["result"]
+        row = float.fromhex(result["row_head_latency"])
+        head = float.fromhex(result["head_latency"])
+        assert (row, head) == (6.0, 12.0)
+        if link_limit is not None:
+            assert float.fromhex(result["total_latency"]) == (
+                head + float.fromhex(result["serialization_latency"])
+            )
+        assert result == evaluate_placement(
+            RowPlacement(6, frozenset({(0, 3)})), link_limit, weights=weights
+        ).to_json()
+
     def test_huge_finite_weights_still_price(self, app):
         # Just below the overflow bound the weighted mean is finite and
         # byte-identical to the library's.
@@ -612,16 +638,19 @@ class TestEvaluate:
         monkeypatch.setattr(batcher, "_price_batch", held)
 
         async def scenario():
-            status, _, _ = await _request(app, "POST", "/evaluate", {
+            status, body, _ = await _request(app, "POST", "/evaluate", {
                 "n": 6, "express_links": [[0, 3]], "deadline_s": 1e-3,
             })
             in_flight = len(app._evaluations)
             release.set()
             await app.shutdown()
-            return status, in_flight
+            return status, body, in_flight
 
-        status, in_flight = asyncio.run(scenario())
+        status, body, in_flight = asyncio.run(scenario())
         assert status == 504
+        # Nothing stores a late evaluation, so the 504 promises no cache.
+        assert "cache" not in body["error"]
+        assert "discarded" in body["error"]
         assert in_flight == 1
         assert not app._evaluations
         assert _counters(app)["serve.rejected.deadline"] == 1
@@ -714,6 +743,35 @@ class TestCampaign:
         assert status == 400
         assert body["error"].startswith((f"{field} must be", f"unknown {field}"))
         assert _counters(app)["serve.errors.bad_request"] == 1
+
+
+    def test_deadline_504_names_no_cache(self, app, monkeypatch):
+        # A late campaign finishes and is dropped: no store holds it.
+        import threading
+
+        import repro.serve.server as server
+
+        release = threading.Event()
+        run = server._run_campaign_grid
+
+        def held(spec):
+            release.wait(timeout=30)
+            return run(spec)
+
+        monkeypatch.setattr(server, "_run_campaign_grid", held)
+
+        async def scenario():
+            reply = await _request(app, "POST", "/campaign", {
+                "n": 4, "warmup": 20, "measure": 100, "deadline_s": 1e-3,
+            })
+            release.set()
+            return reply
+
+        status, body, _ = asyncio.run(scenario())
+        assert status == 504
+        assert "cache" not in body["error"]
+        assert "discarded" in body["error"]
+        assert _counters(app)["serve.rejected.deadline"] == 1
 
 
 class TestNoFork:

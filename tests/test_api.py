@@ -226,6 +226,26 @@ class TestEvaluatePlacement:
         )
         assert res.worst_case_latency >= res.head_latency
 
+    @pytest.mark.parametrize("link_limit", [None, 2])
+    def test_weights_reach_head_and_total(self, link_limit):
+        # All traffic on pair (0, 3), which the express link serves in
+        # one 6-cycle hop: the 2D head latency is twice that, not the
+        # unweighted 2 x 6.778.
+        placement = RowPlacement(6, frozenset({(0, 3)}))
+        weights = [[0.0] * 6 for _ in range(6)]
+        weights[0][3] = 1.0
+        res = evaluate_placement(placement, link_limit, weights=weights)
+        assert res.row_head_latency == 6.0
+        assert res.head_latency == 2 * res.row_head_latency == 12.0
+        if link_limit is not None:
+            assert res.total_latency == (
+                res.head_latency + res.serialization_latency
+            )
+            # The worst case is over all pairs, whatever the traffic.
+            assert res.worst_case_latency == evaluate_placement(
+                placement, link_limit
+            ).worst_case_latency
+
     def test_express_links_reduce_row_latency(self):
         mesh = evaluate_placement(RowPlacement.mesh(8))
         express = evaluate_placement(RowPlacement(8, frozenset({(1, 6)})))
@@ -289,12 +309,3 @@ class TestSearchConfigObjectives:
         (scenario,) = json.loads(out.read_text())["scenarios"]
         assert scenario["front"]["objectives"] == ["latency", "area"]
         assert scenario["front"]["driver"] == "epsilon"
-
-    def test_lazy_pareto_exports(self):
-        import repro.api as api
-
-        assert api.ParetoFront is not None
-        assert callable(api.pareto_front)
-        assert callable(api.hypervolume)
-        with pytest.raises(AttributeError):
-            api.no_such_export

@@ -27,6 +27,10 @@ SEARCH_GOLDENS = {
     "optimize_n16_quick_seed2019": [
         "optimize", "--n", "16", "--effort", "quick", "--seed", "2019",
     ],
+    # At n=32 the top combine prices 256 bridging candidates: two chunks.
+    "optimize_n32_smoke_seed2019": [
+        "optimize", "--n", "32", "--effort", "smoke", "--seed", "2019",
+    ],
     "solve_n12_c2_exact": [
         "solve", "--n", "12", "--c", "2", "--method", "exact",
     ],
