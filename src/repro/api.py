@@ -32,6 +32,11 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.routing.shortest_path import (
+    check_weights,
+    directional_distances,
+    slice_means,
+)
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, ReproError
 from repro.util.rngtools import fresh_entropy
@@ -616,20 +621,15 @@ def evaluate_placement(
     Eq. 2 breakdown (flit width, serialization, worst case) is filled
     in.  The row is priced once, on ``impl``'s tier (``None``: the
     machine's; ``"reference"`` re-prices against the pure-Python
-    oracle), and every field derives from that one distance matrix.
-    ``weights`` (an ``n x n`` traffic matrix) weight the row mean and
-    so ``head_latency = 2 * row_head_latency`` and ``total_latency``;
-    the worst case stays the maximum over all pairs (Table 2).
+    oracle), and every field derives from that one distance matrix and
+    the row pricer's own mean.  ``weights`` (an ``n x n`` traffic
+    matrix) weight the row mean and so
+    ``head_latency = 2 * row_head_latency`` and ``total_latency``; the
+    worst case stays the maximum over all pairs (Table 2).
     """
-    from repro.core.latency import (
-        BandwidthConfig,
-        PacketMix,
-        row_head_latency_matrix,
-        row_mean,
-    )
-
-    dist = row_head_latency_matrix(placement, cost, impl=impl)
-    row_head_latency = row_mean(dist, weights)
+    w = None if weights is None else check_weights(weights, placement.n)
+    dist = directional_distances(placement, cost, impl=impl)
+    row_head_latency = float(slice_means(dist[None], w)[0])
     head_latency = 2.0 * row_head_latency
     if link_limit is None:
         return EvalResult(
@@ -642,6 +642,8 @@ def evaluate_placement(
             total_latency=None,
             flit_bits=None,
         )
+    from repro.core.latency import BandwidthConfig, PacketMix
+
     placement.validate(link_limit)
     mix = mix or PacketMix.paper_default()
     flit_bits = (bandwidth or BandwidthConfig()).flit_bits(link_limit)

@@ -22,6 +22,11 @@ This module provides:
   the link limit ``C`` to the flit width ``b = b_base / C`` (Eq. 3),
 * :class:`RowObjective` -- the function the search algorithms minimize,
 * whole-network summaries (average / worst-case zero-load latency).
+
+Every row price here -- a search's scalar call, its batches, and
+:func:`mean_row_head_latency` -- is
+:func:`~repro.routing.shortest_path.batched_mean_distances` over a
+population, a single placement being a population of one.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from repro.routing.impls import resolve_impl
 from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
+    check_weights,
     directional_distances,
+    slice_means,
 )
 from repro.topology.row import LinkBlock, RowPlacement
 from repro.util.errors import ConfigurationError
@@ -174,20 +181,6 @@ def full_connectivity_limit(n: int) -> int:
 # Row-level head-latency evaluation
 # ----------------------------------------------------------------------
 
-def row_head_latency_matrix(
-    placement: RowPlacement,
-    cost: HopCostModel | None = None,
-    impl: Optional[str] = None,
-) -> np.ndarray:
-    """All-pairs zero-load head latency within one row.
-
-    ``impl`` forwards to
-    :func:`~repro.routing.shortest_path.directional_distances`
-    (``None``: the machine's tier).
-    """
-    return directional_distances(placement, cost, impl=impl)
-
-
 def mean_row_head_latency(
     placement: RowPlacement,
     cost: HopCostModel | None = None,
@@ -199,28 +192,10 @@ def mean_row_head_latency(
     Averaged over all ``n * n`` ordered pairs including ``i == j``
     (which contribute zero), matching the normalization of Eq. 2.  With
     ``weights`` (an ``n x n`` nonnegative matrix) the average is
-    traffic-weighted as in Section 5.6.4.
+    traffic-weighted as in Section 5.6.4.  The one-member
+    :func:`~repro.routing.shortest_path.batched_mean_distances`.
     """
-    return row_mean(row_head_latency_matrix(placement, cost, impl=impl), weights)
-
-
-def row_mean(dist: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """The mean of a row's all-pairs latency matrix ``dist``.
-
-    Every ordered pair counts, ``i == j`` included, as in
-    :func:`mean_row_head_latency`; with ``weights`` (an ``n x n``
-    nonnegative matrix of positive, finite sum) the mean is
-    traffic-weighted.
-    """
-    if weights is None:
-        return float(dist.mean())
-    w = np.asarray(weights, dtype=float)
-    if w.shape != dist.shape:
-        raise ConfigurationError(f"weights shape {w.shape} != {dist.shape}")
-    total = w.sum()
-    if not 0 < total < math.inf:
-        raise ConfigurationError("weights must have positive, finite sum")
-    return float((dist * w).sum() / total)
+    return float(batched_mean_distances([placement], cost, weights, impl)[0])
 
 
 def mesh_average_head_latency_2d(
@@ -245,7 +220,7 @@ def worst_case_head_latency_2d(
     maximum is the sum of the row maximum and the column maximum
     (identical placements => twice the row maximum).  Used for Table 2.
     """
-    dist = row_head_latency_matrix(placement, cost)
+    dist = directional_distances(placement, cost)
     return 2.0 * float(dist.max())
 
 
@@ -286,25 +261,28 @@ class RowObjective:
             from repro.routing import native
 
             native.warmup(self.obs)
-        # The weight matrix as an array, once per instance (not a
-        # field: equality, hashing and repr see ``weights`` only).  A
-        # slice with no traffic falls back to the unweighted mean, so
-        # searches on it remain well defined; a sum that overflows (or
-        # is NaN) is refused here, before any pricing path sees it.
+        # The weight matrix as an array, checked once per instance
+        # (not a field: equality, hashing and repr see ``weights``
+        # only).  A slice with no traffic falls back to the unweighted
+        # mean, so a D&C recursion on it remains well defined; a sum
+        # that overflows (or is NaN) is refused here.
         w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        total = 0.0 if w is None else w.sum()
-        if not total < math.inf:
-            raise ConfigurationError("weights must have positive, finite sum")
-        object.__setattr__(self, "_w", w if total > 0 else None)
+        if w is not None and w.sum() <= 0:
+            w = None
+        object.__setattr__(
+            self, "_w", None if w is None else check_weights(w, len(w))
+        )
 
     def __call__(self, placement: RowPlacement) -> float:
+        """The energy of one placement: a one-member population priced
+        by the path :meth:`evaluate_many` takes."""
         if self.obs is None:
-            return self._evaluate(placement)
+            return float(self._price([placement])[0])
         with self.obs.span("latency.floyd_warshall"):
-            return self._evaluate(placement)
+            return float(self._price([placement])[0])
 
-    def _evaluate(self, placement: RowPlacement) -> float:
-        return mean_row_head_latency(placement, self.cost, self._w, impl=self.impl)
+    def _price(self, population) -> np.ndarray:
+        return batched_mean_distances(population, self.cost, self._w, impl=self.impl)
 
     def evaluate_many(self, placements) -> np.ndarray:
         """Price a whole population in one batched Floyd-Warshall pass.
@@ -316,9 +294,7 @@ class RowObjective:
         placements, duplicates (by ``canonical_bytes``) are priced
         once, and when the objective is :meth:`mirror_invariant` a
         placement and its mirror image also share one kernel slice
-        (mirror-fold dedup).  Under ``impl="reference"`` the population
-        is priced by the pure-Python oracle one placement at a time,
-        preserving the oracle contract at scalar speed.
+        (mirror-fold dedup).
         """
         if not isinstance(placements, LinkBlock):
             placements = list(placements)
@@ -358,11 +334,8 @@ class RowObjective:
         return True
 
     def _evaluate_many(self, placements) -> np.ndarray:
-        if self.impl == "reference":
-            return np.asarray([self._evaluate(p) for p in placements], dtype=float)
-        w = self._w
         if isinstance(placements, LinkBlock):
-            return batched_mean_distances(placements, self.cost, w, impl=self.impl)
+            return self._price(placements)
         fold = self.mirror_invariant()
         keys = [
             p.mirror_fold_bytes() if fold else p.canonical_bytes()
@@ -372,9 +345,7 @@ class RowObjective:
         for placement, key in zip(placements, keys):
             if key not in representatives:
                 representatives[key] = placement
-        energies = batched_mean_distances(
-            list(representatives.values()), self.cost, w, impl=self.impl
-        )
+        energies = self._price(list(representatives.values()))
         by_key = dict(zip(representatives.keys(), energies.tolist()))
         return np.asarray([by_key[key] for key in keys], dtype=float)
 
@@ -420,11 +391,12 @@ class IncrementalRowEvaluator:
     """Incremental counterpart of :class:`RowObjective`.
 
     Wraps an :class:`~repro.routing.incremental.IncrementalApspEngine`
-    (exposed as ``.engine`` for ``apply_link_changes``) and mirrors
-    the objective's energy formula -- including the weighted variant
-    and its zero-traffic fallback -- term for term, so the two paths
-    agree bit-for-bit whenever the engine's distances match the full
-    solver's.
+    (exposed as ``.engine`` for ``apply_link_changes``).  The weighted
+    energy is the objective's own reduction
+    (:func:`~repro.routing.shortest_path.slice_means`) over the
+    engine's distances, and the unweighted one the engine's exact
+    running mean, so the two paths agree bit-for-bit whenever the
+    engine's distances match the full solver's.
     """
 
     def __init__(self, objective: RowObjective, placement: RowPlacement):
@@ -435,18 +407,12 @@ class IncrementalRowEvaluator:
             placement, objective.cost, impl=objective.impl
         )
         w = objective._w
-        if w is not None and w.shape != (placement.n, placement.n):
-            raise ConfigurationError(
-                f"weights shape {w.shape} != {(placement.n, placement.n)}"
-            )
-        self._w = w
-        self._total = None if w is None else w.sum()
+        self._w = None if w is None else check_weights(w, placement.n)
 
     def energy(self) -> float:
         if self._w is None:
             return self.engine.mean_distance()
-        dist = self.engine.distances()
-        return float((dist * self._w).sum() / self._total)
+        return float(slice_means(self.engine.distances()[None], self._w)[0])
 
 
 # ----------------------------------------------------------------------

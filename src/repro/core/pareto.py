@@ -320,14 +320,18 @@ class ParetoPricer:
         self.spec = spec
         self._memo: Dict[bytes, Tuple[float, ...]] = {}
         self._latency = spec.latency_objective()
-        # Integral unit costs: mean hop count and mean wire length per
-        # row traversal, both mirror-fold safe in evaluate_many.
+        # Integral unit costs: the mean hop count per row traversal is
+        # mirror-fold safe in evaluate_many.
         self._hops = RowObjective(
             cost=HopCostModel(1.0, 0.0, 0.0), weights=spec.weights
         )
+        # Mean wire length per row traversal.  Every left-to-right path
+        # from i to j is j - i units long, so every placement has the
+        # mesh row's distances, and this mean, weighted or not: it is
+        # priced once per spec.
         self._wire = RowObjective(
             cost=HopCostModel(0.0, 1.0, 0.0), weights=spec.weights
-        )
+        )(RowPlacement.mesh(spec.n))
 
     @property
     def evaluations(self) -> int:
@@ -343,18 +347,16 @@ class ParetoPricer:
         for key, values in memo.items():
             self._memo[key] = tuple(values)
 
-    def price(self, placement: RowPlacement) -> Tuple[float, ...]:
-        return self.price_many([placement])[0]
-
     def price_many(
         self, placements: Sequence[RowPlacement], jobs: int = 1
     ) -> List[Tuple[float, ...]]:
         """Objective vectors for a population, in input order.
 
-        Fresh placements are priced in one batch: the latency / hop /
-        wire components through a single
+        Fresh placements are priced in one batch: the latency and hop
+        components through a single
         :meth:`~repro.core.latency.RowObjective.evaluate_many` kernel
-        call each, the mesh axes fanned over ``jobs`` processes.
+        call each (the wire term is the spec's one constant), the mesh
+        axes fanned over ``jobs`` processes.
         """
         placements = list(placements)
         keys = [p.canonical_bytes() for p in placements]
@@ -386,9 +388,8 @@ class ParetoPricer:
             )
             if "power" in spec.objectives:
                 hops = self._hops.evaluate_many(population)
-                wire = self._wire.evaluate_many(population)
                 columns["power"] = [
-                    rows[i][0] + self._dynamic_proxy_w(hops[i], wire[i])
+                    rows[i][0] + self._dynamic_proxy_w(hops[i], self._wire)
                     for i in range(len(population))
                 ]
             if "area" in spec.objectives:
@@ -429,8 +430,10 @@ class _VectorObjective:
     ``value = values[axis] + sum(scale * max(0, values[j] - bound))``
     over the ε-constraints.  Every evaluation lands in the pricer's
     memo, so a constraint solve feeds the archive as a side effect.
-    Generic (not sliceable): backends use it through
-    :class:`~repro.core.annealing.MemoizedObjective`'s scalar fallback.
+    Not sliceable, so no D&C seed; the exact search's population scan
+    prices each chunk of classes through :meth:`evaluate_many`, one
+    :meth:`ParetoPricer.price_many` call, and a single placement is the
+    population of one.
     """
 
     def __init__(
@@ -444,11 +447,17 @@ class _VectorObjective:
         self.constraints = tuple(constraints)
 
     def __call__(self, placement: RowPlacement) -> float:
-        values = self.pricer.price(placement)
-        total = values[self.axis]
-        for axis_j, bound, scale in self.constraints:
-            total += scale * max(0.0, values[axis_j] - bound)
-        return total
+        return float(self.evaluate_many([placement])[0])
+
+    def evaluate_many(self, placements) -> np.ndarray:
+        """The penalized value of each placement, priced in one batch."""
+        out = []
+        for values in self.pricer.price_many(placements):
+            total = values[self.axis]
+            for axis_j, bound, scale in self.constraints:
+                total += scale * max(0.0, values[axis_j] - bound)
+            out.append(total)
+        return np.asarray(out, dtype=float)
 
     def mirror_invariant(self) -> bool:
         """True only when every axis prices mirror images bit for bit:

@@ -27,9 +27,8 @@ The load-bearing correctness property: an all-rows-equal design prices
 **bit-identically** to the replicated-1D ``RowObjective`` path.
 :class:`MeshObjective` groups equal rows (by ``canonical_bytes``) and
 combines group energies as ``sum((count_g / R) * e_g)``; with a single
-group that sum is exactly ``0.0 + 1.0 * e == e``, the batched row
-energy -- which :meth:`RowObjective.evaluate_many` guarantees equals
-the scalar ``RowObjective(p)`` bit for bit.  A naive mean of ``R``
+group that sum is exactly ``0.0 + 1.0 * e == e``, the row energy of
+the one pricing path ``RowObjective(p)`` also takes.  A naive mean of ``R``
 identical floats would *not* be bit-exact for non-power-of-two ``R``
 (e.g. ``n = 6``); the group combine is what turns every existing
 golden row value into a free oracle for the new spaces.
@@ -52,10 +51,11 @@ from repro.core.branch_bound import (
 )
 from repro.core.connection_matrix import ConnectionMatrix, iter_unique_placements
 from repro.core.divide_conquer import InitialSolution, initial_solution
-from repro.core.latency import RowObjective, row_head_latency_matrix
+from repro.core.latency import RowObjective
 from repro.routing.shortest_path import (
     INF,
     HopCostModel,
+    directional_distances,
     floyd_warshall_distances_batch,
 )
 from repro.topology.grid import Grid2DPlacement, HeteroPlacement, MeshRowsPlacement
@@ -72,8 +72,8 @@ def _group_rows(rows: Sequence[RowPlacement]):
     """Group rows by ``canonical_bytes`` in first-occurrence order.
 
     Returns ``(reps, counts, keys)``; the combine rule walks groups in
-    this order, so scalar and batched evaluation share one float
-    operation sequence per design.
+    this order, so a design's energy is one float operation sequence
+    whatever population it is priced in.
     """
     reps: List[RowPlacement] = []
     counts: List[int] = []
@@ -161,41 +161,39 @@ class MeshObjective:
             )
 
     def __call__(self, design: MeshRowsPlacement) -> float:
-        self._check_design(design)
-        if self.per_row_weights:
-            vals = [
-                self.row_objective(r)(row) for r, row in enumerate(design.rows)
-            ]
-            return float(sum(vals) / len(vals))
-        reps, counts, _ = _group_rows(design.rows)
-        energies = self.row_objective().evaluate_many(reps)
-        if len(reps) == 1:
-            # Exactly the batched row energy: the reduction-parity case.
-            return float(energies[0])
-        R = len(design.rows)
-        return float(sum(
-            (c / R) * e for c, e in zip(counts, energies.tolist())
-        ))
+        return float(self.evaluate_many([design])[0])
 
     def evaluate_many(self, designs) -> np.ndarray:
         """Price a population of whole designs, batching all distinct rows.
 
-        Returns ``energies[i] == self(designs[i])`` bit for bit: every
-        distinct row across the whole population is priced once by one
-        ``RowObjective.evaluate_many`` stack, and per-row energies from
-        the batched kernel are batch-composition-independent (each
-        Floyd-Warshall slice is relaxed elementwise), so the per-design
-        group combine sees the same floats as the scalar path.
+        Every distinct row across the whole population is priced once
+        by one ``RowObjective.evaluate_many`` stack, and per-row
+        energies from the batched kernel are
+        batch-composition-independent (each Floyd-Warshall slice is
+        relaxed elementwise), so each design's group combine sees the
+        same floats whatever else the population holds; a single design
+        is the population of one :meth:`__call__` prices.  Per-row
+        weights price row ``r`` of every design under row ``r``'s
+        objective, one batch per row index, and average the rows.
         """
         designs = list(designs)
         if not designs:
             return np.empty(0, dtype=float)
+        for design in designs:
+            self._check_design(design)
         if self.per_row_weights:
-            return np.asarray([self(d) for d in designs], dtype=float)
+            per_row = [
+                self.row_objective(r).evaluate_many(
+                    [design.rows[r] for design in designs]
+                ).tolist()
+                for r in range(len(self.weights))
+            ]
+            return np.asarray(
+                [sum(vals) / len(vals) for vals in zip(*per_row)], dtype=float
+            )
         grouped = []
         reps_by_key: Dict[bytes, RowPlacement] = {}
         for design in designs:
-            self._check_design(design)
             reps, counts, keys = _group_rows(design.rows)
             grouped.append((len(design.rows), counts, keys))
             for rep, key in zip(reps, keys):
@@ -217,21 +215,6 @@ class MeshObjective:
 # ----------------------------------------------------------------------
 # Distance stacks over whole designs
 # ----------------------------------------------------------------------
-
-def mesh_head_distance_stack(
-    design: MeshRowsPlacement,
-    cost: HopCostModel | None = None,
-) -> np.ndarray:
-    """Per-row all-pairs head latencies, stacked as ``(R, n, n)``.
-
-    Slice ``r`` is bitwise :func:`~repro.core.latency
-    .row_head_latency_matrix` of ``design.rows[r]`` -- the distance
-    half of the reduction-parity contract.
-    """
-    return np.stack([
-        row_head_latency_matrix(row, cost) for row in design.rows
-    ])
-
 
 def grid2d_weight_stack(
     design: MeshRowsPlacement,
@@ -288,7 +271,7 @@ def grid2d_head_distances(
         block = np.where(upper, stack[0, lo:hi, lo:hi], stack[1, lo:hi, lo:hi])
         np.fill_diagonal(block, 0.0)
         dx[r] = block
-    dy = row_head_latency_matrix(RowPlacement.mesh(n), cost)
+    dy = directional_distances(RowPlacement.mesh(n), cost)
     full = dx[:, :, None, :] + dy[:, None, :, None]
     return full.reshape(n * n, n * n)
 

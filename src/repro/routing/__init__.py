@@ -2,12 +2,8 @@
 
 from repro.routing.shortest_path import (
     HopCostModel,
-    LEFT_TO_RIGHT,
-    RIGHT_TO_LEFT,
     directional_distances,
-    directional_hop_counts,
     directional_paths,
-    weight_matrix,
 )
 from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.tables import RoutingTables
@@ -26,12 +22,8 @@ from repro.routing.deadlock import (
 
 __all__ = [
     "HopCostModel",
-    "LEFT_TO_RIGHT",
-    "RIGHT_TO_LEFT",
     "directional_distances",
-    "directional_hop_counts",
     "directional_paths",
-    "weight_matrix",
     "IncrementalApspEngine",
     "RoutingTables",
     "compute_route",

@@ -81,13 +81,12 @@ from repro.routing import native
 from repro.routing.impls import resolve_impl
 from repro.routing.shortest_path import (
     INF,
-    LEFT_TO_RIGHT,
     HopCostModel,
     combine_directions,
     floyd_warshall_batch,
     row_distances_batch,
-    weight_matrix,
     weight_stack,
+    weight_stack_population,
 )
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
@@ -104,8 +103,9 @@ REWRITE_CHUNK_ELEMENTS = 1 << 20
 class IncrementalApspEngine:
     """Maintains directional row-graph distances under link flips.
 
-    State: ``_W``, the row's left-to-right weight matrix and the one
-    owner of the link set; ``_S[i, j]``, the left-to-right distance
+    State: ``_W``, the row's left-to-right weight matrix (the one-member
+    :func:`~repro.routing.shortest_path.weight_stack_population`) and
+    the one owner of the link set; ``_S[i, j]``, the left-to-right distance
     ``i -> j`` (``i <= j``), by the transpose identity also the
     right-to-left distance ``j -> i``; and ``_total``, the sum of
     ``_S``'s upper triangle.  ``impl`` (``None``: the machine's tier)
@@ -123,7 +123,7 @@ class IncrementalApspEngine:
         self.impl = resolve_impl(impl)
         self._hop = np.array([self.cost.hop_cost(k) for k in range(self.n)])
         self._upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
-        self._W = weight_matrix(placement, self.cost, LEFT_TO_RIGHT)
+        self._W = weight_stack_population([placement], self.cost)[0]
         self._rebuild()
 
     # -- construction / repair ------------------------------------------

@@ -17,16 +17,24 @@ Distances need only one of the two passes, and only a triangle of it:
   are read off the left-to-right result.
 * *Triangle.*  The left-to-right graph has no leftward edge and a zero
   diagonal, so at pivot ``k`` only cells ``i < k < j`` can see a
-  candidate other than ``inf`` or their own value.
-  :func:`row_distances_batch` relaxes exactly that block
-  (``dist[:, :k, k+1:]``) and leaves every value where the full pass
-  would.
+  candidate other than ``inf`` or their own value.  The row
+  kernel relaxes exactly that block (``dist[:, :k, k+1:]``) and leaves
+  every value where the full pass would.
 
 Both identities hold for any nonnegative hop costs, integral or not.
-The row pricing paths -- :func:`batched_mean_distances` (exact search,
-the D&C combine step), :func:`directional_distances`
-and the incremental engine -- all run that one kernel over
-left-to-right ``(B, n, n)`` stacks.  Next-hop tables are not a
+Every row price runs one path over a population -- a
+:class:`~repro.topology.row.LinkBlock` or a list of placements, a
+single placement being a population of one:
+:func:`weight_stack_population` writes the left-to-right ``(B, n, n)``
+stack (the one writer of row weight matrices), the triangle pass
+relaxes that stack in place, and :func:`combine_directions` reads the
+right-to-left half off the transpose
+(:func:`batched_directional_distances`).  :func:`slice_means` is the
+one mean and weighted mean over the result, and :func:`check_weights`
+the one check of a traffic matrix.  The exact search, the D&C combine
+step, the annealer's scalar prices, :func:`directional_distances` and
+``/evaluate`` all take that path; the incremental engine holds a
+one-member stack and relaxes a copy of it.  Next-hop tables are not a
 transpose (the transpose of a left-to-right *first* hop is a
 right-to-left *last* hop), so :func:`directional_paths` still relaxes
 both passes in full with :func:`floyd_warshall_batch`.
@@ -40,22 +48,23 @@ point takes ``impl=None``, the machine's tier
 (:func:`repro.routing.impls.default_impl`: the compiled kernels of
 :mod:`repro.routing.native` where they load, these NumPy ones
 otherwise); the parity suites name a tier explicitly
-(``"vectorized" | "reference" | "native"``).
+(``"vectorized" | "reference" | "native"``).  Row distances dispatch
+the ``"reference"`` oracle in :func:`batched_directional_distances`
+alone; :func:`directional_paths` has the oracle's next hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.routing import native
 from repro.routing.impls import resolve_impl
 from repro.topology.row import LinkBlock, RowPlacement
-
-#: Direction tags for the two passes.
-LEFT_TO_RIGHT = "l2r"
-RIGHT_TO_LEFT = "r2l"
+from repro.util.errors import ConfigurationError
 
 INF = np.inf
 
@@ -81,47 +90,22 @@ class HopCostModel:
         return self.router_delay + self.contention_delay + length * self.unit_link_delay
 
 
-def weight_matrix(
-    placement: RowPlacement,
-    cost: HopCostModel,
-    direction: str,
-) -> np.ndarray:
-    """Adjacency weight matrix restricted to one traversal direction.
-
-    ``w[i, j]`` is the one-hop cost from router ``i`` to ``j`` if the
-    placement has a link ``(i, j)`` usable in ``direction``, else
-    ``inf``.  Diagonal entries are 0.
-    """
-    n = placement.n
-    w = np.full((n, n), INF)
-    np.fill_diagonal(w, 0.0)
-    for i, j in placement.all_links():  # i < j by construction
-        c = cost.hop_cost(j - i)
-        if direction == LEFT_TO_RIGHT:
-            w[i, j] = c
-        elif direction == RIGHT_TO_LEFT:
-            w[j, i] = c
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-    return w
-
-
-def weight_stack(placement: RowPlacement, cost: HopCostModel) -> np.ndarray:
-    """Both directional weight matrices stacked as ``(2, n, n)``.
-
-    Index 0 is the left-to-right pass, index 1 right-to-left (its
-    transpose); :func:`floyd_warshall_batch` relaxes both passes in one
-    ``k`` loop when next hops are needed.
-    """
-    n = placement.n
-    w = np.full((2, n, n), INF)
-    w[0, np.arange(n), np.arange(n)] = 0.0
-    w[1, np.arange(n), np.arange(n)] = 0.0
-    for i, j in placement.all_links():  # i < j by construction
-        c = cost.hop_cost(j - i)
-        w[0, i, j] = c
-        w[1, j, i] = c
-    return w
+@lru_cache(maxsize=4)
+def _mesh_row(n: int, cost: HopCostModel) -> Tuple[np.ndarray, np.ndarray]:
+    """The mesh row's left-to-right weight matrix, and the hop cost of
+    each link length (read-only; the four latest rows are kept, 8 MiB
+    each at the served maximum ``n = 1024``).  ``hop_cost(length)`` is
+    computed per length so every slice sees the exact float it
+    returns."""
+    cost_by_len = np.asarray(
+        [0.0] + [cost.hop_cost(length) for length in range(1, n)]
+    )
+    mesh = np.full((n, n), INF)
+    idx = np.arange(n)
+    mesh[idx, idx] = 0.0
+    mesh[idx[:-1], idx[1:]] = cost_by_len[1]
+    mesh.flags.writeable = cost_by_len.flags.writeable = False
+    return mesh, cost_by_len
 
 
 def weight_stack_population(
@@ -130,29 +114,49 @@ def weight_stack_population(
 ) -> np.ndarray:
     """Left-to-right weight matrices for a whole population: ``(B, n, n)``.
 
-    ``population`` is a :class:`~repro.topology.row.LinkBlock` or a
-    sequence of placements sharing one row size ``n`` (flattened into a
-    block first, so there is one builder).  Slice ``b`` is member
-    ``b``'s left-to-right matrix, equal to ``weight_stack(member,
-    cost)[0]`` -- the input :func:`row_distances_batch` relaxes.  Every
-    slice starts as a copy of the mesh row's matrix, and the block's
-    express links land in one scatter.
+    The one writer of row weight matrices.  ``population`` is a
+    :class:`~repro.topology.row.LinkBlock` or a sequence of placements
+    sharing one row size ``n`` (flattened into a block first).  Slice
+    ``b`` holds member ``b``'s one-hop costs: ``w[i, j]`` for each link
+    ``(i, j)``, ``i < j``, a zero diagonal and ``inf`` elsewhere -- the
+    input the triangle pass relaxes.  Every slice starts as a copy of
+    the mesh row's matrix, and the block's express links land in one
+    scatter.
     """
     block = LinkBlock.of(population)
     n = block.n
-    # hop_cost(length) is precomputed per length so every slice sees the
-    # exact same float weight_stack would have written.
-    cost_by_len = np.asarray(
-        [0.0] + [cost.hop_cost(length) for length in range(1, n)]
-    )
-    mesh = np.full((n, n), INF)
-    idx = np.arange(n)
-    mesh[idx, idx] = 0.0
-    mesh[idx[:-1], idx[1:]] = cost_by_len[1]
+    mesh, cost_by_len = _mesh_row(n, cost)
     w = np.empty((len(block), n, n))
     w[...] = mesh
     w[block.owner, block.starts, block.ends] = cost_by_len[block.ends - block.starts]
     return w
+
+
+def weight_stack(placement: RowPlacement, cost: HopCostModel) -> np.ndarray:
+    """Both directional weight matrices of one placement, ``(2, n, n)``.
+
+    Index 0 is the left-to-right pass, the one-member
+    :func:`weight_stack_population`; index 1 the right-to-left pass,
+    its transpose.  :func:`floyd_warshall_batch` relaxes both passes in
+    one ``k`` loop when next hops are needed.
+    """
+    w = weight_stack_population([placement], cost)[0]
+    return np.stack((w, w.T))
+
+
+def _relax_rows(dist: np.ndarray, impl: str) -> None:
+    """The triangle pass over a ``(B, n, n)`` left-to-right stack, in
+    place: pivot ``k`` relaxes ``dist[:, :k, k+1:]``, the one block it
+    can change (see the module docstring).  ``impl`` is a resolved
+    tier; ``"native"`` runs the compiled loop over the same block."""
+    if impl == "native":
+        native.load().row_dist_batch(dist)
+        return
+    for k in range(1, dist.shape[1] - 1):
+        block = dist[:, :k, k + 1:]
+        np.minimum(
+            block, dist[:, :k, k, None] + dist[:, None, k, k + 1:], out=block
+        )
 
 
 def row_distances_batch(w: np.ndarray, impl: Optional[str] = None) -> np.ndarray:
@@ -160,27 +164,15 @@ def row_distances_batch(w: np.ndarray, impl: Optional[str] = None) -> np.ndarray
 
     ``w`` is a ``(B, n, n)`` stack of left-to-right row graphs: zero
     diagonal, nonnegative weights above it, ``inf`` below it (what
-    :func:`weight_stack_population` builds).  Pivot ``k`` relaxes only
-    ``dist[:, :k, k+1:]``, the one block it can change (see the module
-    docstring), so the result is bitwise the full
-    :func:`floyd_warshall_distances_batch` pass on the same stack.
-    The ``"native"`` tier runs the compiled in-place loop over the same
-    block (:mod:`repro.routing.native`).
+    :func:`weight_stack_population` builds).  The result is bitwise the
+    full :func:`floyd_warshall_distances_batch` pass on the same stack,
+    in a fresh array: ``w`` is the caller's (the incremental engine
+    keeps its weight matrix), so it is copied and never written.
     """
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {w.shape}")
-    if resolve_impl(impl) == "native":
-        from repro.routing import native
-
-        dist = np.array(w, dtype=np.float64, order="C")
-        native.load().row_dist_batch(dist)
-        return dist
-    dist = w.copy()
-    for k in range(1, w.shape[1] - 1):
-        block = dist[:, :k, k + 1:]
-        np.minimum(
-            block, dist[:, :k, k, None] + dist[:, None, k, k + 1:], out=block
-        )
+    dist = np.array(w, dtype=np.float64, order="C")
+    _relax_rows(dist, resolve_impl(impl))
     return dist
 
 
@@ -194,11 +186,77 @@ def combine_directions(dist: np.ndarray) -> np.ndarray:
     leftward edge reaches there) -- so each cell is the smaller of
     itself and its mirror: one transposed copy and one in-place
     ``minimum``, no mask.  The result is a fresh C-contiguous array, so
-    reducing each ``(n, n)`` slice sums in the same order as the scalar
-    path's matrix.
+    :func:`slice_means` reduces each ``(n, n)`` slice in one pinned
+    order.
     """
     out = np.array(dist.swapaxes(-1, -2), order="C")
     return np.minimum(out, dist, out=out)
+
+
+def batched_directional_distances(
+    placements: LinkBlock | Sequence[RowPlacement],
+    cost: HopCostModel | None = None,
+    impl: Optional[str] = None,
+) -> np.ndarray:
+    """All-pairs directional head latencies of a population: ``(B, n, n)``.
+
+    The one row distance path.  ``placements`` is a non-empty
+    :class:`~repro.topology.row.LinkBlock` or sequence of placements
+    sharing one row size.  Its left-to-right stack is built for this
+    call alone, so the triangle pass relaxes it in place (no copy),
+    and :func:`combine_directions` adds the right-to-left half.
+    ``impl=None`` runs the machine's tier; ``"reference"`` prices each
+    member through the pure-Python oracle in
+    :mod:`repro.routing.shortest_path_ref`.  All tiers are
+    bit-identical by the cross-tier parity suite, so the switch exists
+    for verification, not for results.
+    """
+    cost = cost or HopCostModel()
+    impl = resolve_impl(impl)
+    block = LinkBlock.of(placements)
+    if impl == "reference":
+        from repro.routing import shortest_path_ref as ref
+
+        return np.asarray(
+            [ref.directional_distances_py(p, cost) for p in block], dtype=float
+        )
+    dist = weight_stack_population(block, cost)
+    _relax_rows(dist, impl)
+    return combine_directions(dist)
+
+
+def check_weights(weights, n: int) -> np.ndarray:
+    """A traffic matrix as an ``(n, n)`` float array, checked once.
+
+    The one check of pair weights, where they enter a pricing call:
+    the shape must be ``(n, n)`` and the sum positive and finite (a sum
+    that overflows would price to ``inf / inf``).  Raises
+    :class:`~repro.util.errors.ConfigurationError` otherwise.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n, n):
+        raise ConfigurationError(f"weights shape {w.shape} != {(n, n)}")
+    if not 0 < w.sum() < INF:
+        raise ConfigurationError("weights must have positive, finite sum")
+    return w
+
+
+def slice_means(dist: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """The mean of each ``(n, n)`` slice of a distance stack: ``(B,)``.
+
+    The one reduction behind every row price.  Every ordered pair
+    counts, ``i == j`` included (Eq. 2's normalization); ``weights``, a
+    matrix :func:`check_weights` has passed, switches to the
+    traffic-weighted mean.  Each C-contiguous slice is reduced over its
+    flattened row, so numpy's pairwise summation runs in one order per
+    slice whatever the batch holds -- energies are
+    batch-composition-independent, bit for bit (a fused
+    ``mean(axis=(1, 2))`` over the 3-D view would not make that
+    guarantee; the property suite pins this).
+    """
+    if weights is None:
+        return dist.reshape(len(dist), -1).mean(axis=1)
+    return (dist * weights).reshape(len(dist), -1).sum(axis=1) / weights.sum()
 
 
 def batched_mean_distances(
@@ -209,60 +267,21 @@ def batched_mean_distances(
 ) -> np.ndarray:
     """Mean directional head latency of each placement, in one FW pass.
 
-    The population version of ``mean_row_head_latency``: one
-    ``(B, n, n)`` left-to-right :func:`row_distances_batch` prices all
-    ``B`` members of ``placements`` (a sequence of placements or a
-    :class:`~repro.topology.row.LinkBlock`), then each mean is reduced
-    per slice with the exact operation order of the scalar path --
-    results are bit-identical to ``B`` scalar evaluations.  ``weights``
-    (an ``n x n`` nonnegative matrix, validated as in the scalar path)
-    switches to the traffic-weighted mean.  ``impl`` (``None``: the
-    machine's tier) selects the row kernel: ``"native"`` runs the
-    compiled pass (stack building and
-    the pinned-order mean reduction stay in NumPy -- they are
-    O(B n^2) against the pass's O(B n^3), and the reduction's
-    pairwise-summation order is part of the bit-identity contract);
-    ``"reference"`` prices the population one placement at a time
-    through the pure-Python oracle.  Returns shape ``(B,)``.
+    :func:`slice_means` over :func:`batched_directional_distances`:
+    ``placements`` is a sequence of placements or a
+    :class:`~repro.topology.row.LinkBlock`, ``weights`` (an ``n x n``
+    nonnegative matrix, checked by :func:`check_weights`) switches to
+    the traffic-weighted mean, and ``impl`` (``None``: the machine's
+    tier) selects the row kernel.  Returns shape ``(B,)``; an empty
+    population prices to an empty array.
     """
-    from repro.util.errors import ConfigurationError
-
-    cost = cost or HopCostModel()
-    impl = resolve_impl(impl)
     if not isinstance(placements, LinkBlock):
         placements = list(placements)
     if not len(placements):
         return np.empty(0, dtype=float)
     block = LinkBlock.of(placements)
-    n = block.n
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    if w is not None:
-        if w.shape != (n, n):
-            raise ConfigurationError(f"weights shape {w.shape} != {(n, n)}")
-        total = w.sum()
-        if not 0 < total < np.inf:
-            raise ConfigurationError("weights must have positive, finite sum")
-    if impl == "reference":
-        out = []
-        for placement in placements:
-            dist = directional_distances(placement, cost, impl="reference")
-            if w is None:
-                out.append(dist.mean())
-            else:
-                out.append((dist * w).sum() / total)
-        return np.asarray(out, dtype=float)
-    combined = combine_directions(
-        row_distances_batch(weight_stack_population(block, cost), impl=impl)
-    )
-    # Reducing each C-contiguous slice over its flattened innermost
-    # axis applies numpy's pairwise summation per row -- the identical
-    # operation order to `.mean()` / `.sum()` on the scalar path's
-    # freshly-allocated (n, n) matrix, hence bit-identical results (a
-    # fused `mean(axis=(1, 2))` over the 3-D view would not make that
-    # guarantee; the property suite pins this).
-    if w is None:
-        return combined.reshape(len(block), -1).mean(axis=1)
-    return (combined * w).reshape(len(block), -1).sum(axis=1) / total
+    w = None if weights is None else check_weights(weights, block.n)
+    return slice_means(batched_directional_distances(block, cost, impl), w)
 
 
 def floyd_warshall_batch(
@@ -292,8 +311,6 @@ def floyd_warshall_batch(
     next_hop = np.where(np.isfinite(w), cols[None, None, :], -1).astype(np.int64)
     next_hop[:, cols, cols] = cols
     if impl == "native":
-        from repro.routing import native
-
         dist = np.array(w, dtype=np.float64, order="C")
         native.load().fw_batch(dist, next_hop)
         return dist, next_hop
@@ -329,21 +346,12 @@ def directional_distances(
     cost: HopCostModel | None = None,
     impl: Optional[str] = None,
 ) -> np.ndarray:
-    """All-pairs directional head latencies (no next hops; fast path).
+    """All-pairs directional head latencies of one row (no next hops).
 
-    ``impl=None`` runs the machine's tier; ``"reference"`` runs the
-    pure-Python oracle in :mod:`repro.routing.shortest_path_ref`.  All
-    tiers are bit-identical by the cross-tier parity suite, so the
-    switch exists for verification, not for results.
+    Member 0 of :func:`batched_directional_distances` over the
+    one-member population; ``impl`` is as there.
     """
-    cost = cost or HopCostModel()
-    impl = resolve_impl(impl)
-    if impl == "reference":
-        from repro.routing import shortest_path_ref as ref
-
-        return np.asarray(ref.directional_distances_py(placement, cost))
-    w = weight_matrix(placement, cost, LEFT_TO_RIGHT)
-    return combine_directions(row_distances_batch(w[None], impl=impl)[0])
+    return batched_directional_distances([placement], cost, impl)[0]
 
 
 def directional_paths(
@@ -376,27 +384,3 @@ def directional_paths(
     np.fill_diagonal(dist, 0.0)
     np.fill_diagonal(next_hop, np.arange(n))
     return dist, next_hop
-
-
-def directional_hop_counts(placement: RowPlacement, cost: HopCostModel | None = None) -> np.ndarray:
-    """All-pairs hop counts ``H`` along the latency-optimal paths.
-
-    Used by the power model (dynamic energy scales with hops) and by
-    the simulator cross-checks.  Ties in latency are broken exactly as
-    :func:`directional_paths` breaks them, by following ``next_hop``.
-    """
-    _, next_hop = directional_paths(placement, cost)
-    n = placement.n
-    hops = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v, count = i, 0
-            while v != j:
-                v = int(next_hop[v, j])
-                count += 1
-                if count > n:
-                    raise RuntimeError("next-hop table contains a loop")
-            hops[i, j] = count
-    return hops

@@ -35,10 +35,10 @@ IntMatrix = List[List[int]]
 def weight_matrix_py(placement: RowPlacement, cost, direction: str) -> Matrix:
     """Directional one-hop cost matrix as nested lists.
 
-    Mirrors :func:`repro.routing.shortest_path.weight_matrix`:
-    ``w[i][j]`` is the hop cost of a link usable from ``i`` to ``j`` in
-    ``direction`` (``"l2r"`` or ``"r2l"``), ``inf`` otherwise, with a
-    zero diagonal.
+    The oracle of :func:`repro.routing.shortest_path.weight_stack`'s
+    two slices: ``w[i][j]`` is the hop cost of a link usable from ``i``
+    to ``j`` in ``direction`` (``"l2r"`` or ``"r2l"``), ``inf``
+    otherwise, with a zero diagonal.
     """
     n = placement.n
     w = [[0.0 if i == j else INF for j in range(n)] for i in range(n)]

@@ -351,17 +351,18 @@ class LinkBlock:
         if not placements:
             raise ValueError("population must contain at least one placement")
         n = placements[0].n
+        flat = []
+        sizes = []
         for p in placements:
             if p.n != n:
                 raise ValueError(
                     f"population mixes row sizes: expected n={n}, got n={p.n}"
                 )
-        links = np.asarray(
-            [link for p in placements for link in p.express_links], dtype=np.intp
-        ).reshape(-1, 2)
-        owner = np.repeat(
-            np.arange(len(placements)), [len(p.express_links) for p in placements]
-        )
+            sizes.append(len(p.express_links))
+            for link in p.express_links:
+                flat += link
+        links = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        owner = np.repeat(np.arange(len(placements)), sizes)
         return cls(n, len(placements), owner, links[:, 0], links[:, 1])
 
     @classmethod

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.latency import row_head_latency_matrix
-from repro.routing.shortest_path import HopCostModel
+from repro.routing.shortest_path import HopCostModel, directional_distances
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
 
@@ -68,7 +67,7 @@ def render_latency_matrix(
     cost: HopCostModel | None = None,
 ) -> str:
     """All-pairs row head latencies as an aligned integer table."""
-    dist = row_head_latency_matrix(placement, cost)
+    dist = directional_distances(placement, cost)
     n = placement.n
     width = max(len(f"{dist.max():.0f}"), 2) + 1
     header = "      " + "".join(f"{j:>{width}}" for j in range(n))

@@ -136,8 +136,8 @@ class TestExhaustive:
         )
 
     def test_pareto_exact_solve_archives_every_class(self):
-        # The vector objective prices placement by placement, so its
-        # archive holds every class the search enumerated.
+        # Every class the search enumerated lands in the vector
+        # objective's archive.
         pricer = ParetoPricer(
             ParetoSpec(n=6, link_limit=3, objectives=("latency", "power"))
         )
@@ -148,6 +148,42 @@ class TestExhaustive:
         assert result.evaluations == pricer.evaluations == len(classes)
         assert set(pricer.archive) == {p.canonical_bytes() for p in classes}
         assert result.energy == min(v[1] for v in pricer.archive.values())
+
+    @pytest.mark.parametrize("constraints", [(), ((0, 6.1, 8.0),)])
+    def test_pareto_exact_solve_prices_a_chunk_per_call(self, constraints):
+        # The scan hands the vector objective each chunk of classes as
+        # one population: one price_many call per chunk, not one per
+        # class, with the one-member scan's result and archive.
+        spec = ParetoSpec(n=6, link_limit=3, objectives=("latency", "power"))
+
+        def scan(batch_size):
+            pricer = ParetoPricer(spec)
+            sizes = []
+            price_many = pricer.price_many
+
+            def counted(placements, jobs=1):
+                placements = list(placements)
+                sizes.append(len(placements))
+                return price_many(placements, jobs)
+
+            pricer.price_many = counted
+            objective = _VectorObjective(pricer, 1, constraints)
+            result = exhaustive_matrix_search(6, 3, objective, batch_size)
+            return result, sizes, pricer.archive
+
+        result, sizes, archive = scan(branch_bound.DEFAULT_BATCH_SIZE)
+        chunks = [
+            len(chunk)
+            for block in iter_unique_blocks(6, 3, fold=False)
+            for chunk in block.chunks(branch_bound.DEFAULT_BATCH_SIZE)
+        ]
+        assert sizes == chunks and len(chunks) < result.evaluations
+        one, one_sizes, one_archive = scan(1)
+        assert set(one_sizes) == {1} and len(one_sizes) == one.evaluations
+        assert (result.placement, result.energy, result.evaluations) == (
+            one.placement, one.energy, one.evaluations
+        )
+        assert list(archive.items()) == list(one_archive.items())
 
 
 class TestMirrorFold:

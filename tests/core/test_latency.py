@@ -13,10 +13,9 @@ from repro.core.latency import (
     mesh_average_head_latency_2d,
     network_average_latency,
     network_worst_case_latency,
-    row_head_latency_matrix,
     worst_case_head_latency_2d,
 )
-from repro.routing.shortest_path import HopCostModel
+from repro.routing.shortest_path import HopCostModel, directional_distances
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
 
@@ -194,6 +193,6 @@ def test_mean_latency_mirror_invariant(p):
 @settings(max_examples=30, deadline=None)
 @given(row_placements(max_n=8))
 def test_latency_matrix_positive_off_diagonal(p):
-    dist = row_head_latency_matrix(p)
+    dist = directional_distances(p)
     off = dist[~np.eye(p.n, dtype=bool)]
     assert (off >= 4.0).all()  # at least one minimal hop

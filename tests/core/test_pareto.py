@@ -145,7 +145,7 @@ class TestSpecAndPricer:
         spec = ParetoSpec(n=6, link_limit=2, objectives=OBJECTIVES)
         pricer = ParetoPricer(spec)
         p = RowPlacement.mesh(6)
-        first = pricer.price(p)
+        first = pricer.price_many([p])[0]
         again = pricer.price_many([p, p])
         assert again == [first, first]
         assert pricer.evaluations == 1
@@ -155,8 +155,10 @@ class TestSpecAndPricer:
     def test_express_links_shift_every_axis(self):
         spec = ParetoSpec(n=8, link_limit=2, objectives=OBJECTIVES)
         pricer = ParetoPricer(spec)
-        mesh = pricer.price(RowPlacement.mesh(8))
-        express = pricer.price(RowPlacement(8, frozenset({(0, 4), (4, 7)})))
+        mesh = pricer.price_many([RowPlacement.mesh(8)])[0]
+        express = pricer.price_many(
+            [RowPlacement(8, frozenset({(0, 4), (4, 7)}))]
+        )[0]
         by_axis = dict(zip(OBJECTIVES, zip(mesh, express)))
         # Express links cut latency and channel load but buy them with
         # router area; power nets out per design.
@@ -182,13 +184,14 @@ class TestMirrorFold:
             assert objectives != ("latency",)
             return
         for placement in iter_unique_placements(8, c, fold=False):
-            assert pricer.price(placement) == pricer.price(placement.reversed())
+            assert (pricer.price_many([placement])[0]
+                    == pricer.price_many([placement.reversed()])[0])
 
     def test_static_power_tells_mirrors_apart(self):
         # The pair behind the rule: mesh axes sum in node order.
         pricer = ParetoPricer(ParetoSpec(n=8, link_limit=2, objectives=("power",)))
-        left = pricer.price(RowPlacement(8, frozenset({(2, 6)})))
-        right = pricer.price(RowPlacement(8, frozenset({(1, 5)})))
+        left = pricer.price_many([RowPlacement(8, frozenset({(2, 6)}))])[0]
+        right = pricer.price_many([RowPlacement(8, frozenset({(1, 5)}))])[0]
         assert left != right
         assert left == pytest.approx(right, rel=1e-12)
 

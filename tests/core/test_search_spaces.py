@@ -23,7 +23,7 @@ from repro.api import SearchConfig, place_express_links
 from repro.core.annealing import MemoizedObjective, anneal
 from repro.core.branch_bound import exhaustive_matrix_search
 from repro.core.connection_matrix import ConnectionMatrix
-from repro.core.latency import RowObjective, row_head_latency_matrix
+from repro.core.latency import RowObjective
 from repro.core.optimizer import SweepResult, optimize, solve_row_problem
 from repro.core.search_space import (
     Grid2DChords,
@@ -33,8 +33,8 @@ from repro.core.search_space import (
     exhaustive_hetero_search,
     exhaustive_replicated_search,
     grid2d_head_distances,
-    mesh_head_distance_stack,
 )
+from repro.routing.shortest_path import directional_distances
 from repro.topology.grid import Grid2DPlacement, HeteroPlacement
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
@@ -119,15 +119,6 @@ class TestReductionParityEnergy:
 class TestReductionParityDistances:
     """Satellite 1 (distance half): per-row matrices are bitwise 1D."""
 
-    @pytest.mark.parametrize("n,c", [(4, 2), (6, 3), (8, 4)])
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_hetero_stack_rows_bitwise(self, n, c, data):
-        d = data.draw(hetero_strategy(n, c))
-        stack = mesh_head_distance_stack(d)
-        for r, row in enumerate(d.rows):
-            assert np.array_equal(stack[r], row_head_latency_matrix(row))
-
     @pytest.mark.parametrize("n,c", [(4, 2), (6, 3)])
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
@@ -138,10 +129,10 @@ class TestReductionParityDistances:
         rows = [data.draw(row_placement_strategy(n, c)) for _ in range(n)]
         d = Grid2DPlacement(n=n, rows=tuple(rows))
         full = grid2d_head_distances(d)
-        dy = row_head_latency_matrix(RowPlacement.mesh(n))
+        dy = directional_distances(RowPlacement.mesh(n))
         for r, row in enumerate(rows):
             block = full[r * n:(r + 1) * n, r * n:(r + 1) * n]
-            assert np.array_equal(block, row_head_latency_matrix(row))
+            assert np.array_equal(block, directional_distances(row))
         expected_mean = MeshObjective()(d) + dy.mean()
         assert full.mean() == pytest.approx(expected_mean, rel=1e-12)
 
@@ -150,8 +141,8 @@ class TestReductionParityDistances:
         p = RowPlacement(n, frozenset({(0, 2)}))
         d = Grid2DPlacement.replicate(p)
         full = grid2d_head_distances(d)
-        dx = row_head_latency_matrix(p)
-        dy = row_head_latency_matrix(RowPlacement.mesh(n))
+        dx = directional_distances(p)
+        dy = directional_distances(RowPlacement.mesh(n))
         for r1 in range(n):
             for c1 in range(n):
                 for r2 in range(n):

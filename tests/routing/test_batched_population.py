@@ -1,21 +1,22 @@
-"""Population-batched evaluation == scalar evaluation, bit for bit.
+"""Population pricing == the pure-Python oracle, bit for bit.
 
-The batched kernels (`weight_stack_population`, `batched_mean_distances`,
-``RowObjective.evaluate_many``) exist purely for throughput -- the exact
-searches and the D&C combine step price whole populations with them:
-one ``(B, n, n)`` left-to-right row stack
-instead of ``B`` single-placement passes.  A population is a placement
-list or a ``LinkBlock`` (the exact search's link arrays); both go
-through the same builder.  Min-plus relaxation is
-elementwise per slice and the final reduction runs over each slice's
-contiguous row, so the
-contract is *bit-identical* results -- strict ``==`` on floats, byte
-equality on placements -- which is what every test here demands.
+Every row price runs one path over a population (`weight_stack_population`,
+`batched_mean_distances`, ``RowObjective.evaluate_many``; a single
+placement is a population of one): one ``(B, n, n)`` left-to-right row
+stack.  A population is a placement list or a ``LinkBlock`` (the exact
+search's link arrays); both go through the same builder.  Min-plus
+relaxation is elementwise per slice and the final reduction runs over
+each slice's contiguous row, so a member's energy does not depend on
+what else the batch holds.  The expected side of each check is the
+oracle (:mod:`repro.routing.shortest_path_ref`'s weight matrices and
+distances, reduced by NumPy's own mean), so two independent
+implementations meet: *bit-identical* results -- strict ``==`` on
+floats, byte equality on placements.
 
 Hypothesis drives the population shapes (including ``B = 1`` and
-duplicate members) and non-integral hop costs.  The kernel-level checks are cross-impl gates: they run once per tier
-available on this machine (``native`` joins when a compiled backend
-loads), always comparing against the default path's bits.
+duplicate members) and non-integral hop costs.  The kernel-level checks
+are cross-impl gates: they run once per tier available on this machine
+(``native`` joins when a compiled backend loads).
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.core.latency import RowObjective
 from repro.core.optimizer import solve_row_problem
 from repro.obs import MemorySink
 from repro.obs.instrument import Instrumentation
+from repro.routing import shortest_path_ref as ref
 from repro.routing.impls import available_impls
 from repro.routing.shortest_path import (
     HopCostModel,
@@ -61,6 +63,16 @@ SMOKE = AnnealingParams(total_moves=400, moves_per_cooldown=100)
 #: Cross-impl gate axis: every tier usable on this machine.
 AVAILABLE_IMPLS = available_impls()
 FAST_IMPLS = tuple(i for i in AVAILABLE_IMPLS if i != "reference")
+
+
+def oracle_energy(placement, cost=HopCostModel(), weights=None):
+    """The oracle's directional distances, reduced by NumPy's mean (or
+    weighted mean) of the whole matrix."""
+    dist = np.asarray(ref.directional_distances_py(placement, cost))
+    if weights is None:
+        return float(dist.mean())
+    w = np.asarray(weights, dtype=float)
+    return float((dist * w).sum() / w.sum())
 
 
 @st.composite
@@ -89,11 +101,14 @@ def test_weight_stack_population_matches_scalar_stacks(pop):
         stacked = weight_stack_population(batch, cost)
         assert stacked.shape == (len(batch), batch[0].n, batch[0].n)
         for b, placement in enumerate(batch):
+            l2r = np.asarray(ref.weight_matrix_py(placement, cost, "l2r"))
+            r2l = np.asarray(ref.weight_matrix_py(placement, cost, "r2l"))
+            assert np.array_equal(stacked[b], l2r)
+            # The one-member stack and its transpose are the oracle's
+            # two passes: the weight-level half of the transpose identity.
             single = weight_stack(placement, cost)
-            assert np.array_equal(stacked[b], single[0])
-            # The right-to-left matrix is the left-to-right one
-            # transposed: the weight-level half of the transpose identity.
-            assert np.array_equal(single[1], single[0].T)
+            assert np.array_equal(single[0], l2r)
+            assert np.array_equal(single[1], r2l)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,11 +150,12 @@ def test_link_block_edges():
 def test_batched_mean_distances_matches_scalar_objective(pop, impl):
     _, batch = pop
     for cost in COSTS:
-        objective = RowObjective(cost=cost)
+        objective = RowObjective(cost=cost, impl=impl)
         energies = batched_mean_distances(batch, cost, impl=impl)
         assert energies.shape == (len(batch),)
         for placement, energy in zip(batch, energies):
-            assert float(energy) == objective(placement)
+            assert float(energy) == oracle_energy(placement, cost)
+            assert objective(placement) == float(energy)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,7 +169,8 @@ def test_batched_mean_distances_weighted_parity(pop, seed):
         objective = RowObjective(cost=cost, weights=weights)
         energies = batched_mean_distances(batch, cost, weights=objective.weights)
         for placement, energy in zip(batch, energies):
-            assert float(energy) == objective(placement)
+            assert float(energy) == oracle_energy(placement, cost, weights)
+            assert objective(placement) == float(energy)
 
 
 @pytest.mark.parametrize("impl", FAST_IMPLS)
@@ -194,11 +211,11 @@ def test_batched_distances_equal_per_placement_passes(impl):
 def test_evaluate_many_matches_scalar_calls(pop, impl):
     _, batch = pop
     for cost in COSTS:
-        scalar = RowObjective(cost=cost)
-        batched = RowObjective(cost=cost, impl=impl)
-        expected = [scalar(p) for p in batch]
-        got = batched.evaluate_many(batch)
+        objective = RowObjective(cost=cost, impl=impl)
+        expected = [oracle_energy(p, cost) for p in batch]
+        got = objective.evaluate_many(batch)
         assert [float(v) for v in got] == expected
+        assert [objective(p) for p in batch] == expected
 
 
 def test_memoized_block_pricing_counts_like_the_scalar_loop():
@@ -301,13 +318,23 @@ def _objective_fields(kind, n):
 def test_block_pricing_matches_scalar_objective(n, limit, kind):
     # Every class of the space, folded and unfolded, priced from the
     # enumerator's arrays on every fast tier: whole code blocks and
-    # chunks of 7, bit for bit against the scalar objective.
+    # chunks of 7, bit for bit against the oracle's energies and the
+    # objective's one-member calls.
     fields = _objective_fields(kind, n)
     scalar = RowObjective(**fields)
+    oracle = {}
     for fold in (True, False):
         priced = 0
         for block in iter_unique_blocks(n, limit, block_size=37, fold=fold):
-            expected = [scalar(p) for p in block]
+            expected = []
+            for p in block:
+                key = p.canonical_bytes()
+                if key not in oracle:
+                    oracle[key] = oracle_energy(
+                        p, scalar.cost, fields.get("weights")
+                    )
+                expected.append(oracle[key])
+            assert [scalar(p) for p in block] == expected
             priced += len(expected)
             for impl in FAST_IMPLS:
                 objective = RowObjective(**fields, impl=impl)
@@ -328,7 +355,7 @@ def test_block_pricing_on_the_reference_tier():
     block = next(iter_unique_blocks(6, 3, fold=False))
     reference = RowObjective(cost=COSTS[1], impl="reference")
     assert [float(v) for v in reference.evaluate_many(block)] == [
-        reference(p) for p in block
+        oracle_energy(p, COSTS[1]) for p in block
     ]
 
 

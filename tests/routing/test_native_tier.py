@@ -46,13 +46,12 @@ from repro.routing import _native_cext, native
 from repro.routing.impls import available_impls
 from repro.routing.incremental import IncrementalApspEngine
 from repro.routing.shortest_path import (
-    LEFT_TO_RIGHT,
     HopCostModel,
     batched_mean_distances,
     floyd_warshall_batch,
     floyd_warshall_distances_batch,
     row_distances_batch,
-    weight_matrix,
+    weight_stack,
     weight_stack_population,
 )
 from repro.topology.row import RowPlacement
@@ -140,7 +139,7 @@ class TestEngineKernel:
     @staticmethod
     def engine_arrays(n=6):
         placement = RowPlacement(n, frozenset({(0, 3), (2, 5)}))
-        w = weight_matrix(placement, HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(placement, HopCostModel())[0]
         s = row_distances_batch(w[None])[0]
         hop = np.array([HopCostModel().hop_cost(k) for k in range(n)])
         return s, w, hop

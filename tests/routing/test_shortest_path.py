@@ -7,12 +7,9 @@ from hypothesis import given, settings
 
 from repro.routing.shortest_path import (
     HopCostModel,
-    LEFT_TO_RIGHT,
-    RIGHT_TO_LEFT,
-    directional_hop_counts,
     directional_paths,
     floyd_warshall_batch,
-    weight_matrix,
+    weight_stack,
 )
 from repro.topology.row import RowPlacement
 
@@ -45,46 +42,42 @@ class TestHopCostModel:
 
 class TestWeightMatrix:
     def test_mesh_l2r(self):
-        w = weight_matrix(RowPlacement.mesh(4), HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(RowPlacement.mesh(4), HopCostModel())[0]
         assert w[0, 1] == 4.0
         assert np.isinf(w[1, 0])
         assert w[0, 0] == 0.0
 
     def test_express_weight(self):
         p = RowPlacement(6, frozenset({(0, 4)}))
-        w = weight_matrix(p, HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(p, HopCostModel())[0]
         assert w[0, 4] == 3 + 4  # Tr + 4 units
 
     def test_r2l_mirrors(self):
         p = RowPlacement(6, frozenset({(0, 4)}))
-        w = weight_matrix(p, HopCostModel(), RIGHT_TO_LEFT)
+        w = weight_stack(p, HopCostModel())[1]
         assert w[4, 0] == 7.0
         assert np.isinf(w[0, 4])
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            weight_matrix(RowPlacement.mesh(4), HopCostModel(), "up")
 
 
 class TestFloydWarshall:
     """One directional graph through the batched kernel, as ``w[None]``."""
 
     def test_simple_chain(self):
-        w = weight_matrix(RowPlacement.mesh(5), HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(RowPlacement.mesh(5), HopCostModel())[0]
         (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert dist[0, 4] == 16.0  # 4 hops x 4 cycles
         assert nxt[0, 4] == 1
 
     def test_express_shortcut_used(self):
         p = RowPlacement(8, frozenset({(0, 6)}))
-        w = weight_matrix(p, HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(p, HopCostModel())[0]
         (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert dist[0, 6] == 9.0  # one hop of length 6
         assert nxt[0, 6] == 6
         assert dist[0, 7] == 13.0  # express then local
 
     def test_unreachable_marked(self):
-        w = weight_matrix(RowPlacement.mesh(3), HopCostModel(), LEFT_TO_RIGHT)
+        w = weight_stack(RowPlacement.mesh(3), HopCostModel())[0]
         (dist,), (nxt,) = floyd_warshall_batch(w[None])
         assert np.isinf(dist[2, 0])
         assert nxt[2, 0] == -1
@@ -112,18 +105,6 @@ class TestDirectionalPaths:
         dist, _ = directional_paths(p)
         # Both directions have the bidirectional link available.
         assert dist[0, 5] == dist[5, 0] == 8.0
-
-
-class TestHopCounts:
-    def test_mesh_hops(self):
-        hops = directional_hop_counts(RowPlacement.mesh(5))
-        assert hops[0, 4] == 4
-        assert hops[2, 2] == 0
-
-    def test_express_reduces_hops(self):
-        p = RowPlacement(8, frozenset({(0, 7)}))
-        hops = directional_hop_counts(p)
-        assert hops[0, 7] == 1
 
 
 @settings(max_examples=40, deadline=None)

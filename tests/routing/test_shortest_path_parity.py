@@ -39,14 +39,11 @@ from repro.api import SearchConfig
 from repro.core.optimizer import optimize, solve_row_problem
 from repro.routing.shortest_path import (
     HopCostModel,
-    LEFT_TO_RIGHT,
-    RIGHT_TO_LEFT,
     directional_distances,
     directional_paths,
     floyd_warshall_batch,
     floyd_warshall_distances_batch,
     row_distances_batch,
-    weight_matrix,
     weight_stack,
 )
 from repro.routing import shortest_path_ref as ref
@@ -109,8 +106,8 @@ def test_batched_kernels_match_single_matrix_kernels(n, impl):
     cost = HopCostModel()
     for placement in random_placements(n, 4, count=3, seed=1):
         stack = weight_stack(placement, cost)
-        w_lr = weight_matrix(placement, cost, LEFT_TO_RIGHT)
-        w_rl = weight_matrix(placement, cost, RIGHT_TO_LEFT)
+        w_lr = np.asarray(ref.weight_matrix_py(placement, cost, "l2r"))
+        w_rl = np.asarray(ref.weight_matrix_py(placement, cost, "r2l"))
         assert np.array_equal(stack[0], w_lr)
         assert np.array_equal(stack[1], w_rl)
 
